@@ -1,73 +1,18 @@
 """Coordinate term mining from a single seed over web list structures."""
 
-from .concepts import (
-    BackgroundCorpus,
-    ConceptCluster,
-    ContextVector,
-    cluster_weblists,
-    context_vector,
-    filter_clusters,
-    list_similarity,
-)
-from .corpus import (
-    FixtureCorpus,
-    FixtureError,
-    FixtureProvider,
-    LiveSearchProvider,
-    MissingPageError,
-    RawPage,
-    SearchHit,
-    SearchProvider,
-    TransientSearchError,
-    load_fixture,
-)
-from .dom import DomTree, Occurrence, parse_html
-from .expansion import (
-    ExpandConfig,
-    ExpandResult,
-    ExtendedSeedSet,
-    WebList,
-    expand,
-    expansion_queries,
-)
-from .linguistic import (
-    LingexConfig,
-    ScoredCandidate,
-    build_queries,
-    extract_competitor_baseline,
-    extract_initial_candidates,
-)
-from .metrics import (
-    GoldAnswer,
-    GoldConcept,
-    ResultSet,
-    aap,
-    average_precision,
-    cluster_quality,
-    iaap,
-    interleave,
-    load_gold,
-    precision_at_n,
-)
+from .corpus import FixtureProvider, SearchProvider, load_fixture
+from .metrics import load_gold
 from .pipeline import MiningReport, PipelineConfig, evaluate, mine
-from .ranking import (
-    RelationGraph,
-    RwrConfig,
-    build_relation_graph,
-    extract_affixes,
-    rank_terms,
-    rwr_scores,
-    walk_probabilities,
-)
-from .wrappers import (
-    MultiMatcher,
-    Wrapper,
-    WrapperConfig,
-    extract_spans,
-    extract_terms,
-    find_matches,
-    is_valid_wrapper,
-    learn_wrappers,
-)
+
+__all__ = [
+    "FixtureProvider",
+    "MiningReport",
+    "PipelineConfig",
+    "SearchProvider",
+    "evaluate",
+    "load_fixture",
+    "load_gold",
+    "mine",
+]
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .corpus import FixtureError, FixtureProvider, load_fixture
@@ -58,6 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_mine(args: argparse.Namespace) -> int:
+    if not args.seed:
+        print("error: seed must be non-empty", file=sys.stderr)
+        return EXIT_USAGE
     try:
         corpus = load_fixture(args.corpus)
     except (FixtureError, OSError) as exc:
@@ -69,18 +73,11 @@ def _run_mine(args: argparse.Namespace) -> int:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.no_disambiguation:
-        cfg = PipelineConfig.from_dict(
-            dict(_as_plain_dict(cfg), disambiguation=False)
-        )
+        cfg = replace(cfg, disambiguation=False)
 
-    provider = FixtureProvider(corpus)
-
+    report = mine(args.seed, cfg, FixtureProvider(corpus))
     if args.dump_weblists:
-        report, dump = _mine_with_dump(args.seed, cfg, provider)
-        Path(args.dump_weblists).write_text(dump, encoding="utf-8")
-    else:
-        report = mine(args.seed, cfg, provider)
-
+        Path(args.dump_weblists).write_text(_weblists_jsonl(report), encoding="utf-8")
     Path(args.out).write_text(report.to_json(), encoding="utf-8")
     print(format_report_table(report), end="")
     if not any(c.ranked_terms for c in report.concepts):
@@ -88,51 +85,27 @@ def _run_mine(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _as_plain_dict(cfg: PipelineConfig) -> dict:
-    from dataclasses import asdict
-
-    data = asdict(cfg)
-    data["clue_words"] = list(data["clue_words"])
-    return data
-
-
-def _mine_with_dump(seed: str, cfg: PipelineConfig, provider) -> tuple[MiningReport, str]:
-    # Re-run expansion to capture the raw lists; fixtures make this cheap
-    # and deterministic.
-    from .expansion import ExtendedSeedSet, expand
-    from .linguistic import extract_initial_candidates, build_queries
-    from .text import split_sentences
-
-    report = mine(seed, cfg, provider)
-    lines: list[str] = []
-    sentences: list[str] = []
-    for query in build_queries(seed, cfg.lingex()):
-        for hit in provider.search(query, cfg.snippet_results):
-            sentences.extend(split_sentences(hit.title))
-            sentences.extend(split_sentences(hit.snippet))
-    candidates = extract_initial_candidates(seed, sentences, cfg.lingex())
-    if candidates:
-        extended = ExtendedSeedSet(seed, tuple(c.text for c in candidates))
-        expansion = expand(extended, provider, cfg.expansion())
-        for wl in expansion.weblists:
-            lines.append(
-                json.dumps(
-                    {
-                        "id": wl.id,
-                        "source_url": wl.source_url,
-                        "terms": list(wl.terms),
-                        "context": wl.context,
-                        "wrapper": {
-                            "left": wl.wrapper.left,
-                            "right": wl.wrapper.right,
-                            "path": wl.wrapper.path,
-                        },
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-            )
-    return report, "\n".join(lines) + ("\n" if lines else "")
+def _weblists_jsonl(report: MiningReport) -> str:
+    """The run's web lists, one JSON object per line, in list-id order."""
+    return "".join(
+        json.dumps(
+            {
+                "id": wl.id,
+                "source_url": wl.source_url,
+                "terms": list(wl.terms),
+                "context": wl.context,
+                "wrapper": {
+                    "left": wl.wrapper.left,
+                    "right": wl.wrapper.right,
+                    "path": wl.wrapper.path,
+                },
+            },
+            ensure_ascii=False,
+            sort_keys=True,
+        )
+        + "\n"
+        for wl in report.weblists
+    )
 
 
 def _run_eval(args: argparse.Namespace) -> int:

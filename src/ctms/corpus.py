@@ -11,19 +11,15 @@ and page URLs to files::
     }
 
 Fixture lookups are deterministic and never touch the network, which makes
-every experiment replayable byte for byte.  A thin live adapter with the
-same interface exists for ad-hoc use; it is best-effort plumbing and is not
-exercised by the acceptance suite.
+every experiment replayable byte for byte.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Protocol
 
 
 @dataclass(frozen=True)
@@ -39,11 +35,10 @@ class SearchHit:
 
 @dataclass(frozen=True)
 class RawPage:
-    """Cached page bytes decoded to text; `fetched_at` is informational only."""
+    """Cached page bytes decoded to text."""
 
     url: str
     html: str
-    fetched_at: float = 0.0
 
 
 class FixtureError(ValueError):
@@ -167,114 +162,4 @@ class FixtureProvider:
         page = self._corpus.pages.get(url)
         if page is None:
             raise MissingPageError(url)
-        return page
-
-
-# (status_code, content_type_header, body_bytes)
-Transport = Callable[[str], tuple[int, str, bytes]]
-
-
-def _requests_transport(url: str) -> tuple[int, str, bytes]:
-    import requests
-
-    resp = requests.get(url, timeout=30)
-    return resp.status_code, resp.headers.get("content-type", ""), resp.content
-
-
-@dataclass
-class LiveProviderConfig:
-    """Settings for the optional live adapter.
-
-    `endpoint` is a URL template with ``{query}`` and ``{count}``
-    placeholders; the endpoint must answer with a JSON array of objects
-    carrying ``title``, ``snippet`` and ``url`` fields, in rank order.
-    """
-
-    endpoint: str
-    page_size: int = 50
-    interval_s: float = 1.0
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "LiveProviderConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            endpoint=data["endpoint"],
-            page_size=int(data.get("page_size", 50)),
-            interval_s=float(data.get("interval_s", 1.0)),
-        )
-
-
-class LiveSearchProvider:
-    """Thin adapter for a JSON search endpoint.  Best effort only."""
-
-    def __init__(self, config: LiveProviderConfig, transport: Transport | None = None):
-        self._config = config
-        self._transport = transport or _requests_transport
-        self._page_cache: dict[str, RawPage] = {}
-        self._last_request = 0.0
-        # providers may be shared across workers; serialize the rate gate
-        self._lock = threading.Lock()
-
-    def _throttle(self) -> None:
-        with self._lock:
-            wait = self._config.interval_s - (time.monotonic() - self._last_request)
-            if wait > 0:
-                time.sleep(wait)
-            self._last_request = time.monotonic()
-
-    def search(self, query: str, max_results: int = 200) -> list[SearchHit]:
-        if not query:
-            raise ValueError("query must be non-empty")
-        from urllib.parse import quote
-
-        hits: list[SearchHit] = []
-        while len(hits) < max_results:
-            count = min(self._config.page_size, max_results - len(hits))
-            url = self._config.endpoint.format(query=quote(query), count=count)
-            self._throttle()
-            try:
-                status, _ctype, body = self._transport(url)
-            except Exception as exc:  # transport errors are retryable
-                raise TransientSearchError(query, str(exc)) from exc
-            if status != 200:
-                raise TransientSearchError(query, f"HTTP {status}")
-            try:
-                rows = json.loads(body.decode("utf-8", errors="replace"))
-            except json.JSONDecodeError as exc:
-                raise TransientSearchError(query, f"bad response body: {exc}") from exc
-            for row in rows:
-                hits.append(
-                    SearchHit(
-                        query=query,
-                        rank=len(hits) + 1,
-                        title=str(row.get("title", "")),
-                        snippet=str(row.get("snippet", "")),
-                        url=str(row.get("url", "")),
-                    )
-                )
-            if len(rows) < count:
-                break  # endpoint exhausted
-        return hits[:max_results]
-
-    def fetch_page(self, url: str) -> RawPage:
-        if not url:
-            raise ValueError("url must be non-empty")
-        cached = self._page_cache.get(url)
-        if cached is not None:
-            return cached
-        try:
-            status, ctype, body = self._transport(url)
-        except Exception as exc:
-            raise MissingPageError(url) from exc
-        if status != 200:
-            raise MissingPageError(url)
-        encoding = "utf-8"
-        if "charset=" in ctype:
-            encoding = ctype.split("charset=")[-1].split(";")[0].strip() or "utf-8"
-        try:
-            html = body.decode(encoding, errors="replace")
-        except LookupError:
-            html = body.decode("utf-8", errors="replace")
-        page = RawPage(url=url, html=html, fetched_at=time.time())
-        self._page_cache[url] = page
         return page

@@ -15,11 +15,12 @@ result is sorted by list id so downstream stages see a stable order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .config import PipelineConfig
 from .corpus import SearchProvider, TransientSearchError
 from .dom import DomTree, parse_html
-from .wrappers import Wrapper, WrapperConfig, extract_spans, learn_wrappers
+from .wrappers import Wrapper, extract_spans, learn_wrappers
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,6 @@ class WebList:
 
 
 @dataclass
-class ExpandConfig:
-    pages_per_query: int = 10
-    context_window: int = 200  # rendered characters on each side
-    wrapper: WrapperConfig = field(default_factory=WrapperConfig)
-
-
-@dataclass
 class ExpandResult:
     weblists: list[WebList]
     page_texts: dict[str, str]  # url -> rendered text, the background corpus
@@ -88,10 +82,10 @@ def _context_window(tree: DomTree, first_start: int, last_end: int, window: int)
 
 
 def harvest_page(
-    url: str, tree: DomTree, extended: ExtendedSeedSet, cfg: ExpandConfig
+    url: str, tree: DomTree, extended: ExtendedSeedSet, cfg: PipelineConfig
 ) -> tuple[list[WebList], int]:
     """Learn wrappers on one page and turn their extractions into WebLists."""
-    wrappers = learn_wrappers(extended.terms, tree, cfg.wrapper)
+    wrappers = learn_wrappers(extended.terms, tree, cfg)
     if not wrappers:
         return [], 0
     spans_by_wrapper = extract_spans(tree, wrappers)
@@ -125,12 +119,12 @@ def harvest_page(
 def expand(
     extended: ExtendedSeedSet,
     provider: SearchProvider,
-    cfg: ExpandConfig | None = None,
+    cfg: PipelineConfig | None = None,
 ) -> ExpandResult:
     """Run every expansion query and harvest all retrieved pages once."""
     if len(extended.terms) < 2:
         raise ValueError("expansion needs the seed plus at least one candidate")
-    cfg = cfg or ExpandConfig()
+    cfg = cfg or PipelineConfig()
 
     result = ExpandResult(
         weblists=[], page_texts={}, queries_run=[], pages_processed=0,

@@ -21,25 +21,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .config import PipelineConfig
 from .text import is_term_char, split_sentences
-
-
-@dataclass(frozen=True)
-class LingexConfig:
-    clue_words: tuple[str, ...] = ("和", "比")
-    tau: int = 2  # keep candidates with score strictly above this
-    top_n: int = 5
-    max_candidate_len: int = 10  # characters
-
-    def __post_init__(self) -> None:
-        if not self.clue_words or any(not w for w in self.clue_words):
-            raise ValueError("clue_words must be a non-empty sequence of non-empty words")
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
-        if self.top_n < 1:
-            raise ValueError("top_n must be >= 1")
-        if self.max_candidate_len < 1:
-            raise ValueError("max_candidate_len must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -53,7 +36,7 @@ class ScoredCandidate:
         return self.n * self.m
 
 
-def build_queries(seed: str, cfg: LingexConfig) -> list[str]:
+def build_queries(seed: str, cfg: PipelineConfig) -> list[str]:
     """Exact-phrase queries: for each clue word f, `seed+f` then `f+seed`."""
     if not seed:
         raise ValueError("seed must be non-empty")
@@ -92,7 +75,7 @@ def _right_candidates(sentence: str, anchor: str, max_len: int) -> set[str]:
 
 
 def extract_initial_candidates(
-    seed: str, sentences: list[str], cfg: LingexConfig | None = None
+    seed: str, sentences: list[str], cfg: PipelineConfig | None = None
 ) -> list[ScoredCandidate]:
     """Mine the initial candidate set from retrieved titles and snippets.
 
@@ -103,7 +86,7 @@ def extract_initial_candidates(
     Candidates scoring strictly above tau survive, sorted by descending
     score then lexicographically, truncated to the top_n best.
     """
-    cfg = cfg or LingexConfig()
+    cfg = cfg or PipelineConfig()
     if not seed:
         raise ValueError("seed must be non-empty")
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Any
 
 from .concepts import (
@@ -22,9 +21,10 @@ from .concepts import (
     context_vector,
     filter_clusters,
 )
+from .config import PipelineConfig
 from .corpus import SearchProvider, TransientSearchError
-from .expansion import ExpandConfig, ExpandResult, ExtendedSeedSet, WebList, expand
-from .linguistic import LingexConfig, extract_initial_candidates, build_queries
+from .expansion import ExpandResult, ExtendedSeedSet, WebList, expand
+from .linguistic import extract_initial_candidates, build_queries
 from .metrics import (
     GoldAnswer,
     ResultSet,
@@ -35,72 +35,8 @@ from .metrics import (
     interleave,
     precision_at_n,
 )
-from .ranking import RwrConfig, build_relation_graph, rank_terms, rwr_scores
+from .ranking import build_relation_graph, rank_terms, rwr_scores
 from .text import split_sentences
-from .wrappers import WrapperConfig
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Every stage parameter in one place; defaults are the working set."""
-
-    clue_words: tuple[str, ...] = ("和", "比")
-    tau: int = 2
-    top_n: int = 5
-    max_candidate_len: int = 10
-    snippet_results: int = 200
-    kappa: int = 4
-    min_distinct_seeds: int = 2
-    pages_per_query: int = 10
-    context_window: int = 200
-    sim_lambda: float = 0.5
-    cluster_threshold: float = 0.65
-    min_support: float = 0.05
-    restart_prob: float = 0.2
-    tolerance: float = 0.001
-    max_iters: int = 1000
-    affix_min_n: int = 1
-    affix_max_n: int = 3
-    disambiguation: bool = True
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "PipelineConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "clue_words" in data:
-            data = dict(data, clue_words=tuple(data["clue_words"]))
-        return cls(**data)
-
-    def lingex(self) -> LingexConfig:
-        return LingexConfig(
-            clue_words=self.clue_words,
-            tau=self.tau,
-            top_n=self.top_n,
-            max_candidate_len=self.max_candidate_len,
-        )
-
-    def expansion(self) -> ExpandConfig:
-        return ExpandConfig(
-            pages_per_query=self.pages_per_query,
-            context_window=self.context_window,
-            wrapper=WrapperConfig(
-                kappa=self.kappa, min_distinct_seeds=self.min_distinct_seeds
-            ),
-        )
-
-    def rwr(self) -> RwrConfig:
-        return RwrConfig(
-            restart_prob=self.restart_prob,
-            tolerance=self.tolerance,
-            max_iters=self.max_iters,
-        )
 
 
 @dataclass
@@ -121,6 +57,9 @@ class MiningReport:
     weblist_count: int
     concepts: list[ConceptReport]
     diagnostics: dict[str, Any] = field(default_factory=dict)
+    # The run's web lists, kept in memory only: not serialized, compared
+    # or printed, so the report JSON is the same with or without them.
+    weblists: list[WebList] = field(default_factory=list, compare=False, repr=False)
 
     def to_json(self) -> str:
         payload = {
@@ -174,7 +113,7 @@ def _concept_report(
     graph = build_relation_graph(
         cluster, members, seed, cfg.affix_min_n, cfg.affix_max_n, term_filter
     )
-    scores, converged = rwr_scores(graph, cfg.rwr())
+    scores, converged = rwr_scores(graph, cfg)
     ranked = rank_terms(scores, seed)
     provenance: dict[str, list[str]] = {}
     ranked_terms = {t for t, _ in ranked}
@@ -200,9 +139,8 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
     diagnostics: dict[str, Any] = {"notes": notes}
 
     # Stage 1: mine initial candidates from titles and snippets.
-    lingex_cfg = cfg.lingex()
     sentences: list[str] = []
-    queries = build_queries(seed, lingex_cfg)
+    queries = build_queries(seed, cfg)
     failed_queries: list[str] = []
     for query in queries:
         try:
@@ -218,7 +156,7 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
     if failed_queries:
         diagnostics["failed_queries"] = failed_queries
 
-    candidates = extract_initial_candidates(seed, sentences, lingex_cfg)
+    candidates = extract_initial_candidates(seed, sentences, cfg)
     initial = [
         {"text": c.text, "n": c.n, "m": c.m, "score": c.score} for c in candidates
     ]
@@ -236,8 +174,9 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
 
     # Stage 2: expansion over retrieved pages.
     extended = ExtendedSeedSet(seed=seed, initial=tuple(c.text for c in candidates))
-    expansion: ExpandResult = expand(extended, provider, cfg.expansion())
+    expansion: ExpandResult = expand(extended, provider, cfg)
     weblists = expansion.weblists
+    report.weblists = weblists
     report.weblist_count = len(weblists)
     diagnostics["expansion_queries"] = expansion.queries_run
     diagnostics["pages_processed"] = expansion.pages_processed

@@ -18,22 +18,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .concepts import ConceptCluster
+from .config import PipelineConfig
 from .expansion import WebList
 
 Vertex = tuple[str, str]  # (kind, name); kinds: "term" | "list" | "affix"
-
-
-@dataclass(frozen=True)
-class RwrConfig:
-    restart_prob: float = 0.2
-    tolerance: float = 0.001
-    max_iters: int = 1000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.restart_prob < 1.0:
-            raise ValueError("restart_prob must lie strictly between 0 and 1")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
 
 
 @dataclass
@@ -130,7 +118,7 @@ def build_relation_graph(
 def walk_probabilities(
     adjacency: Sequence[Sequence[int]],  # neighbor lists, symmetric
     seed: int,
-    cfg: RwrConfig | None = None,
+    cfg: PipelineConfig | None = None,
 ) -> tuple[np.ndarray, bool]:
     """Iterate v <- restart·e_seed + (1-restart)·v·A* to a fixed point.
 
@@ -139,7 +127,7 @@ def walk_probabilities(
     total probability is conserved.  Returns the score vector and whether
     the iteration converged within the budget.
     """
-    cfg = cfg or RwrConfig()
+    cfg = cfg or PipelineConfig()
     n = len(adjacency)
     if n == 0:
         raise ValueError("graph must be non-empty")
@@ -169,7 +157,7 @@ def walk_probabilities(
 
 
 def rwr_scores(
-    graph: RelationGraph, cfg: RwrConfig | None = None
+    graph: RelationGraph, cfg: PipelineConfig | None = None
 ) -> tuple[dict[Vertex, float], bool]:
     """Saliency score per vertex; flag is False when iteration hit the cap."""
     scores, converged = walk_probabilities(graph.adjacency, graph.seed_index, cfg)

@@ -36,6 +36,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .config import PipelineConfig
 from .dom import TEXTUAL_TAGS, DomTree
 from .text import is_punct_text
 
@@ -52,18 +53,6 @@ class Wrapper:
     left: str
     right: str
     path: str
-
-
-@dataclass(frozen=True)
-class WrapperConfig:
-    kappa: int = 4  # minimum combined context length when not punctuation
-    min_distinct_seeds: int = 2
-
-    def __post_init__(self) -> None:
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
-        if self.min_distinct_seeds < 2:
-            raise ValueError("min_distinct_seeds must be >= 2")
 
 
 class MultiMatcher:
@@ -127,12 +116,7 @@ class MultiMatcher:
         return results
 
 
-def find_matches(matcher: MultiMatcher, text: str) -> list[tuple[str, int]]:
-    """All pattern occurrences in `text`, sorted by position."""
-    return matcher.find(text)
-
-
-def is_valid_wrapper(w: Wrapper, cfg: WrapperConfig) -> bool:
+def is_valid_wrapper(w: Wrapper, cfg: PipelineConfig) -> bool:
     """Heuristic validity rules that weed out degenerate wrappers.
 
     1. at least one side carries non-whitespace (empty counts as whitespace);
@@ -252,14 +236,14 @@ class _PageIndex:
 
 
 def learn_wrappers(
-    seeds: Iterable[str], tree: DomTree, cfg: WrapperConfig | None = None
+    seeds: Iterable[str], tree: DomTree, cfg: PipelineConfig | None = None
 ) -> list[Wrapper]:
     """Learn wrappers bracketing occurrences of the seed set on one page.
 
     Returns a deterministic sorted list; empty when fewer than
     `min_distinct_seeds` different seeds occur with a shared tag path.
     """
-    cfg = cfg or WrapperConfig()
+    cfg = cfg or PipelineConfig()
     seed_list = sorted({s for s in seeds if s})
     if len(seed_list) < cfg.min_distinct_seeds:
         return []

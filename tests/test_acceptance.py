@@ -18,7 +18,7 @@ import pytest
 import conftest
 from ctms.concepts import ContextVector, list_similarity
 from ctms.dom import parse_html
-from ctms.linguistic import LingexConfig, extract_initial_candidates
+from ctms.linguistic import extract_initial_candidates
 from ctms.metrics import average_precision, load_gold
 from ctms.pipeline import PipelineConfig, evaluate, mine
 from ctms.ranking import RelationGraph, rwr_scores, walk_probabilities
@@ -26,9 +26,7 @@ from ctms.wrappers import (
     MAX_TERM_LEN,
     MultiMatcher,
     Wrapper,
-    WrapperConfig,
     extract_spans,
-    find_matches,
     is_valid_wrapper,
     learn_wrappers,
 )
@@ -77,7 +75,7 @@ def test_criterion_1_matcher_oracle():
             for _ in range(rng.randint(1, 20))
         }
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 2048)))
-        assert find_matches(MultiMatcher(patterns), text) == brute(patterns, text)
+        assert MultiMatcher(patterns).find(text) == brute(patterns, text)
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"matcher oracle took {elapsed:.2f}s"
 
@@ -166,7 +164,7 @@ def test_criterion_3_fragment_reproduction():
     started = time.monotonic()
     tree = parse_html(FIG_FRAGMENT)
     wrappers = learn_wrappers({"宏碁", "索尼"}, tree)
-    cfg = WrapperConfig()
+    cfg = PipelineConfig()
     assert wrappers and all(is_valid_wrapper(w, cfg) for w in wrappers)
     extractions = extract_spans(tree, wrappers)
     exact = [
@@ -218,7 +216,7 @@ def test_criterion_4_lingex_bidirectionality():
     sentences.extend(filler)
     assert len(sentences) == 50
 
-    got = extract_initial_candidates("宝马", sentences, LingexConfig())
+    got = extract_initial_candidates("宝马", sentences, PipelineConfig())
     texts = {c.text for c in got}
     assert {"奔驰", "奥迪", "本田"} <= texts
     assert texts.isdisjoint(set(decoys))

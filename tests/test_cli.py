@@ -63,18 +63,95 @@ def test_bad_config_exits_two(miniweb_path, tmp_path):
     assert proc.returncode == 2
 
 
-def test_dump_weblists(miniweb_path, tmp_path):
-    out = tmp_path / "r.json"
-    dump = tmp_path / "weblists.jsonl"
+# Each config is rejected at load: exit 2 and one error line naming the
+# field (or the shape problem), never a traceback from a later stage.
+BAD_CONFIGS = [
+    ('{"restart_prob": 2}', "restart_prob"),
+    ('{"kappa": 0}', "kappa"),
+    ('{"top_n": 0}', "top_n"),
+    ('{"pages_per_query": 0}', "pages_per_query"),
+    ('{"snippet_results": 0}', "snippet_results"),
+    ('{"min_distinct_seeds": 1}', "min_distinct_seeds"),
+    ('{"tolerance": 0}', "tolerance"),
+    ('{"tau": "2"}', "tau"),
+    ('{"tau": true}', "tau"),
+    ('{"cluster_threshold": "x"}', "cluster_threshold"),
+    ('{"clue_words": "和比"}', "clue_words"),
+    ('{"clue_words": []}', "clue_words"),
+    ('{"disambiguation": "no"}', "disambiguation"),
+    ('{"max_iters": 0}', "max_iters"),
+    ('{"context_window": -5}', "context_window"),
+    ('{"affix_min_n": 3, "affix_max_n": 1}', "affix_max_n"),
+    ("null", "config must be a JSON object"),
+    ("5", "config must be a JSON object"),
+    ("[1]", "config must be a JSON object"),
+]
+
+
+@pytest.mark.parametrize("text, named", BAD_CONFIGS, ids=[t for t, _ in BAD_CONFIGS])
+def test_bad_config_value_exits_two(miniweb_path, tmp_path, text, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text, encoding="utf-8")
     proc = run_cli(
         "mine", "华盛顿", "--corpus", str(miniweb_path),
-        "--out", str(out), "--dump-weblists", str(dump),
+        "--config", str(cfg), "--out", str(tmp_path / "r.json"),
     )
-    assert proc.returncode == 0
-    lines = dump.read_text(encoding="utf-8").strip().splitlines()
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: bad config")
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_mine_empty_seed_exits_two(miniweb_path, tmp_path):
+    proc = run_cli(
+        "mine", "", "--corpus", str(miniweb_path), "--out", str(tmp_path / "r.json")
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_dump_weblists(miniweb_path, tmp_path, monkeypatch):
+    import ctms.expansion
+    import ctms.pipeline
+    from ctms import cli
+
+    calls = []
+    original = ctms.expansion.expand
+
+    def counting_expand(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # Both names are patched so that any second expansion pass is counted.
+    monkeypatch.setattr(ctms.pipeline, "expand", counting_expand)
+    monkeypatch.setattr(ctms.expansion, "expand", counting_expand)
+
+    dumps = []
+    for flags in ([], ["--no-disambiguation"]):
+        out = tmp_path / "r.json"
+        dump = tmp_path / "weblists.jsonl"
+        calls.clear()
+        code = cli.main(
+            ["mine", "华盛顿", "--corpus", str(miniweb_path), "--out", str(out),
+             "--dump-weblists", str(dump), *flags]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        dumps.append(dump.read_bytes())
+        if not flags:
+            report = json.loads(out.read_text(encoding="utf-8"))
+
+    lines = dumps[0].decode("utf-8").strip().splitlines()
     assert lines
-    row = json.loads(lines[0])
-    assert {"id", "source_url", "terms", "context", "wrapper"} <= set(row)
+    rows = [json.loads(line) for line in lines]
+    assert {"id", "source_url", "terms", "context", "wrapper"} <= set(rows[0])
+    assert len(rows) == report["weblist_count"]
+    ids = {row["id"] for row in rows}
+    assert len(ids) == len(rows)
+    for concept in report["concepts"]:
+        assert set(concept["list_ids"]) <= ids
+    assert dumps[1] == dumps[0]
 
 
 def test_eval_prints_metric_table(mined_report, miniweb_path):

@@ -6,12 +6,8 @@ from ctms.corpus import (
     FixtureCorpus,
     FixtureError,
     FixtureProvider,
-    LiveProviderConfig,
-    LiveSearchProvider,
     MissingPageError,
     RawPage,
-    SearchHit,
-    TransientSearchError,
     load_fixture,
 )
 
@@ -123,49 +119,3 @@ def test_search_determinism(miniweb_provider):
     a = miniweb_provider.search("华盛顿和", 200)
     b = miniweb_provider.search("华盛顿和", 200)
     assert a == b
-
-
-# --- live adapter ----------------------------------------------------------
-
-
-def test_live_search_parses_json_rows():
-    def transport(url):
-        rows = [{"title": "T", "snippet": "S", "url": "http://x/1"}]
-        return 200, "application/json", json.dumps(rows).encode()
-
-    provider = LiveSearchProvider(
-        LiveProviderConfig(endpoint="http://api/?q={query}&n={count}", interval_s=0.0),
-        transport=transport,
-    )
-    hits = provider.search("宝马", 1)
-    assert hits == [SearchHit(query="宝马", rank=1, title="T", snippet="S", url="http://x/1")]
-
-
-def test_live_search_transport_failure_is_retryable():
-    def transport(url):
-        raise OSError("connection reset")
-
-    provider = LiveSearchProvider(
-        LiveProviderConfig(endpoint="http://api/?q={query}&n={count}", interval_s=0.0),
-        transport=transport,
-    )
-    with pytest.raises(TransientSearchError) as err:
-        provider.search("宝马", 5)
-    assert err.value.query == "宝马"
-
-
-def test_live_fetch_transcodes_and_caches():
-    calls = []
-
-    def transport(url):
-        calls.append(url)
-        return 200, "text/html; charset=gbk", "<p>宝马</p>".encode("gbk")
-
-    provider = LiveSearchProvider(
-        LiveProviderConfig(endpoint="http://api/?q={query}&n={count}", interval_s=0.0),
-        transport=transport,
-    )
-    page = provider.fetch_page("http://x/1")
-    assert page.html == "<p>宝马</p>"
-    provider.fetch_page("http://x/1")
-    assert len(calls) == 1

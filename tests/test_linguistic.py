@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from ctms.config import PipelineConfig
 from ctms.linguistic import (
-    LingexConfig,
     build_queries,
     extract_competitor_baseline,
     extract_initial_candidates,
@@ -50,23 +50,23 @@ def brute_candidates(seed, sentences, cfg):
 
 
 def test_build_queries_single_clue():
-    cfg = LingexConfig(clue_words=("比",))
+    cfg = PipelineConfig(clue_words=("比",))
     assert build_queries("宝马", cfg) == ["宝马比", "比宝马"]
 
 
 def test_build_queries_order_contract():
-    cfg = LingexConfig(clue_words=("和", "比"))
+    cfg = PipelineConfig(clue_words=("和", "比"))
     assert build_queries("宝马", cfg) == ["宝马和", "和宝马", "宝马比", "比宝马"]
 
 
 def test_empty_clue_words_rejected():
     with pytest.raises(ValueError):
-        LingexConfig(clue_words=())
+        PipelineConfig(clue_words=())
 
 
 def test_empty_seed_rejected():
     with pytest.raises(ValueError):
-        build_queries("", LingexConfig())
+        build_queries("", PipelineConfig())
 
 
 def test_bidirectional_score_example():
@@ -77,14 +77,14 @@ def test_bidirectional_score_example():
         "为何宝马比奔驰少",
         "其实宝马比奔驰帅",
     ]
-    cfg = LingexConfig(clue_words=("比",))
+    cfg = PipelineConfig(clue_words=("比",))
     got = extract_initial_candidates("宝马", sentences, cfg)
     assert [(c.text, c.n, c.m, c.score) for c in got] == [("奔驰", 3, 2, 6)]
 
 
 def test_seed_alone_yields_nothing():
     sentences = ["宝马是德国品牌", "我喜欢宝马", "宝马 很贵"]
-    assert extract_initial_candidates("宝马", sentences, LingexConfig()) == []
+    assert extract_initial_candidates("宝马", sentences, PipelineConfig()) == []
 
 
 def test_tie_break_is_lexicographic():
@@ -94,7 +94,7 @@ def test_tie_break_is_lexicographic():
         "乙比宝马高", "宝马比乙低",
         "甲比宝马高", "宝马比甲低",
     ]
-    cfg = LingexConfig(clue_words=("比",), tau=2)
+    cfg = PipelineConfig(clue_words=("比",), tau=2)
     got = extract_initial_candidates("宝马", sentences, cfg)
     assert [c.text for c in got] == ["乙", "甲"]
     assert got[0].score == got[1].score == 4
@@ -102,7 +102,7 @@ def test_tie_break_is_lexicographic():
 
 def test_candidates_containing_seed_discarded():
     sentences = ["新宝马比宝马好", "宝马比新宝马差"] * 2
-    cfg = LingexConfig(clue_words=("比",))
+    cfg = PipelineConfig(clue_words=("比",))
     got = extract_initial_candidates("宝马", sentences, cfg)
     assert all("宝马" not in c.text for c in got)
 
@@ -117,7 +117,7 @@ def test_matches_brute_force_oracle_fixed():
         "宝马比奔驰多",
         "宝马和奔驰和奥迪",
     ]
-    cfg = LingexConfig(clue_words=("和", "比"))
+    cfg = PipelineConfig(clue_words=("和", "比"))
     got = extract_initial_candidates("宝马", sentences, cfg)
     assert [(c.text, c.n, c.m) for c in got] == brute_candidates("宝马", sentences, cfg)
 
@@ -131,14 +131,14 @@ sentence_chunks = st.lists(
 
 @given(sentence_chunks)
 def test_matches_brute_force_oracle_random(sentences):
-    cfg = LingexConfig(clue_words=("和", "比"), tau=1, top_n=10)
+    cfg = PipelineConfig(clue_words=("和", "比"), tau=1, top_n=10)
     got = extract_initial_candidates("宝马", sentences, cfg)
     assert [(c.text, c.n, c.m) for c in got] == brute_candidates("宝马", sentences, cfg)
 
 
 @given(sentence_chunks)
 def test_bidirectional_property(sentences):
-    cfg = LingexConfig(clue_words=("和", "比"))
+    cfg = PipelineConfig(clue_words=("和", "比"))
     got = extract_initial_candidates("宝马", sentences, cfg)
     assert len(got) <= cfg.top_n
     scores = [c.score for c in got]

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given, strategies as st
 
-from ctms.wrappers import MultiMatcher, find_matches
+from ctms.wrappers import MultiMatcher
 
 
 def brute_force(patterns, text):
@@ -21,30 +21,30 @@ def brute_force(patterns, text):
 
 def test_overlapping_matches_in_position_order():
     m = MultiMatcher({"ab", "b"})
-    assert find_matches(m, "abab") == [("ab", 0), ("b", 1), ("ab", 2), ("b", 3)]
+    assert m.find("abab") == [("ab", 0), ("b", 1), ("ab", 2), ("b", 3)]
 
 
 def test_empty_pattern_set():
-    assert find_matches(MultiMatcher(set()), "anything") == []
+    assert MultiMatcher(set()).find("anything") == []
 
 
 def test_pattern_longer_than_text():
-    assert find_matches(MultiMatcher({"abcdef"}), "abc") == []
+    assert MultiMatcher({"abcdef"}).find("abc") == []
 
 
 def test_tie_at_same_pos_longest_first():
     m = MultiMatcher({"a", "ab", "abc"})
-    assert find_matches(m, "abc") == [("abc", 0), ("ab", 0), ("a", 0)]
+    assert m.find("abc") == [("abc", 0), ("ab", 0), ("a", 0)]
 
 
 def test_suffix_pattern_reported_via_failure_links():
     m = MultiMatcher({"sony", "ny"})
-    assert find_matches(m, "xsonyx") == [("sony", 1), ("ny", 3)]
+    assert m.find("xsonyx") == [("sony", 1), ("ny", 3)]
 
 
 def test_cjk_patterns():
     m = MultiMatcher({"索尼", "尼康"})
-    assert find_matches(m, "索尼康") == [("索尼", 0), ("尼康", 1)]
+    assert m.find("索尼康") == [("索尼", 0), ("尼康", 1)]
 
 
 @given(
@@ -53,7 +53,7 @@ def test_cjk_patterns():
 )
 def test_matches_equal_brute_force(patterns, text):
     m = MultiMatcher(patterns)
-    assert find_matches(m, text) == brute_force(set(patterns), text)
+    assert m.find(text) == brute_force(set(patterns), text)
 
 
 def test_randomized_against_brute_force_bulk():
@@ -65,4 +65,4 @@ def test_randomized_against_brute_force_bulk():
             for _ in range(rng.randint(1, 20))
         }
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 500)))
-        assert find_matches(MultiMatcher(patterns), text) == brute_force(patterns, text)
+        assert MultiMatcher(patterns).find(text) == brute_force(patterns, text)

@@ -49,6 +49,45 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.tau == 3 and cfg.clue_words == ("和",)
 
 
+@pytest.mark.parametrize("data", [None, 5, [1], "tau"])
+def test_config_rejects_non_objects(data):
+    with pytest.raises(ValueError, match="config must be a JSON object"):
+        PipelineConfig.from_dict(data)
+
+
+def test_config_accepts_boundary_values():
+    edges = {
+        "tau": 1,
+        "min_distinct_seeds": 2,
+        "context_window": 1,
+        "max_iters": 1,
+        "affix_min_n": 2,
+        "affix_max_n": 2,
+        "sim_lambda": 0,
+        "cluster_threshold": 1,
+        "min_support": 0.0,
+        "tolerance": 1e-12,
+    }
+    cfg = PipelineConfig.from_dict(edges)
+    assert all(getattr(cfg, name) == value for name, value in edges.items())
+
+
+def test_config_is_checked_on_construction():
+    # Lists are turned into tuples only when loading JSON.
+    with pytest.raises(ValueError, match="clue_words"):
+        PipelineConfig(clue_words=["和"])
+    with pytest.raises(ValueError, match="restart_prob"):
+        PipelineConfig(restart_prob=1.0)
+    with pytest.raises(ValueError, match="sim_lambda"):
+        PipelineConfig(sim_lambda=float("nan"))
+
+
+def test_report_keeps_weblists_out_of_json(report):
+    assert len(report.weblists) == report.weblist_count > 0
+    assert "weblists" not in json.loads(report.to_json())
+    assert MiningReport.from_json(report.to_json()) == report
+
+
 def test_mine_finds_two_concepts(report):
     assert len(report.concepts) == 2
     assert report.weblist_count > 0

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ctms.concepts import ConceptCluster
+from ctms.config import PipelineConfig
 from ctms.expansion import WebList
 from ctms.ranking import (
-    RwrConfig,
     build_relation_graph,
     extract_affixes,
     rank_terms,
@@ -153,7 +153,7 @@ def test_scores_sum_to_one():
 def test_nonconvergence_flag_when_budget_tiny():
     adjacency = [[1], [0, 2], [1]]
     _scores, converged = walk_probabilities(
-        adjacency, 0, RwrConfig(tolerance=1e-12, max_iters=2)
+        adjacency, 0, PipelineConfig(tolerance=1e-12, max_iters=2)
     )
     assert not converged
 
@@ -220,5 +220,5 @@ def test_convergence_within_contraction_bound():
             u = int(rng.randint(0, v))
             adjacency[u].append(v)
             adjacency[v].append(u)
-        _, converged = walk_probabilities(adjacency, 0, RwrConfig(max_iters=bound))
+        _, converged = walk_probabilities(adjacency, 0, PipelineConfig(max_iters=bound))
         assert converged

@@ -2,11 +2,11 @@
 
 import random
 
+from ctms.config import PipelineConfig
 from ctms.dom import DomTree, parse_html
 from ctms.wrappers import (
     MAX_TERM_LEN,
     Wrapper,
-    WrapperConfig,
     extract_spans,
     extract_terms,
     is_valid_wrapper,
@@ -50,29 +50,29 @@ def oracle_spans(tree: DomTree, wrapper: Wrapper) -> list[tuple[int, int]]:
 
 def test_valid_wrapper_span_contexts():
     w = Wrapper("<span>", "</span>", "div/a/span/#text")
-    assert is_valid_wrapper(w, WrapperConfig())
+    assert is_valid_wrapper(w, PipelineConfig())
 
 
 def test_whitespace_only_contexts_rejected():
-    assert not is_valid_wrapper(Wrapper(" ", " ", "p/#text"), WrapperConfig())
-    assert not is_valid_wrapper(Wrapper("", ">", "p/#text"), WrapperConfig())
+    assert not is_valid_wrapper(Wrapper(" ", " ", "p/#text"), PipelineConfig())
+    assert not is_valid_wrapper(Wrapper("", ">", "p/#text"), PipelineConfig())
 
 
 def test_mixed_punctuation_rejected():
     # left all punctuation, right carries letters
-    assert not is_valid_wrapper(Wrapper("、", "</a>", "p/#text"), WrapperConfig())
+    assert not is_valid_wrapper(Wrapper("、", "</a>", "p/#text"), PipelineConfig())
     # both punctuation is fine
-    assert is_valid_wrapper(Wrapper("、", "。", "p/#text"), WrapperConfig())
+    assert is_valid_wrapper(Wrapper("、", "。", "p/#text"), PipelineConfig())
 
 
 def test_kappa_minimum_combined_length():
-    assert not is_valid_wrapper(Wrapper("a", "b", "p/#text"), WrapperConfig(kappa=4))
-    assert is_valid_wrapper(Wrapper("ab", "cd", "p/#text"), WrapperConfig(kappa=4))
+    assert not is_valid_wrapper(Wrapper("a", "b", "p/#text"), PipelineConfig(kappa=4))
+    assert is_valid_wrapper(Wrapper("ab", "cd", "p/#text"), PipelineConfig(kappa=4))
 
 
 def test_path_must_end_textually():
-    assert not is_valid_wrapper(Wrapper("ab", "cd", "div/a"), WrapperConfig())
-    assert is_valid_wrapper(Wrapper("ab", "cd", "div/a/#attr"), WrapperConfig())
+    assert not is_valid_wrapper(Wrapper("ab", "cd", "div/a"), PipelineConfig())
+    assert is_valid_wrapper(Wrapper("ab", "cd", "div/a/#attr"), PipelineConfig())
 
 
 # --- learning --------------------------------------------------------------
