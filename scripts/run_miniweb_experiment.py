@@ -3,7 +3,9 @@
 
 Mines the ambiguous seed twice over the bundled fixture corpus — once with
 concept grouping, once ranking a single merged list — and prints both
-mining tables plus the evaluation metrics side by side.
+mining tables plus the evaluation metrics side by side.  A last table
+sets stage 1's initial candidates beside the competitor-pattern baseline
+run over the same snippet sentences, with how many of each are gold terms.
 
     python scripts/run_miniweb_experiment.py
 """
@@ -17,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from ctms.corpus import FixtureProvider, load_fixture  # noqa: E402
+from ctms.linguistic import build_queries, extract_competitor_baseline  # noqa: E402
 from ctms.metrics import load_gold  # noqa: E402
 from ctms.pipeline import (  # noqa: E402
     PipelineConfig,
@@ -24,9 +27,20 @@ from ctms.pipeline import (  # noqa: E402
     format_report_table,
     mine,
 )
+from ctms.text import split_sentences  # noqa: E402
 
 FIXTURE = ROOT / "tests" / "fixtures" / "miniweb"
 SEED = "华盛顿"
+
+
+def snippet_sentences(provider: FixtureProvider, cfg: PipelineConfig) -> list[str]:
+    """The sentences stage 1 mines: titles and snippets of the clue queries."""
+    sentences: list[str] = []
+    for query in build_queries(SEED, cfg):
+        for hit in provider.search(query, cfg.snippet_results):
+            sentences.extend(split_sentences(hit.title))
+            sentences.extend(split_sentences(hit.snippet))
+    return sentences
 
 
 def main() -> None:
@@ -38,8 +52,10 @@ def main() -> None:
         "grouping off": PipelineConfig(disambiguation=False),
     }
     tables = {}
+    initial: list[str] = []
     for label, cfg in variants.items():
         report = mine(SEED, cfg, provider)
+        initial = [c["text"] for c in report.initial_candidates]
         tables[label] = evaluate(report, gold, [5, 10])
         print(f"=== {label} "
               f"({report.weblist_count} web lists, {len(report.concepts)} concepts) ===")
@@ -56,6 +72,13 @@ def main() -> None:
         row = f"{metric:<16}"
         row += "".join(f"{tables[label][metric]:>14.3f}" for label in variants)
         print(row)
+
+    gold_terms = {t for concept in gold.concepts for t in concept.terms}
+    baseline = extract_competitor_baseline(SEED, snippet_sentences(provider, PipelineConfig()))
+    print("\n=== initial candidates (gold / found) ===")
+    for label, terms in (("stage 1", initial), ("baseline", baseline)):
+        hits = sum(t in gold_terms for t in terms)
+        print(f"{label:<16}{hits:>3}/{len(terms):<3} {', '.join(terms)}")
 
 
 if __name__ == "__main__":

@@ -7,6 +7,12 @@ similar on the content side) and when the text surrounding them on their
 pages is about the same topic.  Greedy average-linkage agglomeration over
 that similarity, followed by support and seed filters, yields the
 concepts.
+
+Every float sum here (norms, dot products, linkage totals) is a loop that
+adds left to right, never the built-in ``sum``: from Python 3.12 on,
+``sum`` compensates rounding error, so the same floats would add up to
+different bits, and could merge different clusters, on different Python
+versions.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .expansion import WebList
 from .text import tokenize
@@ -51,7 +57,10 @@ class ContextVector:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(sum(w * w for w in self.weights.values()))
+        total = 0.0
+        for w in self.weights.values():
+            total += w * w
+        return math.sqrt(total)
 
 
 def context_vector(weblist: WebList, background: BackgroundCorpus) -> ContextVector:
@@ -66,14 +75,34 @@ def context_vector(weblist: WebList, background: BackgroundCorpus) -> ContextVec
     return ContextVector(weights=weights)
 
 
-def _cosine(a: ContextVector, b: ContextVector) -> float:
-    na, nb = a.norm, b.norm
-    if na == 0.0 or nb == 0.0:
+class _Features(NamedTuple):
+    """What `_similarity` reads of one list, computed once per list."""
+
+    terms: set[str]
+    weights: Mapping[str, float]
+    norm: float
+
+
+def _cosine(a: _Features, b: _Features) -> float:
+    if a.norm == 0.0 or b.norm == 0.0:
         return 0.0
-    small, large = (a.weights, b.weights) if len(a.weights) <= len(b.weights) else (b.weights, a.weights)
-    dot = sum(w * large.get(word, 0.0) for word, w in small.items())
-    value = dot / (na * nb)
+    small, large = (a, b) if len(a.weights) <= len(b.weights) else (b, a)
+    get = large.weights.get
+    dot = 0.0
+    for word, w in small.weights.items():
+        dot += w * get(word, 0.0)
+    value = dot / (a.norm * b.norm)
     return min(1.0, max(0.0, value))
+
+
+def _similarity(a: _Features, b: _Features, lam: float) -> float:
+    content = len(a.terms & b.terms) / min(len(a.terms), len(b.terms))
+    return lam * content + (1.0 - lam) * _cosine(a, b)
+
+
+def _check_lam(lam: float) -> None:
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lam must lie in [0, 1]")
 
 
 def list_similarity(
@@ -89,13 +118,12 @@ def list_similarity(
     sub-concept list merges with its parent.  A zero-norm context vector
     contributes 0 on the context side.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    sa, sb = set(a_terms), set(b_terms)
-    if not sa or not sb:
+    _check_lam(lam)
+    a = _Features(set(a_terms), a_vec.weights, a_vec.norm)
+    b = _Features(set(b_terms), b_vec.weights, b_vec.norm)
+    if not a.terms or not b.terms:
         raise ValueError("term lists must be non-empty")
-    content = len(sa & sb) / min(len(sa), len(sb))
-    return lam * content + (1.0 - lam) * _cosine(a_vec, b_vec)
+    return _similarity(a, b, lam)
 
 
 @dataclass(frozen=True)
@@ -121,58 +149,97 @@ def cluster_weblists(
     clusters is at least `threshold`.  Ties break on the lexicographically
     smallest (cluster id, cluster id) pair; a cluster's id is the smallest
     member weblist id, so the procedure is deterministic for a fixed input.
+
+    The `list_similarity` of every list pair is computed once, into one
+    matrix indexed by position in the sorted ids.  The average linkage of
+    every live cluster pair is kept too, with each cluster's best partner
+    among the clusters with larger ids.  A merge scores only the merged
+    cluster against each survivor, summing its member pairs in the order
+    of a full rescan (the members of the cluster with the smaller id in
+    the outer loop, both sorted), so every score, threshold comparison and
+    tie-break, and hence the merge schedule, is the one that rescanning
+    all cluster pairs after every merge would produce.
     """
     if not weblists:
         raise ValueError("weblists must be non-empty")
+    _check_lam(lam)
     by_id = {wl.id: wl for wl in weblists}
     ids = sorted(by_id)
+    n = len(ids)
+    features = [
+        _Features(set(by_id[i].terms), vectors[i].weights, vectors[i].norm) for i in ids
+    ]
+    if not all(f.terms for f in features):
+        raise ValueError("term lists must be non-empty")
 
-    sim: dict[tuple[str, str], float] = {}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            sim[(a, b)] = list_similarity(
-                by_id[a].terms, vectors[a], by_id[b].terms, vectors[b], lam
-            )
+    # sim[a][b] is list_similarity with the smaller id as first argument.
+    sim = [[0.0] * n for _ in range(n)]
+    for a in range(n):
+        fa, row = features[a], sim[a]
+        for b in range(a + 1, n):
+            row[b] = sim[b][a] = _similarity(fa, features[b], lam)
 
-    def pair_sim(a: str, b: str) -> float:
-        return sim[(a, b)] if a < b else sim[(b, a)]
+    # A cluster is keyed by its smallest member index; link[p][q] (p < q) is
+    # the average linkage of live clusters p and q, and best[p] is the
+    # (score, q) of p's best partner q > p: highest score, then smallest q.
+    # `members` iterates in ascending key order (a merge reassigns p's entry
+    # and pops q's), which that tie-break relies on.  A singleton pair's
+    # linkage (0.0 + s) / 1 is s itself.
+    members: dict[int, list[int]] = {p: [p] for p in range(n)}
+    link = [row[:] for row in sim]
+    best: dict[int, tuple[float, int]] = {}
 
-    clusters: list[list[str]] = [[i] for i in ids]
-    while len(clusters) > 1:
-        best_score = -1.0
-        best_pair: tuple[int, int] | None = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                total = sum(pair_sim(a, b) for a in clusters[i] for b in clusters[j])
-                score = total / (len(clusters[i]) * len(clusters[j]))
-                key = (clusters[i][0], clusters[j][0])
-                if score > best_score or (
-                    score == best_score
-                    and best_pair is not None
-                    and key < (clusters[best_pair[0]][0], clusters[best_pair[1]][0])
-                ):
-                    best_score = score
-                    best_pair = (i, j)
-        if best_pair is None or best_score < threshold:
+    def rescore_row(p: int) -> None:
+        top, arg = -1.0, -1
+        row = link[p]
+        for q in members:
+            if q > p and row[q] > top:
+                top, arg = row[q], q
+        if arg < 0:
+            best.pop(p, None)
+        else:
+            best[p] = (top, arg)
+
+    for p in range(n):
+        rescore_row(p)
+
+    while best:
+        p, (score, q) = min(best.items(), key=lambda item: (-item[1][0], item[0]))
+        if score < threshold:
             break
-        i, j = best_pair
-        merged = sorted(clusters[i] + clusters[j])
-        clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
-        clusters.append(merged)
-        clusters.sort(key=lambda c: c[0])
+        merged = sorted(members[p] + members.pop(q))
+        members[p] = merged
+        best.pop(q, None)
+        for c, other in members.items():
+            if c == p:
+                continue
+            outer, inner = (other, merged) if c < p else (merged, other)
+            total = 0.0
+            for a in outer:
+                row = sim[a]
+                for b in inner:
+                    total += row[b]
+            link[min(c, p)][max(c, p)] = total / (len(outer) * len(inner))
+        for r in list(best):
+            partner = best[r][1]
+            if r == p or partner == p or partner == q:
+                rescore_row(r)
+            elif r < p:
+                s = link[r][p]
+                if s > best[r][0] or (s == best[r][0] and p < partner):
+                    best[r] = (s, p)
 
     out = []
-    for members in clusters:
-        terms = frozenset(t for wid in members for t in by_id[wid].terms)
+    for p, group in sorted(members.items()):
+        terms = frozenset(t for m in group for t in by_id[ids[m]].terms)
         out.append(
             ConceptCluster(
-                id=members[0],
-                lists=tuple(members),
+                id=ids[p],
+                lists=tuple(ids[m] for m in group),
                 member_terms=terms,
                 contains_seed=seed in terms,
             )
         )
-    out.sort(key=lambda c: c.id)
     return out
 
 

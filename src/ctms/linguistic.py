@@ -90,24 +90,21 @@ def extract_initial_candidates(
     if not seed:
         raise ValueError("seed must be non-empty")
 
-    candidates: set[str] = set()
-    for sentence in sentences:
-        for clue in cfg.clue_words:
-            candidates |= _left_candidates(sentence, clue + seed, cfg.max_candidate_len)
-            candidates |= _right_candidates(sentence, seed + clue, cfg.max_candidate_len)
-    candidates.discard(seed)
-    candidates = {c for c in candidates if seed not in c}
-    if not candidates:
-        return []
-
+    # A candidate is term characters only and at most max_candidate_len
+    # long, so ``x·f·seed`` occurs in a sentence exactly when
+    # `_left_candidates` yields x for it (likewise on the right): counting
+    # the sets as they are generated is the same as rescanning for them.
     n_counts: Counter[str] = Counter()
     m_counts: Counter[str] = Counter()
     for sentence in sentences:
-        for cand in candidates:
-            if any(cand + clue + seed in sentence for clue in cfg.clue_words):
-                n_counts[cand] += 1
-            if any(seed + clue + cand in sentence for clue in cfg.clue_words):
-                m_counts[cand] += 1
+        left: set[str] = set()
+        right: set[str] = set()
+        for clue in cfg.clue_words:
+            left |= _left_candidates(sentence, clue + seed, cfg.max_candidate_len)
+            right |= _right_candidates(sentence, seed + clue, cfg.max_candidate_len)
+        n_counts.update(left)
+        m_counts.update(right)
+    candidates = {c for c in n_counts.keys() | m_counts.keys() if seed not in c}
 
     scored = [
         ScoredCandidate(text=c, n=n_counts[c], m=m_counts[c])

@@ -2,16 +2,19 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import ctms.pipeline
 from ctms.concepts import (
     BackgroundCorpus,
+    ConceptCluster,
     ContextVector,
     cluster_weblists,
     context_vector,
     filter_clusters,
     list_similarity,
 )
+from ctms.config import PipelineConfig
 from ctms.expansion import WebList
 from ctms.wrappers import Wrapper
 
@@ -20,6 +23,13 @@ W = Wrapper("<li>", "</li>", "ul/li/#text")
 
 def make_weblist(wid, terms, context=""):
     return WebList(id=wid, terms=tuple(terms), source_url="u", wrapper=W, context=context)
+
+
+def _left_fold(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def test_idf_formula_direct():
@@ -95,6 +105,29 @@ def test_similarity_symmetric_and_bounded(ta, tb, wa, wb):
     assert 0.0 <= s1 <= 1.0
 
 
+@given(
+    st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5),
+    st.lists(st.sampled_from("abcdefg"), min_size=1, max_size=5),
+    st.dictionaries(st.sampled_from("uvwxyz"), st.floats(0.01, 5.0), max_size=6),
+    st.dictionaries(st.sampled_from("uvwxyz"), st.floats(0.01, 5.0), max_size=6),
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+def test_similarity_bits_are_the_left_fold_formula(ta, tb, wa, wb, lam):
+    # The formula written out with every sum a left fold: the bits must not
+    # depend on how a Python version's `sum` rounds.
+    na = math.sqrt(_left_fold(w * w for w in wa.values()))
+    nb = math.sqrt(_left_fold(w * w for w in wb.values()))
+    cosine = 0.0
+    if na and nb:
+        small, large = (wa, wb) if len(wa) <= len(wb) else (wb, wa)
+        dot = _left_fold(w * large.get(k, 0.0) for k, w in small.items())
+        cosine = min(1.0, max(0.0, dot / (na * nb)))
+    sa, sb = set(ta), set(tb)
+    content = len(sa & sb) / min(len(sa), len(sb))
+    want = lam * content + (1.0 - lam) * cosine
+    assert list_similarity(ta, ContextVector(wa), tb, ContextVector(wb), lam) == want
+
+
 def test_two_identical_lists_form_one_cluster():
     bg = BackgroundCorpus([("d", "相同内容"), ("d2", "旁白"), ("d3", "其他")])
     lists = [
@@ -147,6 +180,109 @@ def test_cluster_determinism_under_shuffle():
         shuffled = lists[:]
         rng.shuffle(shuffled)
         assert cluster_weblists(shuffled, vectors, seed="x") == baseline
+
+
+def rescan_reference(weblists, vectors, seed, threshold=0.65, lam=0.5):
+    """Brute-force average linkage: rescan every cluster pair on every merge.
+
+    The plain algorithm `cluster_weblists` must reproduce, with its sums
+    written as left folds (as `cluster_weblists` sums) so the reference
+    does not depend on how a Python version's `sum` rounds.
+    """
+    by_id = {wl.id: wl for wl in weblists}
+    ids = sorted(by_id)
+    sim = {}
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            sim[(a, b)] = list_similarity(
+                by_id[a].terms, vectors[a], by_id[b].terms, vectors[b], lam
+            )
+
+    clusters = [[i] for i in ids]
+    while len(clusters) > 1:
+        best_score, best_key, best_pair = -1.0, None, None
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                total = 0.0
+                for a in clusters[i]:
+                    for b in clusters[j]:
+                        total += sim[(a, b) if a < b else (b, a)]
+                score = total / (len(clusters[i]) * len(clusters[j]))
+                key = (clusters[i][0], clusters[j][0])
+                if score > best_score or (score == best_score and key < best_key):
+                    best_score, best_key, best_pair = score, key, (i, j)
+        if best_score < threshold:
+            break
+        i, j = best_pair
+        merged = sorted(clusters[i] + clusters[j])
+        clusters = [c for k, c in enumerate(clusters) if k not in (i, j)]
+        clusters.append(merged)
+        clusters.sort(key=lambda c: c[0])
+
+    out = []
+    for members in clusters:
+        terms = frozenset(t for wid in members for t in by_id[wid].terms)
+        out.append(ConceptCluster(members[0], tuple(members), terms, seed in terms))
+    return out
+
+
+# Few distinct terms and context words, all weights 1.0: containment, equal
+# similarities and exact ties between linkage averages are common, and an
+# empty context gives a zero-norm vector.
+_weblist_specs = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from("abcd"), min_size=1, max_size=4),
+        st.dictionaries(st.sampled_from("uvw"), st.just(1.0), max_size=3),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+@settings(max_examples=400)
+@given(
+    _weblist_specs,
+    st.randoms(use_true_random=False),
+    st.sampled_from([0.3, 0.4, 0.5, 0.65]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_clustering_matches_rescan_oracle(specs, rng, threshold, lam):
+    names = rng.sample([f"{c}{k}" for c in "pqrs" for k in range(1, 12)], len(specs))
+    lists = [make_weblist(wid, terms) for wid, (terms, _w) in zip(names, specs)]
+    vectors = {wid: ContextVector(w) for wid, (_t, w) in zip(names, specs)}
+    rng.shuffle(lists)
+    got = cluster_weblists(lists, vectors, "a", threshold, lam)
+    assert got == rescan_reference(lists, vectors, "a", threshold, lam)
+
+
+def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider, monkeypatch):
+    calls = []
+
+    def spy(weblists, vectors, *args):
+        calls.append((weblists, vectors))
+        return cluster_weblists(weblists, vectors, *args)
+
+    monkeypatch.setattr(ctms.pipeline, "cluster_weblists", spy)
+    report = ctms.pipeline.mine("华盛顿", PipelineConfig(), miniweb_provider)
+    assert len(calls) == 1
+    weblists, vectors = calls[0]
+    assert weblists == report.weblists and len(weblists) > 20
+    for threshold in (0.3, 0.5, 0.65, 0.8):
+        for lam in (0.3, 0.5, 0.8):
+            got = cluster_weblists(weblists, vectors, "华盛顿", threshold, lam)
+            want = rescan_reference(weblists, vectors, "华盛顿", threshold, lam)
+            assert got == want, (threshold, lam)
+
+
+def test_norm_is_left_fold_not_compensated_sum():
+    # 0.01 + 0.36 + 0.64 rounds to 1.0100000000000002 when added left to
+    # right; the exact sum (`math.fsum`, and the compensated `sum` of Python
+    # 3.12+) rounds to 1.01, and the square roots differ too.
+    weights = {"a": 0.1, "b": 0.6, "c": 0.8}
+    squares = [w * w for w in weights.values()]
+    assert _left_fold(squares) != math.fsum(squares)
+    assert math.sqrt(_left_fold(squares)) != math.sqrt(math.fsum(squares))
+    assert ContextVector(weights).norm == math.sqrt(_left_fold(squares))
 
 
 def make_cluster(cid, n_lists, terms):
