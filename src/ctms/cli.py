@@ -111,7 +111,7 @@ def _weblists_jsonl(report: MiningReport) -> str:
 def _run_eval(args: argparse.Namespace) -> int:
     try:
         report = MiningReport.from_json(Path(args.report).read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"error: bad report file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -2,13 +2,20 @@
 
 The parser is a tag-soup scanner: it never fails, and it keeps the exact
 character offsets of every construct so that downstream code can answer
-two queries cheaply:
+these queries cheaply:
 
   * ``path_at(pos)`` -- the root-to-node tag path of the deepest node
     covering a character position (markup characters resolve to their
-    element node);
+    element node), memoized per position;
   * ``find_occurrences(terms)`` -- every exact occurrence of a term set
-    in the raw source, with its position and path.
+    in the raw source, with its position and path;
+  * ``next_markup(pos)`` -- the first ``<`` or ``>`` at or after a
+    position, by bisection into the page's sorted markup positions;
+  * ``visible_text(lo, hi)`` -- the rendered text of a source range, a
+    slice of the page's text rendered once.
+
+Each index behind these queries is built at most once per tree, on first
+use, so wrapper learning and extraction on the same page share it.
 
 Node spans are half-open ``[start, end)`` ranges into the source string.
 Child spans are disjoint and contained in their parent, so every position
@@ -27,7 +34,8 @@ index the raw source.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 TEXT_TAG = "#text"
@@ -42,6 +50,10 @@ VOID_ELEMENTS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
 )
 RAW_TEXT_ELEMENTS = frozenset({"script", "style"})
+# Close-tag search for raw-text bodies.  ASCII-only case folding matches
+# the HTML rule and keeps every match offset an offset into the source.
+_RAW_TEXT_CLOSE = {name: re.compile("</" + name, re.I | re.A) for name in RAW_TEXT_ELEMENTS}
+_MARKUP = re.compile("[<>]")
 
 # Opening one of these while the same-group element is current implicitly
 # closes it (the common unclosed <li>/<p>/<td> idiom).
@@ -95,9 +107,13 @@ class DomTree:
     def __init__(self, source: str, root: DomNode):
         self.source = source
         self.root = root
-        self._path_cache: dict[int, str] = {}
+        self._path_cache: dict[int, str] = {}  # id(node) -> tag path
+        self._pos_paths: dict[int, str] = {}  # position -> tag path
         self._child_starts: dict[int, list[int]] = {}
-        self._text_nodes: list[DomNode] | None = None
+        self._markup: list[int] | None = None
+        # Rendered text, the start of each visible text node, and each
+        # node's offset into the rendering (plus the total length).
+        self._rendered: tuple[str, list[int], list[int]] | None = None
 
     def node_at(self, pos: int) -> DomNode:
         """Deepest node whose span contains `pos`."""
@@ -120,12 +136,10 @@ class DomTree:
 
     def path_at(self, pos: int) -> str:
         """Tag path of the deepest node containing `pos` (slash-joined)."""
-        node = self.node_at(pos)
-        key = id(node)
-        path = self._path_cache.get(key)
+        path = self._pos_paths.get(pos)
         if path is None:
-            path = _tag_path(node)
-            self._path_cache[key] = path
+            path = self.node_path(self.node_at(pos))
+            self._pos_paths[pos] = path
         return path
 
     def node_path(self, node: DomNode) -> str:
@@ -143,25 +157,39 @@ class DomTree:
             yield node
             stack.extend(reversed(node.children))
 
-    def text_nodes(self) -> list[DomNode]:
-        if self._text_nodes is None:
-            nodes = [n for n in self.iter_nodes() if n.tag == TEXT_TAG]
-            nodes.sort(key=lambda n: n.start)
-            self._text_nodes = nodes
-        return self._text_nodes
+    def markup_positions(self) -> list[int]:
+        """Sorted positions of every ``<`` and ``>`` in the source."""
+        if self._markup is None:
+            self._markup = [m.start() for m in _MARKUP.finditer(self.source)]
+        return self._markup
+
+    def next_markup(self, pos: int) -> int:
+        """Smallest markup position >= `pos`; ``len(source)`` if none."""
+        marks = self.markup_positions()
+        i = bisect_left(marks, pos)
+        return marks[i] if i < len(marks) else len(self.source)
 
     def visible_text(self, lo: int = 0, hi: int | None = None) -> str:
         """Rendered text within a source range: text runs outside script/style."""
+        if self._rendered is None:
+            pieces: list[str] = []
+            starts: list[int] = []
+            offsets = [0]
+            for node in self.iter_nodes():
+                if node.tag == TEXT_TAG and not node.raw:
+                    pieces.append(self.source[node.start : node.end])
+                    starts.append(node.start)
+                    offsets.append(offsets[-1] + node.end - node.start)
+            self._rendered = ("".join(pieces), starts, offsets)
+        text, starts, offsets = self._rendered
         if hi is None:
             hi = len(self.source)
-        pieces: list[str] = []
-        for node in self.text_nodes():
-            if node.raw:
-                continue
-            a, b = max(node.start, lo), min(node.end, hi)
-            if a < b:
-                pieces.append(self.source[a:b])
-        return "".join(pieces)
+
+        def rendered_offset(pos: int) -> int:
+            i = bisect_right(starts, pos) - 1
+            return 0 if i < 0 else min(offsets[i] + pos - starts[i], offsets[i + 1])
+
+        return text[rendered_offset(lo) : rendered_offset(hi)]
 
     def find_occurrences(self, terms) -> list[Occurrence]:
         """Every exact occurrence of every term, with position and path."""
@@ -373,15 +401,14 @@ def _parse_open_tag(raw: str, start: int, stack: list[DomNode], add_child) -> in
 
     if name in RAW_TEXT_ELEMENTS:
         # Raw-text body: scan for the matching close tag, case-insensitive.
-        lower = raw.lower()
-        needle = "</" + name
-        body_end = lower.find(needle, tag_end)
-        if body_end == -1:
+        close_tag = _RAW_TEXT_CLOSE[name].search(raw, tag_end)
+        if close_tag is None:
             if tag_end < n:
                 body = DomNode(TEXT_TAG, tag_end, n, parent=elem, raw=True)
                 elem.children.append(body)
             elem.end = n
             return n
+        body_end = close_tag.start()
         if body_end > tag_end:
             body = DomNode(TEXT_TAG, tag_end, body_end, parent=elem, raw=True)
             elem.children.append(body)

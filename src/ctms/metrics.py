@@ -58,19 +58,17 @@ def load_gold(path: str | Path) -> GoldAnswer:
         raise GoldFormatError(f"gold file is not valid JSON: {exc}") from exc
     try:
         seed = nfc_trim(data["seed"])
-        concepts = tuple(
-            GoldConcept(
-                name=str(c.get("name", f"concept-{i}")),
-                terms=tuple(dict.fromkeys(nfc_trim(t) for t in c["terms"])),
-            )
-            for i, c in enumerate(data["concepts"])
-        )
-    except (TypeError, KeyError) as exc:
+        concepts: list[GoldConcept] = []
+        for i, c in enumerate(data["concepts"]):
+            name, terms = str(c.get("name", f"concept-{i}")), c["terms"]
+            if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+                raise GoldFormatError(f"gold concept {name!r}: terms must be a list of strings")
+            if not terms:
+                raise GoldFormatError(f"gold concept {name!r} has no terms")
+            concepts.append(GoldConcept(name, tuple(dict.fromkeys(nfc_trim(t) for t in terms))))
+    except (TypeError, KeyError, AttributeError) as exc:
         raise GoldFormatError(f"gold file missing field: {exc}") from exc
-    for concept in concepts:
-        if not concept.terms:
-            raise GoldFormatError(f"gold concept {concept.name!r} has no terms")
-    return GoldAnswer(seed=seed, concepts=concepts)
+    return GoldAnswer(seed=seed, concepts=tuple(concepts))
 
 
 def interleave(lists: Sequence[Sequence[str]]) -> list[str]:

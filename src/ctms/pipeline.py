@@ -75,6 +75,8 @@ class MiningReport:
     @classmethod
     def from_json(cls, text: str) -> "MiningReport":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("report must be a JSON object")
         concepts = [
             ConceptReport(
                 id=c["id"],

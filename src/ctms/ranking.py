@@ -30,10 +30,6 @@ class RelationGraph:
     adjacency: list[list[int]]  # symmetric neighbor lists
     seed_index: int
 
-    @property
-    def seed_vertex(self) -> Vertex:
-        return self.vertices[self.seed_index]
-
 
 def extract_affixes(
     terms: Sequence[str], n_min: int = 1, n_max: int = 3

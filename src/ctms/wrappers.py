@@ -23,10 +23,11 @@ Learning, per tag-path group of seed occurrences:
      is more precise at no cost, so it wins).
 
 Extraction walks the page once with a multi-pattern matcher over all
-context strings, pairing each right-context match with the accumulated
-left-context matches and keeping spans whose first and last characters
-resolve to the wrapper's tag path.  Extracted spans that carry markup,
-trim to nothing, or exceed a length bound are noise and are dropped.
+context strings.  Each wrapper's spans are then given by the span rule
+`spans_on_path`, which learning applies to every candidate too: a span
+runs from the end of a left-context match to the start of a right-context
+match, contains no markup, trims to a non-empty string of at most
+``MAX_TERM_LEN`` characters, and starts and ends on the wrapper's path.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .text import is_punct_text
 # Bounds shared by learning and extraction.
 MAX_CONTEXT_LEN = 60  # per side; templated contexts are short
 MAX_TERM_LEN = 50  # extracted strings longer than this are noise
-_MARKUP = ("<", ">")
 
 
 @dataclass(frozen=True, order=True)
@@ -177,62 +177,32 @@ def _extends(a: Wrapper, b: Wrapper) -> bool:
     return a.left.endswith(b.left) and a.right.startswith(b.right)
 
 
-class _PageIndex:
-    """Per-page memoized lookups used by learning and extraction."""
+def spans_on_path(
+    tree: DomTree, ends: Sequence[int], starts: Sequence[int], path: str
+) -> list[tuple[int, int]]:
+    """The span rule: valid spans (e, s) from a left end e to a right start s.
 
-    def __init__(self, tree: DomTree):
-        self.tree = tree
-        self.src = tree.source
-        self._paths: dict[int, str] = {}
-        # next_markup[i]: smallest j >= i with src[j] in <>, len(src) if none;
-        # prev_markup[i]: largest j < i with a markup char, -1 if none.
-        src = self.src
-        n = len(src)
-        nxt = [n] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            nxt[i] = i if src[i] in _MARKUP else nxt[i + 1]
-        self.next_markup = nxt
-        prev = [-1] * (n + 1)
-        for i in range(1, n + 1):
-            prev[i] = i - 1 if src[i - 1] in _MARKUP else prev[i - 1]
-        self.prev_markup = prev
-
-    def path_at(self, pos: int) -> str:
-        path = self._paths.get(pos)
-        if path is None:
-            path = self.tree.path_at(pos)
-            self._paths[pos] = path
-        return path
-
-    def spans_between(
-        self, ends: Sequence[int], starts: Sequence[int], path: str
-    ) -> list[tuple[int, int]]:
-        """Valid extraction spans (e, s): left ends at e, right starts at s.
-
-        A span is valid when it contains no markup characters, trims to a
-        non-empty string of bounded length, and both its first and last
-        characters resolve to `path`.
-        """
-        src = self.src
-        spans: list[tuple[int, int]] = []
-        sorted_starts = sorted(starts)
-        for e in sorted(ends):
-            limit = self.next_markup[e] if e < len(src) else e
-            i = bisect_left(sorted_starts, e)
-            while i < len(sorted_starts):
-                s = sorted_starts[i]
-                i += 1
-                if s > limit:
-                    break
-                piece = src[e:s].strip()
-                if len(piece) > MAX_TERM_LEN:
-                    break
-                if not piece:
-                    continue
-                if self.path_at(e) == path and self.path_at(s - 1) == path:
-                    spans.append((e, s))
-        spans.sort()
-        return spans
+    `ends` and `starts` must be ascending.  A span is valid when it
+    contains no markup characters, trims to a non-empty string of at most
+    `MAX_TERM_LEN` characters, and both its first and last characters
+    resolve to `path`.  Spans are returned in document order.
+    """
+    src = tree.source
+    spans: list[tuple[int, int]] = []
+    for e in ends:
+        limit = tree.next_markup(e)
+        i = bisect_left(starts, e)
+        while i < len(starts):
+            s = starts[i]
+            i += 1
+            if s > limit:
+                break
+            piece = src[e:s].strip()
+            if len(piece) > MAX_TERM_LEN:
+                break
+            if piece and tree.path_at(e) == path and tree.path_at(s - 1) == path:
+                spans.append((e, s))
+    return spans
 
 
 def learn_wrappers(
@@ -251,9 +221,7 @@ def learn_wrappers(
     if not occs:
         return []
 
-    index = _PageIndex(tree)
     src = tree.source
-
     groups: dict[str, list] = defaultdict(list)
     for occ in occs:
         groups[occ.path].append(occ)
@@ -317,7 +285,7 @@ def learn_wrappers(
                 }
                 if len(bracketed) < cfg.min_distinct_seeds:
                     continue
-                spans = index.spans_between(ends, starts, path)
+                spans = spans_on_path(tree, ends, starts, path)
                 if not spans:
                     continue
                 candidates.append((wrapper, frozenset(spans)))
@@ -340,52 +308,21 @@ def extract_spans(
 ) -> dict[Wrapper, list[tuple[int, int]]]:
     """Apply wrappers to the page they were learned on; spans per wrapper.
 
-    Single scan with a keyword automaton over all context strings.  Each
-    left-context match is remembered; each right-context match at `pos` is
-    paired with every remembered left end within reach, and the span is
-    kept when the tag path of its first and last characters equals the
-    wrapper's path.  Spans are returned in document order.
+    One keyword-automaton scan finds every context string; each wrapper's
+    spans are then those the span rule `spans_on_path` admits between its
+    left-context ends and right-context starts, in document order.
     """
     wrapper_list = sorted(set(wrappers))
-    out: dict[Wrapper, list[tuple[int, int]]] = {w: [] for w in wrapper_list}
     if not wrapper_list:
-        return out
-
-    index = _PageIndex(tree)
-    src = tree.source
-    by_right: dict[str, list[Wrapper]] = defaultdict(list)
-    lefts: set[str] = set()
+        return {}
+    matcher = MultiMatcher({c for w in wrapper_list for c in (w.left, w.right)})
+    positions: dict[str, list[int]] = defaultdict(list)
+    for pattern, pos in matcher.find(tree.source):
+        positions[pattern].append(pos)
+    out: dict[Wrapper, list[tuple[int, int]]] = {}
     for w in wrapper_list:
-        by_right[w.right].append(w)
-        lefts.add(w.left)
-
-    matcher = MultiMatcher(lefts | set(by_right))
-    left_positions: dict[str, list[int]] = defaultdict(list)
-
-    for pattern, pos in matcher.find(src):
-        if pattern in lefts:
-            left_positions[pattern].append(pos)
-        for w in by_right.get(pattern, ()):
-            history = left_positions.get(w.left)
-            if not history:
-                continue
-            # Spans may not contain markup, so the left context must end
-            # after the last markup character before `pos`.
-            floor = index.prev_markup[pos] + 1 - len(w.left)
-            i = bisect_left(history, floor)
-            while i < len(history):
-                start = history[i]
-                i += 1
-                e = start + len(w.left)
-                if e > pos:
-                    break
-                piece = src[e:pos].strip()
-                if not piece or len(piece) > MAX_TERM_LEN:
-                    continue
-                if index.path_at(e) == w.path and index.path_at(pos - 1) == w.path:
-                    out[w].append((e, pos))
-    for spans in out.values():
-        spans.sort()
+        ends = [p + len(w.left) for p in positions[w.left]]
+        out[w] = spans_on_path(tree, ends, positions[w.right], w.path)
     return out
 
 

@@ -191,6 +191,36 @@ def test_eval_malformed_gold_exits_two(mined_report, tmp_path):
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "payload", ["[]", '"report"', '{"concepts": [1]}'], ids=["list", "string", "bad-concept"]
+)
+def test_eval_report_of_wrong_shape_exits_two(payload, miniweb_path, tmp_path):
+    report = tmp_path / "r.json"
+    report.write_text(payload, encoding="utf-8")
+    proc = run_cli(
+        "eval", "--report", str(report), "--gold", str(miniweb_path / "gold.json")
+    )
+    assert proc.returncode == 2
+    assert "error: bad report file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_eval_gold_terms_string_exits_two(mined_report, tmp_path):
+    gold = tmp_path / "gold.json"
+    gold.write_text(
+        json.dumps(
+            {"seed": "华盛顿", "concepts": [{"name": "g", "terms": "林肯"}]},
+            ensure_ascii=False,
+        ),
+        encoding="utf-8",
+    )
+    proc = run_cli("eval", "--report", str(mined_report), "--gold", str(gold))
+    assert proc.returncode == 2
+    assert "error: bad gold file" in proc.stderr
+    assert "list of strings" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_fixture_validate_ok(miniweb_path):
     proc = run_cli("fixture-validate", "--corpus", str(miniweb_path))
     assert proc.returncode == 0

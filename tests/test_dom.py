@@ -3,7 +3,7 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
-from ctms.dom import DomNode, DomTree, parse_html
+from ctms.dom import TEXT_TAG, DomNode, DomTree, parse_html
 
 FIG_FRAGMENT = """<div class="cur_dh brand">
   <div class="dh border menu_div" id="menu_1">
@@ -198,3 +198,96 @@ def test_invariants_hold_on_real_fixture_pages(miniweb_provider):
         assert _roundtrip(tree) == tree.source
         for pos in range(0, len(tree.source), 37):
             assert tree.path_at(pos) == naive_path(tree, pos)
+
+
+# -- raw-text bodies ----------------------------------------------------------
+
+DOTTED_I_PAGE = (
+    "İ" * 40
+    + "<script>x</script><ul><li>林肯</li><li>纽约</li></ul><script>y</script>"
+)
+
+
+def test_list_after_script_stays_visible_behind_wide_lowercase_chars():
+    # "İ".lower() is two code points; the close-tag search must still use
+    # offsets into the source itself.
+    tree = parse_html(DOTTED_I_PAGE)
+    text = tree.visible_text()
+    assert "林肯" in text and "纽约" in text
+    assert "x" not in text and "y" not in text
+    for term in ("林肯", "纽约"):
+        assert tree.path_at(tree.source.index(term)) == "#document/ul/li/#text"
+    occs = tree.find_occurrences({"林肯", "纽约"})
+    assert [o.in_raw for o in occs] == [False, False]
+    assert _roundtrip(tree) == tree.source
+
+
+def test_uppercase_close_tag_ends_raw_body():
+    tree = parse_html("<script>a()</SCRIPT><p>b</p><STYLE>c{}</Style>d")
+    assert tree.visible_text() == "bd"
+    assert tree.path_at(tree.source.index("b")) == "#document/p/#text"
+    assert tree.path_at(tree.source.index("d")) == "#document/#text"
+    assert _roundtrip(tree) == tree.source
+
+
+def test_raw_body_close_tag_matches_ascii_letters_only():
+    # U+017F (long s) case-folds to "s" under Unicode rules, but HTML tag
+    # names are ASCII, so "</ſcript>" does not close the body.
+    tree = parse_html("<script>a</ſcript><p>b</p>")
+    assert tree.visible_text() == ""
+    assert tree.find_occurrences({"b"})[0].in_raw
+    assert _roundtrip(tree) == tree.source
+
+
+# -- cached page indexes against per-query scans -----------------------------
+
+
+def oracle_visible_text(tree: DomTree, lo: int = 0, hi: int | None = None) -> str:
+    """Oracle: clip every non-raw text node to the range, one node at a time."""
+    if hi is None:
+        hi = len(tree.source)
+    nodes = sorted((n for n in tree.iter_nodes() if n.tag == TEXT_TAG), key=lambda n: n.start)
+    pieces = []
+    for node in nodes:
+        if node.raw:
+            continue
+        a, b = max(node.start, lo), min(node.end, hi)
+        if a < b:
+            pieces.append(tree.source[a:b])
+    return "".join(pieces)
+
+
+raw_block = st.builds(
+    lambda tag, body, close: f"<{tag}>{body}{close}",
+    st.sampled_from(["script", "style", "SCRIPT", "script type='x'"]),
+    st.lists(st.sampled_from(list("ab<>/ 宏İ") + ["</scr", "</p>"]), max_size=8).map("".join),
+    st.sampled_from(["</script>", "</SCRIPT>", "</style>", "</Style >", ""]),
+)
+raw_page = st.lists(
+    st.one_of(structured, raw_block, st.text(alphabet=list("ab <>") + ["İ", "宏"], max_size=6)),
+    max_size=5,
+).map("".join)
+
+
+@given(raw_page, st.integers(min_value=-2, max_value=200), st.integers(min_value=-2, max_value=200))
+def test_visible_text_ranges_match_per_node_oracle(html, lo, hi):
+    tree = parse_html(html)
+    n = len(tree.source)
+    lo, hi = lo % (n + 4) - 2, hi % (n + 4) - 2
+    assert tree.visible_text() == oracle_visible_text(tree)
+    assert tree.visible_text(0, n) == oracle_visible_text(tree, 0, n)
+    # Sweep one end over every position (inside text, raw and markup, and
+    # past both ends, so lo >= hi occurs) with the other end held fixed.
+    for pos in range(-1, n + 2):
+        assert tree.visible_text(pos, hi) == oracle_visible_text(tree, pos, hi)
+        assert tree.visible_text(lo, pos) == oracle_visible_text(tree, lo, pos)
+
+
+@given(st.one_of(raw_page, tag_soup))
+def test_markup_positions_match_brute_force_scan(html):
+    tree = parse_html(html)
+    src = tree.source
+    assert tree.markup_positions() == [i for i, ch in enumerate(src) if ch in "<>"]
+    for pos in range(len(src) + 1):
+        expected = next((i for i in range(pos, len(src)) if src[i] in "<>"), len(src))
+        assert tree.next_markup(pos) == expected

@@ -265,3 +265,23 @@ def test_load_gold_rejects_empty_concept(tmp_path):
     )
     with pytest.raises(GoldFormatError):
         load_gold(path)
+
+
+@pytest.mark.parametrize(
+    "terms", ["林肯", ["林肯", 1], {"林肯": 1}, None], ids=["string", "non-str-item", "dict", "null"]
+)
+def test_load_gold_rejects_terms_not_a_list_of_strings(terms, tmp_path):
+    path = tmp_path / "gold.json"
+    path.write_text(
+        json.dumps({"seed": "s", "concepts": [{"name": "g", "terms": terms}]}, ensure_ascii=False),
+        encoding="utf-8",
+    )
+    with pytest.raises(GoldFormatError, match="list of strings"):
+        load_gold(path)
+
+
+def test_load_gold_rejects_concept_that_is_not_an_object(tmp_path):
+    path = tmp_path / "gold.json"
+    path.write_text(json.dumps({"seed": "s", "concepts": [["林肯"]]}), encoding="utf-8")
+    with pytest.raises(GoldFormatError):
+        load_gold(path)
