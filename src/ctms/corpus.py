@@ -93,6 +93,13 @@ class FixtureCorpus:
                 raise FixtureError(f"page {url!r} is empty")
 
 
+def _entries(manifest: dict, key: str) -> list:
+    entries = manifest.get(key, [])
+    if not isinstance(entries, list):
+        raise FixtureError(f"manifest {key!r} must be a list")
+    return entries
+
+
 def load_fixture(path: str | Path) -> FixtureCorpus:
     """Load and validate a fixture bundle directory."""
     root = Path(path)
@@ -101,22 +108,30 @@ def load_fixture(path: str | Path) -> FixtureCorpus:
         raise FixtureError(f"no manifest.json under {root}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FixtureError(f"manifest.json is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FixtureError(f"manifest.json is not valid UTF-8 JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FixtureError("manifest.json must be a JSON object")
 
     pages: dict[str, RawPage] = {}
-    for entry in manifest.get("pages", []):
+    for entry in _entries(manifest, "pages"):
         try:
             url, rel = entry["url"], entry["file"]
         except (TypeError, KeyError):
             raise FixtureError(f"bad page entry: {entry!r}") from None
+        if not isinstance(url, str) or not isinstance(rel, str):
+            raise FixtureError(f"bad page entry: {entry!r}")
         page_path = root / rel
         if not page_path.is_file():
             raise FixtureError(f"page file missing for {url!r}: {page_path}")
-        pages[url] = RawPage(url=url, html=page_path.read_text(encoding="utf-8"))
+        try:
+            html = page_path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise FixtureError(f"page file for {url!r} is not UTF-8: {exc}") from None
+        pages[url] = RawPage(url=url, html=html)
 
     queries: dict[str, tuple[SearchHit, ...]] = {}
-    for entry in manifest.get("queries", []):
+    for entry in _entries(manifest, "queries"):
         try:
             query = entry["query"]
             hits = tuple(
@@ -129,9 +144,9 @@ def load_fixture(path: str | Path) -> FixtureCorpus:
                 )
                 for h in entry["hits"]
             )
+            queries[query] = hits
         except (TypeError, KeyError, ValueError):
             raise FixtureError(f"bad query entry: {entry!r}") from None
-        queries[query] = hits
 
     corpus = FixtureCorpus(queries=queries, pages=pages)
     corpus.validate()

@@ -38,6 +38,8 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
+from .text import find_all
+
 TEXT_TAG = "#text"
 ATTR_TAG = "#attr"
 COMMENT_TAG = "#comment"
@@ -199,13 +201,11 @@ class DomTree:
         out: list[Occurrence] = []
         src = self.source
         for term in sorted(set(terms)):
-            pos = src.find(term)
-            while pos != -1:
+            for pos in find_all(src, term):
                 node = self.node_at(pos)
                 out.append(
                     Occurrence(term=term, pos=pos, path=self.node_path(node), in_raw=node.raw)
                 )
-                pos = src.find(term, pos + 1)
         out.sort(key=lambda o: (o.pos, -len(o.term), o.term))
         return out
 
@@ -216,18 +216,19 @@ class DomTree:
         reproduces the source exactly.
         """
         segments: list[tuple[DomNode, int, int]] = []
-
-        def walk(node: DomNode) -> None:
-            cursor = node.start
-            for child in node.children:
+        # (node, index of its next child, end of what is covered so far);
+        # an explicit stack, so nesting depth is not bounded by recursion.
+        stack = [(self.root, 0, self.root.start)]
+        while stack:
+            node, i, cursor = stack.pop()
+            if i < len(node.children):
+                child = node.children[i]
                 if child.start > cursor:
                     segments.append((node, cursor, child.start))
-                walk(child)
-                cursor = child.end
-            if node.end > cursor:
+                stack.append((node, i + 1, child.end))
+                stack.append((child, 0, child.start))
+            elif node.end > cursor:
                 segments.append((node, cursor, node.end))
-
-        walk(self.root)
         return segments
 
 

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .config import PipelineConfig
-from .text import is_term_char, split_sentences
+from .text import find_all, is_term_char, split_sentences
 
 
 @dataclass(frozen=True)
@@ -50,27 +50,23 @@ def build_queries(seed: str, cfg: PipelineConfig) -> list[str]:
 def _left_candidates(sentence: str, anchor: str, max_len: int) -> set[str]:
     """Term-character runs ending immediately before an `anchor` occurrence."""
     out: set[str] = set()
-    idx = sentence.find(anchor)
-    while idx != -1:
+    for idx in find_all(sentence, anchor):
         k = idx
         while k > 0 and idx - k < max_len and is_term_char(sentence[k - 1]):
             k -= 1
             out.add(sentence[k:idx])
-        idx = sentence.find(anchor, idx + 1)
     return out
 
 
 def _right_candidates(sentence: str, anchor: str, max_len: int) -> set[str]:
     """Term-character runs starting immediately after an `anchor` occurrence."""
     out: set[str] = set()
-    idx = sentence.find(anchor)
-    while idx != -1:
+    for idx in find_all(sentence, anchor):
         start = idx + len(anchor)
         k = start
         while k < len(sentence) and k - start < max_len and is_term_char(sentence[k]):
             k += 1
             out.add(sentence[start:k])
-        idx = sentence.find(anchor, idx + 1)
     return out
 
 
@@ -129,15 +125,6 @@ _LIST_ANCHORS = ("例如", "特别是", "包括")
 _LIST_SEPARATORS = ("、", "和", "或")
 
 
-def _find_all(sentence: str, piece: str) -> list[int]:
-    out = []
-    idx = sentence.find(piece)
-    while idx != -1:
-        out.append(idx)
-        idx = sentence.find(piece, idx + 1)
-    return out
-
-
 def _edge_ok(candidate: str) -> bool:
     return 0 < len(candidate) <= _EDGE_TERM_MAX
 
@@ -145,7 +132,7 @@ def _edge_ok(candidate: str) -> bool:
 def _list_pattern_terms(sentence: str, seed: str, anchor: str) -> list[str]:
     """`anchor EN (、 CN)* 和|或 CN` — enumeration after an anchor word."""
     found: list[str] = []
-    for idx in _find_all(sentence, anchor + seed):
+    for idx in find_all(sentence, anchor + seed):
         rest = sentence[idx + len(anchor) + len(seed) :]
         if rest[:1] in ("和", "或"):
             # zero enumerated items: straight to the final conjunct
@@ -216,7 +203,7 @@ def extract_competitor_baseline(seed: str, sentences: list[str]) -> list[str]:
                 found.append(prefix)
 
         # EN 比 CN 更 : CN bounded by 比 and 更
-        for idx in _find_all(sentence, seed + "比"):
+        for idx in find_all(sentence, seed + "比"):
             rest = sentence[idx + len(seed) + 1 :]
             j = rest.find("更")
             if j > 0:
@@ -225,7 +212,7 @@ def extract_competitor_baseline(seed: str, sentences: list[str]) -> list[str]:
                     found.append(candidate)
 
         # EN 或 CN : CN must reach the sentence edge
-        for idx in _find_all(sentence, seed + "或"):
+        for idx in find_all(sentence, seed + "或"):
             tail = sentence[idx + len(seed) + 1 :].strip()
             if _edge_ok(tail):
                 found.append(tail)

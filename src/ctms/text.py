@@ -1,8 +1,9 @@
-"""Shared text primitives: sentence splitting, character classes, tokenization.
+"""Shared text primitives: substring search, sentence splitting, character
+classes, tokenization.
 
 Everything downstream (candidate extraction, wrapper validity, context
-vectors, gold matching) must agree on what counts as punctuation and how
-text is segmented, so the rules live in one place.
+vectors, gold matching) must agree on what counts as punctuation, how
+text is segmented and where a string occurs, so the rules live in one place.
 """
 
 from __future__ import annotations
@@ -16,6 +17,21 @@ SENTENCE_BREAKS = frozenset("。！？!?；;\n\r")
 
 _CJK_PUNCT_LO = 0x3000
 _CJK_PUNCT_HI = 0x303F
+
+
+def find_all(text: str, pattern: str) -> list[int]:
+    """Every start of `pattern` in `text`, overlaps included, ascending.
+
+    One C-level ``str.find`` per match; an empty pattern matches nowhere.
+    """
+    starts: list[int] = []
+    if not pattern:
+        return starts
+    i = text.find(pattern)
+    while i != -1:
+        starts.append(i)
+        i = text.find(pattern, i + 1)
+    return starts
 
 
 def is_punct_char(ch: str) -> bool:

@@ -22,8 +22,9 @@ Learning, per tag-path group of seed occurrences:
      longer contexts brackets exactly the same page spans (the longer one
      is more precise at no cost, so it wins).
 
-Extraction walks the page once with a multi-pattern matcher over all
-context strings.  Each wrapper's spans are then given by the span rule
+Learning and extraction find every position of their context strings with
+one C-level scan per distinct pattern (`MultiMatcher.positions`, built on
+`text.find_all`).  Each wrapper's spans are then given by the span rule
 `spans_on_path`, which learning applies to every candidate too: a span
 runs from the end of a left-context match to the start of a right-context
 match, contains no markup, trims to a non-empty string of at most
@@ -33,13 +34,13 @@ match, contains no markup, trims to a non-empty string of at most
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .config import PipelineConfig
 from .dom import TEXTUAL_TAGS, DomTree
-from .text import is_punct_text
+from .text import find_all, is_punct_text
 
 # Bounds shared by learning and extraction.
 MAX_CONTEXT_LEN = 60  # per side; templated contexts are short
@@ -56,62 +57,22 @@ class Wrapper:
 
 
 class MultiMatcher:
-    """Failure-link keyword automaton over a fixed pattern set.
+    """Every occurrence of every pattern in a fixed set, overlaps included.
 
-    Matches every occurrence of every pattern in a single left-to-right
-    scan, overlapping occurrences included.  Output is normalized to
-    ascending start position, ties broken by descending pattern length.
+    Patterns are kept distinct, non-empty and sorted; each is found with
+    its own `find_all` scan of the text.
     """
 
     def __init__(self, patterns: Iterable[str]):
         self.patterns: list[str] = sorted({p for p in patterns if p})
-        # Trie: per-node transition dict, failure link, output pattern ids.
-        self._next: list[dict[str, int]] = [{}]
-        self._fail: list[int] = [0]
-        self._out: list[list[int]] = [[]]
-        for pid, pattern in enumerate(self.patterns):
-            state = 0
-            for ch in pattern:
-                nxt = self._next[state].get(ch)
-                if nxt is None:
-                    self._next.append({})
-                    self._fail.append(0)
-                    self._out.append([])
-                    nxt = len(self._next) - 1
-                    self._next[state][ch] = nxt
-                state = nxt
-            self._out[state].append(pid)
-        self._build_failure_links()
 
-    def _build_failure_links(self) -> None:
-        queue: deque[int] = deque()
-        for state in self._next[0].values():
-            self._fail[state] = 0
-            queue.append(state)
-        while queue:
-            state = queue.popleft()
-            for ch, child in self._next[state].items():
-                fall = self._fail[state]
-                while fall and ch not in self._next[fall]:
-                    fall = self._fail[fall]
-                self._fail[child] = self._next[fall].get(ch, 0)
-                # Propagate outputs so suffix patterns are reported too.
-                self._out[child] = self._out[child] + self._out[self._fail[child]]
-                queue.append(child)
+    def positions(self, text: str) -> dict[str, list[int]]:
+        """Ascending start positions per pattern; ``[]`` for one that never occurs."""
+        return {p: find_all(text, p) for p in self.patterns}
 
     def find(self, text: str) -> list[tuple[str, int]]:
-        if not self.patterns:
-            return []
-        results: list[tuple[str, int]] = []
-        patterns = self.patterns
-        state = 0
-        for i, ch in enumerate(text):
-            while state and ch not in self._next[state]:
-                state = self._fail[state]
-            state = self._next[state].get(ch, 0)
-            for pid in self._out[state]:
-                pattern = patterns[pid]
-                results.append((pattern, i - len(pattern) + 1))
+        """(pattern, start) pairs by ascending start, longest pattern first on ties."""
+        results = [(p, i) for p, starts in self.positions(text).items() for i in starts]
         results.sort(key=lambda m: (m[1], -len(m[0]), m[0]))
         return results
 
@@ -249,20 +210,17 @@ def learn_wrappers(
         if not left_max or not right_max:
             continue
 
-        # One automaton pass finds the positions of every truncation.
+        # The positions of every truncation on the page.
         all_contexts = set()
         for s in left_max:
             all_contexts.update(s[-k:] for k in range(1, len(s) + 1))
         for s in right_max:
             all_contexts.update(s[:k] for k in range(1, len(s) + 1))
-        matcher = MultiMatcher(all_contexts)
-        positions: dict[str, list[int]] = defaultdict(list)
-        for pattern, pos in matcher.find(src):
-            positions[pattern].append(pos)
+        positions = MultiMatcher(all_contexts).positions(src)
 
         # Left levels key on where the bracketed span would start.
         left_ends: dict[str, list[int]] = {
-            s: [p + len(s) for p in positions[s]] for s in positions
+            s: [p + len(s) for p in starts] for s, starts in positions.items()
         }
         l_levels = _levels(left_max, left_ends, lambda s, k: s[-k:])
         r_levels = _levels(right_max, positions, lambda s, k: s[:k])
@@ -308,21 +266,20 @@ def extract_spans(
 ) -> dict[Wrapper, list[tuple[int, int]]]:
     """Apply wrappers to the page they were learned on; spans per wrapper.
 
-    One keyword-automaton scan finds every context string; each wrapper's
-    spans are then those the span rule `spans_on_path` admits between its
-    left-context ends and right-context starts, in document order.
+    One C-level scan per distinct context string finds its positions; each
+    wrapper's spans are then those the span rule `spans_on_path` admits
+    between its left-context ends and right-context starts, in document
+    order.
     """
     wrapper_list = sorted(set(wrappers))
     if not wrapper_list:
         return {}
-    matcher = MultiMatcher({c for w in wrapper_list for c in (w.left, w.right)})
-    positions: dict[str, list[int]] = defaultdict(list)
-    for pattern, pos in matcher.find(tree.source):
-        positions[pattern].append(pos)
+    matcher = MultiMatcher(c for w in wrapper_list for c in (w.left, w.right))
+    positions = matcher.positions(tree.source)
     out: dict[Wrapper, list[tuple[int, int]]] = {}
     for w in wrapper_list:
-        ends = [p + len(w.left) for p in positions[w.left]]
-        out[w] = spans_on_path(tree, ends, positions[w.right], w.path)
+        ends = [p + len(w.left) for p in positions.get(w.left, [])]
+        out[w] = spans_on_path(tree, ends, positions.get(w.right, []), w.path)
     return out
 
 

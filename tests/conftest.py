@@ -3,6 +3,8 @@ import pathlib
 import hypothesis
 import pytest
 
+from acceptance_log import _ACCEPTANCE_RESULTS
+
 hypothesis.settings.register_profile(
     "default", max_examples=60, deadline=None
 )
@@ -22,13 +24,6 @@ def miniweb_provider():
     from ctms.corpus import FixtureProvider, load_fixture
 
     return FixtureProvider(load_fixture(MINIWEB))
-
-
-_ACCEPTANCE_RESULTS: list[tuple[str, str]] = []
-
-
-def record_acceptance(name: str, passed: bool) -> None:
-    _ACCEPTANCE_RESULTS.append((name, "PASS" if passed else "FAIL"))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -15,7 +15,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-import conftest
+import acceptance_log as conftest
 from ctms.concepts import ContextVector, list_similarity
 from ctms.dom import parse_html
 from ctms.linguistic import extract_initial_candidates

@@ -244,3 +244,29 @@ def test_fixture_validate_detects_dangling(tmp_path):
     proc = run_cli("fixture-validate", "--corpus", str(tmp_path))
     assert proc.returncode == 2
     assert "ghost" in proc.stderr
+
+
+# name -> (manifest.json bytes, p.html bytes)
+BAD_FIXTURES = {
+    "manifest-list": (b"[]", b"<p>x</p>"),
+    "pages-int": (b'{"pages": 5}', b"<p>x</p>"),
+    "file-int": (b'{"pages": [{"url": "u", "file": 7}]}', b"<p>x</p>"),
+    "page-not-utf8": (b'{"pages": [{"url": "u", "file": "p.html"}]}', b"<p>\xff\xfe</p>"),
+    "manifest-not-utf8": (b'{"pages": ["\xff"]}', b"<p>x</p>"),
+    "query-list": (b'{"queries": [{"query": [], "hits": []}]}', b"<p>x</p>"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FIXTURES))
+def test_malformed_fixture_exits_two(case, tmp_path):
+    manifest, page = BAD_FIXTURES[case]
+    (tmp_path / "manifest.json").write_bytes(manifest)
+    (tmp_path / "p.html").write_bytes(page)
+    for args in (
+        ("fixture-validate", "--corpus", str(tmp_path)),
+        ("mine", "华盛顿", "--corpus", str(tmp_path), "--out", str(tmp_path / "r.json")),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -155,6 +155,17 @@ def test_roundtrip_on_fragment():
     assert _roundtrip(tree) == tree.source
 
 
+def test_roundtrip_on_deeply_nested_page():
+    depth = 5000
+    tree = parse_html("<div>" * depth + "x" + "</div>" * depth)
+    segments = tree.cover_segments()
+    assert _roundtrip(tree) == tree.source
+    # Each div owns its open and close tag; the text node owns "x".
+    assert len(segments) == 2 * depth + 1
+    node, a, b = segments[depth]
+    assert node.tag == TEXT_TAG and tree.source[a:b] == "x"
+
+
 tag_soup = st.text(
     alphabet=list(string.ascii_lowercase[:6]) + list("<>/=\"' !-") + ["宏", "碁"],
     max_size=120,
@@ -180,6 +191,31 @@ def test_roundtrip_property_structured(html):
 def test_roundtrip_property_soup(html):
     tree = parse_html(html)
     assert _roundtrip(tree) == tree.source
+
+
+def recursive_segments(tree: DomTree):
+    """Reference partition: the depth-first walk written recursively."""
+    out = []
+
+    def walk(node):
+        cursor = node.start
+        for child in node.children:
+            if child.start > cursor:
+                out.append((node, cursor, child.start))
+            walk(child)
+            cursor = child.end
+        if node.end > cursor:
+            out.append((node, cursor, node.end))
+
+    walk(tree.root)
+    return out
+
+
+@given(st.one_of(structured, tag_soup))
+def test_cover_segments_match_recursive_walk(html):
+    tree = parse_html(html)
+    expected = [(id(n), a, b) for n, a, b in recursive_segments(tree)]
+    assert [(id(n), a, b) for n, a, b in tree.cover_segments()] == expected
 
 
 @given(tag_soup, st.integers(min_value=0, max_value=119))

@@ -54,6 +54,8 @@ def test_cjk_patterns():
 def test_matches_equal_brute_force(patterns, text):
     m = MultiMatcher(patterns)
     assert m.find(text) == brute_force(set(patterns), text)
+    expected = {p: [i for q, i in brute_force({p}, text)] for p in set(patterns) if p}
+    assert m.positions(text) == expected
 
 
 def test_randomized_against_brute_force_bulk():
