@@ -76,9 +76,13 @@ def _run_mine(args: argparse.Namespace) -> int:
         cfg = replace(cfg, disambiguation=False)
 
     report = mine(args.seed, cfg, FixtureProvider(corpus))
-    if args.dump_weblists:
-        Path(args.dump_weblists).write_text(_weblists_jsonl(report), encoding="utf-8")
-    Path(args.out).write_text(report.to_json(), encoding="utf-8")
+    try:
+        if args.dump_weblists:
+            Path(args.dump_weblists).write_text(_weblists_jsonl(report), encoding="utf-8")
+        Path(args.out).write_text(report.to_json(), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(format_report_table(report), end="")
     if not any(c.ranked_terms for c in report.concepts):
         return EXIT_EMPTY
@@ -131,12 +135,16 @@ def _run_eval(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(format_metric_table(table), end="")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(table, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        try:
+            Path(args.out).write_text(
+                json.dumps(table, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
+                encoding="utf-8",
+            )
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    print(format_metric_table(table), end="")
     return EXIT_OK
 
 

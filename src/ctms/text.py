@@ -8,12 +8,14 @@ text is segmented and where a string occurs, so the rules live in one place.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 
 # Sentence-final punctuation plus newlines. ASCII '.' is deliberately
 # excluded: it appears inside URLs and decimals far more often than as a
 # sentence boundary in the mixed-script text we handle.
 SENTENCE_BREAKS = frozenset("。！？!?；;\n\r")
+_SENTENCE_SPLIT = re.compile("[" + re.escape("".join(sorted(SENTENCE_BREAKS))) + "]")
 
 _CJK_PUNCT_LO = 0x3000
 _CJK_PUNCT_HI = 0x303F
@@ -61,20 +63,7 @@ def is_term_char(ch: str) -> bool:
 
 def split_sentences(text: str) -> list[str]:
     """Split on sentence-final punctuation and newlines, dropping empties."""
-    out: list[str] = []
-    buf: list[str] = []
-    for ch in text:
-        if ch in SENTENCE_BREAKS:
-            piece = "".join(buf).strip()
-            if piece:
-                out.append(piece)
-            buf.clear()
-        else:
-            buf.append(ch)
-    piece = "".join(buf).strip()
-    if piece:
-        out.append(piece)
-    return out
+    return [piece for piece in map(str.strip, _SENTENCE_SPLIT.split(text)) if piece]
 
 
 def _is_latin_digit(ch: str) -> bool:

@@ -7,13 +7,14 @@ and generalize only within the page's own template.
 
 Learning, per tag-path group of seed occurrences:
 
-  1. For every pair of occurrences of *different* seeds, take the longest
-     shared left context (a common suffix of the preceding source, capped)
-     and the longest shared right context (a common prefix of the
-     following source, capped).
-  2. Every truncation of those contexts is also a shared context.  The
-     truncations are collapsed into "levels": distinct sets of match
-     positions on the page, each represented by its longest string.
+  1. Each occurrence has a left window (the ``MAX_CONTEXT_LEN``
+     characters before it, read outwards) and a right window (the
+     characters after it).  A shared context is a non-empty window prefix
+     that occurrences of two *different* seeds have in common.  One walk
+     of a side's windows as a compressed trie (`_shared_contexts`) finds
+     all of them; no two occurrences are compared directly.
+  2. The shared contexts are collapsed into "levels": distinct sets of
+     match positions on the page, each represented by its longest string.
      Shorter contexts match more positions, which is what lets a wrapper
      learned from two seeds bracket list items the seeds never mentioned.
   3. Each (left level, right level) pair is a candidate wrapper.  It is
@@ -36,6 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from os.path import commonprefix
 from typing import Iterable, Sequence
 
 from .config import PipelineConfig
@@ -99,36 +101,43 @@ def is_valid_wrapper(w: Wrapper, cfg: PipelineConfig) -> bool:
     return tail in TEXTUAL_TAGS
 
 
-def _common_suffix_len(src: str, a_end: int, b_end: int, cap: int) -> int:
-    k = 0
-    while k < cap and a_end - k > 0 and b_end - k > 0 and src[a_end - k - 1] == src[b_end - k - 1]:
-        k += 1
-    return k
+def _shared_contexts(windows: Iterable[tuple[str, str]]) -> set[str]:
+    """Every non-empty prefix that windows of two different terms share.
 
-
-def _common_prefix_len(src: str, a: int, b: int, cap: int) -> int:
-    n = len(src)
-    k = 0
-    while k < cap and a + k < n and b + k < n and src[a + k] == src[b + k]:
-        k += 1
-    return k
+    `windows` holds (term, window) pairs.  They are walked as a compressed
+    trie: a part of the windows adds the prefixes of its common prefix
+    that are longer than its parent's, when it holds at least two
+    different terms, and is then split on the next character.
+    """
+    shared: set[str] = set()
+    stack = [(0, list(windows))]
+    while stack:
+        depth, part = stack.pop()
+        if len({term for term, _ in part}) < 2:
+            continue
+        prefix = commonprefix([w for _, w in part])
+        n = len(prefix)
+        shared.update(prefix[:k] for k in range(depth + 1, n + 1))
+        children: dict[str, list[tuple[str, str]]] = defaultdict(list)
+        for term, w in part:
+            if len(w) > n:
+                children[w[n]].append((term, w))
+        stack.extend((n, child) for child in children.values())
+    return shared
 
 
 def _levels(
-    maximal: set[str], positions_of: dict[str, list[int]], truncate
+    contexts: set[str], positions_of: dict[str, list[int]]
 ) -> list[tuple[str, tuple[int, ...]]]:
-    """Collapse context truncations into (longest string, match positions) levels."""
+    """Collapse contexts into (longest string, match positions) levels.
+
+    No tie-break is needed: two contexts of one length that match at the
+    same positions are the same string.
+    """
     best: dict[tuple[int, ...], str] = {}
-    for s in maximal:
-        for k in range(1, len(s) + 1):
-            cand = truncate(s, k)
-            pos = tuple(positions_of.get(cand, ()))
-            if not pos:
-                continue
-            prev = best.get(pos)
-            if prev is None or len(cand) > len(prev) or (len(cand) == len(prev) and cand < prev):
-                best[pos] = cand
-    return sorted(((s, pos) for pos, s in best.items()), key=lambda it: it[0])
+    for s in sorted(contexts, key=len, reverse=True):
+        best.setdefault(tuple(positions_of[s]), s)
+    return sorted((s, pos) for pos, s in best.items())
 
 
 def _extends(a: Wrapper, b: Wrapper) -> bool:
@@ -193,55 +202,42 @@ def learn_wrappers(
         if len({o.term for o in group}) < cfg.min_distinct_seeds:
             continue
 
-        left_max: set[str] = set()
-        right_max: set[str] = set()
-        for i, a in enumerate(group):
-            for b in group[i + 1 :]:
-                if a.term == b.term:
-                    continue
-                lk = _common_suffix_len(src, a.pos, b.pos, MAX_CONTEXT_LEN)
-                if lk:
-                    left_max.add(src[a.pos - lk : a.pos])
-                rk = _common_prefix_len(
-                    src, a.pos + len(a.term), b.pos + len(b.term), MAX_CONTEXT_LEN
-                )
-                if rk:
-                    right_max.add(src[a.pos + len(a.term) : a.pos + len(a.term) + rk])
-        if not left_max or not right_max:
-            continue
-
-        # The positions of every truncation on the page.
-        all_contexts = set()
-        for s in left_max:
-            all_contexts.update(s[-k:] for k in range(1, len(s) + 1))
-        for s in right_max:
-            all_contexts.update(s[:k] for k in range(1, len(s) + 1))
-        positions = MultiMatcher(all_contexts).positions(src)
-
-        # Left levels key on where the bracketed span would start.
-        left_ends: dict[str, list[int]] = {
-            s: [p + len(s) for p in starts] for s, starts in positions.items()
+        left_shared = {
+            s[::-1]
+            for s in _shared_contexts(
+                (o.term, src[max(0, o.pos - MAX_CONTEXT_LEN) : o.pos][::-1]) for o in group
+            )
         }
-        l_levels = _levels(left_max, left_ends, lambda s, k: s[-k:])
-        r_levels = _levels(right_max, positions, lambda s, k: s[:k])
+        right_shared = _shared_contexts(
+            (o.term, src[o.pos + len(o.term) : o.pos + len(o.term) + MAX_CONTEXT_LEN])
+            for o in group
+        )
+        if not left_shared or not right_shared:
+            continue
+        positions = MultiMatcher(left_shared | right_shared).positions(src)
+        # Left levels key on where the bracketed span would start.
+        left_ends = {s: [p + len(s) for p in positions[s]] for s in left_shared}
+        l_levels = _levels(left_shared, left_ends)
+        r_levels = _levels(right_shared, positions)
 
-        seed_span_terms = {(o.pos, o.pos + len(o.term)): o.term for o in group}
+        # The occurrences each level brackets, by index into the group.
+        at_start: dict[int, list[int]] = defaultdict(list)
+        at_end: dict[int, list[int]] = defaultdict(list)
+        for i, o in enumerate(group):
+            at_start[o.pos].append(i)
+            at_end[o.pos + len(o.term)].append(i)
+        l_occs = [{i for e in ends for i in at_start.get(e, ())} for _, ends in l_levels]
+        r_occs = [{i for s in starts for i in at_end.get(s, ())} for _, starts in r_levels]
+
         candidates: list[tuple[Wrapper, frozenset[tuple[int, int]]]] = []
-        for left, ends in l_levels:
-            end_set = set(ends)
-            for right, starts in r_levels:
-                wrapper = Wrapper(left, right, path)
-                if not is_valid_wrapper(wrapper, cfg):
-                    continue
+        for (left, ends), l_occ in zip(l_levels, l_occs):
+            for (right, starts), r_occ in zip(r_levels, r_occs):
                 # Cheap gate: the candidate must bracket enough distinct
                 # seeds before we bother computing its full span set.
-                start_set = set(starts)
-                bracketed = {
-                    term
-                    for (a, b), term in seed_span_terms.items()
-                    if a in end_set and b in start_set
-                }
-                if len(bracketed) < cfg.min_distinct_seeds:
+                if len({group[i].term for i in l_occ & r_occ}) < cfg.min_distinct_seeds:
+                    continue
+                wrapper = Wrapper(left, right, path)
+                if not is_valid_wrapper(wrapper, cfg):
                     continue
                 spans = spans_on_path(tree, ends, starts, path)
                 if not spans:
@@ -282,10 +278,3 @@ def extract_spans(
         out[w] = spans_on_path(tree, ends, positions.get(w.right, []), w.path)
     return out
 
-
-def extract_terms(tree: DomTree, wrappers: Iterable[Wrapper]) -> dict[Wrapper, list[str]]:
-    """Extracted strings per wrapper, trimmed, in document order."""
-    spans = extract_spans(tree, wrappers)
-    return {
-        w: [tree.source[a:b].strip() for a, b in pairs] for w, pairs in spans.items()
-    }

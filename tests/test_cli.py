@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -154,6 +155,41 @@ def test_dump_weblists(miniweb_path, tmp_path, monkeypatch):
     assert dumps[1] == dumps[0]
 
 
+# sha256 of the miniweb outputs. The report scores come from a numpy/BLAS
+# matrix-vector product, so these values assume the numpy/OpenBLAS build
+# they were computed with (numpy 2.4, Python 3.11).
+MINIWEB_DIGESTS = {
+    "report": (
+        "report.json",
+        [],
+        "f9261b943a35f6832a78df3f694ca97d722d9f3a2df3f7bdf0b2957cdd714c97",
+    ),
+    "no-disambiguation": (
+        "report.json",
+        ["--no-disambiguation"],
+        "1309160f2eddeb39866a68608fbaf4e3efd6d9467961eaa76df538cac93f215c",
+    ),
+    "dump-weblists": (
+        "weblists.jsonl",
+        ["--dump-weblists", "weblists.jsonl"],
+        "9856b4a427f3f31c8123d8cf348f347793d95ce598e7563a23acc61fc6d5338b",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MINIWEB_DIGESTS))
+def test_miniweb_outputs_keep_their_digests(case, miniweb_path, tmp_path, monkeypatch):
+    from ctms import cli
+
+    hashed, flags, digest = MINIWEB_DIGESTS[case]
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(
+        ["mine", "华盛顿", "--corpus", str(miniweb_path), "--out", "report.json", *flags]
+    )
+    assert code == 0
+    assert hashlib.sha256((tmp_path / hashed).read_bytes()).hexdigest() == digest
+
+
 def test_eval_prints_metric_table(mined_report, miniweb_path):
     proc = run_cli(
         "eval", "--report", str(mined_report),
@@ -270,3 +306,18 @@ def test_malformed_fixture_exits_two(case, tmp_path):
         assert proc.returncode == 2, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-weblists", "eval --out"])
+def test_unwritable_output_exits_two(flag, mined_report, miniweb_path, tmp_path):
+    missing = str(tmp_path / "missing_dir" / "out.json")
+    if flag == "eval --out":
+        args = ["eval", "--report", str(mined_report),
+                "--gold", str(miniweb_path / "gold.json"), "--out", missing]
+    else:
+        args = ["mine", "华盛顿", "--corpus", str(miniweb_path),
+                "--out", str(tmp_path / "r.json"), flag, missing]
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

@@ -1,4 +1,8 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ctms.text import (
+    SENTENCE_BREAKS,
     is_punct_char,
     is_punct_text,
     is_term_char,
@@ -22,6 +26,30 @@ def test_split_drops_empty_pieces():
 
 def test_ascii_period_is_not_a_boundary():
     assert split_sentences("见 www.example.com 第1.5节") == ["见 www.example.com 第1.5节"]
+
+
+def _split_sentences_by_loop(text: str) -> list[str]:
+    """The character-buffer splitter `split_sentences` replaced."""
+    out: list[str] = []
+    buf: list[str] = []
+    for ch in text:
+        if ch in SENTENCE_BREAKS:
+            piece = "".join(buf).strip()
+            if piece:
+                out.append(piece)
+            buf.clear()
+        else:
+            buf.append(ch)
+    piece = "".join(buf).strip()
+    if piece:
+        out.append(piece)
+    return out
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet="".join(sorted(SENTENCE_BREAKS)) + " \t\u3000.a句子", max_size=40))
+def test_split_matches_character_loop(text):
+    assert split_sentences(text) == _split_sentences_by_loop(text)
 
 
 def test_punct_classes():
