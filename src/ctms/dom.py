@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .text import find_all
@@ -241,6 +242,9 @@ def parse_html(raw: str) -> DomTree:
     n = len(raw)
     root = DomNode(ROOT_TAG, 0, n)
     stack: list[DomNode] = [root]
+    # Open elements on the stack by tag, so a close tag that matches none
+    # is swallowed without scanning the stack.
+    open_count: dict[str, int] = defaultdict(int)
     i = 0
     text_start = -1
 
@@ -259,7 +263,7 @@ def parse_html(raw: str) -> DomTree:
         # Pop stack down to `index`, ending popped elements at `boundary`.
         while len(stack) - 1 > index:
             stack[-1].end = boundary
-            stack.pop()
+            open_count[stack.pop().tag] -= 1
 
     while i < n:
         ch = raw[i]
@@ -297,17 +301,13 @@ def parse_html(raw: str) -> DomTree:
                 close = raw.find(">", k)
                 end = n if close == -1 else close + 1
                 flush_text(i)
-                # Find the matching open element; unmatched close tags are
+                # Close the matching open element; unmatched close tags are
                 # swallowed by the current element.
-                match = -1
-                for depth in range(len(stack) - 1, 0, -1):
-                    if stack[depth].tag == name:
-                        match = depth
-                        break
+                match = _open_match(stack, open_count, name)
                 if match > 0:
                     close_until(match, i)
                     stack[-1].end = end
-                    stack.pop()
+                    open_count[stack.pop().tag] -= 1
                 i = end
             else:
                 # "</" not followed by a name: literal text
@@ -316,7 +316,7 @@ def parse_html(raw: str) -> DomTree:
                 i += 1
         elif _is_name_start(nxt):
             flush_text(i)
-            i = _parse_open_tag(raw, i, stack, add_child)
+            i = _parse_open_tag(raw, i, stack, open_count, add_child)
         else:
             if text_start < 0:
                 text_start = i
@@ -327,8 +327,29 @@ def parse_html(raw: str) -> DomTree:
     return DomTree(raw, root)
 
 
-def _parse_open_tag(raw: str, start: int, stack: list[DomNode], add_child) -> int:
-    """Parse an open tag at `start`; returns the scan position after it."""
+def _open_match(stack: list[DomNode], open_count: dict[str, int], name: str) -> int:
+    """Stack index of the innermost open `name` element; -1 when none is open.
+
+    An unmatched name is answered from `open_count` without a scan, and a
+    matched one scans only the elements its close tag then pops, so the
+    parse stays linear in the input.
+    """
+    if not open_count.get(name):
+        return -1
+    depth = len(stack) - 1
+    while stack[depth].tag != name:
+        depth -= 1
+    return depth
+
+
+def _parse_open_tag(
+    raw: str, start: int, stack: list[DomNode], open_count: dict[str, int], add_child
+) -> int:
+    """Parse an open tag at `start`; returns the scan position after it.
+
+    Pushes the element onto `stack` when it can have children, keeping
+    `open_count` (open elements by tag) in step with every push and pop.
+    """
     n = len(raw)
     j = start + 1
     k = j
@@ -390,7 +411,7 @@ def _parse_open_tag(raw: str, start: int, stack: list[DomNode], add_child) -> in
     closers = _SIBLING_CLOSERS.get(name)
     if closers and stack[-1].tag in closers and len(stack) > 1:
         stack[-1].end = start
-        stack.pop()
+        open_count[stack.pop().tag] -= 1
 
     elem = add_child(name, start, tag_end)
     for a, b in attr_spans:
@@ -419,4 +440,5 @@ def _parse_open_tag(raw: str, start: int, stack: list[DomNode], add_child) -> in
         return end
 
     stack.append(elem)
+    open_count[name] += 1
     return tag_end

@@ -49,6 +49,16 @@ class ConceptReport:
     converged: bool
 
 
+def _ranked_term(entry: Any) -> tuple[str, float]:
+    """A report's ``[term, score]`` entry as a pair; ValueError for any other shape."""
+    if isinstance(entry, list) and len(entry) == 2:
+        term, score = entry
+        number = isinstance(score, (int, float)) and not isinstance(score, bool)
+        if isinstance(term, str) and number:
+            return term, score
+    raise ValueError(f"ranked term must be a [string, number] pair, got {entry!r}")
+
+
 @dataclass
 class MiningReport:
     seed: str
@@ -82,7 +92,7 @@ class MiningReport:
                 id=c["id"],
                 list_count=c["list_count"],
                 list_ids=list(c["list_ids"]),
-                ranked_terms=[(t, s) for t, s in c["ranked_terms"]],
+                ranked_terms=[_ranked_term(entry) for entry in c["ranked_terms"]],
                 term_lists={k: list(v) for k, v in c["term_lists"].items()},
                 converged=c["converged"],
             )

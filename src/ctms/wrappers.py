@@ -21,15 +21,26 @@ Learning, per tag-path group of seed occurrences:
      kept if it passes the validity rules, brackets at least
      ``min_distinct_seeds`` different seeds, and no candidate with strictly
      longer contexts brackets exactly the same page spans (the longer one
-     is more precise at no cost, so it wins).
+     is more precise at no cost, so it wins).  The span rule runs once
+     per group, over every left-level end and right-level start; span k
+     gets bit k, a level's mask ORs the bits of its positions, and a
+     candidate's span set is its left mask AND its right mask.  This is
+     exact because whether a span is valid does not depend on the
+     wrapper, and the rule's two early stops (at the next markup
+     character, and once the trimmed piece is too long) are monotone in
+     the right start: run on subsets of the ends and starts, it returns
+     exactly the spans of the full run between them.
 
-Learning and extraction find every position of their context strings with
-one C-level scan per distinct pattern (`MultiMatcher.positions`, built on
-`text.find_all`).  Each wrapper's spans are then given by the span rule
-`spans_on_path`, which learning applies to every candidate too: a span
-runs from the end of a left-context match to the start of a right-context
-match, contains no markup, trims to a non-empty string of at most
-``MAX_TERM_LEN`` characters, and starts and ends on the wrapper's path.
+A span, by the span rule `spans_on_path`, runs from the end of a
+left-context match to the start of a right-context match, contains no
+markup, trims to a non-empty string of at most ``MAX_TERM_LEN``
+characters, and starts and ends on the wrapper's path.  Extraction finds
+every position of its wrappers' context strings with one C-level scan per
+distinct pattern (`MultiMatcher.positions`, built on `text.find_all`) and
+applies the span rule per wrapper.  Learning scans the page only for its
+one-character contexts: the shared contexts of a side are closed under
+shortening towards the occurrence, so every longer context keeps those
+matches of its one-character-shorter parent that extend to it.
 """
 
 from __future__ import annotations
@@ -126,6 +137,44 @@ def _shared_contexts(windows: Iterable[tuple[str, str]]) -> set[str]:
     return shared
 
 
+def _context_starts(src: str, contexts: set[str]) -> dict[str, list[int]]:
+    """Ascending match starts of right contexts closed under dropping their last character.
+
+    Only one-character contexts are searched for; a longer one keeps the
+    matches of its one-character-shorter parent that extend to it.
+    """
+    starts: dict[str, list[int]] = {}
+    for s in sorted(contexts, key=len):
+        if len(s) == 1:
+            starts[s] = find_all(src, s)
+        else:
+            starts[s] = [q for q in starts[s[:-1]] if src.startswith(s, q)]
+    return starts
+
+
+def _context_ends(src: str, contexts: set[str]) -> dict[str, list[int]]:
+    """Ascending match ends of left contexts closed under dropping their first character.
+
+    The mirror of `_context_starts`: a longer context keeps the ends of its
+    one-character-shorter parent that it also ends at.
+    """
+    ends: dict[str, list[int]] = {}
+    for s in sorted(contexts, key=len):
+        if len(s) == 1:
+            ends[s] = [p + 1 for p in find_all(src, s)]
+        else:
+            ends[s] = [e for e in ends[s[1:]] if src.endswith(s, 0, e)]
+    return ends
+
+
+def _or_bits(bits: dict[int, int], positions: Iterable[int]) -> int:
+    """The OR of the bits of `positions`; 0 for positions without any."""
+    mask = 0
+    for p in positions:
+        mask |= bits.get(p, 0)
+    return mask
+
+
 def _levels(
     contexts: set[str], positions_of: dict[str, list[int]]
 ) -> list[tuple[str, tuple[int, ...]]]:
@@ -214,11 +263,9 @@ def learn_wrappers(
         )
         if not left_shared or not right_shared:
             continue
-        positions = MultiMatcher(left_shared | right_shared).positions(src)
         # Left levels key on where the bracketed span would start.
-        left_ends = {s: [p + len(s) for p in positions[s]] for s in left_shared}
-        l_levels = _levels(left_shared, left_ends)
-        r_levels = _levels(right_shared, positions)
+        l_levels = _levels(left_shared, _context_ends(src, left_shared))
+        r_levels = _levels(right_shared, _context_starts(src, right_shared))
 
         # The occurrences each level brackets, by index into the group.
         at_start: dict[int, list[int]] = defaultdict(list)
@@ -229,27 +276,40 @@ def learn_wrappers(
         l_occs = [{i for e in ends for i in at_start.get(e, ())} for _, ends in l_levels]
         r_occs = [{i for s in starts for i in at_end.get(s, ())} for _, starts in r_levels]
 
-        candidates: list[tuple[Wrapper, frozenset[tuple[int, int]]]] = []
-        for (left, ends), l_occ in zip(l_levels, l_occs):
-            for (right, starts), r_occ in zip(r_levels, r_occs):
+        gated: list[tuple[Wrapper, int, int]] = []
+        for li, ((left, _), l_occ) in enumerate(zip(l_levels, l_occs)):
+            for ri, ((right, _), r_occ) in enumerate(zip(r_levels, r_occs)):
                 # Cheap gate: the candidate must bracket enough distinct
                 # seeds before we bother computing its full span set.
                 if len({group[i].term for i in l_occ & r_occ}) < cfg.min_distinct_seeds:
                     continue
                 wrapper = Wrapper(left, right, path)
-                if not is_valid_wrapper(wrapper, cfg):
-                    continue
-                spans = spans_on_path(tree, ends, starts, path)
-                if not spans:
-                    continue
-                candidates.append((wrapper, frozenset(spans)))
+                if is_valid_wrapper(wrapper, cfg):
+                    gated.append((wrapper, li, ri))
+        if not gated:
+            continue
+
+        # One span-rule pass over every level's ends and starts.  Span k is
+        # bit k; a level's mask is the OR of its positions' bits, so a
+        # candidate's span set is its two masks ANDed.
+        all_ends = sorted({e for _, ends in l_levels for e in ends})
+        all_starts = sorted({s for _, starts in r_levels for s in starts})
+        end_bits: dict[int, int] = defaultdict(int)
+        start_bits: dict[int, int] = defaultdict(int)
+        for k, (e, s) in enumerate(spans_on_path(tree, all_ends, all_starts, path)):
+            end_bits[e] |= 1 << k
+            start_bits[s] |= 1 << k
+        l_mask = [_or_bits(end_bits, ends) for _, ends in l_levels]
+        r_mask = [_or_bits(start_bits, starts) for _, starts in r_levels]
 
         # Dominance: among wrappers matching identical span sets, drop any
         # whose contexts another one strictly extends.
-        by_spans: dict[frozenset, list[Wrapper]] = defaultdict(list)
-        for wrapper, spans in candidates:
-            by_spans[spans].append(wrapper)
-        for spans, group_wrappers in by_spans.items():
+        by_spans: dict[int, list[Wrapper]] = defaultdict(list)
+        for wrapper, li, ri in gated:
+            spans = l_mask[li] & r_mask[ri]
+            if spans:
+                by_spans[spans].append(wrapper)
+        for group_wrappers in by_spans.values():
             for w in group_wrappers:
                 if not any(_extends(other, w) for other in group_wrappers):
                     kept.append(w)

@@ -257,6 +257,30 @@ def test_eval_gold_terms_string_exits_two(mined_report, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_eval_gold_not_utf8_exits_two(mined_report, tmp_path):
+    gold = tmp_path / "gold.json"
+    gold.write_bytes(json.dumps({"seed": "华盛顿"}, ensure_ascii=False).encode("gb18030"))
+    proc = run_cli("eval", "--report", str(mined_report), "--gold", str(gold))
+    assert proc.returncode == 2
+    assert "error: bad gold file" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("entry", [[1, 0.5], ["林肯", "0.5"]], ids=["int-term", "string-score"])
+def test_eval_misshaped_ranked_term_exits_two(entry, mined_report, miniweb_path, tmp_path):
+    data = json.loads(mined_report.read_text(encoding="utf-8"))
+    data["concepts"][0]["ranked_terms"][0] = entry
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+    proc = run_cli(
+        "eval", "--report", str(report), "--gold", str(miniweb_path / "gold.json")
+    )
+    assert proc.returncode == 2
+    assert "error: bad report file" in proc.stderr
+    assert "ranked term" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_fixture_validate_ok(miniweb_path):
     proc = run_cli("fixture-validate", "--corpus", str(miniweb_path))
     assert proc.returncode == 0

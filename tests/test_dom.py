@@ -1,8 +1,10 @@
 import string
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ctms import dom
 from ctms.dom import TEXT_TAG, DomNode, DomTree, parse_html
 
 FIG_FRAGMENT = """<div class="cur_dh brand">
@@ -166,6 +168,24 @@ def test_roundtrip_on_deeply_nested_page():
     assert node.tag == TEXT_TAG and tree.source[a:b] == "x"
 
 
+def test_stray_close_tags_after_deep_nesting():
+    # n unmatched close tags under n open elements: each is swallowed by
+    # the innermost div without a scan of the stack.
+    n = 8000
+    tree = parse_html("<div>" * n + "x" + "</span>" * n)
+    segments = tree.cover_segments()
+    assert _roundtrip(tree) == tree.source
+    # n open tags, the text "x", and the stray close tags as one uncovered
+    # tail of the innermost div.
+    assert len(segments) == n + 2
+    node, a, b = segments[n]
+    assert node.tag == TEXT_TAG and tree.source[a:b] == "x"
+    tail, a, b = segments[n + 1]
+    assert tail.tag == "div" and tail is node.parent
+    assert tree.source[a:b] == "</span>" * n and b == len(tree.source)
+    assert tree.path_at(tree.source.index("x")) == "#document" + "/div" * n + "/#text"
+
+
 tag_soup = st.text(
     alphabet=list(string.ascii_lowercase[:6]) + list("<>/=\"' !-") + ["宏", "碁"],
     max_size=120,
@@ -191,6 +211,42 @@ def test_roundtrip_property_structured(html):
 def test_roundtrip_property_soup(html):
     tree = parse_html(html)
     assert _roundtrip(tree) == tree.source
+
+
+def _scan_open_match(stack, open_count, name):
+    """The matching open element found by scanning the whole stack, counts ignored."""
+    for depth in range(len(stack) - 1, 0, -1):
+        if stack[depth].tag == name:
+            return depth
+    return -1
+
+
+def stack_scan_parse(html: str) -> DomTree:
+    """Reference parser: `parse_html` with every close tag matched by `_scan_open_match`."""
+    with mock.patch.object(dom, "_open_match", _scan_open_match):
+        return parse_html(html)
+
+
+def _shape(node: DomNode):
+    return (node.tag, node.start, node.end, node.raw, [_shape(c) for c in node.children])
+
+
+# Open and close tags of nesting, sibling-closing and void elements, with
+# close tags that match nothing open and constructs that are only text.
+close_soup = st.lists(
+    st.one_of(
+        st.sampled_from(["div", "b", "li", "p", "td", "th", "br", "B"]).map("<{}>".format),
+        st.sampled_from(["div", "b", "li", "p", "td", "span", "br", "LI"]).map("</{}>".format),
+        st.sampled_from(["x", " ", "<", "</ ", "</b x>"]),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=400)
+@given(st.one_of(tag_soup, close_soup))
+def test_parse_matches_stack_scan_parser(html):
+    assert _shape(parse_html(html).root) == _shape(stack_scan_parse(html).root)
 
 
 def recursive_segments(tree: DomTree):

@@ -1,5 +1,7 @@
 """Wrapper learning/extraction tests, including the all-pairs oracles."""
 
+import hashlib
+import json
 import random
 from collections import defaultdict
 from typing import Iterable
@@ -9,11 +11,14 @@ from hypothesis import strategies as st
 
 from ctms.config import PipelineConfig
 from ctms.dom import DomTree, parse_html
+from ctms.text import find_all
 from ctms.wrappers import (
     MAX_CONTEXT_LEN,
     MAX_TERM_LEN,
     MultiMatcher,
     Wrapper,
+    _context_ends,
+    _context_starts,
     _shared_contexts,
     extract_spans,
     is_valid_wrapper,
@@ -21,6 +26,7 @@ from ctms.wrappers import (
     spans_on_path,
 )
 
+from test_acceptance import _synthetic_page as criterion_2_page
 from test_dom import FIG_FRAGMENT
 
 
@@ -421,3 +427,83 @@ def _pairwise_truncations(windows: list[tuple[str, str]]) -> set[str]:
 @given(st.lists(st.tuples(st.sampled_from("abcd"), st.text("xy", max_size=8)), max_size=10))
 def test_shared_contexts_are_the_pairwise_truncations(windows):
     assert _shared_contexts(windows) == _pairwise_truncations(windows)
+
+
+# --- the learning loop's shortcuts ------------------------------------------
+#
+# Learning runs the span rule once per tag-path group and reads each
+# candidate's spans off that one result, and it finds a context's matches
+# by filtering its one-character-shorter parent's.  Both are exact; these
+# properties pin down why.
+
+# Whitespace runs, markup, and a piece longer than MAX_TERM_LEN.
+SPAN_TOKENS = ["甲", "ab", " ", "\n\t  ", "<b>", "</b>", "<i>", "</i>", "、", "x" * (MAX_TERM_LEN + 3)]
+
+
+@st.composite
+def span_rule_cases(draw):
+    html = "".join(draw(st.lists(st.sampled_from(SPAN_TOKENS), min_size=1, max_size=14)))
+    positions = st.lists(st.integers(0, len(html)), unique=True, max_size=30).map(sorted)
+    ends, starts = draw(positions), draw(positions)
+    sub_ends = [e for e in ends if draw(st.booleans())]
+    sub_starts = [s for s in starts if draw(st.booleans())]
+    path_pos = draw(st.integers(0, len(html) - 1))
+    return html, ends, starts, sub_ends, sub_starts, path_pos
+
+
+@settings(max_examples=300)
+@given(span_rule_cases())
+def test_span_rule_on_subsets_is_a_restriction(case):
+    html, ends, starts, sub_ends, sub_starts, path_pos = case
+    tree = parse_html(html)
+    path = tree.path_at(path_pos)
+    full = spans_on_path(tree, ends, starts, path)
+    kept_ends, kept_starts = set(sub_ends), set(sub_starts)
+    restricted = [(e, s) for e, s in full if e in kept_ends and s in kept_starts]
+    assert spans_on_path(tree, sub_ends, sub_starts, path) == restricted
+
+
+@st.composite
+def context_cases(draw):
+    # Few letters, so contexts repeat and overlap themselves ("aa" in
+    # "aaaa"); short pages, so windows reach the page edges.
+    src = draw(st.text("aab<", min_size=1, max_size=MAX_CONTEXT_LEN + 20))
+    cuts = st.tuples(st.sampled_from("xyz"), st.integers(0, len(src)))
+    return src, draw(st.lists(cuts, max_size=8))
+
+
+@settings(max_examples=300)
+@given(context_cases())
+def test_parent_filtered_positions_equal_full_scans(case):
+    src, cuts = case
+    right = _shared_contexts((term, src[p : p + MAX_CONTEXT_LEN]) for term, p in cuts)
+    left = {
+        s[::-1]
+        for s in _shared_contexts(
+            (term, src[max(0, p - MAX_CONTEXT_LEN) : p][::-1]) for term, p in cuts
+        )
+    }
+    starts = _context_starts(src, right)
+    ends = _context_ends(src, left)
+    assert set(starts) == right and set(ends) == left
+    for s in right:
+        assert starts[s] == find_all(src, s)
+    for s in left:
+        assert ends[s] == [p + len(s) for p in find_all(src, s)]
+
+
+# Criterion 2's pages, seeds and seed order (tests/test_acceptance.py).
+CRITERION_2_WRAPPERS = 9021
+CRITERION_2_DIGEST = "ffc084169a7eefe3b62baaccb9e5084f0752b3790e129b08abdf0aa48216acdb"
+
+
+def test_learned_wrappers_on_criterion_2_pages_are_pinned():
+    rng = random.Random(0x5EED)
+    seeds = ["华盛顿", "林肯", "杰斐逊", "罗斯福", "纽约"]
+    learned = [learn_wrappers(seeds, parse_html(criterion_2_page(rng, seeds))) for _ in range(50)]
+    payload = json.dumps(
+        [[[w.left, w.right, w.path] for w in wrappers] for wrappers in learned],
+        ensure_ascii=False,
+    )
+    assert sum(map(len, learned)) == CRITERION_2_WRAPPERS
+    assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == CRITERION_2_DIGEST
