@@ -26,21 +26,11 @@ from ctms.pipeline import (  # noqa: E402
     evaluate,
     format_report_table,
     mine,
+    snippet_sentences,
 )
-from ctms.text import split_sentences  # noqa: E402
 
 FIXTURE = ROOT / "tests" / "fixtures" / "miniweb"
 SEED = "华盛顿"
-
-
-def snippet_sentences(provider: FixtureProvider, cfg: PipelineConfig) -> list[str]:
-    """The sentences stage 1 mines: titles and snippets of the clue queries."""
-    sentences: list[str] = []
-    for query in build_queries(SEED, cfg):
-        for hit in provider.search(query, cfg.snippet_results):
-            sentences.extend(split_sentences(hit.title))
-            sentences.extend(split_sentences(hit.snippet))
-    return sentences
 
 
 def main() -> None:
@@ -74,7 +64,9 @@ def main() -> None:
         print(row)
 
     gold_terms = {t for concept in gold.concepts for t in concept.terms}
-    baseline = extract_competitor_baseline(SEED, snippet_sentences(provider, PipelineConfig()))
+    cfg = PipelineConfig()
+    sentences, _ = snippet_sentences(build_queries(SEED, cfg), cfg, provider)
+    baseline = extract_competitor_baseline(SEED, sentences)
     print("\n=== initial candidates (gold / found) ===")
     for label, terms in (("stage 1", initial), ("baseline", baseline)):
         hits = sum(t in gold_terms for t in terms)

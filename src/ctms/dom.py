@@ -4,17 +4,19 @@ The parser is a tag-soup scanner: it never fails, and it keeps the exact
 character offsets of every construct so that downstream code can answer
 these queries cheaply:
 
-  * ``path_at(pos)`` -- the root-to-node tag path of the deepest node
-    covering a character position (markup characters resolve to their
-    element node), memoized per position;
+  * ``node_at(pos)`` / ``path_at(pos)`` -- the deepest node covering a
+    character position (markup characters resolve to their element
+    node), and its root-to-node tag path;
+  * ``visible_text(lo, hi)`` -- the rendered text of a source range;
   * ``find_occurrences(terms)`` -- every exact occurrence of a term set
     in the raw source, with its position and path;
   * ``next_markup(pos)`` -- the first ``<`` or ``>`` at or after a
-    position, by bisection into the page's sorted markup positions;
-  * ``visible_text(lo, hi)`` -- the rendered text of a source range, a
-    slice of the page's text rendered once.
+    position, by bisection into the page's sorted markup positions.
 
-Each index behind these queries is built at most once per tree, on first
+The first three are each one bisection into a single segment table built
+from ``cover_segments()``: every segment's start, its deepest node, and
+the length of rendered text before it.  Path strings are built per node,
+on first request.  Each index is built at most once per tree, on first
 use, so wrapper learning and extraction on the same page share it.
 
 Node spans are half-open ``[start, end)`` ranges into the source string.
@@ -22,6 +24,8 @@ Child spans are disjoint and contained in their parent, so every position
 has a unique deepest node and concatenating the uncovered segments of all
 nodes in document order reproduces the source exactly.
 
+Text runs, tag names and attributes are found by C-level searches
+(``str.find`` and precompiled patterns), never one character at a time.
 Repair strategy for malformed markup: unclosed elements are closed at the
 boundary of the enclosing close tag (or end of input); close tags with no
 matching open element are swallowed by the current element; a ``<`` that
@@ -57,6 +61,17 @@ RAW_TEXT_ELEMENTS = frozenset({"script", "style"})
 # the HTML rule and keeps every match offset an offset into the source.
 _RAW_TEXT_CLOSE = {name: re.compile("</" + name, re.I | re.A) for name in RAW_TEXT_ELEMENTS}
 _MARKUP = re.compile("[<>]")
+# Tag names start with an ASCII letter.  A close tag's name runs to
+# whitespace, ``<`` or ``>``; an open tag's to whitespace, ``>`` or ``/``.
+_CLOSE_TAG = re.compile(r"</([A-Za-z][^\s<>]*)")
+_OPEN_TAG = re.compile(r"<([A-Za-z][^\s>/]*)")
+# One step of an open tag's attribute scan, after any whitespace: the
+# tag's end (``>`` or ``/>``, group 1), a stray ``/`` or ``=``, or a name
+# with an optional value, double-quoted (group 2), single-quoted (3) or
+# bare (4).  An unterminated quote runs to the end of the input.
+_ATTR_STEP = re.compile(
+    r"""\s*(?:(/?>)|[/=]|[^\s=>/]+(?:\s*=\s*(?:"([^"]*)"?|'([^']*)'?|([^\s>]*)))?)"""
+)
 
 # Opening one of these while the same-group element is current implicitly
 # closes it (the common unclosed <li>/<p>/<td> idiom).
@@ -111,39 +126,38 @@ class DomTree:
         self.source = source
         self.root = root
         self._path_cache: dict[int, str] = {}  # id(node) -> tag path
-        self._pos_paths: dict[int, str] = {}  # position -> tag path
-        self._child_starts: dict[int, list[int]] = {}
         self._markup: list[int] | None = None
-        # Rendered text, the start of each visible text node, and each
-        # node's offset into the rendering (plus the total length).
-        self._rendered: tuple[str, list[int], list[int]] | None = None
+        # Segment table: each cover segment's start and node, the rendered
+        # text length before each segment (plus the total), and the text.
+        self._segments: tuple[list[int], list[DomNode], list[int], str] | None = None
+
+    def _segment_table(self) -> tuple[list[int], list[DomNode], list[int], str]:
+        if self._segments is None:
+            starts: list[int] = []
+            nodes: list[DomNode] = []
+            rendered = [0]
+            pieces: list[str] = []
+            for node, a, b in self.cover_segments():
+                starts.append(a)
+                nodes.append(node)
+                if node.tag == TEXT_TAG and not node.raw:
+                    pieces.append(self.source[a:b])
+                    rendered.append(rendered[-1] + b - a)
+                else:
+                    rendered.append(rendered[-1])
+            self._segments = (starts, nodes, rendered, "".join(pieces))
+        return self._segments
 
     def node_at(self, pos: int) -> DomNode:
         """Deepest node whose span contains `pos`."""
         if not (0 <= pos < len(self.source)):
             raise IndexError(f"position {pos} outside source of length {len(self.source)}")
-        node = self.root
-        while node.children:
-            starts = self._child_starts.get(id(node))
-            if starts is None:
-                starts = [c.start for c in node.children]
-                self._child_starts[id(node)] = starts
-            i = bisect_right(starts, pos) - 1
-            if i >= 0:
-                child = node.children[i]
-                if child.start <= pos < child.end:
-                    node = child
-                    continue
-            break
-        return node
+        starts, nodes, _, _ = self._segment_table()
+        return nodes[bisect_right(starts, pos) - 1]
 
     def path_at(self, pos: int) -> str:
         """Tag path of the deepest node containing `pos` (slash-joined)."""
-        path = self._pos_paths.get(pos)
-        if path is None:
-            path = self.node_path(self.node_at(pos))
-            self._pos_paths[pos] = path
-        return path
+        return self.node_path(self.node_at(pos))
 
     def node_path(self, node: DomNode) -> str:
         key = id(node)
@@ -152,13 +166,6 @@ class DomTree:
             path = _tag_path(node)
             self._path_cache[key] = path
         return path
-
-    def iter_nodes(self):
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
 
     def markup_positions(self) -> list[int]:
         """Sorted positions of every ``<`` and ``>`` in the source."""
@@ -174,23 +181,15 @@ class DomTree:
 
     def visible_text(self, lo: int = 0, hi: int | None = None) -> str:
         """Rendered text within a source range: text runs outside script/style."""
-        if self._rendered is None:
-            pieces: list[str] = []
-            starts: list[int] = []
-            offsets = [0]
-            for node in self.iter_nodes():
-                if node.tag == TEXT_TAG and not node.raw:
-                    pieces.append(self.source[node.start : node.end])
-                    starts.append(node.start)
-                    offsets.append(offsets[-1] + node.end - node.start)
-            self._rendered = ("".join(pieces), starts, offsets)
-        text, starts, offsets = self._rendered
+        starts, _, rendered, text = self._segment_table()
         if hi is None:
             hi = len(self.source)
 
         def rendered_offset(pos: int) -> int:
+            # A segment with no rendered text has equal bounds, so the
+            # clamp maps every position in it to the text before it.
             i = bisect_right(starts, pos) - 1
-            return 0 if i < 0 else min(offsets[i] + pos - starts[i], offsets[i + 1])
+            return 0 if i < 0 else min(rendered[i] + pos - starts[i], rendered[i + 1])
 
         return text[rendered_offset(lo) : rendered_offset(hi)]
 
@@ -266,14 +265,16 @@ def parse_html(raw: str) -> DomTree:
             open_count[stack.pop().tag] -= 1
 
     while i < n:
-        ch = raw[i]
-        if ch != "<":
+        if raw[i] != "<":
+            # A text run reaches the next "<" or the end of the input.
             if text_start < 0:
                 text_start = i
-            i += 1
+            i = raw.find("<", i)
+            if i < 0:
+                break
             continue
 
-        nxt = raw[i + 1] if i + 1 < n else ""
+        nxt = raw[i + 1 : i + 2]
         if nxt == "!":
             flush_text(i)
             if raw.startswith("<!--", i):
@@ -291,33 +292,24 @@ def parse_html(raw: str) -> DomTree:
             end = n if close == -1 else close + 1
             add_child(DIRECTIVE_TAG, i, end)
             i = end
-        elif nxt == "/":
-            j = i + 2
-            if j < n and _is_name_start(raw[j]):
-                k = j
-                while k < n and raw[k] not in (">", "<") and not raw[k].isspace():
-                    k += 1
-                name = raw[j:k].lower()
-                close = raw.find(">", k)
-                end = n if close == -1 else close + 1
-                flush_text(i)
-                # Close the matching open element; unmatched close tags are
-                # swallowed by the current element.
-                match = _open_match(stack, open_count, name)
-                if match > 0:
-                    close_until(match, i)
-                    stack[-1].end = end
-                    open_count[stack.pop().tag] -= 1
-                i = end
-            else:
-                # "</" not followed by a name: literal text
-                if text_start < 0:
-                    text_start = i
-                i += 1
+        elif (close_tag := _CLOSE_TAG.match(raw, i)) is not None:
+            name = close_tag.group(1).lower()
+            close = raw.find(">", close_tag.end())
+            end = n if close == -1 else close + 1
+            flush_text(i)
+            # Close the matching open element; unmatched close tags are
+            # swallowed by the current element.
+            match = _open_match(stack, open_count, name)
+            if match > 0:
+                close_until(match, i)
+                stack[-1].end = end
+                open_count[stack.pop().tag] -= 1
+            i = end
         elif _is_name_start(nxt):
             flush_text(i)
             i = _parse_open_tag(raw, i, stack, open_count, add_child)
         else:
+            # A "<" that begins no construct ("</" before no name too) is text.
             if text_start < 0:
                 text_start = i
             i += 1
@@ -351,59 +343,25 @@ def _parse_open_tag(
     `open_count` (open elements by tag) in step with every push and pop.
     """
     n = len(raw)
-    j = start + 1
-    k = j
-    while k < n and not raw[k].isspace() and raw[k] not in (">", "/"):
-        k += 1
-    name = raw[j:k].lower()
+    tag = _OPEN_TAG.match(raw, start)
+    name = tag.group(1).lower()
 
-    # Attribute scan; attribute value spans become #attr leaves.
+    # Attribute scan, one step per match; value spans become #attr leaves.
     attr_spans: list[tuple[int, int]] = []
     self_closing = False
-    pos = k
-    while pos < n:
-        while pos < n and raw[pos].isspace():
-            pos += 1
-        if pos >= n:
+    pos = tag.end()
+    while True:
+        step = _ATTR_STEP.match(raw, pos)
+        if step is None:  # nothing but whitespace is left
+            pos = n
             break
-        if raw[pos] == ">":
-            pos += 1
+        pos = step.end()
+        group = step.lastindex
+        if group == 1:
+            self_closing = step.group(1) == "/>"
             break
-        if raw.startswith("/>", pos):
-            self_closing = True
-            pos += 2
-            break
-        if raw[pos] == "/":
-            pos += 1
-            continue
-        # attribute name
-        a = pos
-        while pos < n and not raw[pos].isspace() and raw[pos] not in ("=", ">", "/"):
-            pos += 1
-        if pos == a:
-            pos += 1
-            continue
-        while pos < n and raw[pos].isspace():
-            pos += 1
-        if pos < n and raw[pos] == "=":
-            pos += 1
-            while pos < n and raw[pos].isspace():
-                pos += 1
-            if pos < n and raw[pos] in ('"', "'"):
-                quote = raw[pos]
-                v = pos + 1
-                closeq = raw.find(quote, v)
-                if closeq == -1:
-                    closeq = n
-                if closeq > v:
-                    attr_spans.append((v, closeq))
-                pos = min(closeq + 1, n)
-            else:
-                v = pos
-                while pos < n and not raw[pos].isspace() and raw[pos] != ">":
-                    pos += 1
-                if pos > v:
-                    attr_spans.append((v, pos))
+        if group is not None and step.end(group) > step.start(group):
+            attr_spans.append(step.span(group))
 
     tag_end = pos
 

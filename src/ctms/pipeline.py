@@ -143,6 +143,28 @@ def _concept_report(
     )
 
 
+def snippet_sentences(
+    queries: list[str], cfg: PipelineConfig, provider: SearchProvider
+) -> tuple[list[str], list[str]]:
+    """Stage 1's sentences: titles and snippets of every query's results.
+
+    Also returns one ``"query: error"`` message per query whose search
+    failed with a transient error; such a query contributes no sentences.
+    """
+    sentences: list[str] = []
+    failed: list[str] = []
+    for query in queries:
+        try:
+            hits = provider.search(query, cfg.snippet_results)
+        except TransientSearchError as exc:
+            failed.append(f"{query}: {exc}")
+            continue
+        for hit in hits:
+            sentences.extend(split_sentences(hit.title))
+            sentences.extend(split_sentences(hit.snippet))
+    return sentences, failed
+
+
 def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningReport:
     """Run the full pipeline for one seed term."""
     if not seed:
@@ -151,18 +173,8 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
     diagnostics: dict[str, Any] = {"notes": notes}
 
     # Stage 1: mine initial candidates from titles and snippets.
-    sentences: list[str] = []
     queries = build_queries(seed, cfg)
-    failed_queries: list[str] = []
-    for query in queries:
-        try:
-            hits = provider.search(query, cfg.snippet_results)
-        except TransientSearchError as exc:
-            failed_queries.append(f"{query}: {exc}")
-            continue
-        for hit in hits:
-            sentences.extend(split_sentences(hit.title))
-            sentences.extend(split_sentences(hit.snippet))
+    sentences, failed_queries = snippet_sentences(queries, cfg, provider)
     diagnostics["snippet_queries"] = queries
     diagnostics["snippet_sentences"] = len(sentences)
     if failed_queries:
@@ -200,10 +212,10 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
         return report
 
     # Stage 3: concept grouping (or one pseudo-concept without it).
-    background = BackgroundCorpus(sorted(expansion.page_texts.items()))
     weblists_by_id = {wl.id: wl for wl in weblists}
 
     if cfg.disambiguation:
+        background = BackgroundCorpus(sorted(expansion.page_texts.items()))
         vectors = {wl.id: context_vector(wl, background) for wl in weblists}
         clusters = cluster_weblists(
             weblists, vectors, seed, cfg.cluster_threshold, cfg.sim_lambda

@@ -27,7 +27,16 @@ FIG_FRAGMENT = """<div class="cur_dh brand">
 </div>"""
 
 
-def naive_path(tree: DomTree, pos: int) -> str:
+def iter_nodes(tree: DomTree):
+    """Every node of the tree in document order (preorder)."""
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
+
+
+def naive_node(tree: DomTree, pos: int) -> DomNode:
     """Oracle: exhaustive walk for the deepest node containing pos."""
     best = None
     best_depth = -1
@@ -40,7 +49,11 @@ def naive_path(tree: DomTree, pos: int) -> str:
             walk(child, depth + 1)
 
     walk(tree.root, 0)
-    return tree.node_path(best)
+    return best
+
+
+def naive_path(tree: DomTree, pos: int) -> str:
+    return tree.node_path(naive_node(tree, pos))
 
 
 def test_simple_nesting():
@@ -115,6 +128,14 @@ def test_stray_close_tag_ignored():
     tree = parse_html("<p>a</div>b</p>")
     assert tree.path_at(tree.source.index("a")) == "#document/p/#text"
     assert tree.path_at(tree.source.index("b")) == "#document/p/#text"
+
+
+def test_close_tag_name_stops_at_whitespace_or_angle_bracket():
+    # "</b<i>" and "</b\x1c...>" both close the <b>: the name is "b".
+    for close in ("</b<i>", "</b\x1cjunk>"):
+        tree = parse_html("<b>x" + close + "y")
+        assert [c.tag for c in tree.root.children] == ["b", TEXT_TAG], close
+        assert tree.path_at(tree.source.index("y")) == "#document/#text"
 
 
 def test_bare_angle_bracket_is_text():
@@ -249,6 +270,151 @@ def test_parse_matches_stack_scan_parser(html):
     assert _shape(parse_html(html).root) == _shape(stack_scan_parse(html).root)
 
 
+def _char_loop_parse_open_tag(raw, start, stack, open_count, add_child):
+    """The open-tag scan written as a loop over characters, one at a time."""
+    n = len(raw)
+    j = start + 1
+    k = j
+    while k < n and not raw[k].isspace() and raw[k] not in (">", "/"):
+        k += 1
+    name = raw[j:k].lower()
+
+    # Attribute scan; attribute value spans become #attr leaves.
+    attr_spans: list[tuple[int, int]] = []
+    self_closing = False
+    pos = k
+    while pos < n:
+        while pos < n and raw[pos].isspace():
+            pos += 1
+        if pos >= n:
+            break
+        if raw[pos] == ">":
+            pos += 1
+            break
+        if raw.startswith("/>", pos):
+            self_closing = True
+            pos += 2
+            break
+        if raw[pos] == "/":
+            pos += 1
+            continue
+        # attribute name
+        a = pos
+        while pos < n and not raw[pos].isspace() and raw[pos] not in ("=", ">", "/"):
+            pos += 1
+        if pos == a:
+            pos += 1
+            continue
+        while pos < n and raw[pos].isspace():
+            pos += 1
+        if pos < n and raw[pos] == "=":
+            pos += 1
+            while pos < n and raw[pos].isspace():
+                pos += 1
+            if pos < n and raw[pos] in ('"', "'"):
+                quote = raw[pos]
+                v = pos + 1
+                closeq = raw.find(quote, v)
+                if closeq == -1:
+                    closeq = n
+                if closeq > v:
+                    attr_spans.append((v, closeq))
+                pos = min(closeq + 1, n)
+            else:
+                v = pos
+                while pos < n and not raw[pos].isspace() and raw[pos] != ">":
+                    pos += 1
+                if pos > v:
+                    attr_spans.append((v, pos))
+
+    tag_end = pos
+
+    # Implicit close of a same-group sibling (<li> after unclosed <li> etc).
+    closers = dom._SIBLING_CLOSERS.get(name)
+    if closers and stack[-1].tag in closers and len(stack) > 1:
+        stack[-1].end = start
+        open_count[stack.pop().tag] -= 1
+
+    elem = add_child(name, start, tag_end)
+    for a, b in attr_spans:
+        child = DomNode(dom.ATTR_TAG, a, b, parent=elem)
+        elem.children.append(child)
+
+    if self_closing or name in dom.VOID_ELEMENTS:
+        return tag_end
+
+    if name in dom.RAW_TEXT_ELEMENTS:
+        # Raw-text body: scan for the matching close tag, case-insensitive.
+        close_tag = dom._RAW_TEXT_CLOSE[name].search(raw, tag_end)
+        if close_tag is None:
+            if tag_end < n:
+                body = DomNode(TEXT_TAG, tag_end, n, parent=elem, raw=True)
+                elem.children.append(body)
+            elem.end = n
+            return n
+        body_end = close_tag.start()
+        if body_end > tag_end:
+            body = DomNode(TEXT_TAG, tag_end, body_end, parent=elem, raw=True)
+            elem.children.append(body)
+        close_gt = raw.find(">", body_end)
+        end = n if close_gt == -1 else close_gt + 1
+        elem.end = end
+        return end
+
+    stack.append(elem)
+    open_count[name] += 1
+    return tag_end
+
+
+def char_loop_parse(html: str) -> DomTree:
+    """Reference parser: `parse_html` with open tags scanned by `_char_loop_parse_open_tag`."""
+    with mock.patch.object(dom, "_parse_open_tag", _char_loop_parse_open_tag):
+        return parse_html(html)
+
+
+# Open tags whose attributes mix `=`, both quote kinds (closed or not),
+# stray and self-closing slashes, `<` inside names, and whitespace that
+# `str.isspace` accepts beyond ASCII; then the same pieces loose.
+spaces = ["", " ", "\t", "\n", "\x0b", "\x1c", "\xa0", "　"]
+attribute = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(spaces[1:]),
+        st.sampled_from(["x", "id", "a<b", "宏", "/", "=", "'", ""]),
+        st.sampled_from(spaces),
+        st.sampled_from(["", "=", "=="]),
+        st.sampled_from(spaces),
+        st.sampled_from(['"v w"', "'v'", '""', '"', "'", '"v', "'v w", "v", "v/w", "<", ">", ""]),
+    ),
+)
+open_tag = st.builds(
+    lambda name, attrs, end: name + "".join(attrs) + end,
+    st.sampled_from(["<a", "<p", "<li", "<br", "<script", "<x<y", "<B1"]),
+    st.lists(attribute, max_size=4),
+    st.sampled_from([">", "/>", " />", "/", ""]),
+)
+attr_soup = st.lists(
+    st.one_of(
+        open_tag,
+        st.sampled_from(spaces[1:] + ["=", '"', "'", "/", "/>", ">", "<", "x", "宏", "</a>"]),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=400)
+@given(st.one_of(attr_soup, tag_soup))
+def test_parse_matches_char_loop_parser(html):
+    assert _shape(parse_html(html).root) == _shape(char_loop_parse(html).root)
+
+
+def test_parse_matches_char_loop_parser_on_fixture_pages(miniweb_provider):
+    corpus = miniweb_provider._corpus
+    for url in sorted(corpus.pages):
+        html = corpus.pages[url].html
+        assert _shape(parse_html(html).root) == _shape(char_loop_parse(html).root), url
+
+
 def recursive_segments(tree: DomTree):
     """Reference partition: the depth-first walk written recursively."""
     out = []
@@ -281,6 +447,7 @@ def test_path_at_matches_naive_walk(html, pos):
         return
     pos = pos % len(tree.source)
     assert tree.path_at(pos) == naive_path(tree, pos)
+    assert tree.node_at(pos) is naive_node(tree, pos)
 
 
 def test_invariants_hold_on_real_fixture_pages(miniweb_provider):
@@ -290,6 +457,44 @@ def test_invariants_hold_on_real_fixture_pages(miniweb_provider):
         assert _roundtrip(tree) == tree.source
         for pos in range(0, len(tree.source), 37):
             assert tree.path_at(pos) == naive_path(tree, pos)
+            assert tree.node_at(pos) is naive_node(tree, pos)
+
+
+# -- inputs that a per-character or backtracking scan would make quadratic --
+
+
+def test_unterminated_quotes_parse_in_one_pass():
+    # Each quote closes at the next one; the last runs to the end of input.
+    n = 20001
+    html = "<a" + ' x="' * n
+    tree = parse_html(html)
+    (elem,) = tree.root.children
+    assert (elem.tag, elem.start, elem.end) == ("a", 0, len(html))
+    assert len(elem.children) == n // 2
+    assert {html[c.start : c.end] for c in elem.children} == {" x="}
+
+
+def test_many_attribute_tags_parse_in_one_pass():
+    n = 20000
+    unit = "<p x=1 y='2' z>"
+    tree = parse_html(unit * n)
+    # Each <p> closes the one before it at its own start.
+    assert [(p.tag, p.start, p.end) for p in tree.root.children] == [
+        ("p", k * len(unit), (k + 1) * len(unit)) for k in range(n)
+    ]
+    assert all(
+        [tree.source[c.start : c.end] for c in p.children] == ["1", "2"]
+        for p in tree.root.children
+    )
+
+
+def test_megabyte_text_run_is_one_node():
+    html = "宏碁, 索尼 " * 125_000  # 1,000,000 characters
+    tree = parse_html(html)
+    (text,) = tree.root.children
+    assert (text.tag, text.start, text.end) == (TEXT_TAG, 0, len(html))
+    assert tree.visible_text() == html
+    assert tree.path_at(len(html) - 1) == "#document/#text"
 
 
 # -- raw-text bodies ----------------------------------------------------------
@@ -338,7 +543,7 @@ def oracle_visible_text(tree: DomTree, lo: int = 0, hi: int | None = None) -> st
     """Oracle: clip every non-raw text node to the range, one node at a time."""
     if hi is None:
         hi = len(tree.source)
-    nodes = sorted((n for n in tree.iter_nodes() if n.tag == TEXT_TAG), key=lambda n: n.start)
+    nodes = sorted((n for n in iter_nodes(tree) if n.tag == TEXT_TAG), key=lambda n: n.start)
     pieces = []
     for node in nodes:
         if node.raw:

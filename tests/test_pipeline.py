@@ -1,7 +1,14 @@
 import json
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from ctms import pipeline
+from ctms.corpus import TransientSearchError
+from ctms.linguistic import build_queries
 from ctms.metrics import GoldAnswer, GoldConcept, load_gold
 from ctms.pipeline import (
     MiningReport,
@@ -10,7 +17,10 @@ from ctms.pipeline import (
     format_metric_table,
     format_report_table,
     mine,
+    snippet_sentences,
 )
+
+EXPERIMENT = Path(__file__).resolve().parent.parent / "scripts" / "run_miniweb_experiment.py"
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +156,44 @@ def test_no_disambiguation_merges_everything(miniweb_provider, report):
     # support filter drops rare noise, the real candidates all survive
     assert {"林肯", "纽约", "里根", "休斯顿"} <= merged_terms
     assert merged_terms <= separate_terms
+
+
+def test_no_disambiguation_builds_no_background_corpus(miniweb_provider, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("background corpus built with grouping off")
+
+    monkeypatch.setattr(pipeline, "BackgroundCorpus", refuse)
+    nd = mine("华盛顿", PipelineConfig(disambiguation=False), miniweb_provider)
+    assert len(nd.concepts) == 1
+
+
+def test_snippet_sentences_reports_failed_queries(miniweb_provider):
+    cfg = PipelineConfig()
+    queries = build_queries("华盛顿", cfg)
+
+    class FlakyProvider:
+        def search(self, query, max_results=200):
+            if query == queries[0]:
+                raise TransientSearchError(query, "timed out")
+            return miniweb_provider.search(query, max_results)
+
+    sentences, failed = snippet_sentences(queries, cfg, miniweb_provider)
+    flaky_sentences, flaky_failed = snippet_sentences(queries, cfg, FlakyProvider())
+    assert failed == [] and sentences
+    (message,) = flaky_failed
+    assert message.startswith(f"{queries[0]}: ") and message.endswith("timed out")
+    rest, _ = snippet_sentences(queries[1:], cfg, miniweb_provider)
+    assert flaky_sentences == rest
+
+
+def test_miniweb_experiment_script_runs():
+    proc = subprocess.run(
+        [sys.executable, str(EXPERIMENT)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    stage_1, baseline = proc.stdout.splitlines()[-2:]
+    assert re.match(r"stage 1\s+5/5\s", stage_1), stage_1
+    assert re.match(r"baseline\s+2/2\s", baseline), baseline
 
 
 def test_evaluate_seed_mismatch_rejected(report):
