@@ -243,6 +243,15 @@ def cluster_weblists(
     return out
 
 
+def support_floor(min_support: float, total: int) -> float:
+    """The list count a cluster (or, ungrouped, a term) must reach out of `total`.
+
+    The tiny epsilon keeps binary-fraction noise in the product from dropping
+    a count sitting exactly on the boundary (the boundary itself is kept).
+    """
+    return min_support * total - 1e-9
+
+
 def filter_clusters(
     clusters: Iterable[ConceptCluster],
     seed: str,
@@ -254,13 +263,7 @@ def filter_clusters(
     Survivors are ordered by descending list count (ties on cluster id),
     which is the presentation order of the final concepts.
     """
-    # Tiny epsilon so binary-fraction noise in support*total cannot drop a
-    # cluster sitting exactly on the boundary (the boundary itself is kept).
-    floor = min_support * total_lists - 1e-9
-    kept = [
-        c
-        for c in clusters
-        if c.contains_seed and len(c.lists) >= floor
-    ]
+    floor = support_floor(min_support, total_lists)
+    kept = [c for c in clusters if c.contains_seed and len(c.lists) >= floor]
     kept.sort(key=lambda c: (-len(c.lists), c.id))
     return kept

@@ -94,13 +94,8 @@ def harvest_page(
         spans = spans_by_wrapper.get(wrapper, [])
         if not spans:
             continue
-        seen: set[str] = set()
-        terms: list[str] = []
-        for a, b in spans:
-            term = tree.source[a:b].strip()
-            if term and term not in seen:
-                seen.add(term)
-                terms.append(term)
+        stripped = (tree.source[a:b].strip() for a, b in spans)
+        terms = [term for term in dict.fromkeys(stripped) if term]
         if len(terms) < 2:
             continue
         context = _context_window(tree, spans[0][0], spans[-1][1], cfg.context_window)

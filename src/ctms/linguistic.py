@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .config import PipelineConfig
-from .text import find_all, is_term_char, split_sentences
+from .text import find_all, split_sentences, term_run
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,8 @@ def _left_candidates(sentence: str, anchor: str, max_len: int) -> set[str]:
     """Term-character runs ending immediately before an `anchor` occurrence."""
     out: set[str] = set()
     for idx in find_all(sentence, anchor):
-        k = idx
-        while k > 0 and idx - k < max_len and is_term_char(sentence[k - 1]):
-            k -= 1
-            out.add(sentence[k:idx])
+        run = term_run(sentence[max(0, idx - max_len) : idx], at_end=True)
+        out.update(sentence[idx - k : idx] for k in range(1, run + 1))
     return out
 
 
@@ -63,10 +61,8 @@ def _right_candidates(sentence: str, anchor: str, max_len: int) -> set[str]:
     out: set[str] = set()
     for idx in find_all(sentence, anchor):
         start = idx + len(anchor)
-        k = start
-        while k < len(sentence) and k - start < max_len and is_term_char(sentence[k]):
-            k += 1
-            out.add(sentence[start:k])
+        run = term_run(sentence[start : start + max_len])
+        out.update(sentence[start : start + k] for k in range(1, run + 1))
     return out
 
 
@@ -225,10 +221,4 @@ def extract_competitor_baseline(seed: str, sentences: list[str]) -> list[str]:
             if _edge_ok(prefix):
                 found.append(prefix)
 
-    seen: set[str] = set()
-    ordered: list[str] = []
-    for term in found:
-        if term and term != seed and term not in seen:
-            seen.add(term)
-            ordered.append(term)
-    return ordered
+    return [term for term in dict.fromkeys(found) if term and term != seed]

@@ -76,15 +76,9 @@ def interleave(lists: Sequence[Sequence[str]]) -> list[str]:
 
     Exhausted lists are skipped; duplicates keep their first occurrence.
     """
-    merged: list[str] = []
-    seen: set[str] = set()
     depth = max((len(lst) for lst in lists), default=0)
-    for i in range(depth):
-        for lst in lists:
-            if i < len(lst) and lst[i] not in seen:
-                seen.add(lst[i])
-                merged.append(lst[i])
-    return merged
+    merged = (lst[i] for i in range(depth) for lst in lists if i < len(lst))
+    return list(dict.fromkeys(merged))
 
 
 def _norm_list(terms: Iterable[str]) -> list[str]:

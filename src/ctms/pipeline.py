@@ -20,6 +20,7 @@ from .concepts import (
     cluster_weblists,
     context_vector,
     filter_clusters,
+    support_floor,
 )
 from .config import PipelineConfig
 from .corpus import SearchProvider, TransientSearchError
@@ -240,7 +241,7 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
         support: Counter[str] = Counter()
         for wl in weblists:
             support.update(set(wl.terms))
-        floor = cfg.min_support * len(weblists) - 1e-9
+        floor = support_floor(cfg.min_support, len(weblists))
         term_filter = frozenset(t for t, c in support.items() if c >= floor)
 
     if not kept:

@@ -12,6 +12,7 @@ are the saliency scores.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -34,28 +35,26 @@ class RelationGraph:
 def extract_affixes(
     terms: Sequence[str], n_min: int = 1, n_max: int = 3
 ) -> dict[str, tuple[str, ...]]:
-    """Shared leading/trailing n-grams per term.
+    """Shared leading/trailing n-grams per term (``1 <= n_min <= n_max``).
 
     An affix survives only when at least two distinct terms start or end
-    with it; each kept affix is listed for every term carrying it.
+    with it; each kept affix is listed for every term carrying it.  A term
+    starts with an n-gram exactly when that n-gram is its own ``term[:n]``
+    (likewise for endings), so each term's own grams are all it can carry.
     """
-    carriers: dict[str, set[str]] = {}
-    unique_terms = sorted(set(terms))
-    for term in unique_terms:
-        grams: set[str] = set()
-        for n in range(n_min, min(n_max, len(term)) + 1):
-            grams.add(term[:n])
-            grams.add(term[-n:])
-        for gram in grams:
-            carriers.setdefault(gram, set()).add(term)
-    shared = {g for g, ts in carriers.items() if len(ts) >= 2}
-    out: dict[str, tuple[str, ...]] = {}
-    for term in unique_terms:
-        mine = sorted(
-            g for g in shared if term.startswith(g) or term.endswith(g)
-        )
-        out[term] = tuple(mine)
-    return out
+    grams_of = {
+        term: {
+            g
+            for n in range(n_min, min(n_max, len(term)) + 1)
+            for g in (term[:n], term[-n:])
+        }
+        for term in sorted(set(terms))
+    }
+    carriers = Counter(g for grams in grams_of.values() for g in grams)
+    return {
+        term: tuple(sorted(g for g in grams if carriers[g] >= 2))
+        for term, grams in grams_of.items()
+    }
 
 
 def build_relation_graph(

@@ -93,7 +93,7 @@ class MultiMatcher:
 def is_valid_wrapper(w: Wrapper, cfg: PipelineConfig) -> bool:
     """Heuristic validity rules that weed out degenerate wrappers.
 
-    1. at least one side carries non-whitespace (empty counts as whitespace);
+    1. both sides are non-empty and at least one carries non-whitespace;
     2. the sides are both punctuation or both not;
     3. non-punctuation sides must jointly span at least `kappa` characters;
     4. the path must end at a textual node (#text or #attr).

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ctms.config import PipelineConfig
 from ctms.linguistic import (
@@ -7,7 +7,7 @@ from ctms.linguistic import (
     extract_competitor_baseline,
     extract_initial_candidates,
 )
-from ctms.text import is_term_char
+from text_oracle import MIXED_ALPHABET, is_term_char_by_category
 
 
 def brute_candidates(seed, sentences, cfg):
@@ -20,7 +20,7 @@ def brute_candidates(seed, sentences, cfg):
             i = s.find(left)
             while i != -1:
                 for k in range(1, cfg.max_candidate_len + 1):
-                    if i - k < 0 or not is_term_char(s[i - k]):
+                    if i - k < 0 or not is_term_char_by_category(s[i - k]):
                         break
                     cands.add(s[i - k : i])
                 i = s.find(left, i + 1)
@@ -29,7 +29,7 @@ def brute_candidates(seed, sentences, cfg):
             while i != -1:
                 base = i + len(right)
                 for k in range(1, cfg.max_candidate_len + 1):
-                    if base + k > len(s) or not is_term_char(s[base + k - 1]):
+                    if base + k > len(s) or not is_term_char_by_category(s[base + k - 1]):
                         break
                     cands.add(s[base : base + k])
                 i = s.find(right, i + 1)
@@ -122,16 +122,37 @@ def test_matches_brute_force_oracle_fixed():
     assert [(c.text, c.n, c.m) for c in got] == brute_candidates("宝马", sentences, cfg)
 
 
-sentence_chunks = st.lists(
-    st.text(alphabet="奔驰奥迪和比宝马多贵的", min_size=1, max_size=12),
-    min_size=1,
-    max_size=25,
+def _junction_sentences(word):
+    """A clue junction with `word` or mixed-script text on either side."""
+    side = st.one_of(
+        st.just(word), st.text(alphabet=st.sampled_from(MIXED_ALPHABET), max_size=3)
+    )
+    junction = st.sampled_from(["和宝马", "比宝马", "宝马和", "宝马比"])
+    return st.tuples(side, junction, side).map("".join)
+
+
+# Sentences over the seed's own alphabet, mixed with junction sentences that
+# share one word, so that some candidate recurs often enough to pass tau.
+sentence_chunks = st.text(
+    alphabet=st.sampled_from(MIXED_ALPHABET), min_size=1, max_size=4
+).flatmap(
+    lambda word: st.lists(
+        st.one_of(
+            st.text(alphabet="奔驰奥迪和比宝马多贵的", min_size=1, max_size=12),
+            _junction_sentences(word),
+        ),
+        min_size=1,
+        max_size=25,
+    )
 )
 
 
-@given(sentence_chunks)
-def test_matches_brute_force_oracle_random(sentences):
-    cfg = PipelineConfig(clue_words=("和", "比"), tau=1, top_n=10)
+@settings(max_examples=300)
+@given(sentence_chunks, st.integers(1, 10))
+def test_matches_brute_force_oracle_random(sentences, max_len):
+    cfg = PipelineConfig(
+        clue_words=("和", "比"), tau=1, top_n=10, max_candidate_len=max_len
+    )
     got = extract_initial_candidates("宝马", sentences, cfg)
     assert [(c.text, c.n, c.m) for c in got] == brute_candidates("宝马", sentences, cfg)
 
@@ -147,7 +168,7 @@ def test_bidirectional_property(sentences):
         assert c.n >= 1 and c.m >= 1  # attested in both directions
         assert c.score == c.n * c.m > cfg.tau
         assert len(c.text) <= cfg.max_candidate_len
-        assert all(is_term_char(ch) for ch in c.text)
+        assert all(is_term_char_by_category(ch) for ch in c.text)
 
 
 # --- competitor-pattern baseline -------------------------------------------

@@ -67,6 +67,37 @@ def test_single_char_terms_use_unigram_only():
     assert "仁" in affixes["仁心"]
 
 
+def extract_affixes_by_scan(terms, n_min=1, n_max=3):
+    """Oracle: the scan `extract_affixes` replaced, testing every shared
+    affix against every term with startswith/endswith."""
+    carriers = {}
+    unique_terms = sorted(set(terms))
+    for term in unique_terms:
+        grams = set()
+        for n in range(n_min, min(n_max, len(term)) + 1):
+            grams.add(term[:n])
+            grams.add(term[-n:])
+        for gram in grams:
+            carriers.setdefault(gram, set()).add(term)
+    shared = {g for g, ts in carriers.items() if len(ts) >= 2}
+    return {
+        term: tuple(sorted(g for g in shared if term.startswith(g) or term.endswith(g)))
+        for term in unique_terms
+    }
+
+
+@given(
+    st.lists(st.text(alphabet="ab甲", min_size=1, max_size=6), max_size=12),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+def test_affixes_match_scan(terms, a, b):
+    n_min, n_max = sorted((a, b))
+    assert extract_affixes(terms, n_min, n_max) == extract_affixes_by_scan(
+        terms, n_min, n_max
+    )
+
+
 def test_affix_links_all_carriers():
     affixes = extract_affixes(["华盛顿", "波士顿", "休斯顿"])
     for term in ("华盛顿", "波士顿", "休斯顿"):

@@ -1,6 +1,9 @@
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctms import text as text_module
 from ctms.text import (
     SENTENCE_BREAKS,
     is_punct_char,
@@ -10,6 +13,7 @@ from ctms.text import (
     split_sentences,
     tokenize,
 )
+from text_oracle import MIXED_ALPHABET, is_term_char_by_category, tokenize_by_loop
 
 
 def test_split_on_cjk_and_ascii_terminators():
@@ -80,6 +84,27 @@ def test_tokenize_latin_runs_and_cjk_bigrams():
     assert tokenize("北京大学") == ["北京", "京大", "大学"]
     assert tokenize("") == []
     assert tokenize("美") == ["美"]
+
+
+@settings(max_examples=500)
+@given(st.text(alphabet=st.sampled_from(MIXED_ALPHABET), max_size=40))
+def test_tokenize_matches_character_loop(text):
+    assert tokenize(text) == tokenize_by_loop(text)
+
+
+def test_term_char_matches_category_definition():
+    astral = random.Random(0).sample(range(0x10000, 0x110000), 20000)
+    for cp in [*range(0x10000), *astral]:
+        ch = chr(cp)
+        assert is_term_char(ch) == is_term_char_by_category(ch), hex(cp)
+
+
+def test_astral_characters_are_not_memoised():
+    astral = "".join(map(chr, range(0x20000, 0x20400)))
+    size = len(text_module._CHAR_CLASSES)
+    assert len(tokenize(astral)) == len(astral) - 1
+    assert all(is_term_char(ch) for ch in astral)
+    assert len(text_module._CHAR_CLASSES) == size
 
 
 def test_nfc_trim():

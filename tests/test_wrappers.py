@@ -78,6 +78,8 @@ def test_valid_wrapper_span_contexts():
 def test_whitespace_only_contexts_rejected():
     assert not is_valid_wrapper(Wrapper(" ", " ", "p/#text"), PipelineConfig())
     assert not is_valid_wrapper(Wrapper("", ">", "p/#text"), PipelineConfig())
+    assert not is_valid_wrapper(Wrapper("", "abcd", "p/#text"), PipelineConfig())
+    assert not is_valid_wrapper(Wrapper("abcd", "", "p/#text"), PipelineConfig())
 
 
 def test_mixed_punctuation_rejected():
