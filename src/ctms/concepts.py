@@ -13,6 +13,12 @@ adds left to right, never the built-in ``sum``: from Python 3.12 on,
 ``sum`` compensates rounding error, so the same floats would add up to
 different bits, and could merge different clusters, on different Python
 versions.
+
+The context dot products of all list pairs come from one inverted index,
+word -> [(list, weight)], so a pair costs only the words the two lists
+share.  They are added in the order of the pair's smaller vector, as a
+pairwise loop over that vector adds them; the words such a loop has
+beyond the shared ones add ``w * 0.0``, which changes no bit.
 """
 
 from __future__ import annotations
@@ -76,28 +82,46 @@ def context_vector(weblist: WebList, background: BackgroundCorpus) -> ContextVec
 
 
 class _Features(NamedTuple):
-    """What `_similarity` reads of one list, computed once per list."""
+    """What `_similarity_matrix` reads of one list, computed once per list."""
 
     terms: set[str]
     weights: Mapping[str, float]
     norm: float
 
 
-def _cosine(a: _Features, b: _Features) -> float:
-    if a.norm == 0.0 or b.norm == 0.0:
-        return 0.0
-    small, large = (a, b) if len(a.weights) <= len(b.weights) else (b, a)
-    get = large.weights.get
-    dot = 0.0
-    for word, w in small.weights.items():
-        dot += w * get(word, 0.0)
-    value = dot / (a.norm * b.norm)
-    return min(1.0, max(0.0, value))
+def _similarity_matrix(features: Sequence[_Features], lam: float) -> list[list[float]]:
+    """Every pair's `list_similarity`, the earlier list as first argument.
 
-
-def _similarity(a: _Features, b: _Features, lam: float) -> float:
-    content = len(a.terms & b.terms) / min(len(a.terms), len(b.terms))
-    return lam * content + (1.0 - lam) * _cosine(a, b)
+    Lists are visited by descending (vector size, index).  Each walks its
+    own words in dict order, adds ``w * wb`` to the running dot product of
+    every list already posted under the word, then posts its own weight:
+    a pair is summed over its shared words, in the order of its smaller
+    vector (the earlier one on equal size).  A pair that shares no word,
+    or has a zero-norm side, gets cosine 0.
+    """
+    n = len(features)
+    sim = [[0.0] * n for _ in range(n)]
+    postings: dict[str, list[tuple[int, float]]] = {}
+    seen: list[int] = []
+    for a in sorted(range(n), key=lambda i: (len(features[i].weights), i), reverse=True):
+        terms, weights, norm = features[a]
+        dots: dict[int, float] = {}
+        for word, w in weights.items():
+            posted = postings.setdefault(word, [])
+            for b, wb in posted:
+                dots[b] = dots.get(b, 0.0) + w * wb
+            posted.append((a, w))
+        row = sim[a]
+        for b in seen:
+            fb = features[b]
+            content = len(terms & fb.terms) / min(len(terms), len(fb.terms))
+            dot = dots.get(b)
+            cosine = 0.0
+            if dot is not None and norm != 0.0 and fb.norm != 0.0:
+                cosine = min(1.0, max(0.0, dot / (norm * fb.norm)))
+            row[b] = sim[b][a] = lam * content + (1.0 - lam) * cosine
+        seen.append(a)
+    return sim
 
 
 def _check_lam(lam: float) -> None:
@@ -123,7 +147,7 @@ def list_similarity(
     b = _Features(set(b_terms), b_vec.weights, b_vec.norm)
     if not a.terms or not b.terms:
         raise ValueError("term lists must be non-empty")
-    return _similarity(a, b, lam)
+    return _similarity_matrix([a, b], lam)[0][1]
 
 
 @dataclass(frozen=True)
@@ -151,7 +175,9 @@ def cluster_weblists(
     member weblist id, so the procedure is deterministic for a fixed input.
 
     The `list_similarity` of every list pair is computed once, into one
-    matrix indexed by position in the sorted ids.  The average linkage of
+    matrix indexed by position in the sorted ids, from one posting table
+    (`_similarity_matrix`, bit-identical to pairwise folds over each
+    pair's smaller vector; see the module notes).  The average linkage of
     every live cluster pair is kept too, with each cluster's best partner
     among the clusters with larger ids.  A merge scores only the merged
     cluster against each survivor, summing its member pairs in the order
@@ -173,11 +199,7 @@ def cluster_weblists(
         raise ValueError("term lists must be non-empty")
 
     # sim[a][b] is list_similarity with the smaller id as first argument.
-    sim = [[0.0] * n for _ in range(n)]
-    for a in range(n):
-        fa, row = features[a], sim[a]
-        for b in range(a + 1, n):
-            row[b] = sim[b][a] = _similarity(fa, features[b], lam)
+    sim = _similarity_matrix(features, lam)
 
     # A cluster is keyed by its smallest member index; link[p][q] (p < q) is
     # the average linkage of live clusters p and q, and best[p] is the

@@ -98,17 +98,24 @@ def is_valid_wrapper(w: Wrapper, cfg: PipelineConfig) -> bool:
     3. non-punctuation sides must jointly span at least `kappa` characters;
     4. the path must end at a textual node (#text or #attr).
     """
-    if not w.left or not w.right:
+    return _passes_rules(
+        w.left, w.right, is_punct_text(w.left), is_punct_text(w.right), w.path, cfg.kappa
+    )
+
+
+def _passes_rules(
+    left: str, right: str, left_punct: bool, right_punct: bool, path: str, kappa: int
+) -> bool:
+    """Rules 1-4 of `is_valid_wrapper`, given each side's `is_punct_text`."""
+    if not left or not right:
         return False
-    if w.left.isspace() and w.right.isspace():
+    if left.isspace() and right.isspace():
         return False
-    left_punct = is_punct_text(w.left)
-    right_punct = is_punct_text(w.right)
     if left_punct != right_punct:
         return False
-    if not left_punct and len(w.left) + len(w.right) < cfg.kappa:
+    if not left_punct and len(left) + len(right) < kappa:
         return False
-    tail = w.path.rsplit("/", 1)[-1]
+    tail = path.rsplit("/", 1)[-1]
     return tail in TEXTUAL_TAGS
 
 
@@ -276,6 +283,10 @@ def learn_wrappers(
         l_occs = [{i for e in ends for i in at_start.get(e, ())} for _, ends in l_levels]
         r_occs = [{i for s in starts for i in at_end.get(s, ())} for _, starts in r_levels]
 
+        # A level's string is fixed, so is its punctuation flag.
+        l_punct = [is_punct_text(left) for left, _ in l_levels]
+        r_punct = [is_punct_text(right) for right, _ in r_levels]
+
         gated: list[tuple[Wrapper, int, int]] = []
         for li, ((left, _), l_occ) in enumerate(zip(l_levels, l_occs)):
             for ri, ((right, _), r_occ) in enumerate(zip(r_levels, r_occs)):
@@ -283,9 +294,8 @@ def learn_wrappers(
                 # seeds before we bother computing its full span set.
                 if len({group[i].term for i in l_occ & r_occ}) < cfg.min_distinct_seeds:
                     continue
-                wrapper = Wrapper(left, right, path)
-                if is_valid_wrapper(wrapper, cfg):
-                    gated.append((wrapper, li, ri))
+                if _passes_rules(left, right, l_punct[li], r_punct[ri], path, cfg.kappa):
+                    gated.append((Wrapper(left, right, path), li, ri))
         if not gated:
             continue
 

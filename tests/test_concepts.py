@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -9,6 +10,8 @@ from ctms.concepts import (
     BackgroundCorpus,
     ConceptCluster,
     ContextVector,
+    _Features,
+    _similarity_matrix,
     cluster_weblists,
     context_vector,
     filter_clusters,
@@ -30,6 +33,23 @@ def _left_fold(values):
     for v in values:
         total += v
     return total
+
+
+def left_fold_similarity(ta, wa, tb, wb, lam):
+    """`list_similarity` of (ta, wa) and (tb, wb) with every sum a left fold.
+
+    The bits must not depend on how a Python version's `sum` rounds.
+    """
+    na = math.sqrt(_left_fold(w * w for w in wa.values()))
+    nb = math.sqrt(_left_fold(w * w for w in wb.values()))
+    cosine = 0.0
+    if na and nb:
+        small, large = (wa, wb) if len(wa) <= len(wb) else (wb, wa)
+        dot = _left_fold(w * large.get(k, 0.0) for k, w in small.items())
+        cosine = min(1.0, max(0.0, dot / (na * nb)))
+    sa, sb = set(ta), set(tb)
+    content = len(sa & sb) / min(len(sa), len(sb))
+    return lam * content + (1.0 - lam) * cosine
 
 
 def test_idf_formula_direct():
@@ -113,19 +133,42 @@ def test_similarity_symmetric_and_bounded(ta, tb, wa, wb):
     st.sampled_from([0.0, 0.3, 0.5, 1.0]),
 )
 def test_similarity_bits_are_the_left_fold_formula(ta, tb, wa, wb, lam):
-    # The formula written out with every sum a left fold: the bits must not
-    # depend on how a Python version's `sum` rounds.
-    na = math.sqrt(_left_fold(w * w for w in wa.values()))
-    nb = math.sqrt(_left_fold(w * w for w in wb.values()))
-    cosine = 0.0
-    if na and nb:
-        small, large = (wa, wb) if len(wa) <= len(wb) else (wb, wa)
-        dot = _left_fold(w * large.get(k, 0.0) for k, w in small.items())
-        cosine = min(1.0, max(0.0, dot / (na * nb)))
-    sa, sb = set(ta), set(tb)
-    content = len(sa & sb) / min(len(sa), len(sb))
-    want = lam * content + (1.0 - lam) * cosine
+    want = left_fold_similarity(ta, wa, tb, wb, lam)
     assert list_similarity(ta, ContextVector(wa), tb, ContextVector(wb), lam) == want
+
+
+# Weights whose products add up to different bits in different orders: the
+# products 0.1·0.6, 0.8·0.1 and 0.6·0.8 add up to 0.62 in that order, and
+# to 0.6200000000000001 with the last two swapped.
+_UNEVEN_WEIGHTS = (0.1, 0.6, 0.8, 1.3, 2.7)
+
+# Up to six (word, weight) draws over four words: equal-size vectors that
+# share their words in different insertion orders are common, and no draw
+# at all gives an empty, zero-norm vector.
+_uneven_vectors = st.lists(
+    st.tuples(st.sampled_from("uvwx"), st.sampled_from(_UNEVEN_WEIGHTS)), max_size=6
+).map(dict)
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(
+        st.tuples(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4), _uneven_vectors),
+        min_size=1,
+        max_size=12,
+    ),
+    st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+)
+def test_similarity_matrix_bits_are_the_left_fold_formula(specs, lam):
+    # Entry [i][j] is the pair's similarity with the earlier list first, so
+    # its dot product folds over the smaller vector's words, the earlier
+    # one's on equal size.
+    features = [_Features(set(t), w, ContextVector(w).norm) for t, w in specs]
+    sim = _similarity_matrix(features, lam)
+    for i, (ti, wi) in enumerate(specs):
+        for j, (tj, wj) in enumerate(specs[i + 1 :], i + 1):
+            want = left_fold_similarity(ti, wi, tj, wj, lam)
+            assert sim[i][j] == want and sim[j][i] == want, (i, j)
 
 
 def test_two_identical_lists_form_one_cluster():
@@ -182,19 +225,22 @@ def test_cluster_determinism_under_shuffle():
         assert cluster_weblists(shuffled, vectors, seed="x") == baseline
 
 
-def rescan_reference(weblists, vectors, seed, threshold=0.65, lam=0.5):
+def rescan_reference(
+    weblists, vectors, seed, threshold=0.65, lam=0.5, similarity=list_similarity
+):
     """Brute-force average linkage: rescan every cluster pair on every merge.
 
     The plain algorithm `cluster_weblists` must reproduce, with its sums
     written as left folds (as `cluster_weblists` sums) so the reference
-    does not depend on how a Python version's `sum` rounds.
+    does not depend on how a Python version's `sum` rounds.  `similarity`
+    scores one list pair, the smaller id first.
     """
     by_id = {wl.id: wl for wl in weblists}
     ids = sorted(by_id)
     sim = {}
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            sim[(a, b)] = list_similarity(
+            sim[(a, b)] = similarity(
                 by_id[a].terms, vectors[a], by_id[b].terms, vectors[b], lam
             )
 
@@ -253,6 +299,57 @@ def test_clustering_matches_rescan_oracle(specs, rng, threshold, lam):
     rng.shuffle(lists)
     got = cluster_weblists(lists, vectors, "a", threshold, lam)
     assert got == rescan_reference(lists, vectors, "a", threshold, lam)
+
+
+def _left_fold_list_similarity(ta, va, tb, vb, lam):
+    return left_fold_similarity(ta, va.weights, tb, vb.weights, lam)
+
+
+# Lists whose context vectors are one of a few uneven vectors, each list's
+# copy in its own insertion order: pairs that are equal on paper but whose
+# dot products round differently in different orders are common.
+_uneven_weblist_specs = st.lists(_uneven_vectors, min_size=1, max_size=3).flatmap(
+    lambda bases: st.lists(
+        st.tuples(
+            st.lists(st.sampled_from("abcd"), min_size=1, max_size=4),
+            st.sampled_from(bases).flatmap(lambda v: st.permutations(list(v.items())).map(dict)),
+        ),
+        min_size=1,
+        max_size=16,
+    )
+)
+
+
+@settings(max_examples=400)
+@given(
+    _uneven_weblist_specs,
+    st.randoms(use_true_random=False),
+    st.sampled_from([None, 0.3, 0.4, 0.5, 0.65]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_clustering_matches_rescan_oracle_uneven_weights(specs, rng, threshold, lam):
+    # As above, but with weights whose dot products round differently in
+    # different orders, and list similarities from the formula written out
+    # in this file.  A threshold of None is one of the three highest of
+    # those similarities, so that a last-bit slip in a score can flip the
+    # first merges.
+    names = rng.sample([f"{c}{k}" for c in "pqrs" for k in range(1, 12)], len(specs))
+    lists = [make_weblist(wid, terms) for wid, (terms, _w) in zip(names, specs)]
+    vectors = {wid: ContextVector(w) for wid, (_t, w) in zip(names, specs)}
+    if threshold is None:
+        scores = sorted(
+            _left_fold_list_similarity(ta, vectors[a], tb, vectors[b], lam)
+            for (a, (ta, _)), (b, (tb, _)) in itertools.combinations(
+                sorted(zip(names, specs)), 2
+            )
+        )
+        threshold = rng.choice(scores[-3:] or [0.5])
+    rng.shuffle(lists)
+    got = cluster_weblists(lists, vectors, "a", threshold, lam)
+    want = rescan_reference(
+        lists, vectors, "a", threshold, lam, similarity=_left_fold_list_similarity
+    )
+    assert got == want
 
 
 def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider, monkeypatch):

@@ -157,10 +157,28 @@ def test_matches_brute_force_oracle_random(sentences, max_len):
     assert [(c.text, c.n, c.m) for c in got] == brute_candidates("宝马", sentences, cfg)
 
 
-@given(sentence_chunks)
-def test_bidirectional_property(sentences):
-    cfg = PipelineConfig(clue_words=("和", "比"))
-    got = extract_initial_candidates("宝马", sentences, cfg)
+# One word before and after the seed across one clue, each side one to
+# three times, so that the word's score n·m can clear tau.  The word is
+# mixed-script text, often of term characters only.
+_repeated_junctions = st.tuples(
+    st.one_of(
+        st.text(
+            alphabet=st.sampled_from([c for c in MIXED_ALPHABET if is_term_char_by_category(c)]),
+            min_size=1,
+            max_size=4,
+        ),
+        st.text(alphabet=st.sampled_from(MIXED_ALPHABET), min_size=1, max_size=4),
+    ),
+    st.sampled_from(["和", "比"]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+).map(lambda t: [t[0] + t[1] + "宝马"] * t[2] + ["宝马" + t[1] + t[0]] * t[3])
+
+
+@given(sentence_chunks, _repeated_junctions, st.integers(1, 3))
+def test_bidirectional_property(sentences, junctions, tau):
+    cfg = PipelineConfig(clue_words=("和", "比"), tau=tau)
+    got = extract_initial_candidates("宝马", sentences + junctions, cfg)
     assert len(got) <= cfg.top_n
     scores = [c.score for c in got]
     assert scores == sorted(scores, reverse=True)
