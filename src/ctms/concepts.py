@@ -36,13 +36,16 @@ class BackgroundCorpus:
     """Document-frequency statistics over the pages fetched in one run."""
 
     def __init__(self, documents: Iterable[tuple[str, str]]):
-        self._doc_freq: Counter[str] = Counter()
+        doc_freq: Counter[str] = Counter()
         self.size = 0
         for _doc_id, body in documents:
             self.size += 1
-            self._doc_freq.update(set(tokenize(body)))
+            doc_freq.update(set(tokenize(body)))
+        # A word's idf is fixed for the run, so each is computed once.
+        self._idf = {word: self._idf_of(df) for word, df in doc_freq.items()}
+        self._unseen_idf = self._idf_of(0)
 
-    def idf(self, word: str) -> float:
+    def _idf_of(self, df: int) -> float:
         """log(|B| / (df + 1)), clamped at zero.
 
         The +1 smoothing makes the ratio dip below 1 for ubiquitous words;
@@ -51,8 +54,12 @@ class BackgroundCorpus:
         """
         if self.size == 0:
             return 0.0
-        value = math.log(self.size / (self._doc_freq[word] + 1))
+        value = math.log(self.size / (df + 1))
         return value if value > 0.0 else 0.0
+
+    def idf(self, word: str) -> float:
+        """The idf of `word`; one not in any document has df 0."""
+        return self._idf.get(word, self._unseen_idf)
 
 
 @dataclass(frozen=True)

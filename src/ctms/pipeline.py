@@ -120,12 +120,9 @@ def _concept_report(
     weblists_by_id: dict[str, WebList],
     seed: str,
     cfg: PipelineConfig,
-    term_filter: frozenset[str] | None = None,
 ) -> ConceptReport:
     members = [weblists_by_id[i] for i in cluster.lists]
-    graph = build_relation_graph(
-        cluster, members, seed, cfg.affix_min_n, cfg.affix_max_n, term_filter
-    )
+    graph = build_relation_graph(cluster, members, seed, cfg.affix_min_n, cfg.affix_max_n)
     scores, converged = rwr_scores(graph, cfg)
     ranked = rank_terms(scores, seed)
     provenance: dict[str, list[str]] = {}
@@ -224,25 +221,24 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
         diagnostics["clusters_total"] = len(clusters)
         kept = filter_clusters(clusters, seed, len(weblists), cfg.min_support)
         diagnostics["clusters_kept"] = len(kept)
-        term_filter = None
     else:
-        all_ids = tuple(sorted(weblists_by_id))
-        member_terms = frozenset(t for wl in weblists for t in wl.terms)
-        pseudo = ConceptCluster(
-            id=all_ids[0],
-            lists=all_ids,
-            member_terms=member_terms,
-            contains_seed=seed in member_terms,
-        )
-        kept = [pseudo] if pseudo.contains_seed else []
-        diagnostics["clusters_total"] = 1
-        diagnostics["clusters_kept"] = len(kept)
-        # Same support idea as the cluster filter, applied per term.
+        # One pseudo-concept of all lists.  The cluster filter's support
+        # idea applies per term: its terms are those in enough lists, and
+        # the seed.
         support: Counter[str] = Counter()
         for wl in weblists:
             support.update(set(wl.terms))
         floor = support_floor(cfg.min_support, len(weblists))
-        term_filter = frozenset(t for t, c in support.items() if c >= floor)
+        all_ids = tuple(sorted(weblists_by_id))
+        pseudo = ConceptCluster(
+            id=all_ids[0],
+            lists=all_ids,
+            member_terms=frozenset(t for t, c in support.items() if c >= floor or t == seed),
+            contains_seed=seed in support,
+        )
+        kept = [pseudo] if pseudo.contains_seed else []
+        diagnostics["clusters_total"] = 1
+        diagnostics["clusters_kept"] = len(kept)
 
     if not kept:
         notes.append("no concept found: all clusters filtered out")
@@ -250,9 +246,7 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
 
     # Stage 4: rank each concept.
     for cluster in kept:
-        report.concepts.append(
-            _concept_report(cluster, weblists_by_id, seed, cfg, term_filter)
-        )
+        report.concepts.append(_concept_report(cluster, weblists_by_id, seed, cfg))
     return report
 
 

@@ -63,19 +63,15 @@ def build_relation_graph(
     seed: str,
     n_min: int = 1,
     n_max: int = 3,
-    term_filter: frozenset[str] | None = None,
 ) -> RelationGraph:
     """Tripartite relation graph for one concept.
 
-    `weblists` are the cluster's member lists.  `term_filter`, when given,
-    restricts the term vertices (used by the no-disambiguation variant's
-    support filter); the seed is always retained.
+    `weblists` are the cluster's member lists.  The term vertices are the
+    cluster's `member_terms`; a list's other terms get no vertex.
     """
     if seed not in cluster.member_terms:
         raise ValueError("cluster must contain the seed term")
     terms = sorted(cluster.member_terms)
-    if term_filter is not None:
-        terms = [t for t in terms if t in term_filter or t == seed]
 
     affixes = extract_affixes(terms, n_min, n_max)
     affix_names = sorted({a for grams in affixes.values() for a in grams})

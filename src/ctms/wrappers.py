@@ -7,12 +7,14 @@ and generalize only within the page's own template.
 
 Learning, per tag-path group of seed occurrences:
 
-  1. Each occurrence has a left window (the ``MAX_CONTEXT_LEN``
-     characters before it, read outwards) and a right window (the
-     characters after it).  A shared context is a non-empty window prefix
-     that occurrences of two *different* seeds have in common.  One walk
-     of a side's windows as a compressed trie (`_shared_contexts`) finds
-     all of them; no two occurrences are compared directly.
+  1. Each occurrence has a right window (the ``MAX_CONTEXT_LEN``
+     characters after it) and a left window (those before it, read
+     outwards: a right window of the reversed page, so one routine,
+     `_side_levels`, serves both sides).  A shared context is a non-empty
+     window prefix that occurrences of two *different* seeds have in
+     common.  One walk of a side's windows as a compressed trie
+     (`_shared_contexts`) finds all of them; no two occurrences are
+     compared directly.
   2. The shared contexts are collapsed into "levels": distinct sets of
      match positions on the page, each represented by its longest string.
      Shorter contexts match more positions, which is what lets a wrapper
@@ -37,9 +39,9 @@ markup, trims to a non-empty string of at most ``MAX_TERM_LEN``
 characters, and starts and ends on the wrapper's path.  Extraction finds
 every position of its wrappers' context strings with one C-level scan per
 distinct pattern (`MultiMatcher.positions`, built on `text.find_all`) and
-applies the span rule per wrapper.  Learning scans the page only for its
-one-character contexts: the shared contexts of a side are closed under
-shortening towards the occurrence, so every longer context keeps those
+applies the span rule per wrapper.  Learning scans the page (for left
+contexts, the reversed page) only for one-character contexts: a side's
+shared contexts are window prefixes, so every longer one keeps those
 matches of its one-character-shorter parent that extend to it.
 """
 
@@ -49,7 +51,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from os.path import commonprefix
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import PipelineConfig
 from .dom import TEXTUAL_TAGS, DomTree
@@ -145,7 +147,7 @@ def _shared_contexts(windows: Iterable[tuple[str, str]]) -> set[str]:
 
 
 def _context_starts(src: str, contexts: set[str]) -> dict[str, list[int]]:
-    """Ascending match starts of right contexts closed under dropping their last character.
+    """Ascending match starts of contexts closed under dropping their last character.
 
     Only one-character contexts are searched for; a longer one keeps the
     matches of its one-character-shorter parent that extend to it.
@@ -159,21 +161,6 @@ def _context_starts(src: str, contexts: set[str]) -> dict[str, list[int]]:
     return starts
 
 
-def _context_ends(src: str, contexts: set[str]) -> dict[str, list[int]]:
-    """Ascending match ends of left contexts closed under dropping their first character.
-
-    The mirror of `_context_starts`: a longer context keeps the ends of its
-    one-character-shorter parent that it also ends at.
-    """
-    ends: dict[str, list[int]] = {}
-    for s in sorted(contexts, key=len):
-        if len(s) == 1:
-            ends[s] = [p + 1 for p in find_all(src, s)]
-        else:
-            ends[s] = [e for e in ends[s[1:]] if src.endswith(s, 0, e)]
-    return ends
-
-
 def _or_bits(bits: dict[int, int], positions: Iterable[int]) -> int:
     """The OR of the bits of `positions`; 0 for positions without any."""
     mask = 0
@@ -182,18 +169,42 @@ def _or_bits(bits: dict[int, int], positions: Iterable[int]) -> int:
     return mask
 
 
-def _levels(
-    contexts: set[str], positions_of: dict[str, list[int]]
-) -> list[tuple[str, tuple[int, ...]]]:
-    """Collapse contexts into (longest string, match positions) levels.
+class _Level(NamedTuple):
+    """One side's level of a tag-path group, in page coordinates."""
 
-    No tie-break is needed: two contexts of one length that match at the
-    same positions are the same string.
+    context: str
+    positions: tuple[int, ...]  # ascending; where spans start (left side) or end (right)
+    occs: set[int]  # the group's occurrences it brackets, by index
+    punct: bool  # is_punct_text(context), fixed per level
+
+
+def _side_levels(
+    text: str, anchors: Sequence[tuple[str, int]], mirrored: bool
+) -> list[_Level]:
+    """One side's levels, from each occurrence's (term, window start in `text`).
+
+    `text` is the page, or for the left side the reversed page: there a
+    match start q is the page position ``len(text) - q`` and a context is
+    read back to front.
     """
+    shared = _shared_contexts((term, text[a : a + MAX_CONTEXT_LEN]) for term, a in anchors)
+    starts_of = _context_starts(text, shared)
+    # A level is a distinct set of match starts, named by its longest
+    # context; no tie-break is needed, as two contexts of one length with
+    # the same starts are the same string.
     best: dict[tuple[int, ...], str] = {}
-    for s in sorted(contexts, key=len, reverse=True):
-        best.setdefault(tuple(positions_of[s]), s)
-    return sorted((s, pos) for pos, s in best.items())
+    for s in sorted(shared, key=len, reverse=True):
+        best.setdefault(tuple(starts_of[s]), s)
+    at_anchor: dict[int, list[int]] = defaultdict(list)
+    for i, (_, a) in enumerate(anchors):
+        at_anchor[a].append(i)
+    levels = []
+    for starts, s in sorted(best.items()):
+        occs = {i for q in starts for i in at_anchor.get(q, ())}
+        if mirrored:
+            s, starts = s[::-1], tuple(len(text) - q for q in reversed(starts))
+        levels.append(_Level(s, starts, occs, is_punct_text(s)))
+    return levels
 
 
 def _extends(a: Wrapper, b: Wrapper) -> bool:
@@ -247,7 +258,7 @@ def learn_wrappers(
     if not occs:
         return []
 
-    src = tree.source
+    src, mirror = tree.source, None
     groups: dict[str, list] = defaultdict(list)
     for occ in occs:
         groups[occ.path].append(occ)
@@ -258,67 +269,51 @@ def learn_wrappers(
         if len({o.term for o in group}) < cfg.min_distinct_seeds:
             continue
 
-        left_shared = {
-            s[::-1]
-            for s in _shared_contexts(
-                (o.term, src[max(0, o.pos - MAX_CONTEXT_LEN) : o.pos][::-1]) for o in group
-            )
-        }
-        right_shared = _shared_contexts(
-            (o.term, src[o.pos + len(o.term) : o.pos + len(o.term) + MAX_CONTEXT_LEN])
-            for o in group
+        if mirror is None:  # the reversed page, built once and only when needed
+            mirror = src[::-1]
+        sides = (
+            _side_levels(mirror, [(o.term, len(src) - o.pos) for o in group], mirrored=True),
+            _side_levels(src, [(o.term, o.pos + len(o.term)) for o in group], mirrored=False),
         )
-        if not left_shared or not right_shared:
+        if not all(sides):
             continue
-        # Left levels key on where the bracketed span would start.
-        l_levels = _levels(left_shared, _context_ends(src, left_shared))
-        r_levels = _levels(right_shared, _context_starts(src, right_shared))
-
-        # The occurrences each level brackets, by index into the group.
-        at_start: dict[int, list[int]] = defaultdict(list)
-        at_end: dict[int, list[int]] = defaultdict(list)
-        for i, o in enumerate(group):
-            at_start[o.pos].append(i)
-            at_end[o.pos + len(o.term)].append(i)
-        l_occs = [{i for e in ends for i in at_start.get(e, ())} for _, ends in l_levels]
-        r_occs = [{i for s in starts for i in at_end.get(s, ())} for _, starts in r_levels]
-
-        # A level's string is fixed, so is its punctuation flag.
-        l_punct = [is_punct_text(left) for left, _ in l_levels]
-        r_punct = [is_punct_text(right) for right, _ in r_levels]
 
         gated: list[tuple[Wrapper, int, int]] = []
-        for li, ((left, _), l_occ) in enumerate(zip(l_levels, l_occs)):
-            for ri, ((right, _), r_occ) in enumerate(zip(r_levels, r_occs)):
+        for li, left in enumerate(sides[0]):
+            for ri, right in enumerate(sides[1]):
                 # Cheap gate: the candidate must bracket enough distinct
                 # seeds before we bother computing its full span set.
-                if len({group[i].term for i in l_occ & r_occ}) < cfg.min_distinct_seeds:
+                terms = {group[i].term for i in left.occs & right.occs}
+                if len(terms) < cfg.min_distinct_seeds:
                     continue
-                if _passes_rules(left, right, l_punct[li], r_punct[ri], path, cfg.kappa):
-                    gated.append((Wrapper(left, right, path), li, ri))
+                if _passes_rules(
+                    left.context, right.context, left.punct, right.punct, path, cfg.kappa
+                ):
+                    gated.append((Wrapper(left.context, right.context, path), li, ri))
         if not gated:
             continue
 
-        # One span-rule pass over every level's ends and starts.  Span k is
-        # bit k; a level's mask is the OR of its positions' bits, so a
-        # candidate's span set is its two masks ANDed.
-        all_ends = sorted({e for _, ends in l_levels for e in ends})
-        all_starts = sorted({s for _, starts in r_levels for s in starts})
-        end_bits: dict[int, int] = defaultdict(int)
-        start_bits: dict[int, int] = defaultdict(int)
-        for k, (e, s) in enumerate(spans_on_path(tree, all_ends, all_starts, path)):
-            end_bits[e] |= 1 << k
-            start_bits[s] |= 1 << k
-        l_mask = [_or_bits(end_bits, ends) for _, ends in l_levels]
-        r_mask = [_or_bits(start_bits, starts) for _, starts in r_levels]
+        # One span-rule pass over every level's positions.  Span k is bit
+        # k; a level's mask is the OR of the bits at its positions (a
+        # span's first item on the left side, its second on the right), so
+        # a candidate's span set is its two masks ANDed.
+        spans = spans_on_path(
+            tree, *(sorted({p for lv in side for p in lv.positions}) for side in sides), path
+        )
+        masks = []
+        for item, side in enumerate(sides):
+            bits: dict[int, int] = defaultdict(int)
+            for k, span in enumerate(spans):
+                bits[span[item]] |= 1 << k
+            masks.append([_or_bits(bits, lv.positions) for lv in side])
 
         # Dominance: among wrappers matching identical span sets, drop any
         # whose contexts another one strictly extends.
         by_spans: dict[int, list[Wrapper]] = defaultdict(list)
         for wrapper, li, ri in gated:
-            spans = l_mask[li] & r_mask[ri]
-            if spans:
-                by_spans[spans].append(wrapper)
+            span_set = masks[0][li] & masks[1][ri]
+            if span_set:
+                by_spans[span_set].append(wrapper)
         for group_wrappers in by_spans.values():
             for w in group_wrappers:
                 if not any(_extends(other, w) for other in group_wrappers):

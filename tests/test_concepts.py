@@ -226,14 +226,22 @@ def test_cluster_determinism_under_shuffle():
 
 
 def rescan_reference(
-    weblists, vectors, seed, threshold=0.65, lam=0.5, similarity=list_similarity
+    weblists,
+    vectors,
+    seed,
+    threshold=0.65,
+    lam=0.5,
+    similarity=list_similarity,
+    merge_scores=None,
 ):
     """Brute-force average linkage: rescan every cluster pair on every merge.
 
     The plain algorithm `cluster_weblists` must reproduce, with its sums
     written as left folds (as `cluster_weblists` sums) so the reference
     does not depend on how a Python version's `sum` rounds.  `similarity`
-    scores one list pair, the smaller id first.
+    scores one list pair, the smaller id first.  When `merge_scores` is a
+    list, each step's (best linkage, smaller size of its two clusters) is
+    appended to it.
     """
     by_id = {wl.id: wl for wl in weblists}
     ids = sorted(by_id)
@@ -257,6 +265,9 @@ def rescan_reference(
                 key = (clusters[i][0], clusters[j][0])
                 if score > best_score or (score == best_score and key < best_key):
                     best_score, best_key, best_pair = score, key, (i, j)
+        if merge_scores is not None:
+            i, j = best_pair
+            merge_scores.append((best_score, min(len(clusters[i]), len(clusters[j]))))
         if best_score < threshold:
             break
         i, j = best_pair
@@ -350,6 +361,35 @@ def test_clustering_matches_rescan_oracle_uneven_weights(specs, rng, threshold, 
         lists, vectors, "a", threshold, lam, similarity=_left_fold_list_similarity
     )
     assert got == want
+
+
+@settings(max_examples=400)
+@given(
+    _uneven_weblist_specs,
+    st.randoms(use_true_random=False),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_clustering_matches_rescan_oracle_at_linkage_thresholds(specs, rng, lam):
+    # Each threshold is the linkage of one merge of the full schedule,
+    # between two clusters of several lists where there are such merges.
+    # Only such a linkage sums its pairs in an order that matters, so one
+    # summed in another order than the rescan's (the smaller id's members
+    # in the outer loop) is off in its last bits and stops the merges.
+    names = rng.sample([f"{c}{k}" for c in "pqrs" for k in range(1, 12)], len(specs))
+    lists = [make_weblist(wid, terms) for wid, (terms, _w) in zip(names, specs)]
+    vectors = {wid: ContextVector(w) for wid, (_t, w) in zip(names, specs)}
+    merges = []
+    rescan_reference(
+        lists, vectors, "a", -1.0, lam, _left_fold_list_similarity, merge_scores=merges
+    )
+    linkages = {score for score, size in merges if size >= 2} or {s for s, _ in merges}
+    for threshold in sorted(linkages):
+        rng.shuffle(lists)
+        got = cluster_weblists(lists, vectors, "a", threshold, lam)
+        want = rescan_reference(
+            lists, vectors, "a", threshold, lam, similarity=_left_fold_list_similarity
+        )
+        assert got == want, threshold
 
 
 def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider, monkeypatch):

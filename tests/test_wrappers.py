@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 
 from ctms.config import PipelineConfig
 from ctms.dom import DomTree, parse_html
-from ctms.text import find_all
+from ctms.text import find_all, is_punct_text
 from ctms.wrappers import (
     MAX_CONTEXT_LEN,
     MAX_TERM_LEN,
     MultiMatcher,
     Wrapper,
-    _context_ends,
     _context_starts,
     _shared_contexts,
+    _side_levels,
     extract_spans,
     is_valid_wrapper,
     learn_wrappers,
@@ -478,20 +478,61 @@ def context_cases(draw):
 @given(context_cases())
 def test_parent_filtered_positions_equal_full_scans(case):
     src, cuts = case
+    n, mirror = len(src), src[::-1]
     right = _shared_contexts((term, src[p : p + MAX_CONTEXT_LEN]) for term, p in cuts)
-    left = {
-        s[::-1]
-        for s in _shared_contexts(
-            (term, src[max(0, p - MAX_CONTEXT_LEN) : p][::-1]) for term, p in cuts
-        )
-    }
+    # Left contexts are right contexts of the reversed page: the left
+    # window read outwards starts there at n - p.
+    windows = [(term, mirror[n - p : n - p + MAX_CONTEXT_LEN]) for term, p in cuts]
+    assert [w for _, w in windows] == [src[max(0, p - MAX_CONTEXT_LEN) : p][::-1] for _, p in cuts]
+    left = _shared_contexts(windows)
     starts = _context_starts(src, right)
-    ends = _context_ends(src, left)
-    assert set(starts) == right and set(ends) == left
+    mirrored = _context_starts(mirror, left)
+    assert set(starts) == right and set(mirrored) == left
     for s in right:
         assert starts[s] == find_all(src, s)
-    for s in left:
-        assert ends[s] == [p + len(s) for p in find_all(src, s)]
+    for t in left:
+        # A mirrored start q is the page position n - q where the left
+        # context t[::-1] ends.
+        s = t[::-1]
+        assert [n - q for q in reversed(mirrored[t])] == [p + len(s) for p in find_all(src, s)]
+
+
+def levels_from_page(src: str, cuts: list[tuple[str, int]], left: bool) -> list[tuple]:
+    """One side's levels built on the page itself, without the reversed page.
+
+    A cut (term, p) is an occurrence boundary: its left window ends at p
+    (read outwards), its right window starts at p.  A level's positions
+    are where its context ends (left) or starts (right).
+    """
+    if left:
+        windows = [(t, src[max(0, p - MAX_CONTEXT_LEN) : p][::-1]) for t, p in cuts]
+        contexts = {w[::-1] for w in _shared_contexts(windows)}
+    else:
+        contexts = _shared_contexts((t, src[p : p + MAX_CONTEXT_LEN]) for t, p in cuts)
+    best: dict[tuple[int, ...], str] = {}
+    for s in sorted(contexts, key=len, reverse=True):
+        found = find_all(src, s)
+        best.setdefault(tuple(q + len(s) for q in found) if left else tuple(found), s)
+    return sorted(
+        (positions, s, {i for i, (_, p) in enumerate(cuts) if p in positions}, is_punct_text(s))
+        for positions, s in best.items()
+    )
+
+
+@settings(max_examples=300)
+@given(context_cases())
+def test_side_levels_equal_levels_built_on_the_page(case):
+    src, cuts = case
+    n = len(src)
+    for left, text, anchors in (
+        (True, src[::-1], [(t, n - p) for t, p in cuts]),
+        (False, src, cuts),
+    ):
+        got = sorted(
+            (lv.positions, lv.context, lv.occs, lv.punct)
+            for lv in _side_levels(text, anchors, mirrored=left)
+        )
+        assert got == levels_from_page(src, cuts, left)
 
 
 # Criterion 2's pages, seeds and seed order (tests/test_acceptance.py).
