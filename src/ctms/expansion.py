@@ -6,7 +6,7 @@ pages.  Wrapper learning on every retrieved page still uses the *whole*
 extended seed set, so a page need only mention any two of the known terms
 with a shared template for its lists to be harvested.
 
-Each wrapper's extraction on its page becomes one WebList, carrying a
+Each learned wrapper's spans on its page become one WebList, carrying a
 window of the rendered text around the list for the later concept stage.
 Pages are processed once even when several queries return them, and the
 result is sorted by list id so downstream stages see a stable order.
@@ -20,7 +20,10 @@ from dataclasses import dataclass
 from .config import PipelineConfig
 from .corpus import SearchProvider, TransientSearchError
 from .dom import DomTree, parse_html
-from .wrappers import Wrapper, extract_spans, learn_wrappers
+from .wrappers import Wrapper, learn_spans
+
+# Unused here; perfbench's tracer reads and rebinds both names on this module.
+from .wrappers import extract_spans, learn_wrappers  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -84,16 +87,10 @@ def _context_window(tree: DomTree, first_start: int, last_end: int, window: int)
 def harvest_page(
     url: str, tree: DomTree, extended: ExtendedSeedSet, cfg: PipelineConfig
 ) -> tuple[list[WebList], int]:
-    """Learn wrappers on one page and turn their extractions into WebLists."""
-    wrappers = learn_wrappers(extended.terms, tree, cfg)
-    if not wrappers:
-        return [], 0
-    spans_by_wrapper = extract_spans(tree, wrappers)
+    """Learn wrappers on one page and turn their spans into WebLists."""
+    spans_by_wrapper = learn_spans(extended.terms, tree, cfg)
     lists: list[WebList] = []
-    for wrapper in wrappers:
-        spans = spans_by_wrapper.get(wrapper, [])
-        if not spans:
-            continue
+    for wrapper, spans in spans_by_wrapper.items():
         stripped = (tree.source[a:b].strip() for a, b in spans)
         terms = [term for term in dict.fromkeys(stripped) if term]
         if len(terms) < 2:
@@ -108,7 +105,7 @@ def harvest_page(
                 context=context,
             )
         )
-    return lists, len(wrappers)
+    return lists, len(spans_by_wrapper)
 
 
 def expand(

@@ -36,13 +36,19 @@ Learning, per tag-path group of seed occurrences:
 A span, by the span rule `spans_on_path`, runs from the end of a
 left-context match to the start of a right-context match, contains no
 markup, trims to a non-empty string of at most ``MAX_TERM_LEN``
-characters, and starts and ends on the wrapper's path.  Extraction finds
-every position of its wrappers' context strings with one C-level scan per
-distinct pattern (`MultiMatcher.positions`, built on `text.find_all`) and
-applies the span rule per wrapper.  Learning scans the page (for left
-contexts, the reversed page) only for one-character contexts: a side's
-shared contexts are window prefixes, so every longer one keeps those
-matches of its one-character-shorter parent that extend to it.
+characters, and starts and ends on the wrapper's path.  Learning scans
+the page (for left contexts, the reversed page) only for one-character
+contexts: a side's shared contexts are window prefixes, so every longer
+one keeps those matches of its one-character-shorter parent that extend
+to it.  `learn_spans` hands each kept wrapper's span set over decoded,
+so mining never searches the page again to apply a wrapper.
+
+Extraction (`extract_spans`) is the independent check on those spans,
+not part of mining: it finds every position of its wrappers' context
+strings with one C-level scan per distinct pattern
+(`MultiMatcher.positions`, built on `text.find_all`) and applies the span
+rule per wrapper.  By the restriction argument above, it returns exactly
+the spans learning does for every learned wrapper.
 """
 
 from __future__ import annotations
@@ -242,28 +248,30 @@ def spans_on_path(
     return spans
 
 
-def learn_wrappers(
+def learn_spans(
     seeds: Iterable[str], tree: DomTree, cfg: PipelineConfig | None = None
-) -> list[Wrapper]:
+) -> dict[Wrapper, list[tuple[int, int]]]:
     """Learn wrappers bracketing occurrences of the seed set on one page.
 
-    Returns a deterministic sorted list; empty when fewer than
+    Maps each kept wrapper, in sorted order, to its spans on the page in
+    document order (what `extract_spans` finds for it); wrappers with the
+    same span set share one list.  Empty when fewer than
     `min_distinct_seeds` different seeds occur with a shared tag path.
     """
     cfg = cfg or PipelineConfig()
     seed_list = sorted({s for s in seeds if s})
     if len(seed_list) < cfg.min_distinct_seeds:
-        return []
+        return {}
     occs = [o for o in tree.find_occurrences(seed_list) if not o.in_raw]
     if not occs:
-        return []
+        return {}
 
     src, mirror = tree.source, None
     groups: dict[str, list] = defaultdict(list)
     for occ in occs:
         groups[occ.path].append(occ)
 
-    kept: list[Wrapper] = []
+    kept: dict[Wrapper, list[tuple[int, int]]] = {}
     for path in sorted(groups):
         group = groups[path]
         if len({o.term for o in group}) < cfg.min_distinct_seeds:
@@ -314,12 +322,21 @@ def learn_wrappers(
             span_set = masks[0][li] & masks[1][ri]
             if span_set:
                 by_spans[span_set].append(wrapper)
-        for group_wrappers in by_spans.values():
+        for span_set, group_wrappers in by_spans.items():
+            # Bit k set <=> span k; the reversed binary string has bit k at index k.
+            decoded = [spans[k] for k in find_all(bin(span_set)[:1:-1], "1")]
             for w in group_wrappers:
                 if not any(_extends(other, w) for other in group_wrappers):
-                    kept.append(w)
+                    kept[w] = decoded
 
-    return sorted(set(kept))
+    return {w: kept[w] for w in sorted(kept)}
+
+
+def learn_wrappers(
+    seeds: Iterable[str], tree: DomTree, cfg: PipelineConfig | None = None
+) -> list[Wrapper]:
+    """The wrappers of `learn_spans`, as a deterministic sorted list."""
+    return list(learn_spans(seeds, tree, cfg))
 
 
 def extract_spans(
@@ -330,7 +347,8 @@ def extract_spans(
     One C-level scan per distinct context string finds its positions; each
     wrapper's spans are then those the span rule `spans_on_path` admits
     between its left-context ends and right-context starts, in document
-    order.
+    order.  Mining takes its spans from `learn_spans` instead; this is the
+    independent check that they are the wrappers' spans on the page.
     """
     wrapper_list = sorted(set(wrappers))
     if not wrapper_list:

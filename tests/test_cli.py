@@ -190,6 +190,25 @@ def test_miniweb_outputs_keep_their_digests(case, miniweb_path, tmp_path, monkey
     assert hashlib.sha256((tmp_path / hashed).read_bytes()).hexdigest() == digest
 
 
+def test_mining_never_runs_extraction(miniweb_path, tmp_path, monkeypatch):
+    # Learning hands over each wrapper's spans; extraction is only the
+    # tests' independent check on them.
+    import ctms.expansion
+    import ctms.wrappers
+    from ctms import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract_spans called while mining")
+
+    monkeypatch.setattr(ctms.expansion, "extract_spans", refuse)
+    monkeypatch.setattr(ctms.wrappers, "extract_spans", refuse)
+    monkeypatch.chdir(tmp_path)
+    hashed, flags, digest = MINIWEB_DIGESTS["report"]
+    code = cli.main(["mine", "华盛顿", "--corpus", str(miniweb_path), "--out", hashed, *flags])
+    assert code == 0
+    assert hashlib.sha256((tmp_path / hashed).read_bytes()).hexdigest() == digest
+
+
 def test_eval_prints_metric_table(mined_report, miniweb_path):
     proc = run_cli(
         "eval", "--report", str(mined_report),

@@ -22,6 +22,7 @@ from ctms.wrappers import (
     _side_levels,
     extract_spans,
     is_valid_wrapper,
+    learn_spans,
     learn_wrappers,
     spans_on_path,
 )
@@ -402,6 +403,7 @@ def test_learning_matches_all_pairs_reference(case):
     seeds, html, cfg = case
     tree = parse_html(html)
     assert learn_wrappers(seeds, tree, cfg) == reference_learn(seeds, tree, cfg)
+    assert learn_spans(seeds, tree, cfg) == extract_spans(tree, learn_wrappers(seeds, tree, cfg))
 
 
 def test_learning_matches_all_pairs_reference_on_synthetic_pages():
@@ -536,17 +538,57 @@ def test_side_levels_equal_levels_built_on_the_page(case):
 
 
 # Criterion 2's pages, seeds and seed order (tests/test_acceptance.py).
+CRITERION_2_SEEDS = ["华盛顿", "林肯", "杰斐逊", "罗斯福", "纽约"]
 CRITERION_2_WRAPPERS = 9021
 CRITERION_2_DIGEST = "ffc084169a7eefe3b62baaccb9e5084f0752b3790e129b08abdf0aa48216acdb"
 
 
-def test_learned_wrappers_on_criterion_2_pages_are_pinned():
+def criterion_2_trees() -> list[DomTree]:
     rng = random.Random(0x5EED)
-    seeds = ["华盛顿", "林肯", "杰斐逊", "罗斯福", "纽约"]
-    learned = [learn_wrappers(seeds, parse_html(criterion_2_page(rng, seeds))) for _ in range(50)]
+    return [parse_html(criterion_2_page(rng, CRITERION_2_SEEDS)) for _ in range(50)]
+
+
+def test_learned_wrappers_on_criterion_2_pages_are_pinned():
+    seeds = CRITERION_2_SEEDS
+    learned = [learn_wrappers(seeds, tree) for tree in criterion_2_trees()]
     payload = json.dumps(
         [[[w.left, w.right, w.path] for w in wrappers] for wrappers in learned],
         ensure_ascii=False,
     )
     assert sum(map(len, learned)) == CRITERION_2_WRAPPERS
     assert hashlib.sha256(payload.encode("utf-8")).hexdigest() == CRITERION_2_DIGEST
+
+
+# --- learning's spans --------------------------------------------------------
+#
+# Mining takes each wrapper's spans from `learn_spans` (its span-set bits)
+# and never runs extraction; extraction is the independent check.
+
+
+def test_learned_spans_equal_extraction_on_criterion_2_pages():
+    seeds = CRITERION_2_SEEDS
+    for tree in criterion_2_trees():
+        got = learn_spans(seeds, tree)
+        assert got == extract_spans(tree, learn_wrappers(seeds, tree))
+        assert all(got.values())
+
+
+def test_learned_spans_equal_extraction_on_miniweb_pages(miniweb_provider, monkeypatch):
+    import ctms.expansion
+    import ctms.pipeline
+
+    calls = []
+
+    def spy(seeds, tree, cfg):
+        calls.append((seeds, tree, cfg))
+        return learn_spans(seeds, tree, cfg)
+
+    monkeypatch.setattr(ctms.expansion, "learn_spans", spy)
+    ctms.pipeline.mine("华盛顿", PipelineConfig(), miniweb_provider)
+    assert len(calls) == 24  # every page of the fixture
+    learned = 0
+    for seeds, tree, cfg in calls:
+        got = learn_spans(seeds, tree, cfg)
+        assert got == extract_spans(tree, learn_wrappers(seeds, tree, cfg))
+        learned += len(got)
+    assert learned == 52
