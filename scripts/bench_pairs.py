@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs: a base git ref against the working tree.
+
+Extracts the base ref with ``git archive`` into a temporary directory
+outside the repository, then runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+
+in that tree and in the working tree, one pair at a time, switching which
+side runs first in each pair so that drift of the host's speed falls on
+both sides alike.  Every run's metrics, ``correct`` and ``failed`` go to
+the ``--out`` JSON, with each side's median and interquartile range per
+metric and the number of pairs the working tree won.  Exits 1 if any run
+was not ``correct``.
+
+    python3 scripts/bench_pairs.py --workload dense_pages --pairs 5 --out BENCH.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("base", "change")
+
+
+def better_directions(benchmark: Path) -> dict[str, str]:
+    """Metric name -> "lower" or "higher", from a BENCHMARK.json."""
+    spec = json.loads(benchmark.read_text(encoding="utf-8"))
+    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+
+
+def _quartile_spread(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Per-side medians and IQRs, and pairs won by the change, per metric.
+
+    `runs` holds one record per run: ``pair``, ``side`` ("base" or
+    "change"), ``correct`` and ``metrics`` (name -> value).  A metric
+    named ``workload.name`` takes the direction of ``name``; one not in
+    `better` counts lower as better.  A pair is won when the change's
+    value is strictly better than the base's.
+    """
+    values: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
+    by_pair: dict[int, dict[str, dict]] = {}
+    for run in runs:
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
+        for name, value in run["metrics"].items():
+            values[run["side"]].setdefault(name, []).append(value)
+    metrics = {}
+    for name in sorted(set(values["base"]) | set(values["change"])):
+        higher = better.get(name.rsplit(".", 1)[-1], "lower") == "higher"
+        won = compared = 0
+        for sides in by_pair.values():
+            if all(name in sides.get(side, {}) for side in SIDES):
+                compared += 1
+                base, change = sides["base"][name], sides["change"][name]
+                won += change > base if higher else change < base
+        entry: dict = {"better": "higher" if higher else "lower", "pairs": compared, "pairs_won": won}
+        for side in SIDES:
+            side_values = values[side].get(name, [])
+            entry[side] = {
+                "median": statistics.median(side_values) if side_values else None,
+                "iqr": _quartile_spread(side_values),
+                "runs": len(side_values),
+            }
+        metrics[name] = entry
+    return {"correct": all(run["correct"] for run in runs), "metrics": metrics}
+
+
+def _number(value: float | None) -> str:
+    return "-" if value is None else f"{value:.4g}"
+
+
+def extract_ref(ref: str, dest: Path) -> str:
+    """Write the tree of `ref` into `dest`; return its commit id."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{ref}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    archive = subprocess.Popen(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                               stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise RuntimeError(f"git archive {ref} failed")
+    return commit
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One perfbench run in `tree`; its summary line, or a failed record."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    try:
+        summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        summary = None
+    if proc.returncode != 0 or summary is None:
+        return {"correct": False, "failed": None, "attempted": None, "metrics": {},
+                "error": proc.stderr.strip()[-2000:]}
+    return {
+        "correct": bool(summary["correct"]),
+        "failed": summary["failed"],
+        "attempted": summary["attempted"],
+        "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="git ref to compare against (default HEAD)")
+    parser.add_argument("--workload", required=True, help="perfbench workload, or 'all'")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    out = args.out.resolve()
+
+    better = better_directions(ROOT / "BENCHMARK.json")
+    runs: list[dict] = []
+    base_dir = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    try:
+        base_commit = extract_ref(args.base, base_dir)
+        trees = {"base": base_dir, "change": ROOT}
+        for pair in range(args.pairs):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                run = run_once(trees[side], args.workload, args.seed, args.seconds)
+                runs.append({"pair": pair, "side": side, "position": position, **run})
+                shown = ", ".join(f"{k} {v:.4g}" for k, v in sorted(run["metrics"].items()))
+                print(f"pair {pair} {side:<6} correct={run['correct']} {shown}", flush=True)
+    finally:
+        shutil.rmtree(base_dir, ignore_errors=True)
+
+    summary = summarize(runs, better)
+    record = {
+        "command": ["python3", "perfbench/run.py", "--workload", args.workload,
+                    "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+        "base_ref": args.base,
+        "base_commit": base_commit,
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "runs": runs,
+        "summary": summary,
+    }
+    out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for name, m in summary["metrics"].items():
+        sides = "  ".join(
+            f"{side} {_number(m[side]['median'])} (IQR {m[side]['iqr']:.3g})" for side in SIDES
+        )
+        print(f"{name:<32} {sides}  won {m['pairs_won']}/{m['pairs']} ({m['better']} is better)")
+    return 0 if summary["correct"] else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,7 +9,8 @@ coverage of every category).  Cluster quality uses the purity family over
 the retained terms, i.e. result terms that exist somewhere in the gold.
 
 Matching is exact string equality after whitespace trim and Unicode NFC
-normalization.
+normalization; result terms that are equal after it count once, at their
+first occurrence.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ def interleave(lists: Sequence[Sequence[str]]) -> list[str]:
 
 
 def _norm_list(terms: Iterable[str]) -> list[str]:
-    return [nfc_trim(t) for t in terms]
+    """Terms after `nfc_trim`; like `interleave`, duplicates keep their first occurrence."""
+    return list(dict.fromkeys(nfc_trim(t) for t in terms))
 
 
 def precision_at_n(merged: Sequence[str], gold: Iterable[str], n: int) -> float:
@@ -90,7 +92,7 @@ def precision_at_n(merged: Sequence[str], gold: Iterable[str], n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     gold_set = {nfc_trim(t) for t in gold}
-    top = _norm_list(merged[:n])
+    top = _norm_list(merged)[:n]
     return sum(1 for t in top if t in gold_set) / n
 
 
@@ -110,7 +112,7 @@ def average_precision(ranked: Sequence[str], gold: Iterable[str]) -> float:
 
 def aap(results: ResultSet, gold: GoldAnswer) -> float:
     """Average of per-list best average precision, weighted by result-list size."""
-    lists = results.term_lists()
+    lists = [_norm_list(lst) for lst in results.term_lists()]
     sizes = [len(lst) for lst in lists]
     denominator = sum(sizes)
     if denominator == 0:

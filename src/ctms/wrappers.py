@@ -12,13 +12,17 @@ Learning, per tag-path group of seed occurrences:
      outwards: a right window of the reversed page, so one routine,
      `_side_levels`, serves both sides).  A shared context is a non-empty
      window prefix that occurrences of two *different* seeds have in
-     common.  One walk of a side's windows as a compressed trie
-     (`_shared_contexts`) finds all of them; no two occurrences are
+     common: a prefix on an edge of the windows' compressed trie below
+     which lie windows of two different seeds.  No two occurrences are
      compared directly.
   2. The shared contexts are collapsed into "levels": distinct sets of
      match positions on the page, each represented by its longest string.
      Shorter contexts match more positions, which is what lets a wrapper
      learned from two seeds bracket list items the seeds never mentioned.
+     Along one trie edge the match sets only shrink, so `_side_levels`
+     finds an edge's levels by bisecting its range of prefix lengths on
+     match counts, in one walk of the trie, without building every
+     shared context.
   3. Each (left level, right level) pair is a candidate wrapper.  It is
      kept if it passes the validity rules, brackets at least
      ``min_distinct_seeds`` different seeds, and no candidate with strictly
@@ -37,11 +41,12 @@ A span, by the span rule `spans_on_path`, runs from the end of a
 left-context match to the start of a right-context match, contains no
 markup, trims to a non-empty string of at most ``MAX_TERM_LEN``
 characters, and starts and ends on the wrapper's path.  Learning scans
-the page (for left contexts, the reversed page) only for one-character
-contexts: a side's shared contexts are window prefixes, so every longer
-one keeps those matches of its one-character-shorter parent that extend
-to it.  `learn_spans` hands each kept wrapper's span set over decoded,
-so mining never searches the page again to apply a wrapper.
+the page (for left contexts, the reversed page) only for the prefixes
+it probes on root edges of the trie: a deeper edge's prefixes extend its
+parent edge's longest one, so their matches are those of the parent's
+that extend to them.  `learn_spans` hands each kept wrapper's span set
+over decoded, so mining never searches the page again to apply a
+wrapper.
 
 Extraction (`extract_spans`) is the independent check on those spans,
 not part of mining: it finds every position of its wrappers' context
@@ -127,44 +132,12 @@ def _passes_rules(
     return tail in TEXTUAL_TAGS
 
 
-def _shared_contexts(windows: Iterable[tuple[str, str]]) -> set[str]:
-    """Every non-empty prefix that windows of two different terms share.
-
-    `windows` holds (term, window) pairs.  They are walked as a compressed
-    trie: a part of the windows adds the prefixes of its common prefix
-    that are longer than its parent's, when it holds at least two
-    different terms, and is then split on the next character.
-    """
-    shared: set[str] = set()
-    stack = [(0, list(windows))]
-    while stack:
-        depth, part = stack.pop()
-        if len({term for term, _ in part}) < 2:
-            continue
-        prefix = commonprefix([w for _, w in part])
-        n = len(prefix)
-        shared.update(prefix[:k] for k in range(depth + 1, n + 1))
-        children: dict[str, list[tuple[str, str]]] = defaultdict(list)
-        for term, w in part:
-            if len(w) > n:
-                children[w[n]].append((term, w))
-        stack.extend((n, child) for child in children.values())
-    return shared
-
-
-def _context_starts(src: str, contexts: set[str]) -> dict[str, list[int]]:
-    """Ascending match starts of contexts closed under dropping their last character.
-
-    Only one-character contexts are searched for; a longer one keeps the
-    matches of its one-character-shorter parent that extend to it.
-    """
-    starts: dict[str, list[int]] = {}
-    for s in sorted(contexts, key=len):
-        if len(s) == 1:
-            starts[s] = find_all(src, s)
-        else:
-            starts[s] = [q for q in starts[s[:-1]] if src.startswith(s, q)]
-    return starts
+def _starts(text: str, s: str, base: list[int] | None) -> list[int]:
+    """Ascending match starts of `s`: a page scan, or `base` (the starts
+    of a prefix of `s`) filtered to those that extend to `s`."""
+    if base is None:
+        return find_all(text, s)
+    return [q for q in base if text.startswith(s, q)]
 
 
 def _or_bits(bits: dict[int, int], positions: Iterable[int]) -> int:
@@ -192,24 +165,58 @@ def _side_levels(
     `text` is the page, or for the left side the reversed page: there a
     match start q is the page position ``len(text) - q`` and a context is
     read back to front.
+
+    The windows ``text[a : a + MAX_CONTEXT_LEN]`` are walked as a
+    compressed trie.  A part of the occurrences whose windows share a
+    common prefix of length n, split off from its parent at depth d, owns
+    the prefixes of lengths ``(d, n]``; it adds levels only when it holds
+    two different terms.  Along that edge the match sets shrink as the
+    prefix grows, so equal match counts mean equal sets, and the levels
+    are the maximal runs of lengths with one count: the edge's shortest
+    and longest prefixes are probed, and a range whose end counts differ
+    is bisected.  Each run is named by its longest prefix and brackets
+    exactly the part's occurrences.  A root edge (d = 0) probes by
+    scanning `text`; a deeper edge filters the starts of its parent's
+    longest prefix.  Runs of different edges never share a match set, as
+    a child part lacks some anchor of its parent.
     """
-    shared = _shared_contexts((term, text[a : a + MAX_CONTEXT_LEN]) for term, a in anchors)
-    starts_of = _context_starts(text, shared)
-    # A level is a distinct set of match starts, named by its longest
-    # context; no tie-break is needed, as two contexts of one length with
-    # the same starts are the same string.
-    best: dict[tuple[int, ...], str] = {}
-    for s in sorted(shared, key=len, reverse=True):
-        best.setdefault(tuple(starts_of[s]), s)
-    at_anchor: dict[int, list[int]] = defaultdict(list)
-    for i, (_, a) in enumerate(anchors):
-        at_anchor[a].append(i)
+    windows = [text[a : a + MAX_CONTEXT_LEN] for _, a in anchors]
+    found: list[tuple[list[int], str, set[int]]] = []
+    # (depth, the part's occurrence indices, starts of its depth-long prefix)
+    stack: list[tuple[int, Sequence[int], list[int] | None]] = [(0, range(len(anchors)), None)]
+    while stack:
+        depth, part, base = stack.pop()
+        if len({anchors[i][0] for i in part}) < 2:
+            continue
+        prefix = commonprefix([windows[i] for i in part])
+        n = len(prefix)
+        if n > depth:
+            probed = {k: _starts(text, prefix[:k], base) for k in (depth + 1, n)}
+            # Run ends: n, and every length whose successor matches fewer.
+            ends, ranges = [n], [(depth + 1, n)]
+            while ranges:
+                lo, hi = ranges.pop()
+                if len(probed[lo]) == len(probed[hi]):
+                    continue
+                if hi == lo + 1:
+                    ends.append(lo)
+                    continue
+                mid = (lo + hi) // 2
+                probed[mid] = _starts(text, prefix[:mid], base)
+                ranges += ((lo, mid), (mid, hi))
+            occs = set(part)
+            found.extend((probed[k], prefix[:k], occs) for k in ends)
+            base = probed[n]
+        children: dict[str, list[int]] = defaultdict(list)
+        for i in part:
+            if len(windows[i]) > n:
+                children[windows[i][n]].append(i)
+        stack.extend((n, child, base) for child in children.values())
     levels = []
-    for starts, s in sorted(best.items()):
-        occs = {i for q in starts for i in at_anchor.get(q, ())}
+    for starts, s, occs in sorted(found, key=lambda lv: lv[0]):
         if mirrored:
-            s, starts = s[::-1], tuple(len(text) - q for q in reversed(starts))
-        levels.append(_Level(s, starts, occs, is_punct_text(s)))
+            s, starts = s[::-1], [len(text) - q for q in reversed(starts)]
+        levels.append(_Level(s, tuple(starts), occs, is_punct_text(s)))
     return levels
 
 

@@ -1,4 +1,5 @@
 import json
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
@@ -233,6 +234,59 @@ def test_p_at_n_monotone_in_noise(n_noise):
     noisy = [f"noise{i}" for i in range(n_noise)] + base
     more_noisy = [f"noise{i}" for i in range(n_noise + 1)] + base
     assert precision_at_n(noisy, gold_terms, 5) >= precision_at_n(more_noisy, gold_terms, 5)
+
+
+# --- terms equal after normalisation ----------------------------------------
+#
+# "caf\u00e9" (NFC) and "cafe\u0301" (NFD) are one term after `nfc_trim`, as
+# are terms that differ only in edge whitespace; `interleave` keeps both
+# raw strings, so each metric must count the normalised term once.
+
+CAFE_NFC, CAFE_NFD = "caf\u00e9", "cafe\u0301"
+
+
+def test_average_precision_counts_a_normalised_term_once():
+    assert average_precision([CAFE_NFC, CAFE_NFD], [CAFE_NFC]) == 1.0
+    assert precision_at_n([CAFE_NFC, CAFE_NFD, " x"], {CAFE_NFC, "x"}, 2) == 1.0
+    assert precision_at_n([CAFE_NFC, CAFE_NFD], {CAFE_NFC}, 2) == 0.5
+
+
+def test_aap_and_iaap_count_a_normalised_term_once():
+    r, g = results([CAFE_NFC, CAFE_NFD]), gold([CAFE_NFC])
+    assert aap(r, g) == 1.0
+    assert iaap(r, g) == 1.0
+
+
+def test_cluster_quality_counts_a_normalised_term_once():
+    r, g = results([CAFE_NFC, CAFE_NFD, " " + CAFE_NFC]), gold([CAFE_NFC])
+    assert cluster_quality(r, g) == (1.0, 1.0, 1.0)
+
+
+BASE_TERMS = [CAFE_NFC, "a", "b", "\u00f1"]  # "ñ" has an NFD form too
+
+
+@st.composite
+def variant_term_lists(draw):
+    variant = st.sampled_from(BASE_TERMS).flatmap(
+        lambda t: st.sampled_from([t, unicodedata.normalize("NFD", t), f" {t}", f"{t}\n"])
+    )
+    return draw(st.lists(st.lists(variant, min_size=1, max_size=8), min_size=1, max_size=3))
+
+
+@given(variant_term_lists(), st.integers(1, 10))
+def test_metrics_stay_in_unit_interval_with_normalised_duplicates(term_lists, n):
+    g = gold([CAFE_NFC, "a"], ["b"])
+    r = results(*term_lists)
+    merged = interleave(r.term_lists())
+    values = [
+        precision_at_n(merged, g.union(), n),
+        average_precision(merged, g.union()),
+        aap(r, g),
+        iaap(r, g),
+        *cluster_quality(r, g),
+    ]
+    for value in values:
+        assert 0.0 <= value <= 1.0
 
 
 # --- gold file loading ------------------------------------------------------

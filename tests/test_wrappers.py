@@ -17,8 +17,6 @@ from ctms.wrappers import (
     MAX_TERM_LEN,
     MultiMatcher,
     Wrapper,
-    _context_starts,
-    _shared_contexts,
     _side_levels,
     extract_spans,
     is_valid_wrapper,
@@ -415,6 +413,7 @@ def test_learning_matches_all_pairs_reference_on_synthetic_pages():
 
 
 def _pairwise_truncations(windows: list[tuple[str, str]]) -> set[str]:
+    """Every non-empty common prefix of two windows of different terms."""
     out: set[str] = set()
     for i, (term_a, a) in enumerate(windows):
         for term_b, b in windows[i + 1 :]:
@@ -427,18 +426,50 @@ def _pairwise_truncations(windows: list[tuple[str, str]]) -> set[str]:
     return out
 
 
+def check_levels_are_the_truncations(text: str, anchors: list[tuple[str, int]], mirrored: bool):
+    """`_side_levels` against the pairwise truncations of its windows.
+
+    Every shared truncation's match set, found by scanning `text`, is
+    exactly one level's positions (mapped back by ``len(text) - q`` on the
+    mirrored side); that level's context is the longest truncation with
+    that set; and every level is one of these sets.  Returns the levels.
+    """
+    n = len(text)
+    levels = _side_levels(text, anchors, mirrored)
+    by_positions = {lv.positions: lv for lv in levels}
+    assert len(by_positions) == len(levels)
+    longest: dict[tuple[int, ...], str] = {}
+    for t in _pairwise_truncations([(term, text[a : a + MAX_CONTEXT_LEN]) for term, a in anchors]):
+        scan = find_all(text, t)
+        positions = tuple(n - q for q in reversed(scan)) if mirrored else tuple(scan)
+        assert positions in by_positions, t
+        longest[positions] = max(longest.get(positions, ""), t, key=len)
+    assert set(longest) == set(by_positions)
+    for positions, t in longest.items():
+        assert by_positions[positions].context == (t[::-1] if mirrored else t)
+    return levels
+
+
 @settings(max_examples=300)
 @given(st.lists(st.tuples(st.sampled_from("abcd"), st.text("xy", max_size=8)), max_size=10))
 def test_shared_contexts_are_the_pairwise_truncations(windows):
-    assert _shared_contexts(windows) == _pairwise_truncations(windows)
+    # Each window is followed by a character of its own, so the windows on
+    # the page share exactly the prefixes the drawn windows share.
+    text, anchors = "", []
+    for k, (term, w) in enumerate(windows):
+        anchors.append((term, len(text)))
+        text += w + chr(0x4E00 + k)
+    page_windows = [(term, text[a : a + MAX_CONTEXT_LEN]) for term, a in anchors]
+    assert _pairwise_truncations(page_windows) == _pairwise_truncations(windows)
+    check_levels_are_the_truncations(text, anchors, mirrored=False)
 
 
 # --- the learning loop's shortcuts ------------------------------------------
 #
 # Learning runs the span rule once per tag-path group and reads each
-# candidate's spans off that one result, and it finds a context's matches
-# by filtering its one-character-shorter parent's.  Both are exact; these
-# properties pin down why.
+# candidate's spans off that one result, and it probes a context's matches
+# only at the ends of trie edges, by filtering its parent edge's.  Both
+# are exact; these properties pin down why.
 
 # Whitespace runs, markup, and a piece longer than MAX_TERM_LEN.
 SPAN_TOKENS = ["甲", "ab", " ", "\n\t  ", "<b>", "</b>", "<i>", "</i>", "、", "x" * (MAX_TERM_LEN + 3)]
@@ -481,22 +512,17 @@ def context_cases(draw):
 def test_parent_filtered_positions_equal_full_scans(case):
     src, cuts = case
     n, mirror = len(src), src[::-1]
-    right = _shared_contexts((term, src[p : p + MAX_CONTEXT_LEN]) for term, p in cuts)
+    for lv in check_levels_are_the_truncations(src, cuts, mirrored=False):
+        assert list(lv.positions) == find_all(src, lv.context)
     # Left contexts are right contexts of the reversed page: the left
     # window read outwards starts there at n - p.
-    windows = [(term, mirror[n - p : n - p + MAX_CONTEXT_LEN]) for term, p in cuts]
-    assert [w for _, w in windows] == [src[max(0, p - MAX_CONTEXT_LEN) : p][::-1] for _, p in cuts]
-    left = _shared_contexts(windows)
-    starts = _context_starts(src, right)
-    mirrored = _context_starts(mirror, left)
-    assert set(starts) == right and set(mirrored) == left
-    for s in right:
-        assert starts[s] == find_all(src, s)
-    for t in left:
+    anchors = [(term, n - p) for term, p in cuts]
+    windows = [mirror[a : a + MAX_CONTEXT_LEN] for _, a in anchors]
+    assert windows == [src[max(0, p - MAX_CONTEXT_LEN) : p][::-1] for _, p in cuts]
+    for lv in check_levels_are_the_truncations(mirror, anchors, mirrored=True):
         # A mirrored start q is the page position n - q where the left
-        # context t[::-1] ends.
-        s = t[::-1]
-        assert [n - q for q in reversed(mirrored[t])] == [p + len(s) for p in find_all(src, s)]
+        # context ends.
+        assert list(lv.positions) == [p + len(lv.context) for p in find_all(src, lv.context)]
 
 
 def levels_from_page(src: str, cuts: list[tuple[str, int]], left: bool) -> list[tuple]:
@@ -508,9 +534,9 @@ def levels_from_page(src: str, cuts: list[tuple[str, int]], left: bool) -> list[
     """
     if left:
         windows = [(t, src[max(0, p - MAX_CONTEXT_LEN) : p][::-1]) for t, p in cuts]
-        contexts = {w[::-1] for w in _shared_contexts(windows)}
+        contexts = {w[::-1] for w in _pairwise_truncations(windows)}
     else:
-        contexts = _shared_contexts((t, src[p : p + MAX_CONTEXT_LEN]) for t, p in cuts)
+        contexts = _pairwise_truncations([(t, src[p : p + MAX_CONTEXT_LEN]) for t, p in cuts])
     best: dict[tuple[int, ...], str] = {}
     for s in sorted(contexts, key=len, reverse=True):
         found = find_all(src, s)
@@ -521,20 +547,86 @@ def levels_from_page(src: str, cuts: list[tuple[str, int]], left: bool) -> list[
     )
 
 
-@settings(max_examples=300)
-@given(context_cases())
-def test_side_levels_equal_levels_built_on_the_page(case):
-    src, cuts = case
+def check_side_levels_on_both_sides(src: str, cuts: list[tuple[str, int]]) -> None:
     n = len(src)
     for left, text, anchors in (
         (True, src[::-1], [(t, n - p) for t, p in cuts]),
         (False, src, cuts),
     ):
-        got = sorted(
+        got = [
             (lv.positions, lv.context, lv.occs, lv.punct)
             for lv in _side_levels(text, anchors, mirrored=left)
-        )
-        assert got == levels_from_page(src, cuts, left)
+        ]
+        assert sorted(got) == levels_from_page(src, cuts, left)
+
+
+@settings(max_examples=300)
+@given(context_cases())
+def test_side_levels_equal_levels_built_on_the_page(case):
+    check_side_levels_on_both_sides(*case)
+
+
+# Templated pages: rows repeat one long item template with single-character
+# mutations, so the windows' trie has edges of ten and more characters;
+# rows without a cut match an edge's shorter prefixes but not its longer
+# ones, so one edge holds several levels; templates run past
+# MAX_CONTEXT_LEN, so windows are cut there; and cuts at the page ends give
+# empty and page-edge windows.
+
+
+def _mutated(draw, template: str, alphabet: str) -> str:
+    chars = list(template)
+    for _ in range(draw(st.integers(0, 2))):
+        chars[draw(st.integers(0, len(chars) - 1))] = draw(st.sampled_from(alphabet))
+    return "".join(chars)
+
+
+@st.composite
+def templated_cases(draw):
+    # A repeated piece: its prefixes also match inside rows, off the cuts.
+    piece = draw(st.text("ab<", min_size=5, max_size=25))
+    template = piece * draw(st.integers(2, 5))
+    src, cuts = "", []
+    for _ in range(draw(st.integers(3, 8))):
+        term = draw(st.sampled_from("xyxyz-"))  # "-": a row nothing is cut before
+        src += term
+        if term != "-":
+            cuts.append((term, len(src)))
+        src += _mutated(draw, template, "abc")
+    for p in (0, len(src)):
+        if draw(st.booleans()):
+            cuts.append((draw(st.sampled_from("xyz")), p))
+    return src, cuts
+
+
+@settings(max_examples=300)
+@given(templated_cases())
+def test_side_levels_on_templated_pages(case):
+    check_side_levels_on_both_sides(*case)
+
+
+@st.composite
+def templated_learning_pages(draw):
+    seeds = draw(st.lists(st.sampled_from(SEED_POOL), min_size=2, max_size=4, unique=True))
+    template = draw(st.text("ab ", min_size=10, max_size=MAX_CONTEXT_LEN + 15))
+    rows = []
+    for _ in range(draw(st.integers(2, 8))):
+        term = draw(st.sampled_from(seeds + ["丁"]))
+        rows.append(f'<li class="{_mutated(draw, template, "abc")}">{term}</li>')
+    html = "<ul>" + "".join(rows) + "</ul>"
+    return seeds, html, draw(st.sampled_from([1, 4]))
+
+
+@settings(max_examples=150)
+@given(templated_learning_pages())
+def test_learning_matches_all_pairs_reference_on_templated_pages(case):
+    seeds, html, kappa = case
+    tree = parse_html(html)
+    for min_distinct_seeds in (2, 3):
+        cfg = PipelineConfig(kappa=kappa, min_distinct_seeds=min_distinct_seeds)
+        wrappers = learn_wrappers(seeds, tree, cfg)
+        assert wrappers == reference_learn(seeds, tree, cfg)
+        assert learn_spans(seeds, tree, cfg) == extract_spans(tree, wrappers)
 
 
 # Criterion 2's pages, seeds and seed order (tests/test_acceptance.py).
