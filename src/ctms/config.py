@@ -69,6 +69,8 @@ class PipelineConfig:
         words = self.clue_words
         if not (type(words) is tuple and words and all(type(w) is str and w for w in words)):
             _reject("clue_words", words, "a non-empty list of non-empty strings")
+        if len(set(words)) != len(words):
+            _reject("clue_words", words, "a list without repeated words")
         for name, minimum in _INT_MINIMUMS.items():
             if not _is_int(getattr(self, name), minimum):
                 _reject(name, getattr(self, name), f"an int >= {minimum}")

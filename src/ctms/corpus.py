@@ -121,6 +121,8 @@ def load_fixture(path: str | Path) -> FixtureCorpus:
             raise FixtureError(f"bad page entry: {entry!r}") from None
         if not isinstance(url, str) or not isinstance(rel, str):
             raise FixtureError(f"bad page entry: {entry!r}")
+        if Path(rel).is_absolute() or ".." in Path(rel).parts:
+            raise FixtureError(f"page file for {url!r} lies outside the bundle: {rel!r}")
         page_path = root / rel
         if not page_path.is_file():
             raise FixtureError(f"page file missing for {url!r}: {page_path}")

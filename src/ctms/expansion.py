@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from .config import PipelineConfig
 from .corpus import SearchProvider, TransientSearchError
 from .dom import DomTree, parse_html
-from .wrappers import Wrapper, learn_spans
+from .wrappers import Wrapper, learn_wrappers
 
-# Unused here; perfbench's tracer reads and rebinds both names on this module.
-from .wrappers import extract_spans, learn_wrappers  # noqa: F401
+# Mining never extracts; perfbench's tracer still reads and rebinds this name here.
+from .wrappers import extract_spans  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def harvest_page(
     url: str, tree: DomTree, extended: ExtendedSeedSet, cfg: PipelineConfig
 ) -> tuple[list[WebList], int]:
     """Learn wrappers on one page and turn their spans into WebLists."""
-    spans_by_wrapper = learn_spans(extended.terms, tree, cfg)
+    spans_by_wrapper = learn_wrappers(extended.terms, tree, cfg)
     lists: list[WebList] = []
     for wrapper, spans in spans_by_wrapper.items():
         stripped = (tree.source[a:b].strip() for a, b in spans)

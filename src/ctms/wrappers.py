@@ -5,7 +5,8 @@ learned from the occurrences of known seed terms on one page and can only
 be applied to that same page: the contexts are raw HTML character strings
 and generalize only within the page's own template.
 
-Learning, per tag-path group of seed occurrences:
+`learn_wrappers` is the one learner.  It returns each kept wrapper with
+its spans on the page, learned per tag-path group of seed occurrences:
 
   1. Each occurrence has a right window (the ``MAX_CONTEXT_LEN``
      characters after it) and a left window (those before it, read
@@ -44,9 +45,8 @@ characters, and starts and ends on the wrapper's path.  Learning scans
 the page (for left contexts, the reversed page) only for the prefixes
 it probes on root edges of the trie: a deeper edge's prefixes extend its
 parent edge's longest one, so their matches are those of the parent's
-that extend to them.  `learn_spans` hands each kept wrapper's span set
-over decoded, so mining never searches the page again to apply a
-wrapper.
+that extend to them.  Each kept wrapper's span set comes back decoded
+with it, so mining never searches the page again to apply a wrapper.
 
 Extraction (`extract_spans`) is the independent check on those spans,
 not part of mining: it finds every position of its wrappers' context
@@ -255,15 +255,16 @@ def spans_on_path(
     return spans
 
 
-def learn_spans(
+def learn_wrappers(
     seeds: Iterable[str], tree: DomTree, cfg: PipelineConfig | None = None
 ) -> dict[Wrapper, list[tuple[int, int]]]:
-    """Learn wrappers bracketing occurrences of the seed set on one page.
+    """Learn the wrappers bracketing the seed set on one page, with their spans.
 
-    Maps each kept wrapper, in sorted order, to its spans on the page in
-    document order (what `extract_spans` finds for it); wrappers with the
-    same span set share one list.  Empty when fewer than
-    `min_distinct_seeds` different seeds occur with a shared tag path.
+    The one learner.  Maps each kept wrapper, in sorted order, to its
+    spans on the page in document order (what `extract_spans` finds for
+    it); wrappers with the same span set share one list.  Empty when
+    fewer than `min_distinct_seeds` different seeds occur with a shared
+    tag path.
     """
     cfg = cfg or PipelineConfig()
     seed_list = sorted({s for s in seeds if s})
@@ -339,13 +340,6 @@ def learn_spans(
     return {w: kept[w] for w in sorted(kept)}
 
 
-def learn_wrappers(
-    seeds: Iterable[str], tree: DomTree, cfg: PipelineConfig | None = None
-) -> list[Wrapper]:
-    """The wrappers of `learn_spans`, as a deterministic sorted list."""
-    return list(learn_spans(seeds, tree, cfg))
-
-
 def extract_spans(
     tree: DomTree, wrappers: Iterable[Wrapper]
 ) -> dict[Wrapper, list[tuple[int, int]]]:
@@ -354,7 +348,7 @@ def extract_spans(
     One C-level scan per distinct context string finds its positions; each
     wrapper's spans are then those the span rule `spans_on_path` admits
     between its left-context ends and right-context starts, in document
-    order.  Mining takes its spans from `learn_spans` instead; this is the
+    order.  Mining takes its spans from `learn_wrappers` instead; this is the
     independent check that they are the wrappers' spans on the page.
     """
     wrapper_list = sorted(set(wrappers))

@@ -79,6 +79,7 @@ BAD_CONFIGS = [
     ('{"cluster_threshold": "x"}', "cluster_threshold"),
     ('{"clue_words": "和比"}', "clue_words"),
     ('{"clue_words": []}', "clue_words"),
+    ('{"clue_words": ["和", "比", "和"]}', "clue_words"),
     ('{"disambiguation": "no"}', "disambiguation"),
     ('{"max_iters": 0}', "max_iters"),
     ('{"context_window": -5}', "context_window"),
@@ -349,6 +350,23 @@ def test_malformed_fixture_exits_two(case, tmp_path):
         assert proc.returncode == 2, proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("where", ["relative", "absolute"])
+def test_page_file_outside_bundle_exits_two(where, tmp_path):
+    outside = tmp_path / "outside.html"
+    outside.write_text("<p>x</p>", encoding="utf-8")
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    rel = "../outside.html" if where == "relative" else str(outside)
+    (bundle / "manifest.json").write_text(
+        json.dumps({"pages": [{"url": "u", "file": rel}]}), encoding="utf-8"
+    )
+    proc = run_cli("fixture-validate", "--corpus", str(bundle))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "outside the bundle" in lines[0]
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-weblists", "eval --out"])

@@ -20,7 +20,6 @@ from ctms.wrappers import (
     _side_levels,
     extract_spans,
     is_valid_wrapper,
-    learn_spans,
     learn_wrappers,
     spans_on_path,
 )
@@ -114,17 +113,17 @@ def test_fig_fragment_learns_four_brand_wrapper():
 
 def test_no_shared_path_no_wrapper():
     tree = parse_html("<p>索尼</p><div><span>宏碁</span></div>")
-    assert learn_wrappers({"宏碁", "索尼"}, tree) == []
+    assert learn_wrappers({"宏碁", "索尼"}, tree) == {}
 
 
 def test_single_seed_twice_is_not_enough():
     tree = parse_html("<ul><li>索尼</li><li>索尼</li></ul>")
-    assert learn_wrappers({"宏碁", "索尼"}, tree) == []
+    assert learn_wrappers({"宏碁", "索尼"}, tree) == {}
 
 
 def test_seed_occurrences_in_script_are_ignored():
     tree = parse_html("<script>'索尼','宏碁'</script><p>plain</p>")
-    assert learn_wrappers({"宏碁", "索尼"}, tree) == []
+    assert learn_wrappers({"宏碁", "索尼"}, tree) == {}
 
 
 def test_learned_wrappers_recover_seeds():
@@ -400,8 +399,9 @@ def learning_pages(draw):
 def test_learning_matches_all_pairs_reference(case):
     seeds, html, cfg = case
     tree = parse_html(html)
-    assert learn_wrappers(seeds, tree, cfg) == reference_learn(seeds, tree, cfg)
-    assert learn_spans(seeds, tree, cfg) == extract_spans(tree, learn_wrappers(seeds, tree, cfg))
+    learned = learn_wrappers(seeds, tree, cfg)
+    assert list(learned) == reference_learn(seeds, tree, cfg)
+    assert learned == extract_spans(tree, learned)
 
 
 def test_learning_matches_all_pairs_reference_on_synthetic_pages():
@@ -409,7 +409,7 @@ def test_learning_matches_all_pairs_reference_on_synthetic_pages():
     seeds = ["华盛顿", "林肯", "杰斐逊", "纽约"]
     for _ in range(12):
         tree = parse_html(_synthetic_page(rng, seeds))
-        assert learn_wrappers(seeds, tree) == reference_learn(seeds, tree)
+        assert list(learn_wrappers(seeds, tree)) == reference_learn(seeds, tree)
 
 
 def _pairwise_truncations(windows: list[tuple[str, str]]) -> set[str]:
@@ -625,8 +625,8 @@ def test_learning_matches_all_pairs_reference_on_templated_pages(case):
     for min_distinct_seeds in (2, 3):
         cfg = PipelineConfig(kappa=kappa, min_distinct_seeds=min_distinct_seeds)
         wrappers = learn_wrappers(seeds, tree, cfg)
-        assert wrappers == reference_learn(seeds, tree, cfg)
-        assert learn_spans(seeds, tree, cfg) == extract_spans(tree, wrappers)
+        assert list(wrappers) == reference_learn(seeds, tree, cfg)
+        assert wrappers == extract_spans(tree, wrappers)
 
 
 # Criterion 2's pages, seeds and seed order (tests/test_acceptance.py).
@@ -653,15 +653,15 @@ def test_learned_wrappers_on_criterion_2_pages_are_pinned():
 
 # --- learning's spans --------------------------------------------------------
 #
-# Mining takes each wrapper's spans from `learn_spans` (its span-set bits)
+# Mining takes each wrapper's spans from `learn_wrappers` (its span-set bits)
 # and never runs extraction; extraction is the independent check.
 
 
 def test_learned_spans_equal_extraction_on_criterion_2_pages():
     seeds = CRITERION_2_SEEDS
     for tree in criterion_2_trees():
-        got = learn_spans(seeds, tree)
-        assert got == extract_spans(tree, learn_wrappers(seeds, tree))
+        got = learn_wrappers(seeds, tree)
+        assert got == extract_spans(tree, got)
         assert all(got.values())
 
 
@@ -673,14 +673,14 @@ def test_learned_spans_equal_extraction_on_miniweb_pages(miniweb_provider, monke
 
     def spy(seeds, tree, cfg):
         calls.append((seeds, tree, cfg))
-        return learn_spans(seeds, tree, cfg)
+        return learn_wrappers(seeds, tree, cfg)
 
-    monkeypatch.setattr(ctms.expansion, "learn_spans", spy)
+    monkeypatch.setattr(ctms.expansion, "learn_wrappers", spy)
     ctms.pipeline.mine("华盛顿", PipelineConfig(), miniweb_provider)
     assert len(calls) == 24  # every page of the fixture
     learned = 0
     for seeds, tree, cfg in calls:
-        got = learn_spans(seeds, tree, cfg)
-        assert got == extract_spans(tree, learn_wrappers(seeds, tree, cfg))
+        got = learn_wrappers(seeds, tree, cfg)
+        assert got == extract_spans(tree, got)
         learned += len(got)
     assert learned == 52
