@@ -8,7 +8,12 @@ outside the repository, then runs
 
 in that tree and in the working tree, one pair at a time, switching which
 side runs first in each pair so that drift of the host's speed falls on
-both sides alike.  Every run's metrics, ``correct`` and ``failed`` go to
+both sides alike.  Each side writes and reads all its bytecode, the
+standard library's too, in a fresh ``PYTHONPYCACHEPREFIX`` directory of
+its own, whatever ``PYTHONDONTWRITEBYTECODE`` says: the working tree may
+hold ``__pycache__`` directories from earlier runs and the extracted base
+has none, so either tree's own caches would start one side warmer.
+Every run's metrics, ``correct`` and ``failed`` go to
 the ``--out`` JSON, with each side's median and interquartile range per
 metric and the number of pairs the working tree won.  Exits 1 if any run
 was not ``correct``.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -99,12 +105,17 @@ def extract_ref(ref: str, dest: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in `tree`; its summary line, or a failed record."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, pycache: Path) -> dict:
+    """One perfbench run in `tree`, its bytecode cached under `pycache`.
+
+    Returns its summary line, or a failed record.
+    """
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(pycache)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True,
+        cwd=tree, capture_output=True, text=True, env=env,
     )
     try:
         summary = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -136,19 +147,23 @@ def main(argv: list[str] | None = None) -> int:
 
     better = better_directions(ROOT / "BENCHMARK.json")
     runs: list[dict] = []
-    base_dir = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
+        base_dir = scratch / "tree"
+        base_dir.mkdir()
         base_commit = extract_ref(args.base, base_dir)
         trees = {"base": base_dir, "change": ROOT}
+        caches = {side: scratch / f"pycache-{side}" for side in SIDES}
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
-                run = run_once(trees[side], args.workload, args.seed, args.seconds)
+                run = run_once(trees[side], args.workload, args.seed, args.seconds,
+                               caches[side])
                 runs.append({"pair": pair, "side": side, "position": position, **run})
                 shown = ", ".join(f"{k} {v:.4g}" for k, v in sorted(run["metrics"].items()))
                 print(f"pair {pair} {side:<6} correct={run['correct']} {shown}", flush=True)
     finally:
-        shutil.rmtree(base_dir, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
 
     summary = summarize(runs, better)
     record = {

@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_mine(args: argparse.Namespace) -> int:
-    if not args.seed:
+    if not args.seed.strip():
         print("error: seed must be non-empty", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -18,7 +18,14 @@ The context dot products of all list pairs come from one inverted index,
 word -> [(list, weight)], so a pair costs only the words the two lists
 share.  They are added in the order of the pair's smaller vector, as a
 pairwise loop over that vector adds them; the words such a loop has
-beyond the shared ones add ``w * 0.0``, which changes no bit.
+beyond the shared ones add ``w * 0.0``, which changes no bit.  The
+content part's shared-term counts come the same way from a term ->
+[list] table; they are exact integers, so ``shared / min(|a|, |b|)``
+has the bits of ``len(a & b) / min(|a|, |b|)``.  Each visited list adds
+into plain lists indexed by list number, ``[0.0] * n`` and ``[0] * n``,
+rather than dicts: a pair that shares no word keeps the dot product
+0.0, and 0.0 over a non-zero product of norms is cosine 0.0, as a
+pairwise loop gives.
 """
 
 from __future__ import annotations
@@ -99,33 +106,48 @@ class _Features(NamedTuple):
 def _similarity_matrix(features: Sequence[_Features], lam: float) -> list[list[float]]:
     """Every pair's `list_similarity`, the earlier list as first argument.
 
-    Lists are visited by descending (vector size, index).  Each walks its
-    own words in dict order, adds ``w * wb`` to the running dot product of
+    Lists are visited by descending (vector size, index).  Each starts
+    fresh accumulators, plain lists indexed by list number.  It walks its
+    own words in dict order, adds ``w * wb`` to the dot-product slot of
     every list already posted under the word, then posts its own weight:
     a pair is summed over its shared words, in the order of its smaller
-    vector (the earlier one on equal size).  A pair that shares no word,
-    or has a zero-norm side, gets cosine 0.
+    vector (the earlier one on equal size).  Its terms do the same with a
+    term -> lists table, counting each pair's shared terms exactly.  Term
+    counts and norms are read from lists built once per call.  A pair
+    that shares no word keeps the dot product 0.0, so its cosine is
+    0.0 / (norm * norm_b) = 0.0, as a pairwise loop gives; a zero-norm
+    side gives cosine 0.0 without a division.
     """
     n = len(features)
+    sizes = [len(f.terms) for f in features]
+    norms = [f.norm for f in features]
     sim = [[0.0] * n for _ in range(n)]
-    postings: dict[str, list[tuple[int, float]]] = {}
+    word_postings: dict[str, list[tuple[int, float]]] = {}
+    term_postings: dict[str, list[int]] = {}
     seen: list[int] = []
     for a in sorted(range(n), key=lambda i: (len(features[i].weights), i), reverse=True):
         terms, weights, norm = features[a]
-        dots: dict[int, float] = {}
+        dots = [0.0] * n
         for word, w in weights.items():
-            posted = postings.setdefault(word, [])
+            posted = word_postings.setdefault(word, [])
             for b, wb in posted:
-                dots[b] = dots.get(b, 0.0) + w * wb
+                dots[b] += w * wb
             posted.append((a, w))
+        shared = [0] * n
+        for term in terms:
+            posted_lists = term_postings.setdefault(term, [])
+            for b in posted_lists:
+                shared[b] += 1
+            posted_lists.append(a)
+        size = sizes[a]
         row = sim[a]
         for b in seen:
-            fb = features[b]
-            content = len(terms & fb.terms) / min(len(terms), len(fb.terms))
-            dot = dots.get(b)
+            size_b = sizes[b]
+            content = shared[b] / (size if size < size_b else size_b)
+            norm_b = norms[b]
             cosine = 0.0
-            if dot is not None and norm != 0.0 and fb.norm != 0.0:
-                cosine = min(1.0, max(0.0, dot / (norm * fb.norm)))
+            if norm != 0.0 and norm_b != 0.0:
+                cosine = min(1.0, max(0.0, dots[b] / (norm * norm_b)))
             row[b] = sim[b][a] = lam * content + (1.0 - lam) * cosine
         seen.append(a)
     return sim
@@ -233,7 +255,10 @@ def cluster_weblists(
         rescore_row(p)
 
     while best:
-        p, (score, q) = min(best.items(), key=lambda item: (-item[1][0], item[0]))
+        p, score, q = -1, -1.0, -1
+        for r, (s, partner) in best.items():
+            if s > score or (s == score and r < p):
+                p, score, q = r, s, partner
         if score < threshold:
             break
         merged = sorted(members[p] + members.pop(q))
@@ -242,13 +267,16 @@ def cluster_weblists(
         for c, other in members.items():
             if c == p:
                 continue
-            outer, inner = (other, merged) if c < p else (merged, other)
+            if c < p:
+                outer, inner, target, col = other, merged, link[c], p
+            else:
+                outer, inner, target, col = merged, other, link[p], c
             total = 0.0
             for a in outer:
                 row = sim[a]
                 for b in inner:
                     total += row[b]
-            link[min(c, p)][max(c, p)] = total / (len(outer) * len(inner))
+            target[col] = total / (len(outer) * len(inner))
         for r in list(best):
             partner = best[r][1]
             if r == p or partner == p or partner == q:

@@ -100,6 +100,20 @@ def _entries(manifest: dict, key: str) -> list:
     return entries
 
 
+def _hit(query: str, entry: dict) -> SearchHit:
+    """One manifest hit, as stored; TypeError unless each field has its type.
+
+    Nothing is coerced: a null title would be mined as the text "None",
+    and a rank of 1.9 would pass as 1.
+    """
+    rank, texts = entry["rank"], (entry["title"], entry["snippet"], entry["url"])
+    if isinstance(rank, bool) or not isinstance(rank, int):
+        raise TypeError
+    if not all(isinstance(t, str) for t in texts):
+        raise TypeError
+    return SearchHit(query, rank, *texts)
+
+
 def load_fixture(path: str | Path) -> FixtureCorpus:
     """Load and validate a fixture bundle directory."""
     root = Path(path)
@@ -136,18 +150,10 @@ def load_fixture(path: str | Path) -> FixtureCorpus:
     for entry in _entries(manifest, "queries"):
         try:
             query = entry["query"]
-            hits = tuple(
-                SearchHit(
-                    query=query,
-                    rank=int(h["rank"]),
-                    title=str(h["title"]),
-                    snippet=str(h["snippet"]),
-                    url=str(h["url"]),
-                )
-                for h in entry["hits"]
-            )
-            queries[query] = hits
-        except (TypeError, KeyError, ValueError):
+            if not isinstance(query, str):
+                raise TypeError
+            queries[query] = tuple(_hit(query, h) for h in entry["hits"])
+        except (TypeError, KeyError):
             raise FixtureError(f"bad query entry: {entry!r}") from None
 
     corpus = FixtureCorpus(queries=queries, pages=pages)

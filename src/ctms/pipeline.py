@@ -165,7 +165,7 @@ def snippet_sentences(
 
 def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningReport:
     """Run the full pipeline for one seed term."""
-    if not seed:
+    if not seed.strip():
         raise ValueError("seed must be non-empty")
     notes: list[str] = []
     diagnostics: dict[str, Any] = {"notes": notes}

@@ -1,6 +1,7 @@
-"""The summary of `scripts/bench_pairs.py`, on canned runs."""
+"""`scripts/bench_pairs.py`: its summary on canned runs, and each side's bytecode cache."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,47 @@ def test_summary_prefixed_names_failed_runs_and_missing_metrics():
     assert entry["better"] == "higher"
     assert (entry["pairs"], entry["pairs_won"]) == (1, 1)  # pair 0 has no change value
     assert entry["change"] == {"median": 0.75, "iqr": 0.0, "runs": 1}
+
+
+def test_run_once_caches_bytecode_under_the_given_prefix(monkeypatch, tmp_path):
+    seen = {}
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        seen.update(cwd=cwd, env=env)
+        line = '{"correct": true, "failed": 0, "attempted": 3, "metrics": {}}'
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    run = bench_pairs.run_once(tmp_path, "miniweb", 1, 1.0, tmp_path / "pycache")
+    assert run["correct"] is True and run["attempted"] == 3
+    assert seen["cwd"] == tmp_path
+    assert seen["env"]["PYTHONPYCACHEPREFIX"] == str(tmp_path / "pycache")
+    # Written once per side, so later runs of both sides start warm alike.
+    assert "PYTHONDONTWRITEBYTECODE" not in seen["env"]
+
+
+def test_each_side_has_its_own_fresh_bytecode_cache(monkeypatch, tmp_path):
+    # The working tree may hold __pycache__ directories and the extracted
+    # base tree has none; a fresh prefix per side starts both alike.
+    calls = []
+
+    def fake_run_once(tree, workload, seed, seconds, pycache):
+        fresh = not pycache.exists() or not any(pycache.iterdir())
+        calls.append((tree, pycache, fresh))
+        return {"correct": True, "failed": 0, "attempted": 1, "metrics": {"mine_ms_p50": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "extract_ref", lambda ref, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--workload", "miniweb", "--pairs", "2", "--out", str(out)]) == 0
+    assert len(calls) == 4
+    caches = {}
+    for tree, pycache, fresh in calls:
+        caches.setdefault(tree, set()).add(pycache)
+        assert fresh
+        assert not pycache.is_relative_to(tree)
+        assert not pycache.is_relative_to(bench_pairs.ROOT)
+    assert bench_pairs.ROOT in caches and len(caches) == 2
+    (base_cache,), (change_cache,) = caches.values()
+    assert base_cache != change_cache

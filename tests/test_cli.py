@@ -105,12 +105,12 @@ def test_bad_config_value_exits_two(miniweb_path, tmp_path, text, named):
 
 
 def test_mine_empty_seed_exits_two(miniweb_path, tmp_path):
-    proc = run_cli(
-        "mine", "", "--corpus", str(miniweb_path), "--out", str(tmp_path / "r.json")
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:")
-    assert len(proc.stderr.splitlines()) == 1
+    for seed in ("", " ", "\t"):
+        out = tmp_path / "r.json"
+        proc = run_cli("mine", seed, "--corpus", str(miniweb_path), "--out", str(out))
+        assert proc.returncode == 2, seed
+        assert proc.stderr == "error: seed must be non-empty\n", seed
+        assert not out.exists(), seed
 
 
 def test_dump_weblists(miniweb_path, tmp_path, monkeypatch):
@@ -326,6 +326,15 @@ def test_fixture_validate_detects_dangling(tmp_path):
     assert "ghost" in proc.stderr
 
 
+def _one_hit_manifest(**field) -> bytes:
+    """A valid one-page, one-hit manifest with `field` overriding the hit."""
+    hit = {"rank": 1, "title": "t", "snippet": "s", "url": "u", **field}
+    return json.dumps({
+        "queries": [{"query": "q", "hits": [hit]}],
+        "pages": [{"url": "u", "file": "p.html"}],
+    }).encode()
+
+
 # name -> (manifest.json bytes, p.html bytes)
 BAD_FIXTURES = {
     "manifest-list": (b"[]", b"<p>x</p>"),
@@ -334,6 +343,14 @@ BAD_FIXTURES = {
     "page-not-utf8": (b'{"pages": [{"url": "u", "file": "p.html"}]}', b"<p>\xff\xfe</p>"),
     "manifest-not-utf8": (b'{"pages": ["\xff"]}', b"<p>x</p>"),
     "query-list": (b'{"queries": [{"query": [], "hits": []}]}', b"<p>x</p>"),
+    "query-int": (b'{"queries": [{"query": 7, "hits": []}]}', b"<p>x</p>"),
+    # One field of a well-formed hit has the wrong type; coerced with str()
+    # or int(), each would load as a hit the manifest does not state.
+    "title-null": (_one_hit_manifest(title=None), b"<p>x</p>"),
+    "snippet-int": (_one_hit_manifest(snippet=12), b"<p>x</p>"),
+    "rank-float": (_one_hit_manifest(rank=1.9), b"<p>x</p>"),
+    "rank-str": (_one_hit_manifest(rank="1"), b"<p>x</p>"),
+    "rank-bool": (_one_hit_manifest(rank=True), b"<p>x</p>"),
 }
 
 

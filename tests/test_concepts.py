@@ -411,6 +411,35 @@ def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider, monkeypat
             assert got == want, (threshold, lam)
 
 
+def test_similarity_matrix_is_the_left_fold_formula_on_miniweb(miniweb_provider, monkeypatch):
+    # `rescan_reference` scores pairs with `list_similarity`, which is
+    # `_similarity_matrix` itself; this checks the matrix of the lists a
+    # real mine clusters against the independent left-fold formula.
+    calls = []
+
+    def spy(weblists, vectors, *args):
+        calls.append((weblists, vectors))
+        return cluster_weblists(weblists, vectors, *args)
+
+    monkeypatch.setattr(ctms.pipeline, "cluster_weblists", spy)
+    ctms.pipeline.mine("华盛顿", PipelineConfig(), miniweb_provider)
+    assert len(calls) == 1
+    weblists, vectors = calls[0]
+    ordered = sorted(weblists, key=lambda wl: wl.id)
+    assert len(ordered) == 52  # 1,326 pairs
+    features = [
+        _Features(set(wl.terms), vectors[wl.id].weights, vectors[wl.id].norm) for wl in ordered
+    ]
+    for lam in (0.3, 0.5, 0.8):
+        sim = _similarity_matrix(features, lam)
+        for i, a in enumerate(ordered):
+            for j, b in enumerate(ordered[i + 1 :], i + 1):
+                want = left_fold_similarity(
+                    a.terms, vectors[a.id].weights, b.terms, vectors[b.id].weights, lam
+                )
+                assert sim[i][j] == want and sim[j][i] == want, (a.id, b.id, lam)
+
+
 def test_norm_is_left_fold_not_compensated_sum():
     # 0.01 + 0.36 + 0.64 rounds to 1.0100000000000002 when added left to
     # right; the exact sum (`math.fsum`, and the compensated `sum` of Python

@@ -139,6 +139,12 @@ def test_mine_deterministic(miniweb_provider, report):
     assert again.to_json() == report.to_json()
 
 
+@pytest.mark.parametrize("seed", ["", " ", "\t", " \n "])
+def test_blank_seed_rejected(seed, miniweb_provider):
+    with pytest.raises(ValueError, match="seed must be non-empty"):
+        mine(seed, PipelineConfig(), miniweb_provider)
+
+
 def test_absent_seed_gives_empty_report(miniweb_provider):
     report = mine("不存在的种子", PipelineConfig(), miniweb_provider)
     assert report.concepts == []
