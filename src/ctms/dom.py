@@ -1,28 +1,26 @@
-"""Permissive HTML parsing into an offset-indexed node tree.
+"""Permissive HTML parsing into a flat, offset-indexed page index.
 
-The parser is a tag-soup scanner: it never fails, and it keeps the exact
-character offsets of every construct so that downstream code can answer
-these queries cheaply:
+The parser is a tag-soup scanner: it never fails, keeps the exact
+character offsets of every construct, and builds no node objects.  One
+scan appends each node to flat arrays in document order (preorder): its
+path id, start, end, parent and raw flag.  The same pass fills the
+segment table (each maximal run of characters with one deepest node, as
+its start and node, and the rendered text before it) and joins the
+rendered text.  Each position query is then one bisection into it:
+``path_id_at(pos)`` / ``path_at(pos)`` (markup characters resolve to
+their element), ``visible_text(lo, hi)``, and the path and raw flag of
+each hit of ``find_occurrences(terms)``.  ``next_markup(pos)`` bisects
+the sorted ``<``/``>`` positions, found on first use.
 
-  * ``node_at(pos)`` / ``path_at(pos)`` -- the deepest node covering a
-    character position (markup characters resolve to their element
-    node), and its root-to-node tag path;
-  * ``visible_text(lo, hi)`` -- the rendered text of a source range;
-  * ``find_occurrences(terms)`` -- every exact occurrence of a term set
-    in the raw source, with its position and path;
-  * ``next_markup(pos)`` -- the first ``<`` or ``>`` at or after a
-    position, by bisection into the page's sorted markup positions.
-
-The first three are each one bisection into a single segment table built
-from ``cover_segments()``: every segment's start, its deepest node, and
-the length of rendered text before it.  Path strings are built per node,
-on first request.  Each index is built at most once per tree, on first
-use, so wrapper learning and extraction on the same page share it.
+Tag paths are hash-consed: ``(parent path id, tag)`` is interned to one
+id per page, so two positions have equal paths exactly when they have
+equal path ids.  A path's slash-joined string is built only on request,
+by walking the parent ids, and cached per id.  A tag name never holds
+``/``, so ``path_id`` resolves a string back to its id.
 
 Node spans are half-open ``[start, end)`` ranges into the source string.
 Child spans are disjoint and contained in their parent, so every position
-has a unique deepest node and concatenating the uncovered segments of all
-nodes in document order reproduces the source exactly.
+has a unique deepest node and the segments partition the source.
 
 Text runs, tag names and attributes are found by C-level searches
 (``str.find`` and precompiled patterns), never one character at a time.
@@ -41,7 +39,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .text import find_all
 
@@ -87,19 +85,6 @@ _SIBLING_CLOSERS: dict[str, frozenset[str]] = {
 }
 
 
-@dataclass
-class DomNode:
-    tag: str
-    start: int
-    end: int
-    parent: "DomNode | None" = None
-    children: list["DomNode"] = field(default_factory=list)
-    raw: bool = False  # inside script/style: invisible, skipped by learning
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<DomNode {self.tag} [{self.start}:{self.end}) kids={len(self.children)}>"
-
-
 @dataclass(frozen=True)
 class Occurrence:
     """An exact match of a term in the raw source."""
@@ -110,62 +95,70 @@ class Occurrence:
     in_raw: bool
 
 
-def _tag_path(node: DomNode) -> str:
-    parts: list[str] = []
-    cur: DomNode | None = node
-    while cur is not None:
-        parts.append(cur.tag)
-        cur = cur.parent
-    return "/".join(reversed(parts))
-
-
 class DomTree:
-    """Parsed page: the source string plus its node tree."""
+    """Parsed page: the source string and its flat index, built by `parse_html`.
 
-    def __init__(self, source: str, root: DomNode):
+    Node k (node 0 is the ``#document`` root) has path id
+    ``node_path[k]``, span ``[node_start[k], node_end[k])``, parent node
+    ``node_parent[k]`` (-1 for the root) and raw flag ``node_raw[k]``.
+    Path id p names tag ``path_tag[p]`` under path ``path_parent[p]``
+    (-1 for the root's).  Segment j starts at ``seg_start[j]`` and is
+    owned by node ``seg_node[j]``.
+    """
+
+    def __init__(self, source: str):
+        # The root alone: node 0, path 0, owning no segment yet.
         self.source = source
-        self.root = root
-        self._path_cache: dict[int, str] = {}  # id(node) -> tag path
+        self.node_path = [0]
+        self.node_start = [0]
+        self.node_end = [len(source)]
+        self.node_parent = [-1]
+        self.node_raw = [False]
+        self.path_tag = [ROOT_TAG]
+        self.path_parent = [-1]
+        self.seg_start: list[int] = []
+        self.seg_node: list[int] = []
+        # Rendered text before each segment (plus the total), and the text.
+        self._rendered: list[int] = []
+        self._text = ""
+        self._path_ids = {(-1, ROOT_TAG): 0}  # (parent path id, tag) -> path id
+        self._path_strings: dict[int, str] = {}
         self._markup: list[int] | None = None
-        # Segment table: each cover segment's start and node, the rendered
-        # text length before each segment (plus the total), and the text.
-        self._segments: tuple[list[int], list[DomNode], list[int], str] | None = None
 
-    def _segment_table(self) -> tuple[list[int], list[DomNode], list[int], str]:
-        if self._segments is None:
-            starts: list[int] = []
-            nodes: list[DomNode] = []
-            rendered = [0]
-            pieces: list[str] = []
-            for node, a, b in self.cover_segments():
-                starts.append(a)
-                nodes.append(node)
-                if node.tag == TEXT_TAG and not node.raw:
-                    pieces.append(self.source[a:b])
-                    rendered.append(rendered[-1] + b - a)
-                else:
-                    rendered.append(rendered[-1])
-            self._segments = (starts, nodes, rendered, "".join(pieces))
-        return self._segments
-
-    def node_at(self, pos: int) -> DomNode:
+    def _node_at(self, pos: int) -> int:
         """Deepest node whose span contains `pos`."""
         if not (0 <= pos < len(self.source)):
             raise IndexError(f"position {pos} outside source of length {len(self.source)}")
-        starts, nodes, _, _ = self._segment_table()
-        return nodes[bisect_right(starts, pos) - 1]
+        return self.seg_node[bisect_right(self.seg_start, pos) - 1]
+
+    def path_id_at(self, pos: int) -> int:
+        """Path id of the deepest node containing `pos`."""
+        return self.node_path[self._node_at(pos)]
 
     def path_at(self, pos: int) -> str:
         """Tag path of the deepest node containing `pos` (slash-joined)."""
-        return self.node_path(self.node_at(pos))
+        return self.path_string(self.path_id_at(pos))
 
-    def node_path(self, node: DomNode) -> str:
-        key = id(node)
-        path = self._path_cache.get(key)
+    def path_string(self, path_id: int) -> str:
+        """The slash-joined tag path of a path id, built on first request."""
+        path = self._path_strings.get(path_id)
         if path is None:
-            path = _tag_path(node)
-            self._path_cache[key] = path
+            tags = []
+            p = path_id
+            while p >= 0:
+                tags.append(self.path_tag[p])
+                p = self.path_parent[p]
+            path = self._path_strings[path_id] = "/".join(reversed(tags))
         return path
+
+    def path_id(self, path: str) -> int:
+        """Id of a slash-joined tag path; -1 when no node of the page has it."""
+        p = -1
+        for tag in path.split("/"):
+            p = self._path_ids.get((p, tag), -1)
+            if p < 0:
+                break
+        return p
 
     def markup_positions(self) -> list[int]:
         """Sorted positions of every ``<`` and ``>`` in the source."""
@@ -181,7 +174,7 @@ class DomTree:
 
     def visible_text(self, lo: int = 0, hi: int | None = None) -> str:
         """Rendered text within a source range: text runs outside script/style."""
-        starts, _, rendered, text = self._segment_table()
+        starts, rendered = self.seg_start, self._rendered
         if hi is None:
             hi = len(self.source)
 
@@ -191,79 +184,89 @@ class DomTree:
             i = bisect_right(starts, pos) - 1
             return 0 if i < 0 else min(rendered[i] + pos - starts[i], rendered[i + 1])
 
-        return text[rendered_offset(lo) : rendered_offset(hi)]
+        return self._text[rendered_offset(lo) : rendered_offset(hi)]
 
-    def find_occurrences(self, terms) -> list[Occurrence]:
-        """Every exact occurrence of every term, with position and path."""
+    def occurrence_ids(self, terms) -> list[tuple[int, str, int, bool]]:
+        """(pos, term, path id, raw) of every exact occurrence of every term,
+        by position, longest term first on ties."""
         terms = [t for t in terms if t]
         if not terms:
             raise ValueError("terms must be non-empty")
-        out: list[Occurrence] = []
-        src = self.source
+        out = []
         for term in sorted(set(terms)):
-            for pos in find_all(src, term):
-                node = self.node_at(pos)
-                out.append(
-                    Occurrence(term=term, pos=pos, path=self.node_path(node), in_raw=node.raw)
-                )
-        out.sort(key=lambda o: (o.pos, -len(o.term), o.term))
+            for pos in find_all(self.source, term):
+                node = self._node_at(pos)
+                out.append((pos, term, self.node_path[node], self.node_raw[node]))
+        out.sort(key=lambda o: (o[0], -len(o[1]), o[1]))
         return out
 
-    def cover_segments(self) -> list[tuple[DomNode, int, int]]:
-        """Partition of the source by deepest node, in document order.
-
-        Used by the round-trip invariant check: concatenating the segments
-        reproduces the source exactly.
-        """
-        segments: list[tuple[DomNode, int, int]] = []
-        # (node, index of its next child, end of what is covered so far);
-        # an explicit stack, so nesting depth is not bounded by recursion.
-        stack = [(self.root, 0, self.root.start)]
-        while stack:
-            node, i, cursor = stack.pop()
-            if i < len(node.children):
-                child = node.children[i]
-                if child.start > cursor:
-                    segments.append((node, cursor, child.start))
-                stack.append((node, i + 1, child.end))
-                stack.append((child, 0, child.start))
-            elif node.end > cursor:
-                segments.append((node, cursor, node.end))
-        return segments
-
-
-def _is_name_start(ch: str) -> bool:
-    return ("a" <= ch <= "z") or ("A" <= ch <= "Z")
+    def find_occurrences(self, terms) -> list[Occurrence]:
+        """Every exact occurrence of every term, with position and path."""
+        return [
+            Occurrence(term=term, pos=pos, path=self.path_string(path_id), in_raw=raw)
+            for pos, term, path_id, raw in self.occurrence_ids(terms)
+        ]
 
 
 def parse_html(raw: str) -> DomTree:
     """Parse possibly-malformed HTML; never raises on bad input."""
     n = len(raw)
-    root = DomNode(ROOT_TAG, 0, n)
-    stack: list[DomNode] = [root]
+    tree = DomTree(raw)
+    node_path, node_end = tree.node_path, tree.node_end
+    path_tag, path_ids = tree.path_tag, tree._path_ids
+    seg_node, rendered = tree.seg_node, tree._rendered
+    pieces: list[str] = []
+    rendered_len = 0
+
+    def add(tag: str, start: int, end: int, parent: int, raw_flag: bool = False) -> int:
+        # Appends a node under `parent`, interning its path, and the segment
+        # its first character starts; returns the node's index.
+        nonlocal rendered_len
+        key = (node_path[parent], tag)
+        path = path_ids.get(key)
+        if path is None:
+            path = path_ids[key] = len(path_tag)
+            path_tag.append(tag)
+            tree.path_parent.append(key[0])
+        node = len(node_path)
+        node_path.append(path)
+        tree.node_start.append(start)
+        node_end.append(end)
+        tree.node_parent.append(parent)
+        tree.node_raw.append(raw_flag)
+        tree.seg_start.append(start)
+        seg_node.append(node)
+        rendered.append(rendered_len)
+        if tag == TEXT_TAG and not raw_flag:
+            pieces.append(raw[start:end])
+            rendered_len += end - start
+        return node
+
+    def own(pos: int, node: int) -> None:
+        # The characters from `pos` up to the next segment are `node`'s own;
+        # a run continuing the last segment's node extends that segment.
+        if not seg_node or seg_node[-1] != node:
+            tree.seg_start.append(pos)
+            seg_node.append(node)
+            rendered.append(rendered_len)
+
+    def tag_of(node: int) -> str:
+        return path_tag[node_path[node]]
+
+    stack = [0]  # open elements, the root first
     # Open elements on the stack by tag, so a close tag that matches none
     # is swallowed without scanning the stack.
     open_count: dict[str, int] = defaultdict(int)
-    i = 0
-    text_start = -1
-
-    def add_child(tag: str, start: int, end: int, raw_flag: bool = False) -> DomNode:
-        node = DomNode(tag, start, end, parent=stack[-1], raw=raw_flag)
-        stack[-1].children.append(node)
-        return node
-
-    def flush_text(upto: int) -> None:
-        nonlocal text_start
-        if text_start >= 0 and upto > text_start:
-            add_child(TEXT_TAG, text_start, upto)
-        text_start = -1
 
     def close_until(index: int, boundary: int) -> None:
         # Pop stack down to `index`, ending popped elements at `boundary`.
         while len(stack) - 1 > index:
-            stack[-1].end = boundary
-            open_count[stack.pop().tag] -= 1
+            node = stack.pop()
+            node_end[node] = boundary
+            open_count[tag_of(node)] -= 1
 
+    i = 0
+    text_start = -1
     while i < n:
         if raw[i] != "<":
             # A text run reaches the next "<" or the end of the input.
@@ -275,78 +278,96 @@ def parse_html(raw: str) -> DomTree:
             continue
 
         nxt = raw[i + 1 : i + 2]
-        if nxt == "!":
-            flush_text(i)
-            if raw.startswith("<!--", i):
-                close = raw.find("-->", i + 4)
-                end = n if close == -1 else close + 3
-                add_child(COMMENT_TAG, i, end)
-            else:
-                close = raw.find(">", i)
-                end = n if close == -1 else close + 1
-                add_child(DIRECTIVE_TAG, i, end)
-            i = end
-        elif nxt == "?":
-            flush_text(i)
-            close = raw.find(">", i)
-            end = n if close == -1 else close + 1
-            add_child(DIRECTIVE_TAG, i, end)
-            i = end
-        elif (close_tag := _CLOSE_TAG.match(raw, i)) is not None:
-            name = close_tag.group(1).lower()
-            close = raw.find(">", close_tag.end())
-            end = n if close == -1 else close + 1
-            flush_text(i)
-            # Close the matching open element; unmatched close tags are
-            # swallowed by the current element.
-            match = _open_match(stack, open_count, name)
-            if match > 0:
-                close_until(match, i)
-                stack[-1].end = end
-                open_count[stack.pop().tag] -= 1
-            i = end
-        elif _is_name_start(nxt):
-            flush_text(i)
-            i = _parse_open_tag(raw, i, stack, open_count, add_child)
-        else:
+        close_tag = _CLOSE_TAG.match(raw, i) if nxt == "/" else None
+        if close_tag is None and nxt != "!" and nxt != "?" and not (
+            ("a" <= nxt <= "z") or ("A" <= nxt <= "Z")
+        ):
             # A "<" that begins no construct ("</" before no name too) is text.
             if text_start < 0:
                 text_start = i
             i += 1
+            continue
+        if text_start >= 0:
+            add(TEXT_TAG, text_start, i, stack[-1])
+            text_start = -1
 
-    flush_text(n)
+        if raw.startswith("<!--", i):
+            close = raw.find("-->", i + 4)
+            end = n if close == -1 else close + 3
+            add(COMMENT_TAG, i, end, stack[-1])
+            i = end
+        elif nxt == "!" or nxt == "?":
+            close = raw.find(">", i)
+            end = n if close == -1 else close + 1
+            add(DIRECTIVE_TAG, i, end, stack[-1])
+            i = end
+        elif close_tag is not None:
+            name = close_tag.group(1).lower()
+            close = raw.find(">", close_tag.end())
+            end = n if close == -1 else close + 1
+            # Close the matching open element; unmatched close tags are
+            # swallowed by the current element.  An unmatched name is
+            # answered from `open_count` without a scan, and a matched one
+            # scans only the elements it pops, so the parse stays linear.
+            if open_count.get(name):
+                depth = len(stack) - 1
+                while tag_of(stack[depth]) != name:
+                    depth -= 1
+                close_until(depth, i)
+                node_end[stack[-1]] = end
+                open_count[name] -= 1
+                own(i, stack.pop())
+            else:
+                own(i, stack[-1])
+            i = end
+        else:
+            name, attr_spans, self_closing, tag_end = _scan_open_tag(raw, i)
+            # Implicit close of a same-group sibling (<li> after unclosed <li> etc).
+            closers = _SIBLING_CLOSERS.get(name)
+            if closers and len(stack) > 1 and tag_of(stack[-1]) in closers:
+                close_until(len(stack) - 2, i)
+            elem = add(name, i, tag_end, stack[-1])
+            # The tag's characters are its element's, but for attribute values.
+            for a, b in attr_spans:
+                add(ATTR_TAG, a, b, elem)
+                if b < tag_end:
+                    own(b, elem)
+            i = tag_end
+            if self_closing or name in VOID_ELEMENTS:
+                continue
+            if name in RAW_TEXT_ELEMENTS:
+                # Raw-text body: scan for the matching close tag, case-insensitive.
+                close_tag = _RAW_TEXT_CLOSE[name].search(raw, tag_end)
+                body_end = n if close_tag is None else close_tag.start()
+                if body_end > tag_end:
+                    add(TEXT_TAG, tag_end, body_end, elem, True)
+                if close_tag is None:
+                    i = n
+                else:
+                    close_gt = raw.find(">", body_end)
+                    i = n if close_gt == -1 else close_gt + 1
+                    own(body_end, elem)
+                node_end[elem] = i
+                continue
+            stack.append(elem)
+            open_count[name] += 1
+
+    if text_start >= 0:
+        add(TEXT_TAG, text_start, n, stack[-1])
     close_until(0, n)
-    return DomTree(raw, root)
+    rendered.append(rendered_len)
+    tree._text = "".join(pieces)
+    return tree
 
 
-def _open_match(stack: list[DomNode], open_count: dict[str, int], name: str) -> int:
-    """Stack index of the innermost open `name` element; -1 when none is open.
-
-    An unmatched name is answered from `open_count` without a scan, and a
-    matched one scans only the elements its close tag then pops, so the
-    parse stays linear in the input.
-    """
-    if not open_count.get(name):
-        return -1
-    depth = len(stack) - 1
-    while stack[depth].tag != name:
-        depth -= 1
-    return depth
-
-
-def _parse_open_tag(
-    raw: str, start: int, stack: list[DomNode], open_count: dict[str, int], add_child
-) -> int:
-    """Parse an open tag at `start`; returns the scan position after it.
-
-    Pushes the element onto `stack` when it can have children, keeping
-    `open_count` (open elements by tag) in step with every push and pop.
-    """
+def _scan_open_tag(raw: str, start: int) -> tuple[str, list[tuple[int, int]], bool, int]:
+    """The open tag at `start`: its lowercased name, its attribute value
+    spans, whether it ends with ``/>``, and the scan position after it."""
     n = len(raw)
     tag = _OPEN_TAG.match(raw, start)
     name = tag.group(1).lower()
 
-    # Attribute scan, one step per match; value spans become #attr leaves.
+    # Attribute scan, one step per match; non-empty values are kept.
     attr_spans: list[tuple[int, int]] = []
     self_closing = False
     pos = tag.end()
@@ -362,41 +383,4 @@ def _parse_open_tag(
             break
         if group is not None and step.end(group) > step.start(group):
             attr_spans.append(step.span(group))
-
-    tag_end = pos
-
-    # Implicit close of a same-group sibling (<li> after unclosed <li> etc).
-    closers = _SIBLING_CLOSERS.get(name)
-    if closers and stack[-1].tag in closers and len(stack) > 1:
-        stack[-1].end = start
-        open_count[stack.pop().tag] -= 1
-
-    elem = add_child(name, start, tag_end)
-    for a, b in attr_spans:
-        child = DomNode(ATTR_TAG, a, b, parent=elem)
-        elem.children.append(child)
-
-    if self_closing or name in VOID_ELEMENTS:
-        return tag_end
-
-    if name in RAW_TEXT_ELEMENTS:
-        # Raw-text body: scan for the matching close tag, case-insensitive.
-        close_tag = _RAW_TEXT_CLOSE[name].search(raw, tag_end)
-        if close_tag is None:
-            if tag_end < n:
-                body = DomNode(TEXT_TAG, tag_end, n, parent=elem, raw=True)
-                elem.children.append(body)
-            elem.end = n
-            return n
-        body_end = close_tag.start()
-        if body_end > tag_end:
-            body = DomNode(TEXT_TAG, tag_end, body_end, parent=elem, raw=True)
-            elem.children.append(body)
-        close_gt = raw.find(">", body_end)
-        end = n if close_gt == -1 else close_gt + 1
-        elem.end = end
-        return end
-
-    stack.append(elem)
-    open_count[name] += 1
-    return tag_end
+    return name, attr_spans, self_closing, pos

@@ -41,7 +41,10 @@ its spans on the page, learned per tag-path group of seed occurrences:
 A span, by the span rule `spans_on_path`, runs from the end of a
 left-context match to the start of a right-context match, contains no
 markup, trims to a non-empty string of at most ``MAX_TERM_LEN``
-characters, and starts and ends on the wrapper's path.  Learning scans
+characters, and starts and ends on the wrapper's path.  Paths are
+compared as the page's interned path ids (equal ids are equal paths), so
+learning groups occurrences by id and builds a path's string only for
+the wrappers it keeps.  Learning scans
 the page (for left contexts, the reversed page) only for the prefixes
 it probes on root edges of the trie: a deeper edge's prefixes extend its
 parent edge's longest one, so their matches are those of the parent's
@@ -111,25 +114,22 @@ def is_valid_wrapper(w: Wrapper, cfg: PipelineConfig) -> bool:
     3. non-punctuation sides must jointly span at least `kappa` characters;
     4. the path must end at a textual node (#text or #attr).
     """
-    return _passes_rules(
-        w.left, w.right, is_punct_text(w.left), is_punct_text(w.right), w.path, cfg.kappa
+    return w.path.rsplit("/", 1)[-1] in TEXTUAL_TAGS and _contexts_pass(
+        w.left, w.right, is_punct_text(w.left), is_punct_text(w.right), cfg.kappa
     )
 
 
-def _passes_rules(
-    left: str, right: str, left_punct: bool, right_punct: bool, path: str, kappa: int
+def _contexts_pass(
+    left: str, right: str, left_punct: bool, right_punct: bool, kappa: int
 ) -> bool:
-    """Rules 1-4 of `is_valid_wrapper`, given each side's `is_punct_text`."""
+    """Rules 1-3 of `is_valid_wrapper`, given each side's `is_punct_text`."""
     if not left or not right:
         return False
     if left.isspace() and right.isspace():
         return False
     if left_punct != right_punct:
         return False
-    if not left_punct and len(left) + len(right) < kappa:
-        return False
-    tail = path.rsplit("/", 1)[-1]
-    return tail in TEXTUAL_TAGS
+    return left_punct or len(left) + len(right) >= kappa
 
 
 def _starts(text: str, s: str, base: list[int] | None) -> list[int]:
@@ -237,9 +237,20 @@ def spans_on_path(
     `MAX_TERM_LEN` characters, and both its first and last characters
     resolve to `path`.  Spans are returned in document order.
     """
+    return _spans_on_path_id(tree, ends, starts, tree.path_id(path))
+
+
+def _spans_on_path_id(
+    tree: DomTree, ends: Sequence[int], starts: Sequence[int], path_id: int
+) -> list[tuple[int, int]]:
+    """`spans_on_path` for the path with id `path_id`: equal paths are equal ids."""
     src = tree.source
+    path_id_at = tree.path_id_at
     spans: list[tuple[int, int]] = []
     for e in ends:
+        # A span's first character is at e, so e must lie on the path.
+        if e >= len(src) or path_id_at(e) != path_id:
+            continue
         limit = tree.next_markup(e)
         i = bisect_left(starts, e)
         while i < len(starts):
@@ -250,7 +261,7 @@ def spans_on_path(
             piece = src[e:s].strip()
             if len(piece) > MAX_TERM_LEN:
                 break
-            if piece and tree.path_at(e) == path and tree.path_at(s - 1) == path:
+            if piece and path_id_at(s - 1) == path_id:
                 spans.append((e, s))
     return spans
 
@@ -270,42 +281,41 @@ def learn_wrappers(
     seed_list = sorted({s for s in seeds if s})
     if len(seed_list) < cfg.min_distinct_seeds:
         return {}
-    occs = [o for o in tree.find_occurrences(seed_list) if not o.in_raw]
-    if not occs:
-        return {}
-
     src, mirror = tree.source, None
-    groups: dict[str, list] = defaultdict(list)
-    for occ in occs:
-        groups[occ.path].append(occ)
+    groups: dict[int, list[tuple[str, int]]] = defaultdict(list)
+    for pos, term, path_id, raw in tree.occurrence_ids(seed_list):
+        if not raw:
+            groups[path_id].append((term, pos))
 
     kept: dict[Wrapper, list[tuple[int, int]]] = {}
-    for path in sorted(groups):
-        group = groups[path]
-        if len({o.term for o in group}) < cfg.min_distinct_seeds:
+    for path_id, group in groups.items():
+        # Rule 4 of `is_valid_wrapper` holds for all of a group or none of it.
+        if tree.path_tag[path_id] not in TEXTUAL_TAGS:
+            continue
+        if len({term for term, _ in group}) < cfg.min_distinct_seeds:
             continue
 
         if mirror is None:  # the reversed page, built once and only when needed
             mirror = src[::-1]
         sides = (
-            _side_levels(mirror, [(o.term, len(src) - o.pos) for o in group], mirrored=True),
-            _side_levels(src, [(o.term, o.pos + len(o.term)) for o in group], mirrored=False),
+            _side_levels(mirror, [(t, len(src) - p) for t, p in group], mirrored=True),
+            _side_levels(src, [(t, p + len(t)) for t, p in group], mirrored=False),
         )
         if not all(sides):
             continue
 
-        gated: list[tuple[Wrapper, int, int]] = []
+        gated: list[tuple[int, int]] = []
         for li, left in enumerate(sides[0]):
             for ri, right in enumerate(sides[1]):
                 # Cheap gate: the candidate must bracket enough distinct
                 # seeds before we bother computing its full span set.
-                terms = {group[i].term for i in left.occs & right.occs}
+                terms = {group[i][0] for i in left.occs & right.occs}
                 if len(terms) < cfg.min_distinct_seeds:
                     continue
-                if _passes_rules(
-                    left.context, right.context, left.punct, right.punct, path, cfg.kappa
+                if _contexts_pass(
+                    left.context, right.context, left.punct, right.punct, cfg.kappa
                 ):
-                    gated.append((Wrapper(left.context, right.context, path), li, ri))
+                    gated.append((li, ri))
         if not gated:
             continue
 
@@ -313,8 +323,8 @@ def learn_wrappers(
         # k; a level's mask is the OR of the bits at its positions (a
         # span's first item on the left side, its second on the right), so
         # a candidate's span set is its two masks ANDed.
-        spans = spans_on_path(
-            tree, *(sorted({p for lv in side for p in lv.positions}) for side in sides), path
+        spans = _spans_on_path_id(
+            tree, *(sorted({p for lv in side for p in lv.positions}) for side in sides), path_id
         )
         masks = []
         for item, side in enumerate(sides):
@@ -325,11 +335,12 @@ def learn_wrappers(
 
         # Dominance: among wrappers matching identical span sets, drop any
         # whose contexts another one strictly extends.
+        path = tree.path_string(path_id)
         by_spans: dict[int, list[Wrapper]] = defaultdict(list)
-        for wrapper, li, ri in gated:
+        for li, ri in gated:
             span_set = masks[0][li] & masks[1][ri]
             if span_set:
-                by_spans[span_set].append(wrapper)
+                by_spans[span_set].append(Wrapper(sides[0][li].context, sides[1][ri].context, path))
         for span_set, group_wrappers in by_spans.items():
             # Bit k set <=> span k; the reversed binary string has bit k at index k.
             decoded = [spans[k] for k in find_all(bin(span_set)[:1:-1], "1")]

@@ -1,6 +1,7 @@
 """`scripts/bench_pairs.py`: its summary on canned runs, and each side's bytecode cache."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -87,7 +88,7 @@ def test_each_side_has_its_own_fresh_bytecode_cache(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = tmp_path / "out.json"
     assert bench_pairs.main(["--workload", "miniweb", "--pairs", "2", "--out", str(out)]) == 0
-    assert len(calls) == 4
+    assert len(calls) == 6  # a warm-up run per side, then two pairs
     caches = {}
     for tree, pycache, fresh in calls:
         caches.setdefault(tree, set()).add(pycache)
@@ -97,3 +98,31 @@ def test_each_side_has_its_own_fresh_bytecode_cache(monkeypatch, tmp_path):
     assert bench_pairs.ROOT in caches and len(caches) == 2
     (base_cache,), (change_cache,) = caches.values()
     assert base_cache != change_cache
+
+
+def test_each_side_records_runs_only_after_a_discarded_warm_up(monkeypatch, tmp_path):
+    # A cold bytecode cache adds its compile to a run's peak RSS, so the
+    # first run of each side only warms the side's cache.
+    calls = []
+
+    def fake_run_once(tree, workload, seed, seconds, pycache):
+        warm = pycache.exists() and any(pycache.iterdir())
+        pycache.mkdir(parents=True, exist_ok=True)
+        (pycache / f"module{len(calls)}.pyc").write_bytes(b"")
+        calls.append((tree, pycache, warm))
+        return {"correct": True, "failed": 0, "attempted": 1,
+                "metrics": {"peak_rss_mb": 40.0 if not warm else 36.0}}
+
+    monkeypatch.setattr(bench_pairs, "extract_ref", lambda ref, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--workload", "miniweb", "--pairs", "3", "--out", str(out)]) == 0
+    assert len(calls) == 2 + 2 * 3
+    assert [warm for _, _, warm in calls[:2]] == [False, False]
+    assert {tree for tree, _, _ in calls[:2]} == {tree for tree, _, _ in calls}
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert len(record["runs"]) == 6
+    assert all(run["metrics"]["peak_rss_mb"] == 36.0 for run in record["runs"])
+    rss = record["summary"]["metrics"]["peak_rss_mb"]
+    for side in ("base", "change"):
+        assert rss[side] == {"median": 36.0, "iqr": 0.0, "runs": 3}

@@ -1,11 +1,10 @@
 import string
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctms import dom
-from ctms.dom import TEXT_TAG, DomNode, DomTree, parse_html
+from ctms.dom import ATTR_TAG, COMMENT_TAG, DIRECTIVE_TAG, ROOT_TAG, TEXT_TAG, DomTree, parse_html
 
 FIG_FRAGMENT = """<div class="cur_dh brand">
   <div class="dh border menu_div" id="menu_1">
@@ -27,33 +26,59 @@ FIG_FRAGMENT = """<div class="cur_dh brand">
 </div>"""
 
 
-def iter_nodes(tree: DomTree):
-    """Every node of the tree in document order (preorder)."""
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(node.children))
+class Node:
+    """A linked tree node: what the oracle parsers build, and what `rebuild`
+    makes of a parsed page's flat arrays."""
+
+    def __init__(self, tag: str, start: int, end: int, raw: bool = False, index: int = -1):
+        self.tag, self.start, self.end, self.raw = tag, start, end, raw
+        self.children: list[Node] = []
+        self.index = index  # the node's index in the flat arrays, when rebuilt
+
+    def add_child(self, tag: str, start: int, end: int, raw: bool = False) -> "Node":
+        child = Node(tag, start, end, raw)
+        self.children.append(child)
+        return child
 
 
-def naive_node(tree: DomTree, pos: int) -> DomNode:
-    """Oracle: exhaustive walk for the deepest node containing pos."""
-    best = None
-    best_depth = -1
+def node_tag(tree: DomTree, k: int) -> str:
+    return tree.path_tag[tree.node_path[k]]
 
-    def walk(node: DomNode, depth: int) -> None:
-        nonlocal best, best_depth
-        if node.start <= pos < node.end and depth > best_depth:
-            best, best_depth = node, depth
-        for child in node.children:
-            walk(child, depth + 1)
 
-    walk(tree.root, 0)
+def rebuild(tree: DomTree) -> list[Node]:
+    """The page's nodes, linked from the flat arrays, by index (the root first).
+
+    A node whose parent comes after it in the arrays raises IndexError:
+    the arrays must be in preorder.
+    """
+    nodes: list[Node] = []
+    for k, parent in enumerate(tree.node_parent):
+        node = Node(node_tag(tree, k), tree.node_start[k], tree.node_end[k], tree.node_raw[k], k)
+        if parent >= 0:
+            nodes[parent].children.append(node)
+        nodes.append(node)
+    return nodes
+
+
+def naive_node(tree: DomTree, pos: int) -> int:
+    """Oracle: exhaustive scan of the node arrays for the deepest node containing pos."""
+    best, best_depth = -1, -1
+    depth: list[int] = []
+    for k, parent in enumerate(tree.node_parent):
+        depth.append(depth[parent] + 1 if parent >= 0 else 0)
+        if tree.node_start[k] <= pos < tree.node_end[k] and depth[k] > best_depth:
+            best, best_depth = k, depth[k]
     return best
 
 
 def naive_path(tree: DomTree, pos: int) -> str:
-    return tree.node_path(naive_node(tree, pos))
+    """Oracle: the tags from the deepest node up the node parent array."""
+    tags = []
+    k = naive_node(tree, pos)
+    while k >= 0:
+        tags.append(node_tag(tree, k))
+        k = tree.node_parent[k]
+    return "/".join(reversed(tags))
 
 
 def test_simple_nesting():
@@ -134,7 +159,7 @@ def test_close_tag_name_stops_at_whitespace_or_angle_bracket():
     # "</b<i>" and "</b\x1c...>" both close the <b>: the name is "b".
     for close in ("</b<i>", "</b\x1cjunk>"):
         tree = parse_html("<b>x" + close + "y")
-        assert [c.tag for c in tree.root.children] == ["b", TEXT_TAG], close
+        assert [c.tag for c in rebuild(tree)[0].children] == ["b", TEXT_TAG], close
         assert tree.path_at(tree.source.index("y")) == "#document/#text"
 
 
@@ -169,8 +194,38 @@ def test_out_of_range_position():
         tree.path_at(-1)
 
 
+def segments(tree: DomTree) -> list[tuple[int, int, int]]:
+    """The page's segment table as (node, start, end) triples."""
+    ends = tree.seg_start[1:] + [len(tree.source)]
+    return list(zip(tree.seg_node, tree.seg_start, ends))
+
+
+def walk_segments(tree: DomTree) -> list[tuple[int, int, int]]:
+    """Partition of the source by deepest node, in document order, walking
+    the rebuilt tree with an explicit stack (nesting depth is unbounded)."""
+    out: list[tuple[int, int, int]] = []
+    root = rebuild(tree)[0]
+    # (node, index of its next child, end of what is covered so far)
+    stack = [(root, 0, root.start)]
+    while stack:
+        node, i, cursor = stack.pop()
+        if i < len(node.children):
+            child = node.children[i]
+            if child.start > cursor:
+                out.append((node.index, cursor, child.start))
+            stack.append((node, i + 1, child.end))
+            stack.append((child, 0, child.start))
+        elif node.end > cursor:
+            out.append((node.index, cursor, node.end))
+    return out
+
+
 def _roundtrip(tree: DomTree) -> str:
-    return "".join(tree.source[a:b] for _, a, b in tree.cover_segments())
+    """The source rebuilt from the node spans' partition, which must be the
+    page's segment table."""
+    walked = walk_segments(tree)
+    assert segments(tree) == walked
+    return "".join(tree.source[a:b] for _, a, b in walked)
 
 
 def test_roundtrip_on_fragment():
@@ -181,12 +236,12 @@ def test_roundtrip_on_fragment():
 def test_roundtrip_on_deeply_nested_page():
     depth = 5000
     tree = parse_html("<div>" * depth + "x" + "</div>" * depth)
-    segments = tree.cover_segments()
+    table = segments(tree)
     assert _roundtrip(tree) == tree.source
     # Each div owns its open and close tag; the text node owns "x".
-    assert len(segments) == 2 * depth + 1
-    node, a, b = segments[depth]
-    assert node.tag == TEXT_TAG and tree.source[a:b] == "x"
+    assert len(table) == 2 * depth + 1
+    node, a, b = table[depth]
+    assert node_tag(tree, node) == TEXT_TAG and tree.source[a:b] == "x"
 
 
 def test_stray_close_tags_after_deep_nesting():
@@ -194,15 +249,15 @@ def test_stray_close_tags_after_deep_nesting():
     # the innermost div without a scan of the stack.
     n = 8000
     tree = parse_html("<div>" * n + "x" + "</span>" * n)
-    segments = tree.cover_segments()
+    table = segments(tree)
     assert _roundtrip(tree) == tree.source
     # n open tags, the text "x", and the stray close tags as one uncovered
     # tail of the innermost div.
-    assert len(segments) == n + 2
-    node, a, b = segments[n]
-    assert node.tag == TEXT_TAG and tree.source[a:b] == "x"
-    tail, a, b = segments[n + 1]
-    assert tail.tag == "div" and tail is node.parent
+    assert len(table) == n + 2
+    node, a, b = table[n]
+    assert node_tag(tree, node) == TEXT_TAG and tree.source[a:b] == "x"
+    tail, a, b = table[n + 1]
+    assert node_tag(tree, tail) == "div" and tail == tree.node_parent[node]
     assert tree.source[a:b] == "</span>" * n and b == len(tree.source)
     assert tree.path_at(tree.source.index("x")) == "#document" + "/div" * n + "/#text"
 
@@ -234,22 +289,108 @@ def test_roundtrip_property_soup(html):
     assert _roundtrip(tree) == tree.source
 
 
-def _scan_open_match(stack, open_count, name):
-    """The matching open element found by scanning the whole stack, counts ignored."""
-    for depth in range(len(stack) - 1, 0, -1):
-        if stack[depth].tag == name:
-            return depth
-    return -1
+def reference_parse(html: str, scan_open_tag) -> Node:
+    """Reference parser that links a tree of `Node`s as it scans.
+
+    Every close tag is matched by a scan of the whole stack of open
+    elements, and every open tag is read by `scan_open_tag`, which has
+    `dom._scan_open_tag`'s contract.
+    """
+    n = len(html)
+    root = Node(ROOT_TAG, 0, n)
+    stack = [root]
+    i = 0
+    text_start = -1
+
+    def flush_text(upto: int) -> None:
+        nonlocal text_start
+        if text_start >= 0 and upto > text_start:
+            stack[-1].add_child(TEXT_TAG, text_start, upto)
+        text_start = -1
+
+    def close_until(index: int, boundary: int) -> None:
+        while len(stack) - 1 > index:
+            stack.pop().end = boundary
+
+    while i < n:
+        if html[i] != "<":
+            if text_start < 0:
+                text_start = i
+            i = html.find("<", i)
+            if i < 0:
+                break
+            continue
+        nxt = html[i + 1 : i + 2]
+        if nxt == "!":
+            flush_text(i)
+            if html.startswith("<!--", i):
+                close = html.find("-->", i + 4)
+                end = n if close == -1 else close + 3
+                stack[-1].add_child(COMMENT_TAG, i, end)
+            else:
+                close = html.find(">", i)
+                end = n if close == -1 else close + 1
+                stack[-1].add_child(DIRECTIVE_TAG, i, end)
+            i = end
+        elif nxt == "?":
+            flush_text(i)
+            close = html.find(">", i)
+            end = n if close == -1 else close + 1
+            stack[-1].add_child(DIRECTIVE_TAG, i, end)
+            i = end
+        elif (close_tag := dom._CLOSE_TAG.match(html, i)) is not None:
+            name = close_tag.group(1).lower()
+            close = html.find(">", close_tag.end())
+            end = n if close == -1 else close + 1
+            flush_text(i)
+            match = next((d for d in range(len(stack) - 1, 0, -1) if stack[d].tag == name), -1)
+            if match > 0:
+                close_until(match, i)
+                stack.pop().end = end
+            i = end
+        elif nxt.isascii() and nxt.isalpha():
+            flush_text(i)
+            name, attr_spans, self_closing, tag_end = scan_open_tag(html, i)
+            closers = dom._SIBLING_CLOSERS.get(name)
+            if closers and stack[-1].tag in closers and len(stack) > 1:
+                stack.pop().end = i
+            elem = stack[-1].add_child(name, i, tag_end)
+            for a, b in attr_spans:
+                elem.add_child(ATTR_TAG, a, b)
+            i = tag_end
+            if self_closing or name in dom.VOID_ELEMENTS:
+                continue
+            if name in dom.RAW_TEXT_ELEMENTS:
+                close_tag = dom._RAW_TEXT_CLOSE[name].search(html, tag_end)
+                body_end = n if close_tag is None else close_tag.start()
+                if body_end > tag_end:
+                    elem.add_child(TEXT_TAG, tag_end, body_end, raw=True)
+                close_gt = -1 if close_tag is None else html.find(">", body_end)
+                elem.end = i = n if close_gt == -1 else close_gt + 1
+                continue
+            stack.append(elem)
+        else:
+            # A "<" that begins no construct is text.
+            if text_start < 0:
+                text_start = i
+            i += 1
+
+    flush_text(n)
+    close_until(0, n)
+    return root
 
 
-def stack_scan_parse(html: str) -> DomTree:
-    """Reference parser: `parse_html` with every close tag matched by `_scan_open_match`."""
-    with mock.patch.object(dom, "_open_match", _scan_open_match):
-        return parse_html(html)
+def stack_scan_parse(html: str) -> Node:
+    """Reference parser: `dom._scan_open_tag` for open tags, a stack scan for close tags."""
+    return reference_parse(html, dom._scan_open_tag)
 
 
-def _shape(node: DomNode):
+def _shape(node: Node):
     return (node.tag, node.start, node.end, node.raw, [_shape(c) for c in node.children])
+
+
+def parsed_shape(html: str):
+    return _shape(rebuild(parse_html(html))[0])
 
 
 # Open and close tags of nesting, sibling-closing and void elements, with
@@ -267,10 +408,10 @@ close_soup = st.lists(
 @settings(max_examples=400)
 @given(st.one_of(tag_soup, close_soup))
 def test_parse_matches_stack_scan_parser(html):
-    assert _shape(parse_html(html).root) == _shape(stack_scan_parse(html).root)
+    assert parsed_shape(html) == _shape(stack_scan_parse(html))
 
 
-def _char_loop_parse_open_tag(raw, start, stack, open_count, add_child):
+def _char_loop_scan_open_tag(raw, start):
     """The open-tag scan written as a loop over characters, one at a time."""
     n = len(raw)
     j = start + 1
@@ -327,49 +468,12 @@ def _char_loop_parse_open_tag(raw, start, stack, open_count, add_child):
                 if pos > v:
                     attr_spans.append((v, pos))
 
-    tag_end = pos
-
-    # Implicit close of a same-group sibling (<li> after unclosed <li> etc).
-    closers = dom._SIBLING_CLOSERS.get(name)
-    if closers and stack[-1].tag in closers and len(stack) > 1:
-        stack[-1].end = start
-        open_count[stack.pop().tag] -= 1
-
-    elem = add_child(name, start, tag_end)
-    for a, b in attr_spans:
-        child = DomNode(dom.ATTR_TAG, a, b, parent=elem)
-        elem.children.append(child)
-
-    if self_closing or name in dom.VOID_ELEMENTS:
-        return tag_end
-
-    if name in dom.RAW_TEXT_ELEMENTS:
-        # Raw-text body: scan for the matching close tag, case-insensitive.
-        close_tag = dom._RAW_TEXT_CLOSE[name].search(raw, tag_end)
-        if close_tag is None:
-            if tag_end < n:
-                body = DomNode(TEXT_TAG, tag_end, n, parent=elem, raw=True)
-                elem.children.append(body)
-            elem.end = n
-            return n
-        body_end = close_tag.start()
-        if body_end > tag_end:
-            body = DomNode(TEXT_TAG, tag_end, body_end, parent=elem, raw=True)
-            elem.children.append(body)
-        close_gt = raw.find(">", body_end)
-        end = n if close_gt == -1 else close_gt + 1
-        elem.end = end
-        return end
-
-    stack.append(elem)
-    open_count[name] += 1
-    return tag_end
+    return name, attr_spans, self_closing, pos
 
 
-def char_loop_parse(html: str) -> DomTree:
-    """Reference parser: `parse_html` with open tags scanned by `_char_loop_parse_open_tag`."""
-    with mock.patch.object(dom, "_parse_open_tag", _char_loop_parse_open_tag):
-        return parse_html(html)
+def char_loop_parse(html: str) -> Node:
+    """Reference parser: open tags scanned by `_char_loop_scan_open_tag`."""
+    return reference_parse(html, _char_loop_scan_open_tag)
 
 
 # Open tags whose attributes mix `=`, both quote kinds (closed or not),
@@ -405,39 +509,38 @@ attr_soup = st.lists(
 @settings(max_examples=400)
 @given(st.one_of(attr_soup, tag_soup))
 def test_parse_matches_char_loop_parser(html):
-    assert _shape(parse_html(html).root) == _shape(char_loop_parse(html).root)
+    assert parsed_shape(html) == _shape(char_loop_parse(html))
 
 
 def test_parse_matches_char_loop_parser_on_fixture_pages(miniweb_provider):
     corpus = miniweb_provider._corpus
     for url in sorted(corpus.pages):
         html = corpus.pages[url].html
-        assert _shape(parse_html(html).root) == _shape(char_loop_parse(html).root), url
+        assert parsed_shape(html) == _shape(char_loop_parse(html)), url
 
 
-def recursive_segments(tree: DomTree):
-    """Reference partition: the depth-first walk written recursively."""
+def recursive_segments(tree: DomTree) -> list[tuple[int, int, int]]:
+    """Reference partition: the depth-first walk of the rebuilt tree, written recursively."""
     out = []
 
     def walk(node):
         cursor = node.start
         for child in node.children:
             if child.start > cursor:
-                out.append((node, cursor, child.start))
+                out.append((node.index, cursor, child.start))
             walk(child)
             cursor = child.end
         if node.end > cursor:
-            out.append((node, cursor, node.end))
+            out.append((node.index, cursor, node.end))
 
-    walk(tree.root)
+    walk(rebuild(tree)[0])
     return out
 
 
 @given(st.one_of(structured, tag_soup))
 def test_cover_segments_match_recursive_walk(html):
     tree = parse_html(html)
-    expected = [(id(n), a, b) for n, a, b in recursive_segments(tree)]
-    assert [(id(n), a, b) for n, a, b in tree.cover_segments()] == expected
+    assert segments(tree) == recursive_segments(tree)
 
 
 @given(tag_soup, st.integers(min_value=0, max_value=119))
@@ -447,7 +550,20 @@ def test_path_at_matches_naive_walk(html, pos):
         return
     pos = pos % len(tree.source)
     assert tree.path_at(pos) == naive_path(tree, pos)
-    assert tree.node_at(pos) is naive_node(tree, pos)
+    assert tree._node_at(pos) == naive_node(tree, pos)
+
+
+@given(st.one_of(structured, tag_soup))
+def test_path_ids_are_equal_exactly_when_paths_are(html):
+    # What lets the span rule compare path ids in place of path strings.
+    # Paths come from the node parent array, not from the path table.
+    tree = parse_html(html)
+    paths = [naive_path(tree, pos) for pos in range(len(tree.source))]
+    ids = [tree.path_id_at(pos) for pos in range(len(tree.source))]
+    assert len(set(zip(ids, paths))) == len(set(ids)) == len(set(paths))
+    for path_id, path in zip(ids, paths):
+        assert tree.path_string(path_id) == path and tree.path_id(path) == path_id
+    assert tree.path_id(ROOT_TAG + "/nosuchtag") == -1
 
 
 def test_invariants_hold_on_real_fixture_pages(miniweb_provider):
@@ -457,7 +573,7 @@ def test_invariants_hold_on_real_fixture_pages(miniweb_provider):
         assert _roundtrip(tree) == tree.source
         for pos in range(0, len(tree.source), 37):
             assert tree.path_at(pos) == naive_path(tree, pos)
-            assert tree.node_at(pos) is naive_node(tree, pos)
+            assert tree._node_at(pos) == naive_node(tree, pos)
 
 
 # -- inputs that a per-character or backtracking scan would make quadratic --
@@ -468,7 +584,7 @@ def test_unterminated_quotes_parse_in_one_pass():
     n = 20001
     html = "<a" + ' x="' * n
     tree = parse_html(html)
-    (elem,) = tree.root.children
+    (elem,) = rebuild(tree)[0].children
     assert (elem.tag, elem.start, elem.end) == ("a", 0, len(html))
     assert len(elem.children) == n // 2
     assert {html[c.start : c.end] for c in elem.children} == {" x="}
@@ -478,20 +594,21 @@ def test_many_attribute_tags_parse_in_one_pass():
     n = 20000
     unit = "<p x=1 y='2' z>"
     tree = parse_html(unit * n)
+    root = rebuild(tree)[0]
     # Each <p> closes the one before it at its own start.
-    assert [(p.tag, p.start, p.end) for p in tree.root.children] == [
+    assert [(p.tag, p.start, p.end) for p in root.children] == [
         ("p", k * len(unit), (k + 1) * len(unit)) for k in range(n)
     ]
     assert all(
         [tree.source[c.start : c.end] for c in p.children] == ["1", "2"]
-        for p in tree.root.children
+        for p in root.children
     )
 
 
 def test_megabyte_text_run_is_one_node():
     html = "宏碁, 索尼 " * 125_000  # 1,000,000 characters
     tree = parse_html(html)
-    (text,) = tree.root.children
+    (text,) = rebuild(tree)[0].children
     assert (text.tag, text.start, text.end) == (TEXT_TAG, 0, len(html))
     assert tree.visible_text() == html
     assert tree.path_at(len(html) - 1) == "#document/#text"
@@ -543,12 +660,15 @@ def oracle_visible_text(tree: DomTree, lo: int = 0, hi: int | None = None) -> st
     """Oracle: clip every non-raw text node to the range, one node at a time."""
     if hi is None:
         hi = len(tree.source)
-    nodes = sorted((n for n in iter_nodes(tree) if n.tag == TEXT_TAG), key=lambda n: n.start)
+    nodes = sorted(
+        (k for k in range(len(tree.node_path)) if node_tag(tree, k) == TEXT_TAG),
+        key=lambda k: tree.node_start[k],
+    )
     pieces = []
-    for node in nodes:
-        if node.raw:
+    for k in nodes:
+        if tree.node_raw[k]:
             continue
-        a, b = max(node.start, lo), min(node.end, hi)
+        a, b = max(tree.node_start[k], lo), min(tree.node_end[k], hi)
         if a < b:
             pieces.append(tree.source[a:b])
     return "".join(pieces)
