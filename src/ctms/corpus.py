@@ -135,6 +135,8 @@ def load_fixture(path: str | Path) -> FixtureCorpus:
             raise FixtureError(f"bad page entry: {entry!r}") from None
         if not isinstance(url, str) or not isinstance(rel, str):
             raise FixtureError(f"bad page entry: {entry!r}")
+        if url in pages:
+            raise FixtureError(f"page url {url!r} is listed twice")
         if Path(rel).is_absolute() or ".." in Path(rel).parts:
             raise FixtureError(f"page file for {url!r} lies outside the bundle: {rel!r}")
         page_path = root / rel
@@ -152,9 +154,12 @@ def load_fixture(path: str | Path) -> FixtureCorpus:
             query = entry["query"]
             if not isinstance(query, str):
                 raise TypeError
-            queries[query] = tuple(_hit(query, h) for h in entry["hits"])
+            hits = tuple(_hit(query, h) for h in entry["hits"])
         except (TypeError, KeyError):
             raise FixtureError(f"bad query entry: {entry!r}") from None
+        if query in queries:
+            raise FixtureError(f"query {query!r} is listed twice")
+        queries[query] = hits
 
     corpus = FixtureCorpus(queries=queries, pages=pages)
     corpus.validate()

@@ -8,8 +8,8 @@ segment table (each maximal run of characters with one deepest node, as
 its start and node, and the rendered text before it) and joins the
 rendered text.  Each position query is then one bisection into it:
 ``path_id_at(pos)`` / ``path_at(pos)`` (markup characters resolve to
-their element), ``visible_text(lo, hi)``, and the path and raw flag of
-each hit of ``find_occurrences(terms)``.  ``next_markup(pos)`` bisects
+their element), ``visible_text(lo, hi)``, and the path id and raw flag of
+each hit of ``occurrence_ids(terms)``.  ``next_markup(pos)`` bisects
 the sorted ``<``/``>`` positions, found on first use.
 
 Tag paths are hash-consed: ``(parent path id, tag)`` is interned to one
@@ -39,7 +39,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 
 from .text import find_all
 
@@ -83,16 +82,6 @@ _SIBLING_CLOSERS: dict[str, frozenset[str]] = {
     "dt": frozenset({"dt", "dd"}),
     "dd": frozenset({"dt", "dd"}),
 }
-
-
-@dataclass(frozen=True)
-class Occurrence:
-    """An exact match of a term in the raw source."""
-
-    term: str
-    pos: int
-    path: str
-    in_raw: bool
 
 
 class DomTree:
@@ -199,13 +188,6 @@ class DomTree:
                 out.append((pos, term, self.node_path[node], self.node_raw[node]))
         out.sort(key=lambda o: (o[0], -len(o[1]), o[1]))
         return out
-
-    def find_occurrences(self, terms) -> list[Occurrence]:
-        """Every exact occurrence of every term, with position and path."""
-        return [
-            Occurrence(term=term, pos=pos, path=self.path_string(path_id), in_raw=raw)
-            for pos, term, path_id, raw in self.occurrence_ids(terms)
-        ]
 
 
 def parse_html(raw: str) -> DomTree:

@@ -124,19 +124,20 @@ def _concept_report(
     members = [weblists_by_id[i] for i in cluster.lists]
     graph = build_relation_graph(cluster, members, seed, cfg.affix_min_n, cfg.affix_max_n)
     scores, converged = rwr_scores(graph, cfg)
-    ranked = rank_terms(scores, seed)
-    provenance: dict[str, list[str]] = {}
-    ranked_terms = {t for t, _ in ranked}
-    for wl in members:
-        for term in wl.terms:
-            if term in ranked_terms or term == seed:
-                provenance.setdefault(term, []).append(wl.id)
+    # Provenance is read off the graph the walk ranked: each term vertex
+    # (in term order) and its list neighbours (in id order).
+    vertices = graph.vertices
+    term_lists = {
+        name: [vertices[j][1] for j in graph.adjacency[i] if vertices[j][0] == "list"]
+        for i, (kind, name) in enumerate(vertices)
+        if kind == "term"
+    }
     return ConceptReport(
         id=cluster.id,
         list_count=len(cluster.lists),
         list_ids=list(cluster.lists),
-        ranked_terms=ranked,
-        term_lists={t: sorted(ids) for t, ids in sorted(provenance.items())},
+        ranked_terms=rank_terms(scores, seed),
+        term_lists=term_lists,
         converged=converged,
     )
 

@@ -97,11 +97,6 @@ def is_punct_text(s: str) -> bool:
     return seen
 
 
-def is_term_char(ch: str) -> bool:
-    """Characters allowed inside a candidate term: no space, no punctuation."""
-    return _CHAR_CLASSES[ord(ch)] in _TERM_CLASSES
-
-
 def split_sentences(text: str) -> list[str]:
     """Split on sentence-final punctuation and newlines, dropping empties."""
     return [piece for piece in map(str.strip, _SENTENCE_SPLIT.split(text)) if piece]

@@ -41,22 +41,23 @@ its spans on the page, learned per tag-path group of seed occurrences:
 A span, by the span rule `spans_on_path`, runs from the end of a
 left-context match to the start of a right-context match, contains no
 markup, trims to a non-empty string of at most ``MAX_TERM_LEN``
-characters, and starts and ends on the wrapper's path.  Paths are
-compared as the page's interned path ids (equal ids are equal paths), so
-learning groups occurrences by id and builds a path's string only for
-the wrappers it keeps.  Learning scans
-the page (for left contexts, the reversed page) only for the prefixes
-it probes on root edges of the trie: a deeper edge's prefixes extend its
-parent edge's longest one, so their matches are those of the parent's
-that extend to them.  Each kept wrapper's span set comes back decoded
-with it, so mining never searches the page again to apply a wrapper.
+characters, and starts and ends on the wrapper's path.  The rule takes
+the path as the page's interned path id (equal ids are equal paths), so
+learning groups occurrences by id, passes each group's id, and builds a
+path's string only for the wrappers it keeps.  Learning scans the page
+(for left contexts, the reversed page) only for the prefixes it probes
+on root edges of the trie: a deeper edge's prefixes extend its parent
+edge's longest one, so their matches are those of the parent's that
+extend to them.  Each kept wrapper's span set comes back decoded with it,
+so mining never searches the page again to apply a wrapper.
 
 Extraction (`extract_spans`) is the independent check on those spans,
 not part of mining: it finds every position of its wrappers' context
 strings with one C-level scan per distinct pattern
-(`MultiMatcher.positions`, built on `text.find_all`) and applies the span
-rule per wrapper.  By the restriction argument above, it returns exactly
-the spans learning does for every learned wrapper.
+(`MultiMatcher.positions`, built on `text.find_all`), resolves each
+wrapper's path string to its id once, and applies the span rule per
+wrapper.  By the restriction argument above, it returns exactly the spans
+learning does for every learned wrapper.
 """
 
 from __future__ import annotations
@@ -228,22 +229,17 @@ def _extends(a: Wrapper, b: Wrapper) -> bool:
 
 
 def spans_on_path(
-    tree: DomTree, ends: Sequence[int], starts: Sequence[int], path: str
+    tree: DomTree, ends: Sequence[int], starts: Sequence[int], path_id: int
 ) -> list[tuple[int, int]]:
     """The span rule: valid spans (e, s) from a left end e to a right start s.
 
     `ends` and `starts` must be ascending.  A span is valid when it
     contains no markup characters, trims to a non-empty string of at most
     `MAX_TERM_LEN` characters, and both its first and last characters
-    resolve to `path`.  Spans are returned in document order.
+    resolve to the page's path id `path_id` (equal ids are equal paths; an
+    id of -1, a path the page lacks, admits no span).  Spans are returned
+    in document order.
     """
-    return _spans_on_path_id(tree, ends, starts, tree.path_id(path))
-
-
-def _spans_on_path_id(
-    tree: DomTree, ends: Sequence[int], starts: Sequence[int], path_id: int
-) -> list[tuple[int, int]]:
-    """`spans_on_path` for the path with id `path_id`: equal paths are equal ids."""
     src = tree.source
     path_id_at = tree.path_id_at
     spans: list[tuple[int, int]] = []
@@ -323,7 +319,7 @@ def learn_wrappers(
         # k; a level's mask is the OR of the bits at its positions (a
         # span's first item on the left side, its second on the right), so
         # a candidate's span set is its two masks ANDed.
-        spans = _spans_on_path_id(
+        spans = spans_on_path(
             tree, *(sorted({p for lv in side for p in lv.positions}) for side in sides), path_id
         )
         masks = []
@@ -357,9 +353,9 @@ def extract_spans(
     """Apply wrappers to the page they were learned on; spans per wrapper.
 
     One C-level scan per distinct context string finds its positions; each
-    wrapper's spans are then those the span rule `spans_on_path` admits
-    between its left-context ends and right-context starts, in document
-    order.  Mining takes its spans from `learn_wrappers` instead; this is the
+    wrapper's path string is resolved to the page's path id once, and its
+    spans are those the span rule `spans_on_path` admits between its
+    left-context ends and right-context starts, in document order.  Mining takes its spans from `learn_wrappers` instead; this is the
     independent check that they are the wrappers' spans on the page.
     """
     wrapper_list = sorted(set(wrappers))
@@ -370,6 +366,6 @@ def extract_spans(
     out: dict[Wrapper, list[tuple[int, int]]] = {}
     for w in wrapper_list:
         ends = [p + len(w.left) for p in positions.get(w.left, [])]
-        out[w] = spans_on_path(tree, ends, positions.get(w.right, []), w.path)
+        out[w] = spans_on_path(tree, ends, positions.get(w.right, []), tree.path_id(w.path))
     return out
 

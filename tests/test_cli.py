@@ -351,6 +351,15 @@ BAD_FIXTURES = {
     "rank-float": (_one_hit_manifest(rank=1.9), b"<p>x</p>"),
     "rank-str": (_one_hit_manifest(rank="1"), b"<p>x</p>"),
     "rank-bool": (_one_hit_manifest(rank=True), b"<p>x</p>"),
+    # A repeated query or page url: loading would silently keep the later entry.
+    "query-twice": (
+        b'{"queries": [{"query": "q", "hits": []}, {"query": "q", "hits": []}]}',
+        b"<p>x</p>",
+    ),
+    "page-url-twice": (
+        b'{"pages": [{"url": "u", "file": "p.html"}, {"url": "u", "file": "p.html"}]}',
+        b"<p>x</p>",
+    ),
 }
 
 

@@ -90,6 +90,34 @@ def test_noncontiguous_ranks_rejected(tmp_path):
         load_fixture(bundle)
 
 
+def test_repeated_query_is_rejected_by_name(tmp_path):
+    bundle = make_bundle(
+        tmp_path,
+        [{"query": "宝马比", "hits": []}, {"query": "宝马比", "hits": [hit(1, "u1")]}],
+        {"u1": "<p>x</p>"},
+    )
+    with pytest.raises(FixtureError, match="宝马比"):
+        load_fixture(bundle)
+
+
+def test_repeated_page_url_is_rejected_by_name(tmp_path):
+    bundle = make_bundle(tmp_path, [], {"u1": "<p>x</p>"})
+    manifest = json.loads((bundle / "manifest.json").read_text(encoding="utf-8"))
+    manifest["pages"].append(dict(manifest["pages"][0]))
+    (bundle / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(FixtureError, match="u1"):
+        load_fixture(bundle)
+
+
+def test_url_repeated_in_one_hit_list_is_allowed(tmp_path):
+    bundle = make_bundle(
+        tmp_path,
+        [{"query": "q", "hits": [hit(1, "u1"), hit(2, "u1")]}],
+        {"u1": "<p>x</p>"},
+    )
+    assert [h.url for h in load_fixture(bundle).queries["q"]] == ["u1", "u1"]
+
+
 def test_empty_bundle_is_valid(tmp_path):
     corpus = load_fixture(make_bundle(tmp_path, [], {}))
     assert corpus.queries == {} and corpus.pages == {}

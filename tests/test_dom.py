@@ -1,4 +1,5 @@
 import string
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +61,24 @@ def rebuild(tree: DomTree) -> list[Node]:
     return nodes
 
 
+class Occurrence(NamedTuple):
+    """An exact match of a term in the raw source, with its path as a string."""
+
+    term: str
+    pos: int
+    path: str
+    in_raw: bool
+
+
+def find_occurrences(tree: DomTree, terms) -> list[Occurrence]:
+    """`DomTree.occurrence_ids` with each path id spelled out by `path_string`:
+    the string form the oracles compare."""
+    return [
+        Occurrence(term, pos, tree.path_string(path_id), raw)
+        for pos, term, path_id, raw in tree.occurrence_ids(terms)
+    ]
+
+
 def naive_node(tree: DomTree, pos: int) -> int:
     """Oracle: exhaustive scan of the node arrays for the deepest node containing pos."""
     best, best_depth = -1, -1
@@ -113,7 +132,7 @@ def test_fig_fragment_brand_paths():
 
 def test_find_occurrences_on_fragment():
     tree = parse_html(FIG_FRAGMENT)
-    occs = tree.find_occurrences({"宏碁", "索尼"})
+    occs = find_occurrences(tree, {"宏碁", "索尼"})
     assert len(occs) == 2
     assert all(o.path.endswith("a/span/#text") for o in occs)
     assert occs[0].pos < occs[1].pos
@@ -121,12 +140,12 @@ def test_find_occurrences_on_fragment():
 
 def test_find_occurrences_absent_term():
     tree = parse_html("<p>abc</p>")
-    assert tree.find_occurrences({"zz"}) == []
+    assert find_occurrences(tree, {"zz"}) == []
 
 
 def test_find_occurrences_overlapping_terms():
     tree = parse_html("<p>abab</p>")
-    occs = tree.find_occurrences({"ab", "ba"})
+    occs = find_occurrences(tree, {"ab", "ba"})
     found = {(o.term, o.pos) for o in occs}
     assert found == {("ab", 3), ("ab", 5), ("ba", 4)}
 
@@ -139,7 +158,7 @@ def test_attr_values_are_attr_nodes():
 
 def test_script_and_style_flagged_raw():
     tree = parse_html("<script>var x = '索尼';</script><p>索尼</p>")
-    occs = tree.find_occurrences({"索尼"})
+    occs = find_occurrences(tree, {"索尼"})
     assert [o.in_raw for o in occs] == [True, False]
 
 
@@ -631,7 +650,7 @@ def test_list_after_script_stays_visible_behind_wide_lowercase_chars():
     assert "x" not in text and "y" not in text
     for term in ("林肯", "纽约"):
         assert tree.path_at(tree.source.index(term)) == "#document/ul/li/#text"
-    occs = tree.find_occurrences({"林肯", "纽约"})
+    occs = find_occurrences(tree, {"林肯", "纽约"})
     assert [o.in_raw for o in occs] == [False, False]
     assert _roundtrip(tree) == tree.source
 
@@ -649,7 +668,7 @@ def test_raw_body_close_tag_matches_ascii_letters_only():
     # names are ASCII, so "</ſcript>" does not close the body.
     tree = parse_html("<script>a</ſcript><p>b</p>")
     assert tree.visible_text() == ""
-    assert tree.find_occurrences({"b"})[0].in_raw
+    assert find_occurrences(tree, {"b"})[0].in_raw
     assert _roundtrip(tree) == tree.source
 
 

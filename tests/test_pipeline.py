@@ -8,7 +8,8 @@ import pytest
 
 from ctms import pipeline
 from ctms.corpus import TransientSearchError
-from ctms.linguistic import build_queries
+from ctms.expansion import ExpandResult, WebList
+from ctms.linguistic import ScoredCandidate, build_queries
 from ctms.metrics import GoldAnswer, GoldConcept, load_gold
 from ctms.pipeline import (
     MiningReport,
@@ -19,6 +20,7 @@ from ctms.pipeline import (
     mine,
     snippet_sentences,
 )
+from ctms.wrappers import Wrapper
 
 EXPERIMENT = Path(__file__).resolve().parent.parent / "scripts" / "run_miniweb_experiment.py"
 
@@ -126,6 +128,63 @@ def test_provenance_complete(report):
             assert concept.term_lists.get(term), term
             for wid in concept.term_lists[term]:
                 assert wid in concept.list_ids
+
+
+def _graph_term_lists(graph) -> dict[str, list[str]]:
+    """Each term vertex's list neighbours, by id, read off the edges."""
+    lists: dict[str, list[str]] = {
+        name: [] for kind, name in graph.vertices if kind == "term"
+    }
+    for i, neighbours in enumerate(graph.adjacency):
+        for j in neighbours:
+            (kind_a, a), (kind_b, b) = graph.vertices[i], graph.vertices[j]
+            if kind_a == "term" and kind_b == "list":
+                lists[a].append(b)
+    return {term: sorted(ids) for term, ids in lists.items()}
+
+
+@pytest.mark.parametrize("disambiguation", [True, False])
+def test_provenance_is_the_ranked_graph(disambiguation, miniweb_provider, monkeypatch):
+    graphs = []
+    build = pipeline.build_relation_graph
+
+    def spy(*args, **kwargs):
+        graphs.append(build(*args, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr(pipeline, "build_relation_graph", spy)
+    mined = mine("华盛顿", PipelineConfig(disambiguation=disambiguation), miniweb_provider)
+    assert len(graphs) == len(mined.concepts) > 0
+    for concept, graph in zip(mined.concepts, graphs):
+        expected = _graph_term_lists(graph)
+        assert concept.term_lists == expected
+        assert all(expected.values()), [t for t, ids in expected.items() if not ids]
+
+
+def test_term_below_the_support_floor_has_no_provenance(monkeypatch):
+    # Grouping off, three lists, a floor of 1.5 lists: "丙" sits in one
+    # list but is no member term, so it gets neither a rank nor an entry.
+    wrapper = Wrapper("<li>", "</li>", "#document/ul/li/#text")
+    lists = [
+        WebList("w1", ("甲", "乙", "丙"), "u1", wrapper, ""),
+        WebList("w2", ("甲", "乙"), "u2", wrapper, ""),
+        WebList("w3", ("乙", "甲"), "u3", wrapper, ""),
+    ]
+    monkeypatch.setattr(
+        pipeline, "extract_initial_candidates", lambda *a: [ScoredCandidate("乙", 2, 2)]
+    )
+    monkeypatch.setattr(
+        pipeline, "expand", lambda *a: ExpandResult(lists, {}, [], 3, 3, [])
+    )
+
+    class NoSnippets:
+        def search(self, query, max_results=200):
+            return []
+
+    cfg = PipelineConfig(disambiguation=False, min_support=0.5)
+    (concept,) = mine("甲", cfg, NoSnippets()).concepts
+    assert [t for t, _ in concept.ranked_terms] == ["乙"]
+    assert concept.term_lists == {"乙": ["w1", "w2", "w3"], "甲": ["w1", "w2", "w3"]}
 
 
 def test_report_json_roundtrip(report):

@@ -1,14 +1,20 @@
-"""Every top-level private name in the package is used somewhere in it.
+"""Every name the package defines is reached by code that runs it.
 
 A helper that a refactor leaves behind (defined, never called) fails here.
-A name counts as used when the package's source mentions it anywhere but
-its own definition: as a name, an attribute or an imported name.
+A top-level private name counts as used when the package's source
+mentions it anywhere but its own definition: as a name, an attribute or
+an imported name.  A public function, class or method must be mentioned
+outside its own definition by the package, the scripts, the benchmark
+harness or the acceptance criteria; a public name that only unit tests
+call is code no command, script or criterion reaches.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ctms"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ctms"
 
 
 def _is_private(name: str) -> bool:
@@ -67,3 +73,62 @@ def test_an_unused_private_helper_is_reported(tmp_path):
         encoding="utf-8",
     )
     assert unused_private_names([module]) == ["mod.py:_left_behind"]
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, def node) of each public top-level function or class,
+    and of each public method of a top-level class."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if not isinstance(node, (*defs, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unreached_public_names(defining, reaching) -> list[str]:
+    """``file:name`` for each public definition in `defining` that no file in
+    `reaching` mentions outside the definition itself."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in {*defining, *reaching}}
+    mentions = Counter(name for path in reaching for name in _uses(trees[path]))
+    return [
+        f"{path.name}:{qualname}"
+        for path in sorted(defining)
+        for qualname, node in _public_definitions(trees[path])
+        if mentions[node.name] <= _uses(node).count(node.name)
+    ]
+
+
+def test_every_public_name_in_the_package_is_reached():
+    package = sorted(SRC.glob("*.py"))
+    reaching = [
+        *package,
+        *sorted((ROOT / "scripts").glob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")),
+        ROOT / "tests" / "test_acceptance.py",
+    ]
+    assert package and all(path.is_file() for path in reaching)
+    assert unreached_public_names(package, reaching) == []
+
+
+def test_a_public_name_only_tests_call_is_reported(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def run(x):\n    return Box(x).size()\n"
+        "def countdown(n):\n    return countdown(n - 1) if n else 0\n"
+        "class Box:\n"
+        "    def __init__(self, x):\n        self.x = x\n"
+        "    def size(self):\n        return 1\n"
+        "    def spare(self):\n        return self.size()\n",
+        encoding="utf-8",
+    )
+    script = tmp_path / "script.py"
+    script.write_text("from mod import run\nprint(run(3))\n", encoding="utf-8")
+    assert unreached_public_names([module], [module, script]) == [
+        "mod.py:countdown",
+        "mod.py:Box.spare",
+    ]

@@ -8,9 +8,9 @@ from ctms.text import (
     SENTENCE_BREAKS,
     is_punct_char,
     is_punct_text,
-    is_term_char,
     nfc_trim,
     split_sentences,
+    term_run,
     tokenize,
 )
 from text_oracle import MIXED_ALPHABET, is_term_char_by_category, tokenize_by_loop
@@ -73,10 +73,10 @@ def test_punct_text_requires_some_punct():
 
 
 def test_term_chars():
-    assert is_term_char("宏")
-    assert is_term_char("a")
-    assert not is_term_char("、")
-    assert not is_term_char(" ")
+    assert term_run("宏") == 1
+    assert term_run("a") == 1
+    assert term_run("、") == 0
+    assert term_run(" ") == 0
 
 
 def test_tokenize_latin_runs_and_cjk_bigrams():
@@ -96,14 +96,14 @@ def test_term_char_matches_category_definition():
     astral = random.Random(0).sample(range(0x10000, 0x110000), 20000)
     for cp in [*range(0x10000), *astral]:
         ch = chr(cp)
-        assert is_term_char(ch) == is_term_char_by_category(ch), hex(cp)
+        assert (term_run(ch) == 1) == is_term_char_by_category(ch), hex(cp)
 
 
 def test_astral_characters_are_not_memoised():
     astral = "".join(map(chr, range(0x20000, 0x20400)))
     size = len(text_module._CHAR_CLASSES)
     assert len(tokenize(astral)) == len(astral) - 1
-    assert all(is_term_char(ch) for ch in astral)
+    assert all(term_run(ch) == 1 for ch in astral)
     assert len(text_module._CHAR_CLASSES) == size
 
 

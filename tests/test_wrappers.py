@@ -26,7 +26,7 @@ from ctms.wrappers import (
 )
 
 from test_acceptance import _synthetic_page as criterion_2_page
-from test_dom import FIG_FRAGMENT
+from test_dom import FIG_FRAGMENT, find_occurrences
 
 
 def extract_terms(tree: DomTree, wrappers: Iterable[Wrapper]) -> dict[Wrapper, list[str]]:
@@ -283,7 +283,7 @@ def reference_learn(
     seed_list = sorted({s for s in seeds if s})
     if len(seed_list) < cfg.min_distinct_seeds:
         return []
-    occs = [o for o in tree.find_occurrences(seed_list) if not o.in_raw]
+    occs = [o for o in find_occurrences(tree, seed_list) if not o.in_raw]
     if not occs:
         return []
 
@@ -348,7 +348,7 @@ def reference_learn(
                 }
                 if len(bracketed) < cfg.min_distinct_seeds:
                     continue
-                spans = spans_on_path(tree, ends, starts, path)
+                spans = spans_on_path(tree, ends, starts, tree.path_id(path))
                 if not spans:
                     continue
                 candidates.append((wrapper, frozenset(spans)))
@@ -510,11 +510,11 @@ def span_rule_cases(draw):
 def test_span_rule_on_subsets_is_a_restriction(case):
     html, ends, starts, sub_ends, sub_starts, path_pos = case
     tree = parse_html(html)
-    path = tree.path_at(path_pos)
-    full = spans_on_path(tree, ends, starts, path)
+    path_id = tree.path_id_at(path_pos)
+    full = spans_on_path(tree, ends, starts, path_id)
     kept_ends, kept_starts = set(sub_ends), set(sub_starts)
     restricted = [(e, s) for e, s in full if e in kept_ends and s in kept_starts]
-    assert spans_on_path(tree, sub_ends, sub_starts, path) == restricted
+    assert spans_on_path(tree, sub_ends, sub_starts, path_id) == restricted
 
 
 @st.composite
