@@ -1,37 +1,35 @@
-"""Permissive HTML parsing into a flat, offset-indexed page index.
+"""Permissive HTML parsing into an offset-indexed page index.
 
 The parser is a tag-soup scanner: it never fails, keeps the exact
-character offsets of every construct, and builds no node objects.  One
-scan appends each node to flat arrays in document order (preorder): its
-path id, start, end, parent and raw flag.  The same pass fills the
-segment table (each maximal run of characters with one deepest node, as
-its start and node, and the rendered text before it) and joins the
+character offsets of every construct, and builds no node objects.  What
+mining reads of a position is its tag path, whether it lies in a
+script/style body, and the rendered text, so one scan fills only the
+segment table (each maximal run of positions with one path id, as its
+start and path id, and the rendered text before it) and joins the
 rendered text.  Each position query is then one bisection into it:
 ``path_id_at(pos)`` / ``path_at(pos)`` (markup characters resolve to
-their element), ``visible_text(lo, hi)``, and the path id and raw flag of
-each hit of ``occurrence_ids(terms)``.  ``next_markup(pos)`` bisects
-the sorted ``<``/``>`` positions, found on first use.
+their element), ``visible_text(lo, hi)``, and the path id of each hit of
+``occurrence_ids(terms)``.  ``next_markup(pos)`` bisects the sorted
+``<``/``>`` positions, found on first use.
 
 Tag paths are hash-consed: ``(parent path id, tag)`` is interned to one
 id per page, so two positions have equal paths exactly when they have
 equal path ids.  A path's slash-joined string is built only on request,
 by walking the parent ids, and cached per id.  A tag name never holds
-``/``, so ``path_id`` resolves a string back to its id.
-
-Node spans are half-open ``[start, end)`` ranges into the source string.
-Child spans are disjoint and contained in their parent, so every position
-has a unique deepest node and the segments partition the source.
+``/``, so ``path_id`` resolves a string back to its id.  A script/style
+body is the only ``#text`` child its element can have, so being raw is a
+property of the path (``path_raw``).
 
 Text runs, tag names and attributes are found by C-level searches
 (``str.find`` and precompiled patterns), never one character at a time.
 Repair strategy for malformed markup: unclosed elements are closed at the
 boundary of the enclosing close tag (or end of input); close tags with no
 matching open element are swallowed by the current element; a ``<`` that
-does not begin a recognizable construct is ordinary text.  Attribute
-values become ``#attr`` leaves and text runs become ``#text`` leaves.
-Script and style bodies are kept as ``#text`` leaves flagged ``raw`` so
-extraction stages can skip them.  Entities are not decoded; offsets always
-index the raw source.
+does not begin a recognizable construct is ordinary text.  A tag's
+characters are its element's, but for attribute values, which are
+``#attr`` leaves; text runs are ``#text`` leaves.  Script and style
+bodies are ``#text`` leaves with a raw path, kept out of the rendered
+text.  Entities are not decoded; offsets always index the raw source.
 """
 
 from __future__ import annotations
@@ -54,9 +52,14 @@ VOID_ELEMENTS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
 )
 RAW_TEXT_ELEMENTS = frozenset({"script", "style"})
-# Close-tag search for raw-text bodies.  ASCII-only case folding matches
-# the HTML rule and keeps every match offset an offset into the source.
-_RAW_TEXT_CLOSE = {name: re.compile("</" + name, re.I | re.A) for name in RAW_TEXT_ELEMENTS}
+# Close-tag search for raw-text bodies: a ``</script`` or ``</style``
+# whose name ends there, before whitespace, ``/`` or ``>``.  ASCII-only
+# case folding matches the HTML rule and keeps every match offset an
+# offset into the source.
+_RAW_TEXT_CLOSE = {
+    name: re.compile("</" + name + r"(?=[\t\n\f\r />])", re.I | re.A)
+    for name in RAW_TEXT_ELEMENTS
+}
 _MARKUP = re.compile("[<>]")
 # Tag names start with an ASCII letter.  A close tag's name runs to
 # whitespace, ``<`` or ``>``; an open tag's to whitespace, ``>`` or ``/``.
@@ -85,28 +88,23 @@ _SIBLING_CLOSERS: dict[str, frozenset[str]] = {
 
 
 class DomTree:
-    """Parsed page: the source string and its flat index, built by `parse_html`.
+    """Parsed page: the source string and its segment table, built by `parse_html`.
 
-    Node k (node 0 is the ``#document`` root) has path id
-    ``node_path[k]``, span ``[node_start[k], node_end[k])``, parent node
-    ``node_parent[k]`` (-1 for the root) and raw flag ``node_raw[k]``.
     Path id p names tag ``path_tag[p]`` under path ``path_parent[p]``
-    (-1 for the root's).  Segment j starts at ``seg_start[j]`` and is
-    owned by node ``seg_node[j]``.
+    (-1 for the root's); ``path_raw[p]`` is true for a script/style body.
+    Segment j, a maximal run of positions with one path id, starts at
+    ``seg_start[j]`` and has path id ``seg_path[j]``, so adjacent segments
+    have different ids.
     """
 
     def __init__(self, source: str):
-        # The root alone: node 0, path 0, owning no segment yet.
+        # The root path alone, and no segment yet.
         self.source = source
-        self.node_path = [0]
-        self.node_start = [0]
-        self.node_end = [len(source)]
-        self.node_parent = [-1]
-        self.node_raw = [False]
         self.path_tag = [ROOT_TAG]
         self.path_parent = [-1]
+        self.path_raw = [False]
         self.seg_start: list[int] = []
-        self.seg_node: list[int] = []
+        self.seg_path: list[int] = []
         # Rendered text before each segment (plus the total), and the text.
         self._rendered: list[int] = []
         self._text = ""
@@ -114,18 +112,14 @@ class DomTree:
         self._path_strings: dict[int, str] = {}
         self._markup: list[int] | None = None
 
-    def _node_at(self, pos: int) -> int:
-        """Deepest node whose span contains `pos`."""
+    def path_id_at(self, pos: int) -> int:
+        """Path id of the deepest construct containing `pos`."""
         if not (0 <= pos < len(self.source)):
             raise IndexError(f"position {pos} outside source of length {len(self.source)}")
-        return self.seg_node[bisect_right(self.seg_start, pos) - 1]
-
-    def path_id_at(self, pos: int) -> int:
-        """Path id of the deepest node containing `pos`."""
-        return self.node_path[self._node_at(pos)]
+        return self.seg_path[bisect_right(self.seg_start, pos) - 1]
 
     def path_at(self, pos: int) -> str:
-        """Tag path of the deepest node containing `pos` (slash-joined)."""
+        """Tag path of the deepest construct containing `pos` (slash-joined)."""
         return self.path_string(self.path_id_at(pos))
 
     def path_string(self, path_id: int) -> str:
@@ -141,7 +135,7 @@ class DomTree:
         return path
 
     def path_id(self, path: str) -> int:
-        """Id of a slash-joined tag path; -1 when no node of the page has it."""
+        """Id of a slash-joined tag path; -1 when no position of the page has it."""
         p = -1
         for tag in path.split("/"):
             p = self._path_ids.get((p, tag), -1)
@@ -175,17 +169,17 @@ class DomTree:
 
         return self._text[rendered_offset(lo) : rendered_offset(hi)]
 
-    def occurrence_ids(self, terms) -> list[tuple[int, str, int, bool]]:
-        """(pos, term, path id, raw) of every exact occurrence of every term,
+    def occurrence_ids(self, terms) -> list[tuple[int, str, int]]:
+        """(pos, term, path id) of every exact occurrence of every term,
         by position, longest term first on ties."""
         terms = [t for t in terms if t]
         if not terms:
             raise ValueError("terms must be non-empty")
-        out = []
-        for term in sorted(set(terms)):
-            for pos in find_all(self.source, term):
-                node = self._node_at(pos)
-                out.append((pos, term, self.node_path[node], self.node_raw[node]))
+        out = [
+            (pos, term, self.path_id_at(pos))
+            for term in sorted(set(terms))
+            for pos in find_all(self.source, term)
+        ]
         out.sort(key=lambda o: (o[0], -len(o[1]), o[1]))
         return out
 
@@ -194,58 +188,48 @@ def parse_html(raw: str) -> DomTree:
     """Parse possibly-malformed HTML; never raises on bad input."""
     n = len(raw)
     tree = DomTree(raw)
-    node_path, node_end = tree.node_path, tree.node_end
-    path_tag, path_ids = tree.path_tag, tree._path_ids
-    seg_node, rendered = tree.seg_node, tree._rendered
+    path_tag, path_ids, path_raw = tree.path_tag, tree._path_ids, tree.path_raw
+    seg_start, seg_path, rendered = tree.seg_start, tree.seg_path, tree._rendered
     pieces: list[str] = []
     rendered_len = 0
 
-    def add(tag: str, start: int, end: int, parent: int, raw_flag: bool = False) -> int:
-        # Appends a node under `parent`, interning its path, and the segment
-        # its first character starts; returns the node's index.
-        nonlocal rendered_len
-        key = (node_path[parent], tag)
+    def child(parent: int, tag: str) -> int:
+        # The interned path id of `tag` under path `parent`.
+        key = (parent, tag)
         path = path_ids.get(key)
         if path is None:
             path = path_ids[key] = len(path_tag)
             path_tag.append(tag)
-            tree.path_parent.append(key[0])
-        node = len(node_path)
-        node_path.append(path)
-        tree.node_start.append(start)
-        node_end.append(end)
-        tree.node_parent.append(parent)
-        tree.node_raw.append(raw_flag)
-        tree.seg_start.append(start)
-        seg_node.append(node)
-        rendered.append(rendered_len)
-        if tag == TEXT_TAG and not raw_flag:
-            pieces.append(raw[start:end])
-            rendered_len += end - start
-        return node
+            tree.path_parent.append(parent)
+            path_raw.append(tag == TEXT_TAG and path_tag[parent] in RAW_TEXT_ELEMENTS)
+        return path
 
-    def own(pos: int, node: int) -> None:
-        # The characters from `pos` up to the next segment are `node`'s own;
-        # a run continuing the last segment's node extends that segment.
-        if not seg_node or seg_node[-1] != node:
-            tree.seg_start.append(pos)
-            seg_node.append(node)
+    def own(pos: int, path: int) -> None:
+        # The positions from `pos` up to the next segment have path `path`;
+        # a run continuing the last segment's path extends that segment.
+        if not seg_path or seg_path[-1] != path:
+            seg_start.append(pos)
+            seg_path.append(path)
             rendered.append(rendered_len)
 
-    def tag_of(node: int) -> str:
-        return path_tag[node_path[node]]
+    def text(start: int, end: int, parent: int) -> None:
+        # A text run under path `parent`, rendered unless its path is raw.
+        nonlocal rendered_len
+        path = child(parent, TEXT_TAG)
+        own(start, path)
+        if not path_raw[path]:
+            pieces.append(raw[start:end])
+            rendered_len += end - start
 
-    stack = [0]  # open elements, the root first
+    stack = [0]  # path ids of the open elements, the root first
     # Open elements on the stack by tag, so a close tag that matches none
     # is swallowed without scanning the stack.
     open_count: dict[str, int] = defaultdict(int)
 
-    def close_until(index: int, boundary: int) -> None:
-        # Pop stack down to `index`, ending popped elements at `boundary`.
+    def close_until(index: int) -> None:
+        # Pop the elements above stack index `index`.
         while len(stack) - 1 > index:
-            node = stack.pop()
-            node_end[node] = boundary
-            open_count[tag_of(node)] -= 1
+            open_count[path_tag[stack.pop()]] -= 1
 
     i = 0
     text_start = -1
@@ -270,48 +254,46 @@ def parse_html(raw: str) -> DomTree:
             i += 1
             continue
         if text_start >= 0:
-            add(TEXT_TAG, text_start, i, stack[-1])
+            text(text_start, i, stack[-1])
             text_start = -1
 
         if raw.startswith("<!--", i):
-            close = raw.find("-->", i + 4)
-            end = n if close == -1 else close + 3
-            add(COMMENT_TAG, i, end, stack[-1])
-            i = end
+            # Searched from i + 2, so "<!-->" and "<!--->" are whole empty
+            # comments, as in HTML.
+            close = raw.find("-->", i + 2)
+            own(i, child(stack[-1], COMMENT_TAG))
+            i = n if close == -1 else close + 3
         elif nxt == "!" or nxt == "?":
             close = raw.find(">", i)
-            end = n if close == -1 else close + 1
-            add(DIRECTIVE_TAG, i, end, stack[-1])
-            i = end
+            own(i, child(stack[-1], DIRECTIVE_TAG))
+            i = n if close == -1 else close + 1
         elif close_tag is not None:
             name = close_tag.group(1).lower()
             close = raw.find(">", close_tag.end())
-            end = n if close == -1 else close + 1
             # Close the matching open element; unmatched close tags are
             # swallowed by the current element.  An unmatched name is
             # answered from `open_count` without a scan, and a matched one
             # scans only the elements it pops, so the parse stays linear.
             if open_count.get(name):
                 depth = len(stack) - 1
-                while tag_of(stack[depth]) != name:
+                while path_tag[stack[depth]] != name:
                     depth -= 1
-                close_until(depth, i)
-                node_end[stack[-1]] = end
-                open_count[name] -= 1
-                own(i, stack.pop())
+                own(i, stack[depth])
+                close_until(depth - 1)
             else:
                 own(i, stack[-1])
-            i = end
+            i = n if close == -1 else close + 1
         else:
             name, attr_spans, self_closing, tag_end = _scan_open_tag(raw, i)
             # Implicit close of a same-group sibling (<li> after unclosed <li> etc).
             closers = _SIBLING_CLOSERS.get(name)
-            if closers and len(stack) > 1 and tag_of(stack[-1]) in closers:
-                close_until(len(stack) - 2, i)
-            elem = add(name, i, tag_end, stack[-1])
+            if closers and len(stack) > 1 and path_tag[stack[-1]] in closers:
+                close_until(len(stack) - 2)
+            elem = child(stack[-1], name)
+            own(i, elem)
             # The tag's characters are its element's, but for attribute values.
             for a, b in attr_spans:
-                add(ATTR_TAG, a, b, elem)
+                own(a, child(elem, ATTR_TAG))
                 if b < tag_end:
                     own(b, elem)
             i = tag_end
@@ -322,21 +304,19 @@ def parse_html(raw: str) -> DomTree:
                 close_tag = _RAW_TEXT_CLOSE[name].search(raw, tag_end)
                 body_end = n if close_tag is None else close_tag.start()
                 if body_end > tag_end:
-                    add(TEXT_TAG, tag_end, body_end, elem, True)
+                    text(tag_end, body_end, elem)
                 if close_tag is None:
                     i = n
                 else:
                     close_gt = raw.find(">", body_end)
                     i = n if close_gt == -1 else close_gt + 1
                     own(body_end, elem)
-                node_end[elem] = i
                 continue
             stack.append(elem)
             open_count[name] += 1
 
     if text_start >= 0:
-        add(TEXT_TAG, text_start, n, stack[-1])
-    close_until(0, n)
+        text(text_start, n, stack[-1])
     rendered.append(rendered_len)
     tree._text = "".join(pieces)
     return tree

@@ -279,14 +279,14 @@ def learn_wrappers(
         return {}
     src, mirror = tree.source, None
     groups: dict[int, list[tuple[str, int]]] = defaultdict(list)
-    for pos, term, path_id, raw in tree.occurrence_ids(seed_list):
-        if not raw:
-            groups[path_id].append((term, pos))
+    for pos, term, path_id in tree.occurrence_ids(seed_list):
+        groups[path_id].append((term, pos))
 
     kept: dict[Wrapper, list[tuple[int, int]]] = {}
     for path_id, group in groups.items():
-        # Rule 4 of `is_valid_wrapper` holds for all of a group or none of it.
-        if tree.path_tag[path_id] not in TEXTUAL_TAGS:
+        # Rule 4 of `is_valid_wrapper`, and being in a script/style body,
+        # hold for all of a group or none of it.
+        if tree.path_raw[path_id] or tree.path_tag[path_id] not in TEXTUAL_TAGS:
             continue
         if len({term for term, _ in group}) < cfg.min_distinct_seeds:
             continue

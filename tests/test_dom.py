@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctms import dom
 from ctms.dom import ATTR_TAG, COMMENT_TAG, DIRECTIVE_TAG, ROOT_TAG, TEXT_TAG, DomTree, parse_html
+from ctms.wrappers import learn_wrappers
 
 FIG_FRAGMENT = """<div class="cur_dh brand">
   <div class="dh border menu_div" id="menu_1">
@@ -28,37 +29,16 @@ FIG_FRAGMENT = """<div class="cur_dh brand">
 
 
 class Node:
-    """A linked tree node: what the oracle parsers build, and what `rebuild`
-    makes of a parsed page's flat arrays."""
+    """A linked tree node, as the oracle parsers build it."""
 
-    def __init__(self, tag: str, start: int, end: int, raw: bool = False, index: int = -1):
+    def __init__(self, tag: str, start: int, end: int, raw: bool = False):
         self.tag, self.start, self.end, self.raw = tag, start, end, raw
         self.children: list[Node] = []
-        self.index = index  # the node's index in the flat arrays, when rebuilt
 
     def add_child(self, tag: str, start: int, end: int, raw: bool = False) -> "Node":
         child = Node(tag, start, end, raw)
         self.children.append(child)
         return child
-
-
-def node_tag(tree: DomTree, k: int) -> str:
-    return tree.path_tag[tree.node_path[k]]
-
-
-def rebuild(tree: DomTree) -> list[Node]:
-    """The page's nodes, linked from the flat arrays, by index (the root first).
-
-    A node whose parent comes after it in the arrays raises IndexError:
-    the arrays must be in preorder.
-    """
-    nodes: list[Node] = []
-    for k, parent in enumerate(tree.node_parent):
-        node = Node(node_tag(tree, k), tree.node_start[k], tree.node_end[k], tree.node_raw[k], k)
-        if parent >= 0:
-            nodes[parent].children.append(node)
-        nodes.append(node)
-    return nodes
 
 
 class Occurrence(NamedTuple):
@@ -71,33 +51,93 @@ class Occurrence(NamedTuple):
 
 
 def find_occurrences(tree: DomTree, terms) -> list[Occurrence]:
-    """`DomTree.occurrence_ids` with each path id spelled out by `path_string`:
-    the string form the oracles compare."""
+    """`DomTree.occurrence_ids` with each path id spelled out by `path_string`
+    (the string form the oracles compare) and its raw flag."""
     return [
-        Occurrence(term, pos, tree.path_string(path_id), raw)
-        for pos, term, path_id, raw in tree.occurrence_ids(terms)
+        Occurrence(term, pos, tree.path_string(path_id), tree.path_raw[path_id])
+        for pos, term, path_id in tree.occurrence_ids(terms)
     ]
 
 
-def naive_node(tree: DomTree, pos: int) -> int:
-    """Oracle: exhaustive scan of the node arrays for the deepest node containing pos."""
+# -- what mining reads of a page: each position's tag path and raw flag -----
+
+
+def segments(tree: DomTree) -> list[tuple[int, int]]:
+    """The page's segment table as (start, path id) pairs."""
+    return list(zip(tree.seg_start, tree.seg_path))
+
+
+def index_runs(tree: DomTree) -> list[tuple[int, str]]:
+    """The page's segment table as (start, path string) pairs."""
+    return [(start, tree.path_string(path)) for start, path in segments(tree)]
+
+
+def paint(root: Node) -> list[tuple[str, bool]]:
+    """Each position's (tag path, raw flag) in an oracle tree: every node
+    paints its span over its ancestors', walked with an explicit stack
+    (nesting depth is unbounded)."""
+    cells: list[tuple[str, bool]] = [(root.tag, root.raw)] * root.end
+    stack = [(child, root.tag + "/" + child.tag) for child in root.children]
+    while stack:
+        node, path = stack.pop()
+        cells[node.start : node.end] = [(path, node.raw)] * (node.end - node.start)
+        stack.extend((child, path + "/" + child.tag) for child in node.children)
+    return cells
+
+
+def maximal_runs(cells: list[tuple[str, bool]]) -> list[tuple[int, str]]:
+    """(start, path) of each maximal run of positions with one path."""
+    return [
+        (pos, path)
+        for pos, (path, _) in enumerate(cells)
+        if pos == 0 or cells[pos - 1][0] != path
+    ]
+
+
+def assert_reads_like(tree: DomTree, root: Node, label: str = "") -> None:
+    """What mining reads of the parsed page is what it would read of the
+    oracle tree `root`: the segment table is the painting's maximal runs,
+    and `path_at`, the raw flag and `visible_text` agree at every position."""
+    cells = paint(root)
+    positions = range(len(tree.source))
+    assert index_runs(tree) == maximal_runs(cells), label
+    assert [tree.path_at(pos) for pos in positions] == [path for path, _ in cells], label
+    raw_flags = [tree.path_raw[tree.path_id_at(pos)] for pos in positions]
+    assert raw_flags == [raw for _, raw in cells], label
+    rendered = [
+        char if not raw and path.endswith("/" + TEXT_TAG) else ""
+        for char, (path, raw) in zip(tree.source, cells)
+    ]
+    assert [tree.visible_text(pos, pos + 1) for pos in positions] == rendered, label
+    assert tree.visible_text() == "".join(rendered), label
+
+
+def flatten(root: Node) -> list[tuple[Node, int]]:
+    """The oracle tree's nodes in preorder, each with its parent's index."""
+    out: list[tuple[Node, int]] = []
+    stack = [(root, -1)]
+    while stack:
+        node, parent = stack.pop()
+        out.append((node, parent))
+        stack.extend((child, len(out) - 1) for child in reversed(node.children))
+    return out
+
+
+def naive_path(nodes: list[tuple[Node, int]], pos: int) -> tuple[str, bool]:
+    """Oracle: an exhaustive scan of a flattened oracle tree for the deepest
+    node containing pos; its tag path, up the parent indices, and raw flag."""
     best, best_depth = -1, -1
     depth: list[int] = []
-    for k, parent in enumerate(tree.node_parent):
+    for k, (node, parent) in enumerate(nodes):
         depth.append(depth[parent] + 1 if parent >= 0 else 0)
-        if tree.node_start[k] <= pos < tree.node_end[k] and depth[k] > best_depth:
+        if node.start <= pos < node.end and depth[k] > best_depth:
             best, best_depth = k, depth[k]
-    return best
-
-
-def naive_path(tree: DomTree, pos: int) -> str:
-    """Oracle: the tags from the deepest node up the node parent array."""
     tags = []
-    k = naive_node(tree, pos)
+    k = best
     while k >= 0:
-        tags.append(node_tag(tree, k))
-        k = tree.node_parent[k]
-    return "/".join(reversed(tags))
+        tags.append(nodes[k][0].tag)
+        k = nodes[k][1]
+    return "/".join(reversed(tags)), nodes[best][0].raw
 
 
 def test_simple_nesting():
@@ -178,7 +218,12 @@ def test_close_tag_name_stops_at_whitespace_or_angle_bracket():
     # "</b<i>" and "</b\x1c...>" both close the <b>: the name is "b".
     for close in ("</b<i>", "</b\x1cjunk>"):
         tree = parse_html("<b>x" + close + "y")
-        assert [c.tag for c in rebuild(tree)[0].children] == ["b", TEXT_TAG], close
+        assert [path for _, path in index_runs(tree)] == [
+            "#document/b",
+            "#document/b/#text",
+            "#document/b",
+            "#document/#text",
+        ], close
         assert tree.path_at(tree.source.index("y")) == "#document/#text"
 
 
@@ -198,6 +243,20 @@ def test_comment_and_doctype():
     assert tree.path_at(tree.source.index("c ")) == "#document/#comment"
 
 
+def test_abruptly_closed_empty_comments_hide_nothing_after_them():
+    # HTML ends "<!-->" and "<!--->" at their own ">": the list after them
+    # is rendered and harvested.
+    for comment in ("<!-->", "<!--->"):
+        html = comment + "<ul><li>甲</li><li>乙</li></ul>"
+        tree = parse_html(html)
+        assert index_runs(tree)[:2] == [(0, "#document/#comment"), (len(comment), "#document/ul")]
+        assert tree.visible_text() == "甲乙"
+        assert tree.path_at(html.index("乙")) == "#document/ul/li/#text"
+        learned = learn_wrappers({"甲", "乙"}, tree)
+        harvested = {html[a:b] for spans in learned.values() for a, b in spans}
+        assert harvested == {"甲", "乙"}, comment
+
+
 def test_visible_text_skips_markup_and_script():
     tree = parse_html("<h1>标题</h1><script>junk()</script><p>正文</p>")
     text = tree.visible_text()
@@ -213,43 +272,21 @@ def test_out_of_range_position():
         tree.path_at(-1)
 
 
-def segments(tree: DomTree) -> list[tuple[int, int, int]]:
-    """The page's segment table as (node, start, end) triples."""
-    ends = tree.seg_start[1:] + [len(tree.source)]
-    return list(zip(tree.seg_node, tree.seg_start, ends))
-
-
-def walk_segments(tree: DomTree) -> list[tuple[int, int, int]]:
-    """Partition of the source by deepest node, in document order, walking
-    the rebuilt tree with an explicit stack (nesting depth is unbounded)."""
-    out: list[tuple[int, int, int]] = []
-    root = rebuild(tree)[0]
-    # (node, index of its next child, end of what is covered so far)
-    stack = [(root, 0, root.start)]
-    while stack:
-        node, i, cursor = stack.pop()
-        if i < len(node.children):
-            child = node.children[i]
-            if child.start > cursor:
-                out.append((node.index, cursor, child.start))
-            stack.append((node, i + 1, child.end))
-            stack.append((child, 0, child.start))
-        elif node.end > cursor:
-            out.append((node.index, cursor, node.end))
-    return out
-
-
 def _roundtrip(tree: DomTree) -> str:
-    """The source rebuilt from the node spans' partition, which must be the
-    page's segment table."""
-    walked = walk_segments(tree)
-    assert segments(tree) == walked
-    return "".join(tree.source[a:b] for _, a, b in walked)
+    """The source rebuilt from the segment table, which must partition it
+    into maximal runs: starts ascending from 0, adjacent path ids distinct."""
+    starts, paths = tree.seg_start, tree.seg_path
+    assert len(starts) == len(paths) and starts[:1] == [0][: len(tree.source)]
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    assert all(p != q for p, q in zip(paths, paths[1:]))
+    ends = starts[1:] + [len(tree.source)]
+    return "".join(tree.source[a:b] for a, b in zip(starts, ends))
 
 
 def test_roundtrip_on_fragment():
     tree = parse_html(FIG_FRAGMENT)
     assert _roundtrip(tree) == tree.source
+    assert_reads_like(tree, stack_scan_parse(FIG_FRAGMENT))
 
 
 def test_roundtrip_on_deeply_nested_page():
@@ -257,10 +294,11 @@ def test_roundtrip_on_deeply_nested_page():
     tree = parse_html("<div>" * depth + "x" + "</div>" * depth)
     table = segments(tree)
     assert _roundtrip(tree) == tree.source
-    # Each div owns its open and close tag; the text node owns "x".
+    # Each div owns its open and close tag; the text owns "x".
     assert len(table) == 2 * depth + 1
-    node, a, b = table[depth]
-    assert node_tag(tree, node) == TEXT_TAG and tree.source[a:b] == "x"
+    start, text = table[depth]
+    assert tree.path_tag[text] == TEXT_TAG and tree.source[start] == "x"
+    assert [path for _, path in table[:depth]] == [path for _, path in reversed(table[depth + 1 :])]
 
 
 def test_stray_close_tags_after_deep_nesting():
@@ -273,11 +311,11 @@ def test_stray_close_tags_after_deep_nesting():
     # n open tags, the text "x", and the stray close tags as one uncovered
     # tail of the innermost div.
     assert len(table) == n + 2
-    node, a, b = table[n]
-    assert node_tag(tree, node) == TEXT_TAG and tree.source[a:b] == "x"
-    tail, a, b = table[n + 1]
-    assert node_tag(tree, tail) == "div" and tail == tree.node_parent[node]
-    assert tree.source[a:b] == "</span>" * n and b == len(tree.source)
+    start, text = table[n]
+    assert tree.path_tag[text] == TEXT_TAG and tree.source[start] == "x"
+    start, tail = table[n + 1]
+    assert tail == table[n - 1][1] == tree.path_parent[text] and tree.path_tag[tail] == "div"
+    assert tree.source[start:] == "</span>" * n
     assert tree.path_at(tree.source.index("x")) == "#document" + "/div" * n + "/#text"
 
 
@@ -300,12 +338,14 @@ structured = st.recursive(
 def test_roundtrip_property_structured(html):
     tree = parse_html(html)
     assert _roundtrip(tree) == tree.source
+    assert_reads_like(tree, stack_scan_parse(html))
 
 
 @given(tag_soup)
 def test_roundtrip_property_soup(html):
     tree = parse_html(html)
     assert _roundtrip(tree) == tree.source
+    assert_reads_like(tree, stack_scan_parse(html))
 
 
 def reference_parse(html: str, scan_open_tag) -> Node:
@@ -342,7 +382,11 @@ def reference_parse(html: str, scan_open_tag) -> Node:
         nxt = html[i + 1 : i + 2]
         if nxt == "!":
             flush_text(i)
-            if html.startswith("<!--", i):
+            if html.startswith(("<!-->", "<!--->"), i):
+                # An abruptly closed empty comment.
+                end = html.index(">", i) + 1
+                stack[-1].add_child(COMMENT_TAG, i, end)
+            elif html.startswith("<!--", i):
                 close = html.find("-->", i + 4)
                 end = n if close == -1 else close + 3
                 stack[-1].add_child(COMMENT_TAG, i, end)
@@ -404,14 +448,6 @@ def stack_scan_parse(html: str) -> Node:
     return reference_parse(html, dom._scan_open_tag)
 
 
-def _shape(node: Node):
-    return (node.tag, node.start, node.end, node.raw, [_shape(c) for c in node.children])
-
-
-def parsed_shape(html: str):
-    return _shape(rebuild(parse_html(html))[0])
-
-
 # Open and close tags of nesting, sibling-closing and void elements, with
 # close tags that match nothing open and constructs that are only text.
 close_soup = st.lists(
@@ -427,7 +463,7 @@ close_soup = st.lists(
 @settings(max_examples=400)
 @given(st.one_of(tag_soup, close_soup))
 def test_parse_matches_stack_scan_parser(html):
-    assert parsed_shape(html) == _shape(stack_scan_parse(html))
+    assert_reads_like(parse_html(html), stack_scan_parse(html))
 
 
 def _char_loop_scan_open_tag(raw, start):
@@ -528,38 +564,41 @@ attr_soup = st.lists(
 @settings(max_examples=400)
 @given(st.one_of(attr_soup, tag_soup))
 def test_parse_matches_char_loop_parser(html):
-    assert parsed_shape(html) == _shape(char_loop_parse(html))
+    assert_reads_like(parse_html(html), char_loop_parse(html))
 
 
 def test_parse_matches_char_loop_parser_on_fixture_pages(miniweb_provider):
     corpus = miniweb_provider._corpus
     for url in sorted(corpus.pages):
         html = corpus.pages[url].html
-        assert parsed_shape(html) == _shape(char_loop_parse(html)), url
+        assert_reads_like(parse_html(html), char_loop_parse(html), url)
 
 
-def recursive_segments(tree: DomTree) -> list[tuple[int, int, int]]:
-    """Reference partition: the depth-first walk of the rebuilt tree, written recursively."""
-    out = []
+def recursive_segments(root: Node) -> list[tuple[int, str]]:
+    """Reference segment table: (start, path) of each maximal run of one
+    path, from a depth-first walk of an oracle tree written recursively."""
+    out: list[tuple[int, str]] = []
 
-    def walk(node):
+    def own(start: int, end: int, path: str) -> None:
+        if end > start and (not out or out[-1][1] != path):
+            out.append((start, path))
+
+    def walk(node: Node, path: str) -> None:
         cursor = node.start
         for child in node.children:
-            if child.start > cursor:
-                out.append((node.index, cursor, child.start))
-            walk(child)
+            own(cursor, child.start, path)
+            walk(child, path + "/" + child.tag)
             cursor = child.end
-        if node.end > cursor:
-            out.append((node.index, cursor, node.end))
+        own(cursor, node.end, path)
 
-    walk(rebuild(tree)[0])
+    walk(root, root.tag)
     return out
 
 
 @given(st.one_of(structured, tag_soup))
 def test_cover_segments_match_recursive_walk(html):
     tree = parse_html(html)
-    assert segments(tree) == recursive_segments(tree)
+    assert index_runs(tree) == recursive_segments(stack_scan_parse(html))
 
 
 @given(tag_soup, st.integers(min_value=0, max_value=119))
@@ -568,16 +607,18 @@ def test_path_at_matches_naive_walk(html, pos):
     if not tree.source:
         return
     pos = pos % len(tree.source)
-    assert tree.path_at(pos) == naive_path(tree, pos)
-    assert tree._node_at(pos) == naive_node(tree, pos)
+    path, raw = naive_path(flatten(stack_scan_parse(html)), pos)
+    assert tree.path_at(pos) == path
+    assert tree.path_raw[tree.path_id_at(pos)] == raw
 
 
 @given(st.one_of(structured, tag_soup))
 def test_path_ids_are_equal_exactly_when_paths_are(html):
     # What lets the span rule compare path ids in place of path strings.
-    # Paths come from the node parent array, not from the path table.
+    # Paths come from an oracle tree, not from the path table.
     tree = parse_html(html)
-    paths = [naive_path(tree, pos) for pos in range(len(tree.source))]
+    nodes = flatten(stack_scan_parse(html))
+    paths = [naive_path(nodes, pos)[0] for pos in range(len(tree.source))]
     ids = [tree.path_id_at(pos) for pos in range(len(tree.source))]
     assert len(set(zip(ids, paths))) == len(set(ids)) == len(set(paths))
     for path_id, path in zip(ids, paths):
@@ -590,12 +631,20 @@ def test_invariants_hold_on_real_fixture_pages(miniweb_provider):
     for url in sorted(corpus.pages):
         tree = parse_html(corpus.pages[url].html)
         assert _roundtrip(tree) == tree.source
+        nodes = flatten(stack_scan_parse(tree.source))
         for pos in range(0, len(tree.source), 37):
-            assert tree.path_at(pos) == naive_path(tree, pos)
-            assert tree._node_at(pos) == naive_node(tree, pos)
+            path, raw = naive_path(nodes, pos)
+            assert tree.path_at(pos) == path, url
+            assert tree.path_raw[tree.path_id_at(pos)] == raw, url
 
 
 # -- inputs that a per-character or backtracking scan would make quadratic --
+
+
+def run_texts(tree: DomTree) -> list[tuple[str, str]]:
+    """(path, source characters) of each segment."""
+    ends = tree.seg_start[1:] + [len(tree.source)]
+    return [(path, tree.source[a:b]) for (a, path), b in zip(index_runs(tree), ends)]
 
 
 def test_unterminated_quotes_parse_in_one_pass():
@@ -603,32 +652,30 @@ def test_unterminated_quotes_parse_in_one_pass():
     n = 20001
     html = "<a" + ' x="' * n
     tree = parse_html(html)
-    (elem,) = rebuild(tree)[0].children
-    assert (elem.tag, elem.start, elem.end) == ("a", 0, len(html))
-    assert len(elem.children) == n // 2
-    assert {html[c.start : c.end] for c in elem.children} == {" x="}
+    # The element's characters, from 0 to the end, around n // 2 values.
+    runs = run_texts(tree)
+    assert [path for path, _ in runs] == (
+        ["#document/a", "#document/a/#attr"] * (n // 2) + ["#document/a"]
+    )
+    assert {text for path, text in runs if path == "#document/a/#attr"} == {" x="}
 
 
 def test_many_attribute_tags_parse_in_one_pass():
     n = 20000
     unit = "<p x=1 y='2' z>"
     tree = parse_html(unit * n)
-    root = rebuild(tree)[0]
-    # Each <p> closes the one before it at its own start.
-    assert [(p.tag, p.start, p.end) for p in root.children] == [
-        ("p", k * len(unit), (k + 1) * len(unit)) for k in range(n)
-    ]
-    assert all(
-        [tree.source[c.start : c.end] for c in p.children] == ["1", "2"]
-        for p in root.children
-    )
+    # Each <p> closes the one before it at its own start, so none nests
+    # and the end of each tag runs on into the next one.
+    runs = run_texts(tree)
+    assert len(runs) == 4 * n + 1
+    assert {path for path, _ in runs} == {"#document/p", "#document/p/#attr"}
+    assert [text for path, text in runs if path == "#document/p/#attr"] == ["1", "2"] * n
 
 
 def test_megabyte_text_run_is_one_node():
     html = "宏碁, 索尼 " * 125_000  # 1,000,000 characters
     tree = parse_html(html)
-    (text,) = rebuild(tree)[0].children
-    assert (text.tag, text.start, text.end) == (TEXT_TAG, 0, len(html))
+    assert index_runs(tree) == [(0, "#document/#text")]
     assert tree.visible_text() == html
     assert tree.path_at(len(html) - 1) == "#document/#text"
 
@@ -663,6 +710,28 @@ def test_uppercase_close_tag_ends_raw_body():
     assert _roundtrip(tree) == tree.source
 
 
+def test_raw_body_ends_only_where_the_close_tag_name_ends():
+    # "</scripts>" does not end a script body: the name must end after
+    # "script", at whitespace, "/" or ">".
+    html = "<script>a</scripts>b</script><p>c</p>"
+    tree = parse_html(html)
+    assert tree.visible_text() == "c"
+    b = html.index("b</script>")
+    assert tree.path_at(b) == "#document/script/#text" and tree.path_raw[tree.path_id_at(b)]
+    tree = parse_html("<style>a</styles>b</style>c")
+    assert tree.visible_text() == "c"
+    for close in ("</script>", "</script >", "</script\t>", "</script/>", "</SCRIPT\n>"):
+        tree = parse_html("<script>a" + close + "<p>c</p>")
+        assert tree.visible_text() == "c", close
+    # A "</script" at the end of input, or before any other character,
+    # leaves the body running to the end.
+    for tail in ("</script", "</script<p>c</p>", "</scriptx>c"):
+        html = "<script>a" + tail
+        tree = parse_html(html)
+        assert tree.visible_text() == "", tail
+        assert tree.path_raw[tree.path_id_at(len(html) - 1)], tail
+
+
 def test_raw_body_close_tag_matches_ascii_letters_only():
     # U+017F (long s) case-folds to "s" under Unicode rules, but HTML tag
     # names are ASCII, so "</ſcript>" does not close the body.
@@ -675,21 +744,20 @@ def test_raw_body_close_tag_matches_ascii_letters_only():
 # -- cached page indexes against per-query scans -----------------------------
 
 
-def oracle_visible_text(tree: DomTree, lo: int = 0, hi: int | None = None) -> str:
-    """Oracle: clip every non-raw text node to the range, one node at a time."""
+def oracle_visible_text(html: str, root: Node, lo: int = 0, hi: int | None = None) -> str:
+    """Oracle: clip every non-raw text node of `html`'s oracle tree `root`
+    to the range, one node at a time."""
     if hi is None:
-        hi = len(tree.source)
-    nodes = sorted(
-        (k for k in range(len(tree.node_path)) if node_tag(tree, k) == TEXT_TAG),
-        key=lambda k: tree.node_start[k],
+        hi = len(html)
+    texts = sorted(
+        (node for node, _ in flatten(root) if node.tag == TEXT_TAG and not node.raw),
+        key=lambda node: node.start,
     )
     pieces = []
-    for k in nodes:
-        if tree.node_raw[k]:
-            continue
-        a, b = max(tree.node_start[k], lo), min(tree.node_end[k], hi)
+    for node in texts:
+        a, b = max(node.start, lo), min(node.end, hi)
         if a < b:
-            pieces.append(tree.source[a:b])
+            pieces.append(html[a:b])
     return "".join(pieces)
 
 
@@ -710,13 +778,14 @@ def test_visible_text_ranges_match_per_node_oracle(html, lo, hi):
     tree = parse_html(html)
     n = len(tree.source)
     lo, hi = lo % (n + 4) - 2, hi % (n + 4) - 2
-    assert tree.visible_text() == oracle_visible_text(tree)
-    assert tree.visible_text(0, n) == oracle_visible_text(tree, 0, n)
+    root = stack_scan_parse(html)
+    assert tree.visible_text() == oracle_visible_text(html, root)
+    assert tree.visible_text(0, n) == oracle_visible_text(html, root, 0, n)
     # Sweep one end over every position (inside text, raw and markup, and
     # past both ends, so lo >= hi occurs) with the other end held fixed.
     for pos in range(-1, n + 2):
-        assert tree.visible_text(pos, hi) == oracle_visible_text(tree, pos, hi)
-        assert tree.visible_text(lo, pos) == oracle_visible_text(tree, lo, pos)
+        assert tree.visible_text(pos, hi) == oracle_visible_text(html, root, pos, hi)
+        assert tree.visible_text(lo, pos) == oracle_visible_text(html, root, lo, pos)
 
 
 @given(st.one_of(raw_page, tag_soup))

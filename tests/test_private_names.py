@@ -6,10 +6,15 @@ mentions it anywhere but its own definition: as a name, an attribute or
 an imported name.  A public function, class or method must be mentioned
 outside its own definition by the package, the scripts, the benchmark
 harness or the acceptance criteria; a public name that only unit tests
-call is code no command, script or criterion reaches.
+call is code no command, script or criterion reaches.  An attribute that
+a class sets in ``__init__`` must be read by the package: one that is
+only ever appended to or assigned is bookkeeping nothing consumes.
+Exception classes are exempt; their fields are for the callers that
+handle the fault.
 """
 
 import ast
+import builtins
 import pathlib
 from collections import Counter
 
@@ -131,4 +136,105 @@ def test_a_public_name_only_tests_call_is_reported(tmp_path):
     assert unreached_public_names([module], [module, script]) == [
         "mod.py:countdown",
         "mod.py:Box.spare",
+    ]
+
+
+# Calling one of these on an attribute changes it without reading it.
+_MUTATORS = frozenset({"append", "extend", "insert", "add", "update", "clear"})
+
+
+def _is_exception(node: ast.ClassDef, exceptions: set[str]) -> bool:
+    for base in node.bases:
+        name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+        builtin = getattr(builtins, name, None)
+        if name in exceptions or (isinstance(builtin, type) and issubclass(builtin, BaseException)):
+            return True
+    return False
+
+
+def _init_attributes(tree: ast.Module, exceptions: set[str]):
+    """(class name, attribute) for each ``self.<attribute>`` that the
+    ``__init__`` of a top-level class assigns; exception classes are left out."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if _is_exception(node, exceptions):
+            exceptions.add(node.name)
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                for target in ast.walk(item):
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and isinstance(target.ctx, ast.Store)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"
+                    ):
+                        yield node.name, target.attr
+
+
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    """Names of the attributes the module loads, except where the load only
+    mutates the value: as the receiver of a mutator call or of a
+    subscript assignment."""
+    writes_only = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _MUTATORS:
+                writes_only.add(id(node.func.value))
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+            writes_only.add(id(node.value))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in writes_only
+    }
+
+
+def write_only_attributes(files) -> list[str]:
+    """``Class.attribute`` for each attribute a class's ``__init__`` sets
+    that no file reads: appending to it or assigning it is not a read."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(files)]
+    exceptions: set[str] = set()
+    attributes = [pair for tree in trees for pair in _init_attributes(tree, exceptions)]
+    read = set().union(*map(_attribute_reads, trees))
+    return sorted({f"{cls}.{attr}" for cls, attr in attributes if attr not in read})
+
+
+def test_every_attribute_a_class_sets_is_read():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    assert write_only_attributes(files) == []
+
+
+def test_a_write_only_attribute_is_reported(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "class Fault(ValueError):\n"
+        "    def __init__(self, where):\n        self.where = where\n"
+        "class SubFault(Fault):\n"
+        "    def __init__(self):\n        self.detail = 1\n"
+        "class Index:\n"
+        "    def __init__(self, text):\n"
+        "        self.text = text\n"
+        "        self.starts: list[int] = []\n"
+        "        self.ends = []\n"
+        "        self.depth, self.owners = 0, {}\n"
+        "        self.kinds = []\n"
+        "    def fill(self):\n"
+        "        self.starts.append(0)\n"
+        "        self.ends.extend([1])\n"
+        "        self.owners[0] = 'root'\n"
+        "        self.depth += 1\n"
+        "        kinds = self.kinds\n"
+        "        return len(self.text)\n",
+        encoding="utf-8",
+    )
+    assert write_only_attributes([module]) == [
+        "Index.depth",
+        "Index.ends",
+        "Index.owners",
+        "Index.starts",
     ]
