@@ -9,8 +9,7 @@ start and path id, and the rendered text before it) and joins the
 rendered text.  Each position query is then one bisection into it:
 ``path_id_at(pos)`` / ``path_at(pos)`` (markup characters resolve to
 their element), ``visible_text(lo, hi)``, and the path id of each hit of
-``occurrence_ids(terms)``.  ``next_markup(pos)`` bisects the sorted
-``<``/``>`` positions, found on first use.
+``occurrence_ids(terms)``.
 
 Tag paths are hash-consed: ``(parent path id, tag)`` is interned to one
 id per page, so two positions have equal paths exactly when they have
@@ -20,22 +19,26 @@ by walking the parent ids, and cached per id.  A tag name never holds
 body is the only ``#text`` child its element can have, so being raw is a
 property of the path (``path_raw``).
 
-Text runs, tag names and attributes are found by C-level searches
-(``str.find`` and precompiled patterns), never one character at a time.
-Repair strategy for malformed markup: unclosed elements are closed at the
-boundary of the enclosing close tag (or end of input); close tags with no
-matching open element are swallowed by the current element; a ``<`` that
-does not begin a recognizable construct is ordinary text.  A tag's
-characters are its element's, but for attribute values, which are
-``#attr`` leaves; text runs are ``#text`` leaves.  Script and style
-bodies are ``#text`` leaves with a raw path, kept out of the rendered
-text.  Entities are not decoded; offsets always index the raw source.
+The scan moves from one construct to the next with one search of one
+precompiled pattern (comment, directive, close tag or open tag, with the
+tag's name); the gap before the match is a text run.  An open tag whose
+name is followed by ``>`` needs nothing more; attributes, comment and
+tag ends and raw-text bodies are found by further C-level searches, never
+one character at a time.  Repair strategy for malformed markup:
+unclosed elements are closed at the boundary of the enclosing close tag
+(or end of input); close tags with no matching open element are
+swallowed by the current element; a ``<`` that begins no construct is
+ordinary text.  A tag's characters are its element's, but for attribute
+values, which are ``#attr`` leaves; text runs are ``#text`` leaves.
+Script and style bodies are ``#text`` leaves with a raw path, kept out
+of the rendered text.  Entities are not decoded; offsets always index
+the raw source.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import defaultdict
 
 from .text import find_all
@@ -60,11 +63,12 @@ _RAW_TEXT_CLOSE = {
     name: re.compile("</" + name + r"(?=[\t\n\f\r />])", re.I | re.A)
     for name in RAW_TEXT_ELEMENTS
 }
-_MARKUP = re.compile("[<>]")
-# Tag names start with an ASCII letter.  A close tag's name runs to
-# whitespace, ``<`` or ``>``; an open tag's to whitespace, ``>`` or ``/``.
-_CLOSE_TAG = re.compile(r"</([A-Za-z][^\s<>]*)")
-_OPEN_TAG = re.compile(r"<([A-Za-z][^\s>/]*)")
+# The constructs a ``<`` can begin, tried in this order: a comment opener
+# (group 1), a ``<!`` or ``<?`` directive (2), a close tag's name (3) and
+# an open tag's name (4).  Tag names start with an ASCII letter.  A close
+# tag's name runs to whitespace, ``<`` or ``>``; an open tag's to
+# whitespace, ``>`` or ``/``.  A ``<`` that begins none of them is text.
+_CONSTRUCT = re.compile(r"<(?:(!--)|([!?])|/([A-Za-z][^\s<>]*)|([A-Za-z][^\s>/]*))")
 # One step of an open tag's attribute scan, after any whitespace: the
 # tag's end (``>`` or ``/>``, group 1), a stray ``/`` or ``=``, or a name
 # with an optional value, double-quoted (group 2), single-quoted (3) or
@@ -110,7 +114,6 @@ class DomTree:
         self._text = ""
         self._path_ids = {(-1, ROOT_TAG): 0}  # (parent path id, tag) -> path id
         self._path_strings: dict[int, str] = {}
-        self._markup: list[int] | None = None
 
     def path_id_at(self, pos: int) -> int:
         """Path id of the deepest construct containing `pos`."""
@@ -142,18 +145,6 @@ class DomTree:
             if p < 0:
                 break
         return p
-
-    def markup_positions(self) -> list[int]:
-        """Sorted positions of every ``<`` and ``>`` in the source."""
-        if self._markup is None:
-            self._markup = [m.start() for m in _MARKUP.finditer(self.source)]
-        return self._markup
-
-    def next_markup(self, pos: int) -> int:
-        """Smallest markup position >= `pos`; ``len(source)`` if none."""
-        marks = self.markup_positions()
-        i = bisect_left(marks, pos)
-        return marks[i] if i < len(marks) else len(self.source)
 
     def visible_text(self, lo: int = 0, hi: int | None = None) -> str:
         """Rendered text within a source range: text runs outside script/style."""
@@ -232,44 +223,30 @@ def parse_html(raw: str) -> DomTree:
             open_count[path_tag[stack.pop()]] -= 1
 
     i = 0
-    text_start = -1
     while i < n:
-        if raw[i] != "<":
-            # A text run reaches the next "<" or the end of the input.
-            if text_start < 0:
-                text_start = i
-            i = raw.find("<", i)
-            if i < 0:
-                break
-            continue
+        # The gap before the next construct is a text run.
+        construct = _CONSTRUCT.search(raw, i)
+        end = n if construct is None else construct.start()
+        if end > i:
+            text(i, end, stack[-1])
+        if construct is None:
+            break
+        i = end
+        comment, directive, close_name, open_name = construct.groups()
 
-        nxt = raw[i + 1 : i + 2]
-        close_tag = _CLOSE_TAG.match(raw, i) if nxt == "/" else None
-        if close_tag is None and nxt != "!" and nxt != "?" and not (
-            ("a" <= nxt <= "z") or ("A" <= nxt <= "Z")
-        ):
-            # A "<" that begins no construct ("</" before no name too) is text.
-            if text_start < 0:
-                text_start = i
-            i += 1
-            continue
-        if text_start >= 0:
-            text(text_start, i, stack[-1])
-            text_start = -1
-
-        if raw.startswith("<!--", i):
+        if comment:
             # Searched from i + 2, so "<!-->" and "<!--->" are whole empty
             # comments, as in HTML.
             close = raw.find("-->", i + 2)
             own(i, child(stack[-1], COMMENT_TAG))
             i = n if close == -1 else close + 3
-        elif nxt == "!" or nxt == "?":
+        elif directive:
             close = raw.find(">", i)
             own(i, child(stack[-1], DIRECTIVE_TAG))
             i = n if close == -1 else close + 1
-        elif close_tag is not None:
-            name = close_tag.group(1).lower()
-            close = raw.find(">", close_tag.end())
+        elif close_name:
+            name = close_name.lower()
+            close = raw.find(">", construct.end())
             # Close the matching open element; unmatched close tags are
             # swallowed by the current element.  An unmatched name is
             # answered from `open_count` without a scan, and a matched one
@@ -284,7 +261,11 @@ def parse_html(raw: str) -> DomTree:
                 own(i, stack[-1])
             i = n if close == -1 else close + 1
         else:
-            name, attr_spans, self_closing, tag_end = _scan_open_tag(raw, i)
+            name, tag_end = open_name.lower(), construct.end()
+            if raw.startswith(">", tag_end):  # a bare tag: no attribute scan
+                attr_spans, self_closing, tag_end = (), False, tag_end + 1
+            else:
+                name, attr_spans, self_closing, tag_end = _scan_open_tag(raw, i)
             # Implicit close of a same-group sibling (<li> after unclosed <li> etc).
             closers = _SIBLING_CLOSERS.get(name)
             if closers and len(stack) > 1 and path_tag[stack[-1]] in closers:
@@ -315,8 +296,6 @@ def parse_html(raw: str) -> DomTree:
             stack.append(elem)
             open_count[name] += 1
 
-    if text_start >= 0:
-        text(text_start, n, stack[-1])
     rendered.append(rendered_len)
     tree._text = "".join(pieces)
     return tree
@@ -325,9 +304,8 @@ def parse_html(raw: str) -> DomTree:
 def _scan_open_tag(raw: str, start: int) -> tuple[str, list[tuple[int, int]], bool, int]:
     """The open tag at `start`: its lowercased name, its attribute value
     spans, whether it ends with ``/>``, and the scan position after it."""
-    n = len(raw)
-    tag = _OPEN_TAG.match(raw, start)
-    name = tag.group(1).lower()
+    tag = _CONSTRUCT.match(raw, start)
+    name = tag.group(4).lower()
 
     # Attribute scan, one step per match; non-empty values are kept.
     attr_spans: list[tuple[int, int]] = []
@@ -336,7 +314,7 @@ def _scan_open_tag(raw: str, start: int) -> tuple[str, list[tuple[int, int]], bo
     while True:
         step = _ATTR_STEP.match(raw, pos)
         if step is None:  # nothing but whitespace is left
-            pos = n
+            pos = len(raw)
             break
         pos = step.end()
         group = step.lastindex

@@ -125,26 +125,26 @@ def walk_probabilities(
 
     e_seed = np.zeros(n)
     e_seed[seed] = 1.0
-    transition = np.zeros((n, n))
+    # np.add.at adds every listing of a neighbour; a dangling row restarts at the seed.
+    rows, cols, vals = [], [], []
     for i, neighbors in enumerate(adjacency):
-        if neighbors:
-            w = 1.0 / len(neighbors)
-            for j in neighbors:
-                transition[i, j] += w
-        else:
-            transition[i, seed] = 1.0  # dangling mass restarts at the seed
+        neighbors = neighbors or [seed]
+        rows += [i] * len(neighbors)
+        cols += neighbors
+        vals += [1.0 / len(neighbors)] * len(neighbors)
+    transition = np.zeros((n, n))
+    np.add.at(transition, (rows, cols), vals)
 
     theta = cfg.restart_prob
+    restart, keep = theta * e_seed, 1.0 - theta
     v = e_seed.copy()
-    converged = False
     for _ in range(cfg.max_iters):
-        nxt = theta * e_seed + (1.0 - theta) * (v @ transition)
-        delta = float(np.max(np.abs(nxt - v)))
+        nxt = restart + keep * (v @ transition)
+        delta = float(abs(nxt - v).max())
         v = nxt
         if delta <= cfg.tolerance:
-            converged = True
-            break
-    return v, converged
+            return v, True
+    return v, False
 
 
 def rwr_scores(

@@ -26,30 +26,35 @@ its spans on the page, learned per tag-path group of seed occurrences:
      shared context.
   3. Each (left level, right level) pair is a candidate wrapper.  It is
      kept if it passes the validity rules, brackets at least
-     ``min_distinct_seeds`` different seeds, and no candidate with strictly
-     longer contexts brackets exactly the same page spans (the longer one
-     is more precise at no cost, so it wins).  The span rule runs once
-     per group, over every left-level end and right-level start; span k
-     gets bit k, a level's mask ORs the bits of its positions, and a
-     candidate's span set is its left mask AND its right mask.  This is
-     exact because whether a span is valid does not depend on the
-     wrapper, and the rule's two early stops (at the next markup
-     character, and once the trimmed piece is too long) are monotone in
-     the right start: run on subsets of the ends and starts, it returns
-     exactly the spans of the full run between them.
+     ``min_distinct_seeds`` different seeds, and no candidate with
+     strictly longer contexts brackets exactly the same page spans (the
+     longer one is more precise at no cost, so it wins).  A level holds
+     the group's occurrences it brackets as an int bitmask, so the seed
+     gate clears one seed's occurrences from the pair's AND per round.
+     The span rule runs once per group, over every left-level end and
+     right-level start; span k gets bit k, a level's mask ORs the bits
+     of its positions, and a candidate's span set is its left mask AND
+     its right mask.  This is exact because whether a span is valid does
+     not depend on the wrapper, and the rule's two early stops (at the
+     next markup character, and once the trimmed piece is too long) are
+     monotone in the right start: run on subsets of the ends and starts,
+     it returns exactly the spans of the full run between them.
 
 A span, by the span rule `spans_on_path`, runs from the end of a
 left-context match to the start of a right-context match, contains no
 markup, trims to a non-empty string of at most ``MAX_TERM_LEN``
-characters, and starts and ends on the wrapper's path.  The rule takes
-the path as the page's interned path id (equal ids are equal paths), so
-learning groups occurrences by id, passes each group's id, and builds a
-path's string only for the wrappers it keeps.  Learning scans the page
-(for left contexts, the reversed page) only for the prefixes it probes
-on root edges of the trie: a deeper edge's prefixes extend its parent
-edge's longest one, so their matches are those of the parent's that
-extend to them.  Each kept wrapper's span set comes back decoded with it,
-so mining never searches the page again to apply a wrapper.
+characters, and starts and ends on the wrapper's path.  An end's markup
+stop is the nearer of the next ``<`` and the next ``>``, each found by
+`str.find` and searched for again only once the ascending ends pass it.
+The rule takes the path as the page's interned path id (equal ids are
+equal paths), so learning groups occurrences by id, passes each group's
+id, and builds a path's string only for the wrappers it keeps.  Learning
+scans the page (for left contexts, the reversed page) only for the
+prefixes it probes on root edges of the trie: a deeper edge's prefixes
+extend its parent edge's longest one, so their matches are those of the
+parent's that extend to them.  Each kept wrapper's span set comes back
+decoded with it, so mining never searches the page again to apply a
+wrapper.
 
 Extraction (`extract_spans`) is the independent check on those spans,
 not part of mining: it finds every position of its wrappers' context
@@ -65,6 +70,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from os.path import commonprefix
 from typing import Iterable, NamedTuple, Sequence
 
@@ -141,20 +147,12 @@ def _starts(text: str, s: str, base: list[int] | None) -> list[int]:
     return [q for q in base if text.startswith(s, q)]
 
 
-def _or_bits(bits: dict[int, int], positions: Iterable[int]) -> int:
-    """The OR of the bits of `positions`; 0 for positions without any."""
-    mask = 0
-    for p in positions:
-        mask |= bits.get(p, 0)
-    return mask
-
-
 class _Level(NamedTuple):
     """One side's level of a tag-path group, in page coordinates."""
 
     context: str
     positions: tuple[int, ...]  # ascending; where spans start (left side) or end (right)
-    occs: set[int]  # the group's occurrences it brackets, by index
+    occs: int  # the group's occurrences it brackets: bit i for occurrence i
     punct: bool  # is_punct_text(context), fixed per level
 
 
@@ -182,7 +180,7 @@ def _side_levels(
     a child part lacks some anchor of its parent.
     """
     windows = [text[a : a + MAX_CONTEXT_LEN] for _, a in anchors]
-    found: list[tuple[list[int], str, set[int]]] = []
+    found: list[tuple[list[int], str, int]] = []
     # (depth, the part's occurrence indices, starts of its depth-long prefix)
     stack: list[tuple[int, Sequence[int], list[int] | None]] = [(0, range(len(anchors)), None)]
     while stack:
@@ -205,7 +203,7 @@ def _side_levels(
                 mid = (lo + hi) // 2
                 probed[mid] = _starts(text, prefix[:mid], base)
                 ranges += ((lo, mid), (mid, hi))
-            occs = set(part)
+            occs = sum(1 << i for i in part)
             found.extend((probed[k], prefix[:k], occs) for k in ends)
             base = probed[n]
         children: dict[str, list[int]] = defaultdict(list)
@@ -242,12 +240,20 @@ def spans_on_path(
     """
     src = tree.source
     path_id_at = tree.path_id_at
+    n = len(src)
+    next_lt = next_gt = -1
     spans: list[tuple[int, int]] = []
     for e in ends:
         # A span's first character is at e, so e must lie on the path.
-        if e >= len(src) or path_id_at(e) != path_id:
+        if e >= n or path_id_at(e) != path_id:
             continue
-        limit = tree.next_markup(e)
+        # The next "<" and ">" at or after e (a miss, -1, wraps to n),
+        # found again only once the ascending ends pass them: linear.
+        if e > next_lt:
+            next_lt = src.find("<", e) % (n + 1)
+        if e > next_gt:
+            next_gt = src.find(">", e) % (n + 1)
+        limit = min(next_lt, next_gt)
         i = bisect_left(starts, e)
         while i < len(starts):
             s = starts[i]
@@ -300,25 +306,38 @@ def learn_wrappers(
         if not all(sides):
             continue
 
+        # Occurrence bit -> every occurrence bit but those of its term.
+        term_bits: dict[str, int] = defaultdict(int)
+        for i, (term, _) in enumerate(group):
+            term_bits[term] |= 1 << i
+        others = {1 << i: ~term_bits[term] for i, (term, _) in enumerate(group)}
+
         gated: list[tuple[int, int]] = []
+        need_seeds, right_occs = cfg.min_distinct_seeds, [lv.occs for lv in sides[1]]
         for li, left in enumerate(sides[0]):
-            for ri, right in enumerate(sides[1]):
-                # Cheap gate: the candidate must bracket enough distinct
-                # seeds before we bother computing its full span set.
-                terms = {group[i][0] for i in left.occs & right.occs}
-                if len(terms) < cfg.min_distinct_seeds:
-                    continue
-                if _contexts_pass(
-                    left.context, right.context, left.punct, right.punct, cfg.kappa
-                ):
-                    gated.append((li, ri))
+            for ri, bracketed in enumerate(right_occs):
+                # Distinct-seed gate, before any span work: each round clears
+                # every occurrence of the lowest bracketed occurrence's seed.
+                bracketed &= left.occs
+                need = need_seeds
+                while need and bracketed:
+                    bracketed &= others[bracketed & -bracketed]
+                    need -= 1
+                if not need:
+                    right = sides[1][ri]
+                    if _contexts_pass(
+                        left.context, right.context, left.punct, right.punct, cfg.kappa
+                    ):
+                        gated.append((li, ri))
         if not gated:
             continue
 
         # One span-rule pass over every level's positions.  Span k is bit
         # k; a level's mask is the OR of the bits at its positions (a
         # span's first item on the left side, its second on the right), so
-        # a candidate's span set is its two masks ANDed.
+        # a candidate's span set is its two masks ANDed.  A level's
+        # positions are distinct, so their bits are disjoint and the OR is
+        # their sum.
         spans = spans_on_path(
             tree, *(sorted({p for lv in side for p in lv.positions}) for side in sides), path_id
         )
@@ -327,7 +346,7 @@ def learn_wrappers(
             bits: dict[int, int] = defaultdict(int)
             for k, span in enumerate(spans):
                 bits[span[item]] |= 1 << k
-            masks.append([_or_bits(bits, lv.positions) for lv in side])
+            masks.append([sum(map(bits.get, lv.positions, repeat(0))) for lv in side])
 
         # Dominance: among wrappers matching identical span sets, drop any
         # whose contexts another one strictly extends.
@@ -355,7 +374,8 @@ def extract_spans(
     One C-level scan per distinct context string finds its positions; each
     wrapper's path string is resolved to the page's path id once, and its
     spans are those the span rule `spans_on_path` admits between its
-    left-context ends and right-context starts, in document order.  Mining takes its spans from `learn_wrappers` instead; this is the
+    left-context ends and right-context starts, in document order.
+    Mining takes its spans from `learn_wrappers` instead; this is the
     independent check that they are the wrappers' spans on the page.
     """
     wrapper_list = sorted(set(wrappers))

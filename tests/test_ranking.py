@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ctms.concepts import ConceptCluster
 from ctms.config import PipelineConfig
@@ -253,3 +253,51 @@ def test_convergence_within_contraction_bound():
             adjacency[v].append(u)
         _, converged = walk_probabilities(adjacency, 0, PipelineConfig(max_iters=bound))
         assert converged
+
+
+def loop_walk(adjacency, seed, cfg):
+    """The walk with its transition matrix filled one entry at a time."""
+    n = len(adjacency)
+    e_seed = np.zeros(n)
+    e_seed[seed] = 1.0
+    transition = np.zeros((n, n))
+    for i, neighbors in enumerate(adjacency):
+        if neighbors:
+            w = 1.0 / len(neighbors)
+            for j in neighbors:
+                transition[i, j] += w
+        else:
+            transition[i, seed] = 1.0
+    theta = cfg.restart_prob
+    v = e_seed.copy()
+    for _ in range(cfg.max_iters):
+        nxt = theta * e_seed + (1.0 - theta) * (v @ transition)
+        delta = float(np.max(np.abs(nxt - v)))
+        v = nxt
+        if delta <= cfg.tolerance:
+            return v, True
+    return v, False
+
+
+@st.composite
+def walk_cases(draw):
+    # Neighbour lists need not be symmetric here: any list, empty
+    # (dangling) or with a vertex listed more than once, has one meaning.
+    n = draw(st.integers(1, 9))
+    adjacency = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6), min_size=n, max_size=n))
+    cfg = PipelineConfig(
+        restart_prob=draw(st.sampled_from([0.15, 0.5, 0.9])),
+        max_iters=draw(st.sampled_from([1, 2, 7, 100])),
+        tolerance=draw(st.sampled_from([1e-12, 1e-6, 0.1])),
+    )
+    return adjacency, draw(st.integers(0, n - 1)), cfg
+
+
+@settings(max_examples=300)
+@given(walk_cases())
+def test_walk_is_bit_identical_to_the_entrywise_fill(case):
+    adjacency, seed, cfg = case
+    got, converged = walk_probabilities(adjacency, seed, cfg)
+    want, want_converged = loop_walk(adjacency, seed, cfg)
+    assert got.tobytes() == want.tobytes()
+    assert converged == want_converged

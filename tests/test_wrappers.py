@@ -517,6 +517,55 @@ def test_span_rule_on_subsets_is_a_restriction(case):
     assert spans_on_path(tree, sub_ends, sub_starts, path_id) == restricted
 
 
+def brute_force_spans(
+    tree: DomTree, ends: list[int], starts: list[int], path_id: int
+) -> list[tuple[int, int]]:
+    """The span rule checked on every (end, start) pair on its own: no
+    ``<`` or ``>`` inside, a non-empty trimmed piece of at most
+    MAX_TERM_LEN characters, and first and last characters on the path."""
+    src = tree.source
+    spans = []
+    for e in ends:
+        for s in starts:
+            piece = src[e:s]
+            if s <= e or e >= len(src) or "<" in piece or ">" in piece:
+                continue
+            if not 0 < len(piece.strip()) <= MAX_TERM_LEN:
+                continue
+            if tree.path_id_at(e) == path_id == tree.path_id_at(s - 1):
+                spans.append((e, s))
+    return spans
+
+
+# Markup of both kinds, whitespace to trim, and runs that put a piece's
+# length on either side of MAX_TERM_LEN.
+SPAN_RULE_TOKENS = ["甲", "ab", " ", "\n\t ", "<b>", "</b>", "<", ">", "、"]
+SPAN_RULE_TOKENS += ["x" * (MAX_TERM_LEN - 1), "x" * (MAX_TERM_LEN + 1)]
+
+
+@st.composite
+def span_rule_pages(draw):
+    html = "".join(draw(st.lists(st.sampled_from(SPAN_RULE_TOKENS), min_size=1, max_size=12)))
+    n = len(html)
+    ends = draw(st.lists(st.integers(0, n), unique=True, max_size=25))
+    starts = set(draw(st.lists(st.integers(0, n), max_size=25)))
+    # Starts a whole bound's length, and one more, after some ends.
+    for e in ends:
+        if draw(st.booleans()):
+            starts.update(s for s in (e + MAX_TERM_LEN, e + MAX_TERM_LEN + 1) if s <= n)
+    path_pos = draw(st.integers(-1, n - 1))
+    return html, sorted(ends), sorted(starts), path_pos
+
+
+@settings(max_examples=300)
+@given(span_rule_pages())
+def test_span_rule_matches_per_pair_brute_force(case):
+    html, ends, starts, path_pos = case
+    tree = parse_html(html)
+    path_id = -1 if path_pos < 0 else tree.path_id_at(path_pos)
+    assert spans_on_path(tree, ends, starts, path_id) == brute_force_spans(tree, ends, starts, path_id)
+
+
 @st.composite
 def context_cases(draw):
     # Few letters, so contexts repeat and overlap themselves ("aa" in
@@ -566,6 +615,11 @@ def levels_from_page(src: str, cuts: list[tuple[str, int]], left: bool) -> list[
     )
 
 
+def occurrence_indices(mask: int) -> set[int]:
+    """The occurrence indices whose bits a level's `occs` mask sets."""
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
 def check_side_levels_on_both_sides(src: str, cuts: list[tuple[str, int]]) -> None:
     n = len(src)
     for left, text, anchors in (
@@ -573,7 +627,7 @@ def check_side_levels_on_both_sides(src: str, cuts: list[tuple[str, int]]) -> No
         (False, src, cuts),
     ):
         got = [
-            (lv.positions, lv.context, lv.occs, lv.punct)
+            (lv.positions, lv.context, occurrence_indices(lv.occs), lv.punct)
             for lv in _side_levels(text, anchors, mirrored=left)
         ]
         assert sorted(got) == levels_from_page(src, cuts, left)
