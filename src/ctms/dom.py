@@ -21,9 +21,13 @@ property of the path (``path_raw``).
 
 The scan moves from one construct to the next with one search of one
 precompiled pattern (comment, directive, close tag or open tag, with the
-tag's name); the gap before the match is a text run.  An open tag whose
-name is followed by ``>`` needs nothing more; attributes, comment and
-tag ends and raw-text bodies are found by further C-level searches, never
+tag's name and, in a fifth group, a ``>`` right after it); the gap before
+the match is a text run.  An open tag whose name is followed by ``>``
+needs nothing more.  One whose attributes are all ``name="value"`` pairs,
+each after whitespace, with ``>`` right after the last, takes one more
+match, and one ``finditer`` over its quotes gives the value spans; any
+other tag's attributes are scanned one step per match.  Comment and tag
+ends and raw-text bodies are found by further C-level searches, never
 one character at a time.  Repair strategy for malformed markup:
 unclosed elements are closed at the boundary of the enclosing close tag
 (or end of input); close tags with no matching open element are
@@ -65,10 +69,17 @@ _RAW_TEXT_CLOSE = {
 }
 # The constructs a ``<`` can begin, tried in this order: a comment opener
 # (group 1), a ``<!`` or ``<?`` directive (2), a close tag's name (3) and
-# an open tag's name (4).  Tag names start with an ASCII letter.  A close
-# tag's name runs to whitespace, ``<`` or ``>``; an open tag's to
-# whitespace, ``>`` or ``/``.  A ``<`` that begins none of them is text.
-_CONSTRUCT = re.compile(r"<(?:(!--)|([!?])|/([A-Za-z][^\s<>]*)|([A-Za-z][^\s>/]*))")
+# an open tag's name (4), with the ``>`` right after it if there is one
+# (5).  Tag names start with an ASCII letter.  A close tag's name runs to
+# whitespace, ``<`` or ``>``; an open tag's to whitespace, ``>`` or
+# ``/``.  A ``<`` that begins none of them is text.
+_CONSTRUCT = re.compile(r"<(?:(!--)|([!?])|/([A-Za-z][^\s<>]*)|([A-Za-z][^\s>/]*)(>)?)")
+# An open tag's tail made only of double-quoted attributes, each after
+# whitespace, the last directly followed by ``>``.  A name holds no
+# whitespace, ``=``, ``>``, ``/`` or quote, so every quote in the tail
+# opens or closes a value and `_QUOTED_VALUE` finds the values.
+_QUOTED_TAIL = re.compile(r"""(?:\s+[^\s=>/"']+="[^"]*")+>""")
+_QUOTED_VALUE = re.compile(r'"([^"]*)"')
 # One step of an open tag's attribute scan, after any whitespace: the
 # tag's end (``>`` or ``/>``, group 1), a stray ``/`` or ``=``, or a name
 # with an optional value, double-quoted (group 2), single-quoted (3) or
@@ -146,19 +157,21 @@ class DomTree:
                 break
         return p
 
+    def rendered_offset(self, pos: int) -> int:
+        """Length of the rendered text before source position `pos`."""
+        starts, rendered = self.seg_start, self._rendered
+        # A segment with no rendered text has equal bounds, so the clamp
+        # maps every position in it to the text before it.
+        i = bisect_right(starts, pos) - 1
+        return 0 if i < 0 else min(rendered[i] + pos - starts[i], rendered[i + 1])
+
     def visible_text(self, lo: int = 0, hi: int | None = None) -> str:
         """Rendered text within a source range: text runs outside script/style."""
-        starts, rendered = self.seg_start, self._rendered
         if hi is None:
+            if lo <= 0:  # the whole page's text, not a copy
+                return self._text
             hi = len(self.source)
-
-        def rendered_offset(pos: int) -> int:
-            # A segment with no rendered text has equal bounds, so the
-            # clamp maps every position in it to the text before it.
-            i = bisect_right(starts, pos) - 1
-            return 0 if i < 0 else min(rendered[i] + pos - starts[i], rendered[i + 1])
-
-        return self._text[rendered_offset(lo) : rendered_offset(hi)]
+        return self._text[self.rendered_offset(lo) : self.rendered_offset(hi)]
 
     def occurrence_ids(self, terms) -> list[tuple[int, str, int]]:
         """(pos, term, path id) of every exact occurrence of every term,
@@ -180,9 +193,15 @@ def parse_html(raw: str) -> DomTree:
     n = len(raw)
     tree = DomTree(raw)
     path_tag, path_ids, path_raw = tree.path_tag, tree._path_ids, tree.path_raw
-    seg_start, seg_path, rendered = tree.seg_start, tree.seg_path, tree._rendered
+    # A segment is added as its start, path id and the rendered text before
+    # it; a run continuing the last segment's path id `last` extends that
+    # segment.
+    add_start, add_path = tree.seg_start.append, tree.seg_path.append
+    add_rendered = tree._rendered.append
+    last = -1
     pieces: list[str] = []
     rendered_len = 0
+    text_ids: dict[int, int] = {}  # element path id -> its #text child's path id
 
     def child(parent: int, tag: str) -> int:
         # The interned path id of `tag` under path `parent`.
@@ -195,108 +214,134 @@ def parse_html(raw: str) -> DomTree:
             path_raw.append(tag == TEXT_TAG and path_tag[parent] in RAW_TEXT_ELEMENTS)
         return path
 
-    def own(pos: int, path: int) -> None:
-        # The positions from `pos` up to the next segment have path `path`;
-        # a run continuing the last segment's path extends that segment.
-        if not seg_path or seg_path[-1] != path:
-            seg_start.append(pos)
-            seg_path.append(path)
-            rendered.append(rendered_len)
-
-    def text(start: int, end: int, parent: int) -> None:
-        # A text run under path `parent`, rendered unless its path is raw.
-        nonlocal rendered_len
-        path = child(parent, TEXT_TAG)
-        own(start, path)
-        if not path_raw[path]:
-            pieces.append(raw[start:end])
-            rendered_len += end - start
-
     stack = [0]  # path ids of the open elements, the root first
     # Open elements on the stack by tag, so a close tag that matches none
     # is swallowed without scanning the stack.
     open_count: dict[str, int] = defaultdict(int)
 
-    def close_until(index: int) -> None:
-        # Pop the elements above stack index `index`.
-        while len(stack) - 1 > index:
-            open_count[path_tag[stack.pop()]] -= 1
-
     i = 0
     while i < n:
-        # The gap before the next construct is a text run.
         construct = _CONSTRUCT.search(raw, i)
         end = n if construct is None else construct.start()
         if end > i:
-            text(i, end, stack[-1])
+            # The gap before the next construct is a text run.  Raw-text
+            # elements are never on the stack, so it is rendered.
+            top = stack[-1]
+            path = text_ids.get(top)
+            if path is None:
+                path = text_ids[top] = child(top, TEXT_TAG)
+            if path != last:
+                add_start(i)
+                add_path(path)
+                add_rendered(rendered_len)
+                last = path
+            pieces.append(raw[i:end])
+            rendered_len += end - i
         if construct is None:
             break
         i = end
-        comment, directive, close_name, open_name = construct.groups()
+        comment, directive, close_name, open_name, bare = construct.groups()
 
-        if comment:
-            # Searched from i + 2, so "<!-->" and "<!--->" are whole empty
-            # comments, as in HTML.
-            close = raw.find("-->", i + 2)
-            own(i, child(stack[-1], COMMENT_TAG))
-            i = n if close == -1 else close + 3
-        elif directive:
-            close = raw.find(">", i)
-            own(i, child(stack[-1], DIRECTIVE_TAG))
-            i = n if close == -1 else close + 1
-        elif close_name:
-            name = close_name.lower()
-            close = raw.find(">", construct.end())
-            # Close the matching open element; unmatched close tags are
-            # swallowed by the current element.  An unmatched name is
-            # answered from `open_count` without a scan, and a matched one
-            # scans only the elements it pops, so the parse stays linear.
-            if open_count.get(name):
-                depth = len(stack) - 1
-                while path_tag[stack[depth]] != name:
-                    depth -= 1
-                own(i, stack[depth])
-                close_until(depth - 1)
+        if open_name is None:
+            if comment:
+                # Searched from i + 2, so "<!-->" and "<!--->" are whole
+                # empty comments, as in HTML.
+                close = raw.find("-->", i + 2)
+                path = child(stack[-1], COMMENT_TAG)
+                after = n if close == -1 else close + 3
+            elif directive:
+                close = raw.find(">", i)
+                path = child(stack[-1], DIRECTIVE_TAG)
+                after = n if close == -1 else close + 1
             else:
-                own(i, stack[-1])
-            i = n if close == -1 else close + 1
-        else:
-            name, tag_end = open_name.lower(), construct.end()
-            if raw.startswith(">", tag_end):  # a bare tag: no attribute scan
-                attr_spans, self_closing, tag_end = (), False, tag_end + 1
-            else:
+                name = close_name.lower()
+                close = raw.find(">", construct.end())
+                after = n if close == -1 else close + 1
+                # Close the matching open element; unmatched close tags are
+                # swallowed by the current element.  An unmatched name is
+                # answered from `open_count` without a scan, and a matched
+                # one scans only the elements it pops, so the parse stays
+                # linear.
+                path = stack[-1]
+                if open_count.get(name):
+                    depth = len(stack) - 1
+                    while path_tag[stack[depth]] != name:
+                        depth -= 1
+                    path = stack[depth]
+                    for popped in stack[depth:]:
+                        open_count[path_tag[popped]] -= 1
+                    del stack[depth:]
+            if path != last:
+                add_start(i)
+                add_path(path)
+                add_rendered(rendered_len)
+                last = path
+            i = after
+            continue
+
+        name, tag_end = open_name.lower(), construct.end()
+        attr_spans, self_closing = (), False
+        if not bare:  # a bare tag's match ends at its ">"
+            tail = _QUOTED_TAIL.match(raw, tag_end)
+            if tail is None:
                 name, attr_spans, self_closing, tag_end = _scan_open_tag(raw, i)
-            # Implicit close of a same-group sibling (<li> after unclosed <li> etc).
-            closers = _SIBLING_CLOSERS.get(name)
-            if closers and len(stack) > 1 and path_tag[stack[-1]] in closers:
-                close_until(len(stack) - 2)
-            elem = child(stack[-1], name)
-            own(i, elem)
-            # The tag's characters are its element's, but for attribute values.
+            else:
+                # Only name="value" pairs: the quotes are the values' own.
+                # Empty values are dropped, as `_scan_open_tag` drops them.
+                values = _QUOTED_VALUE.finditer(raw, tag_end, tail.end())
+                attr_spans = [v.span(1) for v in values if v.group(1)]
+                tag_end = tail.end()
+        # Implicit close of a same-group sibling (<li> after unclosed <li> etc).
+        closers = _SIBLING_CLOSERS.get(name)
+        if closers and len(stack) > 1 and path_tag[stack[-1]] in closers:
+            open_count[path_tag[stack.pop()]] -= 1
+        top = stack[-1]
+        elem = path_ids.get((top, name))
+        if elem is None:
+            elem = child(top, name)
+        if elem != last:
+            add_start(i)
+            add_path(elem)
+            add_rendered(rendered_len)
+            last = elem
+        # The tag's characters are its element's, but for attribute values.
+        if attr_spans:
+            attr = child(elem, ATTR_TAG)
             for a, b in attr_spans:
-                own(a, child(elem, ATTR_TAG))
+                add_start(a)
+                add_path(attr)
+                add_rendered(rendered_len)
                 if b < tag_end:
-                    own(b, elem)
-            i = tag_end
-            if self_closing or name in VOID_ELEMENTS:
-                continue
-            if name in RAW_TEXT_ELEMENTS:
-                # Raw-text body: scan for the matching close tag, case-insensitive.
-                close_tag = _RAW_TEXT_CLOSE[name].search(raw, tag_end)
-                body_end = n if close_tag is None else close_tag.start()
-                if body_end > tag_end:
-                    text(tag_end, body_end, elem)
-                if close_tag is None:
-                    i = n
-                else:
-                    close_gt = raw.find(">", body_end)
-                    i = n if close_gt == -1 else close_gt + 1
-                    own(body_end, elem)
-                continue
-            stack.append(elem)
-            open_count[name] += 1
+                    add_start(b)
+                    add_path(elem)
+                    add_rendered(rendered_len)
+            last = elem if b < tag_end else attr
+        i = tag_end
+        if self_closing or name in VOID_ELEMENTS:
+            continue
+        if name in RAW_TEXT_ELEMENTS:
+            # Raw-text body: scan for the matching close tag, case-insensitive.
+            close_tag = _RAW_TEXT_CLOSE[name].search(raw, tag_end)
+            body_end = n if close_tag is None else close_tag.start()
+            if body_end > tag_end:  # a raw #text run, not rendered
+                last = child(elem, TEXT_TAG)
+                add_start(tag_end)
+                add_path(last)
+                add_rendered(rendered_len)
+            if close_tag is None:
+                break
+            close_gt = raw.find(">", body_end)
+            i = n if close_gt == -1 else close_gt + 1
+            if elem != last:
+                add_start(body_end)
+                add_path(elem)
+                add_rendered(rendered_len)
+                last = elem
+            continue
+        stack.append(elem)
+        open_count[name] += 1
 
-    rendered.append(rendered_len)
+    add_rendered(rendered_len)
     tree._text = "".join(pieces)
     return tree
 
@@ -310,7 +355,7 @@ def _scan_open_tag(raw: str, start: int) -> tuple[str, list[tuple[int, int]], bo
     # Attribute scan, one step per match; non-empty values are kept.
     attr_spans: list[tuple[int, int]] = []
     self_closing = False
-    pos = tag.end()
+    pos = tag.end(4)
     while True:
         step = _ATTR_STEP.match(raw, pos)
         if step is None:  # nothing but whitespace is left

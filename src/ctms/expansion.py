@@ -7,7 +7,10 @@ extended seed set, so a page need only mention any two of the known terms
 with a shared template for its lists to be harvested.
 
 Each learned wrapper's spans on its page become one WebList, carrying a
-window of the rendered text around the list for the later concept stage.
+window of the rendered text around the list for the later concept stage:
+the rendered offsets of the list's first and last span bound it, and
+only the window's characters on each side are sliced from the page's
+rendered text.
 Pages are processed once even when several queries return them, and the
 result is sorted by list id so downstream stages see a stable order.
 """
@@ -79,9 +82,12 @@ def weblist_id(url: str, wrapper: Wrapper) -> str:
 
 
 def _context_window(tree: DomTree, first_start: int, last_end: int, window: int) -> str:
-    before = tree.visible_text(0, first_start)
-    after = tree.visible_text(last_end, len(tree.source))
-    return (before[-window:] + " " + after[:window]).strip()
+    """The `window` (at least 1) rendered characters before a list's first
+    span and after its last, joined by a space and stripped; only those
+    characters are sliced from the page's rendered text."""
+    text = tree.visible_text()
+    before, after = tree.rendered_offset(first_start), tree.rendered_offset(last_end)
+    return (text[max(0, before - window) : before] + " " + text[after : after + window]).strip()
 
 
 def harvest_page(

@@ -50,11 +50,14 @@ The rule takes the path as the page's interned path id (equal ids are
 equal paths), so learning groups occurrences by id, passes each group's
 id, and builds a path's string only for the wrappers it keeps.  Learning
 scans the page (for left contexts, the reversed page) only for the
-prefixes it probes on root edges of the trie: a deeper edge's prefixes
-extend its parent edge's longest one, so their matches are those of the
-parent's that extend to them.  Each kept wrapper's span set comes back
-decoded with it, so mining never searches the page again to apply a
-wrapper.
+prefixes it probes on root edges of the trie.  A deeper edge's prefixes
+extend its parent edge's longest one, and the probes along an edge are
+chained: each probe's matches are those of the nearest shorter probed
+prefix (for the edge's first probe, the parent's longest) that extend
+to it.  Dominance compares (left, right) context pairs, and a `Wrapper`
+is built only for each candidate kept.  Each kept wrapper's span set
+comes back decoded with it, so mining never searches the page again to
+apply a wrapper.
 
 Extraction (`extract_spans`) is the independent check on those spans,
 not part of mining: it finds every position of its wrappers' context
@@ -67,7 +70,7 @@ learning does for every learned wrapper.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
@@ -175,9 +178,10 @@ def _side_levels(
     and longest prefixes are probed, and a range whose end counts differ
     is bisected.  Each run is named by its longest prefix and brackets
     exactly the part's occurrences.  A root edge (d = 0) probes by
-    scanning `text`; a deeper edge filters the starts of its parent's
-    longest prefix.  Runs of different edges never share a match set, as
-    a child part lacks some anchor of its parent.
+    scanning `text`.  A deeper edge's first probe filters the starts of
+    its parent's longest prefix, and each later probe those of the
+    nearest shorter length it has probed.  Runs of different edges never
+    share a match set, as a child part lacks some anchor of its parent.
     """
     windows = [text[a : a + MAX_CONTEXT_LEN] for _, a in anchors]
     found: list[tuple[list[int], str, int]] = []
@@ -190,7 +194,12 @@ def _side_levels(
         prefix = commonprefix([windows[i] for i in part])
         n = len(prefix)
         if n > depth:
-            probed = {k: _starts(text, prefix[:k], base) for k in (depth + 1, n)}
+            # On a deeper edge each probe filters the starts of the nearest
+            # shorter probed length; on a root edge each scans `text`.
+            chained = base is not None
+            probed = {depth + 1: _starts(text, prefix[: depth + 1], base)}
+            if n > depth + 1:
+                probed[n] = _starts(text, prefix, probed[depth + 1] if chained else None)
             # Run ends: n, and every length whose successor matches fewer.
             ends, ranges = [n], [(depth + 1, n)]
             while ranges:
@@ -201,7 +210,7 @@ def _side_levels(
                     ends.append(lo)
                     continue
                 mid = (lo + hi) // 2
-                probed[mid] = _starts(text, prefix[:mid], base)
+                probed[mid] = _starts(text, prefix[:mid], probed[lo] if chained else None)
                 ranges += ((lo, mid), (mid, hi))
             occs = sum(1 << i for i in part)
             found.extend((probed[k], prefix[:k], occs) for k in ends)
@@ -219,11 +228,9 @@ def _side_levels(
     return levels
 
 
-def _extends(a: Wrapper, b: Wrapper) -> bool:
-    """True when `a`'s contexts strictly extend `b`'s."""
-    if a.left == b.left and a.right == b.right:
-        return False
-    return a.left.endswith(b.left) and a.right.startswith(b.right)
+def _extends(a: tuple[str, str], b: tuple[str, str]) -> bool:
+    """True when (left, right) contexts `a` strictly extend `b`."""
+    return a != b and a[0].endswith(b[0]) and a[1].startswith(b[1])
 
 
 def spans_on_path(
@@ -238,14 +245,13 @@ def spans_on_path(
     id of -1, a path the page lacks, admits no span).  Spans are returned
     in document order.
     """
-    src = tree.source
-    path_id_at = tree.path_id_at
+    src, seg_start, seg_path = tree.source, tree.seg_start, tree.seg_path
     n = len(src)
     next_lt = next_gt = -1
     spans: list[tuple[int, int]] = []
     for e in ends:
         # A span's first character is at e, so e must lie on the path.
-        if e >= n or path_id_at(e) != path_id:
+        if e >= n or seg_path[bisect_right(seg_start, e) - 1] != path_id:
             continue
         # The next "<" and ">" at or after e (a miss, -1, wraps to n),
         # found again only once the ascending ends pass them: linear.
@@ -263,7 +269,7 @@ def spans_on_path(
             piece = src[e:s].strip()
             if len(piece) > MAX_TERM_LEN:
                 break
-            if piece and path_id_at(s - 1) == path_id:
+            if piece and seg_path[bisect_right(seg_start, s - 1) - 1] == path_id:
                 spans.append((e, s))
     return spans
 
@@ -288,7 +294,7 @@ def learn_wrappers(
     for pos, term, path_id in tree.occurrence_ids(seed_list):
         groups[path_id].append((term, pos))
 
-    kept: dict[Wrapper, list[tuple[int, int]]] = {}
+    kept: dict[tuple[str, str, str], list[tuple[int, int]]] = {}  # (left, right, path)
     for path_id, group in groups.items():
         # Rule 4 of `is_valid_wrapper`, and being in a script/style body,
         # hold for all of a group or none of it.
@@ -315,10 +321,11 @@ def learn_wrappers(
         gated: list[tuple[int, int]] = []
         need_seeds, right_occs = cfg.min_distinct_seeds, [lv.occs for lv in sides[1]]
         for li, left in enumerate(sides[0]):
+            left_occs = left.occs
             for ri, bracketed in enumerate(right_occs):
                 # Distinct-seed gate, before any span work: each round clears
                 # every occurrence of the lowest bracketed occurrence's seed.
-                bracketed &= left.occs
+                bracketed &= left_occs
                 need = need_seeds
                 while need and bracketed:
                     bracketed &= others[bracketed & -bracketed]
@@ -348,22 +355,23 @@ def learn_wrappers(
                 bits[span[item]] |= 1 << k
             masks.append([sum(map(bits.get, lv.positions, repeat(0))) for lv in side])
 
-        # Dominance: among wrappers matching identical span sets, drop any
-        # whose contexts another one strictly extends.
+        # Dominance: among candidates matching identical span sets, drop any
+        # whose (left, right) contexts another one strictly extends.
         path = tree.path_string(path_id)
-        by_spans: dict[int, list[Wrapper]] = defaultdict(list)
+        by_spans: dict[int, list[tuple[str, str]]] = defaultdict(list)
         for li, ri in gated:
             span_set = masks[0][li] & masks[1][ri]
             if span_set:
-                by_spans[span_set].append(Wrapper(sides[0][li].context, sides[1][ri].context, path))
-        for span_set, group_wrappers in by_spans.items():
+                by_spans[span_set].append((sides[0][li].context, sides[1][ri].context))
+        for span_set, pairs in by_spans.items():
             # Bit k set <=> span k; the reversed binary string has bit k at index k.
             decoded = [spans[k] for k in find_all(bin(span_set)[:1:-1], "1")]
-            for w in group_wrappers:
-                if not any(_extends(other, w) for other in group_wrappers):
-                    kept[w] = decoded
+            for pair in pairs:
+                if len(pairs) == 1 or not any(_extends(other, pair) for other in pairs):
+                    kept[pair + (path,)] = decoded
 
-    return {w: kept[w] for w in sorted(kept)}
+    # Sorted (left, right, path) keys are `Wrapper`'s own order.
+    return {Wrapper(*key): kept[key] for key in sorted(kept)}
 
 
 def extract_spans(

@@ -611,9 +611,35 @@ attr_soup = st.lists(
     max_size=12,
 ).map("".join)
 
+# Open tags of 0-4 name="value" attributes, the shape the parser reads in
+# one match, and near misses: empty or exotic separators, names with a
+# quote, values holding a quote, `<>` or `=`, and every closer.  Half the
+# names and half the closers are ones that shape allows, and half the
+# values are empty.
+quoted_attribute = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(spaces),
+        st.one_of(st.sampled_from(["x", "data-id", "a<b", "宏"]), st.sampled_from(["it's", "'", 'a"b'])),
+        st.just("="),
+        st.one_of(st.just('""'), st.sampled_from(['"v w"', '"\'"', '"<>"', '"a=b"'])),
+    ),
+)
+quoted_tag = st.builds(
+    lambda name, attrs, end: name + "".join(attrs) + end,
+    st.sampled_from(["<a", "<p", "<li", "<script", "<B1", '<q"']),
+    st.lists(quoted_attribute, max_size=4),
+    st.one_of(st.just(">"), st.sampled_from([" >", "/>", ""])),
+)
+quoted_soup = st.lists(
+    st.tuples(quoted_tag, st.sampled_from(["", "x", "宏", " ", '"', "</a>", "</p>"])).map("".join),
+    min_size=1,
+    max_size=6,
+).map("".join)
+
 
 @settings(max_examples=400)
-@given(st.one_of(attr_soup, tag_soup, comment_soup))
+@given(st.one_of(attr_soup, tag_soup, comment_soup, quoted_soup))
 def test_parse_matches_char_loop_parser(html):
     assert_reads_like(parse_html(html), char_loop_parse(html))
 

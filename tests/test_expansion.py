@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctms.corpus import FixtureProvider, load_fixture
+from ctms.dom import parse_html
 from ctms.expansion import (
     ExtendedSeedSet,
+    _context_window,
     expand,
     expansion_queries,
     weblist_id,
@@ -163,3 +166,29 @@ def test_every_weblist_covers_two_extended_seeds(tmp_path):
     assert result.weblists
     for wl in result.weblists:
         assert len(set(ext.terms) & set(wl.terms)) >= 2
+
+
+# Pages of tags, comments and script/style bodies around text, the empty
+# page included: rendered text with gaps of every kind.
+context_soup = st.lists(
+    st.sampled_from(
+        ["<p>", "</p>", "<li>", "<a href=\"v\">", "</a>", "<br>", "<!-- c -->", "<!--", "-->"]
+        + ["<script>x</script>", "<style>y", "</style>", "<SCRIPT>", "a", "宏碁", " ", "\n", "<"]
+    ),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=150)
+@given(context_soup)
+def test_context_window_slices_the_rendered_halves(html):
+    # The window is `window` rendered characters from each half of the page
+    # around the list, for every list range and window.
+    tree = parse_html(html)
+    n = len(tree.source)
+    for window in (1, 2, 7, 200):
+        for a in range(n + 1):
+            before = tree.visible_text(0, a)[-window:]
+            for b in range(a, n + 1):
+                expected = (before + " " + tree.visible_text(b, n)[:window]).strip()
+                assert _context_window(tree, a, b, window) == expected, (a, b, window)
