@@ -16,6 +16,7 @@ from .metrics import GoldFormatError, load_gold
 from .pipeline import (
     MiningReport,
     PipelineConfig,
+    check_seed,
     evaluate,
     format_metric_table,
     format_report_table,
@@ -59,8 +60,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_mine(args: argparse.Namespace) -> int:
-    if not args.seed.strip():
-        print("error: seed must be non-empty", file=sys.stderr)
+    try:
+        check_seed(args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         corpus = load_fixture(args.corpus)

@@ -35,19 +35,21 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .config import PipelineConfig
 from .expansion import WebList
 from .text import tokenize
 
 
 class BackgroundCorpus:
-    """Document-frequency statistics over the pages fetched in one run."""
+    """Document-frequency statistics over the pages fetched in one run;
+    an idf counts documents only, so their order does not matter."""
 
-    def __init__(self, documents: Iterable[tuple[str, str]]):
+    def __init__(self, texts: Iterable[str]):
         doc_freq: Counter[str] = Counter()
         self.size = 0
-        for _doc_id, body in documents:
+        for text in texts:
             self.size += 1
-            doc_freq.update(set(tokenize(body)))
+            doc_freq.update(set(tokenize(text)))
         # A word's idf is fixed for the run, so each is computed once.
         self._idf = {word: self._idf_of(df) for word, df in doc_freq.items()}
         self._unseen_idf = self._idf_of(0)
@@ -153,25 +155,19 @@ def _similarity_matrix(features: Sequence[_Features], lam: float) -> list[list[f
     return sim
 
 
-def _check_lam(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-
-
 def list_similarity(
     a_terms: Iterable[str],
     a_vec: ContextVector,
     b_terms: Iterable[str],
     b_vec: ContextVector,
-    lam: float = 0.5,
+    lam: float,
 ) -> float:
     """Blend of content overlap and context cosine, in [0, 1].
 
-    Content part is |a∩b| / min(|a|, |b|): containment scores 1 so that a
-    sub-concept list merges with its parent.  A zero-norm context vector
-    contributes 0 on the context side.
+    `lam`, in [0, 1], weighs the content part, |a∩b| / min(|a|, |b|):
+    containment scores 1 so that a sub-concept list merges with its
+    parent.  A zero-norm context vector contributes 0 on the context side.
     """
-    _check_lam(lam)
     a = _Features(set(a_terms), a_vec.weights, a_vec.norm)
     b = _Features(set(b_terms), b_vec.weights, b_vec.norm)
     if not a.terms or not b.terms:
@@ -193,15 +189,16 @@ def cluster_weblists(
     weblists: Sequence[WebList],
     vectors: Mapping[str, ContextVector],
     seed: str,
-    threshold: float = 0.65,
-    lam: float = 0.5,
+    cfg: PipelineConfig,
 ) -> list[ConceptCluster]:
     """Greedy average-linkage agglomeration down to the similarity threshold.
 
     Clusters merge while the best average pairwise similarity between two
-    clusters is at least `threshold`.  Ties break on the lexicographically
-    smallest (cluster id, cluster id) pair; a cluster's id is the smallest
-    member weblist id, so the procedure is deterministic for a fixed input.
+    clusters is at least ``cfg.cluster_threshold``; a list pair's
+    similarity is `list_similarity` with ``lam = cfg.sim_lambda``.  Ties
+    break on the lexicographically smallest (cluster id, cluster id) pair;
+    a cluster's id is the smallest member weblist id, so the procedure is
+    deterministic for a fixed input.
 
     The `list_similarity` of every list pair is computed once, into one
     matrix indexed by position in the sorted ids, from one posting table
@@ -217,7 +214,6 @@ def cluster_weblists(
     """
     if not weblists:
         raise ValueError("weblists must be non-empty")
-    _check_lam(lam)
     by_id = {wl.id: wl for wl in weblists}
     ids = sorted(by_id)
     n = len(ids)
@@ -228,7 +224,7 @@ def cluster_weblists(
         raise ValueError("term lists must be non-empty")
 
     # sim[a][b] is list_similarity with the smaller id as first argument.
-    sim = _similarity_matrix(features, lam)
+    sim = _similarity_matrix(features, cfg.sim_lambda)
 
     # A cluster is keyed by its smallest member index; link[p][q] (p < q) is
     # the average linkage of live clusters p and q, and best[p] is the
@@ -259,7 +255,7 @@ def cluster_weblists(
         for r, (s, partner) in best.items():
             if s > score or (s == score and r < p):
                 p, score, q = r, s, partner
-        if score < threshold:
+        if score < cfg.cluster_threshold:
             break
         merged = sorted(members[p] + members.pop(q))
         members[p] = merged
@@ -313,14 +309,14 @@ def filter_clusters(
     clusters: Iterable[ConceptCluster],
     seed: str,
     total_lists: int,
-    min_support: float = 0.05,
+    cfg: PipelineConfig,
 ) -> list[ConceptCluster]:
-    """Drop clusters without the seed or with fewer than support·|L| lists.
+    """Drop clusters without the seed or with fewer than min_support·|L| lists.
 
     Survivors are ordered by descending list count (ties on cluster id),
     which is the presentation order of the final concepts.
     """
-    floor = support_floor(min_support, total_lists)
+    floor = support_floor(cfg.min_support, total_lists)
     kept = [c for c in clusters if c.contains_seed and len(c.lists) >= floor]
     kept.sort(key=lambda c: (-len(c.lists), c.id))
     return kept

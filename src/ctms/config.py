@@ -1,10 +1,11 @@
 """The pipeline's one config object, validated once at construction.
 
-Every stage reads its parameters from a `PipelineConfig`.  Values are
-checked for type and range in `__post_init__` and rejected, never coerced,
-so a bad config fails at load with a message naming the field instead of
-mid-run.  A ``bool`` is not accepted where an int is expected; an int is
-accepted where a float is expected.
+Every stage takes a `PipelineConfig` as a required argument and reads
+its own fields from it, never a default or a check of its own.  Values
+are checked for type and range in `__post_init__` and rejected, never
+coerced, so a bad config fails at load with a message naming the field
+instead of mid-run.  A ``bool`` is not accepted where an int is
+expected; an int is accepted where a float is expected.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ class TransientSearchError(RuntimeError):
 
 
 class SearchProvider(Protocol):
-    def search(self, query: str, max_results: int = 200) -> list[SearchHit]: ...
+    def search(self, query: str, max_results: int) -> list[SearchHit]: ...
 
     def fetch_page(self, url: str) -> RawPage: ...
 
@@ -176,7 +176,7 @@ class FixtureProvider:
     def __init__(self, corpus: FixtureCorpus):
         self._corpus = corpus
 
-    def search(self, query: str, max_results: int = 200) -> list[SearchHit]:
+    def search(self, query: str, max_results: int) -> list[SearchHit]:
         if not query:
             raise ValueError("query must be non-empty")
         if max_results < 1:

@@ -60,10 +60,9 @@ class WebList:
 
 @dataclass
 class ExpandResult:
-    weblists: list[WebList]
-    page_texts: dict[str, str]  # url -> rendered text, the background corpus
-    queries_run: list[str]
-    pages_processed: int
+    weblists: list[WebList]  # sorted by list id
+    page_texts: list[str]  # each processed page's rendered text, in fetch order
+    queries_run: list[str]  # every expansion query, failed ones included
     wrappers_learned: int
     skipped: list[str]  # diagnostics for failed queries/pages
 
@@ -115,22 +114,18 @@ def harvest_page(
 
 
 def expand(
-    extended: ExtendedSeedSet,
-    provider: SearchProvider,
-    cfg: PipelineConfig | None = None,
+    extended: ExtendedSeedSet, provider: SearchProvider, cfg: PipelineConfig
 ) -> ExpandResult:
     """Run every expansion query and harvest all retrieved pages once."""
     if len(extended.terms) < 2:
         raise ValueError("expansion needs the seed plus at least one candidate")
-    cfg = cfg or PipelineConfig()
 
     result = ExpandResult(
-        weblists=[], page_texts={}, queries_run=[], pages_processed=0,
+        weblists=[], page_texts=[], queries_run=expansion_queries(extended),
         wrappers_learned=0, skipped=[],
     )
     seen_urls: set[str] = set()
-    for query in expansion_queries(extended):
-        result.queries_run.append(query)
+    for query in result.queries_run:
         try:
             hits = provider.search(query, cfg.pages_per_query)
         except TransientSearchError as exc:
@@ -146,8 +141,7 @@ def expand(
                 result.skipped.append(f"page {hit.url!r}: {exc}")
                 continue
             tree = parse_html(page.html)
-            result.page_texts[hit.url] = tree.visible_text()
-            result.pages_processed += 1
+            result.page_texts.append(tree.visible_text())
             lists, learned = harvest_page(hit.url, tree, extended, cfg)
             result.wrappers_learned += learned
             result.weblists.extend(lists)

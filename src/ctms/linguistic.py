@@ -67,7 +67,7 @@ def _right_candidates(sentence: str, anchor: str, max_len: int) -> set[str]:
 
 
 def extract_initial_candidates(
-    seed: str, sentences: list[str], cfg: PipelineConfig | None = None
+    seed: str, sentences: list[str], cfg: PipelineConfig
 ) -> list[ScoredCandidate]:
     """Mine the initial candidate set from retrieved titles and snippets.
 
@@ -78,7 +78,6 @@ def extract_initial_candidates(
     Candidates scoring strictly above tau survive, sorted by descending
     score then lexicographically, truncated to the top_n best.
     """
-    cfg = cfg or PipelineConfig()
     if not seed:
         raise ValueError("seed must be non-empty")
 

@@ -122,7 +122,7 @@ def _concept_report(
     cfg: PipelineConfig,
 ) -> ConceptReport:
     members = [weblists_by_id[i] for i in cluster.lists]
-    graph = build_relation_graph(cluster, members, seed, cfg.affix_min_n, cfg.affix_max_n)
+    graph = build_relation_graph(cluster, members, seed, cfg)
     scores, converged = rwr_scores(graph, cfg)
     # Provenance is read off the graph the walk ranked: each term vertex
     # (in term order) and its list neighbours (in id order).
@@ -164,10 +164,17 @@ def snippet_sentences(
     return sentences, failed
 
 
-def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningReport:
-    """Run the full pipeline for one seed term."""
+def check_seed(seed: str) -> None:
+    """ValueError for a blank seed or one with outer whitespace, never stripped."""
     if not seed.strip():
         raise ValueError("seed must be non-empty")
+    if seed != seed.strip():
+        raise ValueError("seed must not begin or end with whitespace")
+
+
+def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningReport:
+    """Run the full pipeline for one seed term."""
+    check_seed(seed)
     notes: list[str] = []
     diagnostics: dict[str, Any] = {"notes": notes}
 
@@ -202,7 +209,7 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
     report.weblists = weblists
     report.weblist_count = len(weblists)
     diagnostics["expansion_queries"] = expansion.queries_run
-    diagnostics["pages_processed"] = expansion.pages_processed
+    diagnostics["pages_processed"] = len(expansion.page_texts)
     diagnostics["wrappers_learned"] = expansion.wrappers_learned
     if expansion.skipped:
         diagnostics["skipped"] = expansion.skipped
@@ -214,13 +221,11 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
     weblists_by_id = {wl.id: wl for wl in weblists}
 
     if cfg.disambiguation:
-        background = BackgroundCorpus(sorted(expansion.page_texts.items()))
+        background = BackgroundCorpus(expansion.page_texts)
         vectors = {wl.id: context_vector(wl, background) for wl in weblists}
-        clusters = cluster_weblists(
-            weblists, vectors, seed, cfg.cluster_threshold, cfg.sim_lambda
-        )
+        clusters = cluster_weblists(weblists, vectors, seed, cfg)
         diagnostics["clusters_total"] = len(clusters)
-        kept = filter_clusters(clusters, seed, len(weblists), cfg.min_support)
+        kept = filter_clusters(clusters, seed, len(weblists), cfg)
         diagnostics["clusters_kept"] = len(kept)
     else:
         # One pseudo-concept of all lists.  The cluster filter's support
@@ -257,15 +262,12 @@ def _config_dict(cfg: PipelineConfig) -> dict[str, Any]:
     return data
 
 
-def evaluate(
-    report: MiningReport, gold: GoldAnswer, n_values: list[int] | None = None
-) -> dict[str, Any]:
+def evaluate(report: MiningReport, gold: GoldAnswer, n_values: list[int]) -> dict[str, Any]:
     """Metric table for a report against its gold answer."""
     if report.seed != gold.seed:
         raise ValueError(
             f"seed mismatch: report has {report.seed!r}, gold has {gold.seed!r}"
         )
-    n_values = n_values or [5, 10]
     results = report.result_set()
     merged = interleave(results.term_lists())
     gold_union = gold.union()

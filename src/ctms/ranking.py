@@ -33,7 +33,7 @@ class RelationGraph:
 
 
 def extract_affixes(
-    terms: Sequence[str], n_min: int = 1, n_max: int = 3
+    terms: Sequence[str], n_min: int, n_max: int
 ) -> dict[str, tuple[str, ...]]:
     """Shared leading/trailing n-grams per term (``1 <= n_min <= n_max``).
 
@@ -61,19 +61,19 @@ def build_relation_graph(
     cluster: ConceptCluster,
     weblists: Sequence[WebList],
     seed: str,
-    n_min: int = 1,
-    n_max: int = 3,
+    cfg: PipelineConfig,
 ) -> RelationGraph:
     """Tripartite relation graph for one concept.
 
     `weblists` are the cluster's member lists.  The term vertices are the
-    cluster's `member_terms`; a list's other terms get no vertex.
+    cluster's `member_terms`; a list's other terms get no vertex.  Affixes
+    are ``cfg.affix_min_n`` to ``cfg.affix_max_n`` characters long.
     """
     if seed not in cluster.member_terms:
         raise ValueError("cluster must contain the seed term")
     terms = sorted(cluster.member_terms)
 
-    affixes = extract_affixes(terms, n_min, n_max)
+    affixes = extract_affixes(terms, cfg.affix_min_n, cfg.affix_max_n)
     affix_names = sorted({a for grams in affixes.values() for a in grams})
 
     vertices: list[Vertex] = [("term", t) for t in terms]
@@ -109,7 +109,7 @@ def build_relation_graph(
 def walk_probabilities(
     adjacency: Sequence[Sequence[int]],  # neighbor lists, symmetric
     seed: int,
-    cfg: PipelineConfig | None = None,
+    cfg: PipelineConfig,
 ) -> tuple[np.ndarray, bool]:
     """Iterate v <- restart·e_seed + (1-restart)·v·A* to a fixed point.
 
@@ -118,7 +118,6 @@ def walk_probabilities(
     total probability is conserved.  Returns the score vector and whether
     the iteration converged within the budget.
     """
-    cfg = cfg or PipelineConfig()
     n = len(adjacency)
     if n == 0:
         raise ValueError("graph must be non-empty")
@@ -148,7 +147,7 @@ def walk_probabilities(
 
 
 def rwr_scores(
-    graph: RelationGraph, cfg: PipelineConfig | None = None
+    graph: RelationGraph, cfg: PipelineConfig
 ) -> tuple[dict[Vertex, float], bool]:
     """Saliency score per vertex; flag is False when iteration hit the cap."""
     scores, converged = walk_probabilities(graph.adjacency, graph.seed_index, cfg)

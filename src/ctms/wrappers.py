@@ -275,7 +275,7 @@ def spans_on_path(
 
 
 def learn_wrappers(
-    seeds: Iterable[str], tree: DomTree, cfg: PipelineConfig | None = None
+    seeds: Iterable[str], tree: DomTree, cfg: PipelineConfig
 ) -> dict[Wrapper, list[tuple[int, int]]]:
     """Learn the wrappers bracketing the seed set on one page, with their spans.
 
@@ -285,7 +285,6 @@ def learn_wrappers(
     fewer than `min_distinct_seeds` different seeds occur with a shared
     tag path.
     """
-    cfg = cfg or PipelineConfig()
     seed_list = sorted({s for s in seeds if s})
     if len(seed_list) < cfg.min_distinct_seeds:
         return {}

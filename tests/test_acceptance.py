@@ -148,7 +148,7 @@ def test_criterion_2_wrapper_oracle():
         html = _synthetic_page(rng, seeds)
         assert len(html) <= 51_200
         tree = parse_html(html)
-        wrappers = learn_wrappers(seeds, tree)
+        wrappers = learn_wrappers(seeds, tree, PipelineConfig())
         got = extract_spans(tree, wrappers)
         for w in wrappers:
             if got[w] != _oracle_spans(tree, w):
@@ -163,7 +163,7 @@ def test_criterion_2_wrapper_oracle():
 def test_criterion_3_fragment_reproduction():
     started = time.monotonic()
     tree = parse_html(FIG_FRAGMENT)
-    wrappers = learn_wrappers({"宏碁", "索尼"}, tree)
+    wrappers = learn_wrappers({"宏碁", "索尼"}, tree, PipelineConfig())
     cfg = PipelineConfig()
     assert wrappers and all(is_valid_wrapper(w, cfg) for w in wrappers)
     extractions = extract_spans(tree, wrappers)
@@ -307,6 +307,7 @@ def _solve_exact(adjacency, seed, theta=0.2):
 
 @_record("criterion 6: walk ≡ linear solve on all connected graphs ≤6 vertices")
 def test_criterion_6_walk_exhaustive():
+    cfg = PipelineConfig()
     checked = 0
     for n in range(1, 7):
         pairs = list(itertools.combinations(range(n), 2))
@@ -318,7 +319,7 @@ def test_criterion_6_walk_exhaustive():
                     adjacency[v].append(u)
             if not _connected(adjacency):
                 continue
-            scores, _converged = walk_probabilities(adjacency, seed=0)
+            scores, _converged = walk_probabilities(adjacency, 0, cfg)
             exact = _solve_exact(adjacency, 0)
             assert float(np.max(np.abs(scores - exact))) <= 0.01
             assert abs(float(scores.sum()) - 1.0) <= 0.01
@@ -332,8 +333,8 @@ def test_criterion_6_walk_exhaustive():
         adjacency=[[1], [0, 2], [1]],
         seed_index=0,
     )
-    by_vertex, _ = rwr_scores(graph)
-    direct, _ = walk_probabilities(graph.adjacency, 0)
+    by_vertex, _ = rwr_scores(graph, cfg)
+    direct, _ = walk_probabilities(graph.adjacency, 0, cfg)
     for i, vertex in enumerate(graph.vertices):
         assert by_vertex[vertex] == pytest.approx(float(direct[i]))
 

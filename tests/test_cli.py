@@ -113,6 +113,15 @@ def test_mine_empty_seed_exits_two(miniweb_path, tmp_path):
         assert not out.exists(), seed
 
 
+@pytest.mark.parametrize("seed", [" 华盛顿", "华盛顿\n", "\u3000华盛顿"])
+def test_mine_seed_with_outer_whitespace_exits_two(seed, miniweb_path, tmp_path):
+    out = tmp_path / "r.json"
+    proc = run_cli("mine", seed, "--corpus", str(miniweb_path), "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: seed must not begin or end with whitespace\n"
+    assert not out.exists()
+
+
 def test_dump_weblists(miniweb_path, tmp_path, monkeypatch):
     import ctms.expansion
     import ctms.pipeline

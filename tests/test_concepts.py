@@ -19,6 +19,7 @@ from ctms.concepts import (
 )
 from ctms.config import PipelineConfig
 from ctms.expansion import WebList
+from ctms.text import tokenize
 from ctms.wrappers import Wrapper
 
 W = Wrapper("<li>", "</li>", "ul/li/#text")
@@ -54,7 +55,7 @@ def left_fold_similarity(ta, wa, tb, wb, lam):
 
 def test_idf_formula_direct():
     # 100 documents, word in 9 of them: idf = log(100/10)
-    docs = [(f"d{i}", "目标词汇" if i < 9 else "别的") for i in range(100)]
+    docs = ["目标词汇" if i < 9 else "别的" for i in range(100)]
     bg = BackgroundCorpus(docs)
     wl = make_weblist("a", ["x", "y"], context="目标词汇目标词汇")
     vec = context_vector(wl, bg)
@@ -62,7 +63,7 @@ def test_idf_formula_direct():
 
 
 def test_ubiquitous_word_clamps_to_zero():
-    docs = [(f"d{i}", "常见词") for i in range(10)]
+    docs = ["常见词"] * 10
     bg = BackgroundCorpus(docs)
     wl = make_weblist("a", ["x", "y"], context="常见词")
     vec = context_vector(wl, bg)
@@ -71,29 +72,43 @@ def test_ubiquitous_word_clamps_to_zero():
 
 
 def test_absent_word_has_no_weight():
-    bg = BackgroundCorpus([("d", "背景")])
+    bg = BackgroundCorpus(["背景"])
     vec = context_vector(make_weblist("a", ["x", "y"], context="上下文"), bg)
     assert "背景" not in vec.weights
 
 
+@given(
+    st.lists(st.text(alphabet="甲乙丙丁 ab,", max_size=8), max_size=8),
+    st.randoms(use_true_random=False),
+)
+def test_idf_does_not_depend_on_document_order(texts, rng):
+    # Mining passes pages in fetch order; an idf counts documents only.
+    shuffled = texts[:]
+    rng.shuffle(shuffled)
+    corpora = [BackgroundCorpus(t) for t in (texts, texts[::-1], shuffled)]
+    words = {w for text in texts for w in tokenize(text)} | {"未见"}
+    for word in words:
+        assert len({bg.idf(word) for bg in corpora}) == 1, word
+
+
 def test_identical_lists_similarity_one():
-    bg = BackgroundCorpus([("d1", "甲"), ("d2", "乙"), ("d3", "丙")])
+    bg = BackgroundCorpus(["甲", "乙", "丙"])
     a = make_weblist("a", ["x", "y"], context="甲")
     va = context_vector(a, bg)
     assert va.norm > 0
-    assert list_similarity(a.terms, va, a.terms, va) == pytest.approx(1.0)
+    assert list_similarity(a.terms, va, a.terms, va, 0.5) == pytest.approx(1.0)
 
 
 def test_disjoint_lists_orthogonal_contexts():
-    bg = BackgroundCorpus([("d1", "甲词"), ("d2", "乙词"), ("d3", "丙")])
+    bg = BackgroundCorpus(["甲词", "乙词", "丙"])
     a = make_weblist("a", ["x"], context="甲词")
     b = make_weblist("b", ["y"], context="乙词")
-    sim = list_similarity(a.terms, context_vector(a, bg), b.terms, context_vector(b, bg))
+    sim = list_similarity(a.terms, context_vector(a, bg), b.terms, context_vector(b, bg), 0.5)
     assert sim == pytest.approx(0.0)
 
 
 def test_containment_scores_full_content_part():
-    bg = BackgroundCorpus([("d1", "同一段文字"), ("d2", "别"), ("d3", "另")])
+    bg = BackgroundCorpus(["同一段文字", "别", "另"])
     a = make_weblist("a", ["x", "y"], context="同一段文字")
     b = make_weblist("b", ["x", "y", "z", "w"], context="同一段文字")
     sim = list_similarity(
@@ -103,7 +118,7 @@ def test_containment_scores_full_content_part():
 
 
 def test_zero_norm_context_contributes_zero():
-    bg = BackgroundCorpus([("d1", "文"), ("d2", "字")])
+    bg = BackgroundCorpus(["文", "字"])
     a = make_weblist("a", ["x", "y"], context="")
     va = context_vector(a, bg)
     assert va.norm == 0.0
@@ -119,8 +134,8 @@ def test_zero_norm_context_contributes_zero():
 )
 def test_similarity_symmetric_and_bounded(ta, tb, wa, wb):
     va, vb = ContextVector(wa), ContextVector(wb)
-    s1 = list_similarity(ta, va, tb, vb)
-    s2 = list_similarity(tb, vb, ta, va)
+    s1 = list_similarity(ta, va, tb, vb, 0.5)
+    s2 = list_similarity(tb, vb, ta, va, 0.5)
     assert abs(s1 - s2) <= 1e-12
     assert 0.0 <= s1 <= 1.0
 
@@ -172,13 +187,13 @@ def test_similarity_matrix_bits_are_the_left_fold_formula(specs, lam):
 
 
 def test_two_identical_lists_form_one_cluster():
-    bg = BackgroundCorpus([("d", "相同内容"), ("d2", "旁白"), ("d3", "其他")])
+    bg = BackgroundCorpus(["相同内容", "旁白", "其他"])
     lists = [
         make_weblist("a1", ["x", "y"], "相同内容"),
         make_weblist("a2", ["x", "y"], "相同内容"),
     ]
     vectors = {wl.id: context_vector(wl, bg) for wl in lists}
-    clusters = cluster_weblists(lists, vectors, seed="x", threshold=0.65)
+    clusters = cluster_weblists(lists, vectors, "x", PipelineConfig())
     assert len(clusters) == 1
     assert clusters[0].lists == ("a1", "a2")
     assert clusters[0].member_terms == frozenset({"x", "y"})
@@ -186,43 +201,47 @@ def test_two_identical_lists_form_one_cluster():
 
 
 def test_dissimilar_lists_stay_apart():
-    bg = BackgroundCorpus([("d1", "甲önt"), ("d2", "乙많")])
+    bg = BackgroundCorpus(["甲önt", "乙많"])
     lists = [
         make_weblist("a", ["x", "p"], "甲"),
         make_weblist("b", ["y", "q"], "乙"),
     ]
     vectors = {wl.id: context_vector(wl, bg) for wl in lists}
-    clusters = cluster_weblists(lists, vectors, seed="x", threshold=0.65)
+    clusters = cluster_weblists(lists, vectors, "x", PipelineConfig())
     assert len(clusters) == 2
 
 
 def test_agglomerative_schedule_three_lists():
     # Sim(a,b) high via shared terms; c shares nothing: expect {a,b},{c}
-    bg = BackgroundCorpus([("d1", "文一"), ("d2", "文二"), ("d3", "旁")])
+    bg = BackgroundCorpus(["文一", "文二", "旁"])
     lists = [
         make_weblist("a", ["x", "y", "z"], "文一"),
         make_weblist("b", ["x", "y", "z", "w"], "文一"),
         make_weblist("c", ["q", "r"], "旁"),
     ]
     vectors = {wl.id: context_vector(wl, bg) for wl in lists}
-    clusters = cluster_weblists(lists, vectors, seed="x", threshold=0.65)
+    clusters = cluster_weblists(lists, vectors, "x", PipelineConfig())
     got = sorted(c.lists for c in clusters)
     assert got == [("a", "b"), ("c",)]
 
 
 def test_cluster_determinism_under_shuffle():
     rng = random.Random(3)
-    bg = BackgroundCorpus([("d1", "语境甲"), ("d2", "语境乙")])
+    bg = BackgroundCorpus(["语境甲", "语境乙"])
     lists = [
         make_weblist(f"w{i}", ["x", "y", str(i % 2)], "语境甲" if i % 2 else "语境乙")
         for i in range(6)
     ]
     vectors = {wl.id: context_vector(wl, bg) for wl in lists}
-    baseline = cluster_weblists(lists, vectors, seed="x")
+    baseline = cluster_weblists(lists, vectors, "x", PipelineConfig())
     for _ in range(5):
         shuffled = lists[:]
         rng.shuffle(shuffled)
-        assert cluster_weblists(shuffled, vectors, seed="x") == baseline
+        assert cluster_weblists(shuffled, vectors, "x", PipelineConfig()) == baseline
+
+
+def grouping(threshold: float, lam: float) -> PipelineConfig:
+    return PipelineConfig(cluster_threshold=threshold, sim_lambda=lam)
 
 
 def rescan_reference(
@@ -308,7 +327,7 @@ def test_clustering_matches_rescan_oracle(specs, rng, threshold, lam):
     lists = [make_weblist(wid, terms) for wid, (terms, _w) in zip(names, specs)]
     vectors = {wid: ContextVector(w) for wid, (_t, w) in zip(names, specs)}
     rng.shuffle(lists)
-    got = cluster_weblists(lists, vectors, "a", threshold, lam)
+    got = cluster_weblists(lists, vectors, "a", grouping(threshold, lam))
     assert got == rescan_reference(lists, vectors, "a", threshold, lam)
 
 
@@ -356,7 +375,7 @@ def test_clustering_matches_rescan_oracle_uneven_weights(specs, rng, threshold, 
         )
         threshold = rng.choice(scores[-3:] or [0.5])
     rng.shuffle(lists)
-    got = cluster_weblists(lists, vectors, "a", threshold, lam)
+    got = cluster_weblists(lists, vectors, "a", grouping(threshold, lam))
     want = rescan_reference(
         lists, vectors, "a", threshold, lam, similarity=_left_fold_list_similarity
     )
@@ -385,7 +404,7 @@ def test_clustering_matches_rescan_oracle_at_linkage_thresholds(specs, rng, lam)
     linkages = {score for score, size in merges if size >= 2} or {s for s, _ in merges}
     for threshold in sorted(linkages):
         rng.shuffle(lists)
-        got = cluster_weblists(lists, vectors, "a", threshold, lam)
+        got = cluster_weblists(lists, vectors, "a", grouping(threshold, lam))
         want = rescan_reference(
             lists, vectors, "a", threshold, lam, similarity=_left_fold_list_similarity
         )
@@ -406,7 +425,7 @@ def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider, monkeypat
     assert weblists == report.weblists and len(weblists) > 20
     for threshold in (0.3, 0.5, 0.65, 0.8):
         for lam in (0.3, 0.5, 0.8):
-            got = cluster_weblists(weblists, vectors, "华盛顿", threshold, lam)
+            got = cluster_weblists(weblists, vectors, "华盛顿", grouping(threshold, lam))
             want = rescan_reference(weblists, vectors, "华盛顿", threshold, lam)
             assert got == want, (threshold, lam)
 
@@ -464,7 +483,7 @@ def make_cluster(cid, n_lists, terms):
 
 def test_filter_drops_clusters_without_seed():
     clusters = [make_cluster("a", 10, {"种", "x"}), make_cluster("b", 10, {"y"})]
-    kept = filter_clusters(clusters, "种", total_lists=20, min_support=0.05)
+    kept = filter_clusters(clusters, "种", total_lists=20, cfg=PipelineConfig(min_support=0.05))
     assert [c.id for c in kept] == ["a"]
 
 
@@ -475,16 +494,16 @@ def test_filter_support_boundary_is_inclusive():
         make_cluster("b", 1, {"种", "z"}),
         make_cluster("c", 30, {"种", "w"}),
     ]
-    kept = filter_clusters(clusters, "种", total_lists=40, min_support=0.05)
+    kept = filter_clusters(clusters, "种", total_lists=40, cfg=PipelineConfig(min_support=0.05))
     assert [c.id for c in kept] == ["c", "a"]  # descending list count
 
 
 def test_single_surviving_cluster():
     clusters = [make_cluster("only", 5, {"种", "x"})]
-    kept = filter_clusters(clusters, "种", total_lists=5)
+    kept = filter_clusters(clusters, "种", total_lists=5, cfg=PipelineConfig())
     assert kept == clusters
 
 
 def test_all_filtered_out_is_empty():
     clusters = [make_cluster("tiny", 1, {"种"})]
-    assert filter_clusters(clusters, "种", total_lists=100) == []
+    assert filter_clusters(clusters, "种", total_lists=100, cfg=PipelineConfig()) == []

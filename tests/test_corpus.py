@@ -45,7 +45,7 @@ def test_search_returns_stored_list(tmp_path):
 def test_unknown_query_is_empty_not_error(tmp_path):
     bundle = make_bundle(tmp_path, [], {})
     provider = FixtureProvider(load_fixture(bundle))
-    assert provider.search("不存在") == []
+    assert provider.search("不存在", 200) == []
 
 
 def test_search_truncates_to_max_results(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctms import dom
+from ctms.config import PipelineConfig
 from ctms.dom import ATTR_TAG, COMMENT_TAG, DIRECTIVE_TAG, ROOT_TAG, TEXT_TAG, DomTree, parse_html
 from ctms.wrappers import learn_wrappers
 
@@ -252,7 +253,7 @@ def test_abruptly_closed_empty_comments_hide_nothing_after_them():
         assert index_runs(tree)[:2] == [(0, "#document/#comment"), (len(comment), "#document/ul")]
         assert tree.visible_text() == "甲乙"
         assert tree.path_at(html.index("乙")) == "#document/ul/li/#text"
-        learned = learn_wrappers({"甲", "乙"}, tree)
+        learned = learn_wrappers({"甲", "乙"}, tree, PipelineConfig())
         harvested = {html[a:b] for spans in learned.values() for a, b in spans}
         assert harvested == {"甲", "乙"}, comment
 

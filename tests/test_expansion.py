@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctms.config import PipelineConfig
 from ctms.corpus import FixtureProvider, load_fixture
 from ctms.dom import parse_html
 from ctms.expansion import (
@@ -66,7 +67,7 @@ def test_expansion_queries_follow_candidate_order():
 
 def test_empty_initial_means_no_queries():
     with pytest.raises(ValueError):
-        expand(ExtendedSeedSet("s", ()), provider=None)
+        expand(ExtendedSeedSet("s", ()), None, PipelineConfig())
 
 
 def test_seed_not_allowed_in_initial():
@@ -81,8 +82,8 @@ def test_mini_expansion_harvests_full_navigation_list(tmp_path):
         {"http://x/nav": NAV_PAGE},
     )
     ext = ExtendedSeedSet("宝马", ("法拉利", "奥迪"))
-    result = expand(ext, provider)
-    assert result.pages_processed == 1
+    result = expand(ext, provider, PipelineConfig())
+    assert len(result.page_texts) == 1
     harvested = {wl.terms for wl in result.weblists}
     # at least one wrapper generalizes to the full six-brand list
     assert ("宝马", "法拉利", "保时捷", "奥迪", "捷豹", "兰博基尼") in harvested
@@ -94,7 +95,7 @@ def test_no_page_with_two_seeds_yields_nothing(tmp_path):
         {"宝马 法拉利": ["http://x/solo"]},
         {"http://x/solo": "<p>只有宝马出现。</p>"},
     )
-    result = expand(ExtendedSeedSet("宝马", ("法拉利",)), provider)
+    result = expand(ExtendedSeedSet("宝马", ("法拉利",)), provider, PipelineConfig())
     assert result.weblists == []
 
 
@@ -104,8 +105,8 @@ def test_page_shared_by_two_queries_processed_once(tmp_path):
         {"宝马 法拉利": ["http://x/nav"], "宝马 奥迪": ["http://x/nav"]},
         {"http://x/nav": NAV_PAGE},
     )
-    result = expand(ExtendedSeedSet("宝马", ("法拉利", "奥迪")), provider)
-    assert result.pages_processed == 1
+    result = expand(ExtendedSeedSet("宝马", ("法拉利", "奥迪")), provider, PipelineConfig())
+    assert len(result.page_texts) == 1
 
 
 def test_weblists_sorted_by_id_and_deterministic(tmp_path):
@@ -115,8 +116,8 @@ def test_weblists_sorted_by_id_and_deterministic(tmp_path):
         {"http://x/nav": NAV_PAGE, "http://x/nav2": NAV_PAGE.replace("品牌", "车型")},
     )
     ext = ExtendedSeedSet("宝马", ("法拉利", "奥迪"))
-    first = expand(ext, provider)
-    second = expand(ext, provider)
+    first = expand(ext, provider, PipelineConfig())
+    second = expand(ext, provider, PipelineConfig())
     ids = [wl.id for wl in first.weblists]
     assert ids == sorted(ids)
     assert [(w.id, w.terms, w.context) for w in first.weblists] == [
@@ -130,7 +131,7 @@ def test_weblist_terms_are_distinct_and_min_two(tmp_path):
         {"宝马 法拉利": ["http://x/nav"]},
         {"http://x/nav": NAV_PAGE},
     )
-    result = expand(ExtendedSeedSet("宝马", ("法拉利",)), provider)
+    result = expand(ExtendedSeedSet("宝马", ("法拉利",)), provider, PipelineConfig())
     for wl in result.weblists:
         assert len(wl.terms) >= 2
         assert len(set(wl.terms)) == len(wl.terms)
@@ -142,7 +143,7 @@ def test_context_window_contains_surrounding_text(tmp_path):
         {"宝马 法拉利": ["http://x/nav"]},
         {"http://x/nav": NAV_PAGE},
     )
-    result = expand(ExtendedSeedSet("宝马", ("法拉利",)), provider)
+    result = expand(ExtendedSeedSet("宝马", ("法拉利",)), provider, PipelineConfig())
     assert result.weblists
     for wl in result.weblists:
         assert "品牌导航" in wl.context
@@ -162,7 +163,7 @@ def test_every_weblist_covers_two_extended_seeds(tmp_path):
         {"http://x/nav": NAV_PAGE, "http://x/nav2": NAV_PAGE.replace("品牌", "车型")},
     )
     ext = ExtendedSeedSet("宝马", ("法拉利", "奥迪"))
-    result = expand(ext, provider)
+    result = expand(ext, provider, PipelineConfig())
     assert result.weblists
     for wl in result.weblists:
         assert len(set(ext.terms) & set(wl.terms)) >= 2

@@ -2,11 +2,13 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from ctms import pipeline
+from ctms.concepts import ConceptCluster
 from ctms.corpus import TransientSearchError
 from ctms.expansion import ExpandResult, WebList
 from ctms.linguistic import ScoredCandidate, build_queries
@@ -20,6 +22,7 @@ from ctms.pipeline import (
     mine,
     snippet_sentences,
 )
+from ctms.ranking import build_relation_graph
 from ctms.wrappers import Wrapper
 
 EXPERIMENT = Path(__file__).resolve().parent.parent / "scripts" / "run_miniweb_experiment.py"
@@ -92,6 +95,68 @@ def test_config_is_checked_on_construction():
         PipelineConfig(restart_prob=1.0)
     with pytest.raises(ValueError, match="sim_lambda"):
         PipelineConfig(sim_lambda=float("nan"))
+
+
+# One non-default value per config field that changes the miniweb report.
+# A stage that read a constant of its own in place of its field would mine
+# the default report for that value.
+FIELD_VALUES = {
+    "clue_words": ("和",),
+    "tau": 3,
+    "top_n": 2,
+    "max_candidate_len": 2,
+    "snippet_results": 3,
+    "kappa": 30,
+    "min_distinct_seeds": 3,
+    "pages_per_query": 1,
+    "context_window": 5,
+    "cluster_threshold": 0.9,
+    "min_support": 0.5,
+    "restart_prob": 0.5,
+    "tolerance": 0.1,
+    "max_iters": 1,
+    "affix_min_n": 2,
+    "disambiguation": False,
+}
+
+
+def _mined(cfg, provider) -> dict:
+    """The miniweb report as JSON data, without its echo of the config."""
+    data = json.loads(mine("华盛顿", cfg, provider).to_json())
+    del data["config"]
+    return data
+
+
+@pytest.mark.parametrize("name", list(FIELD_VALUES))
+def test_every_config_field_reaches_its_stage(name, miniweb_provider):
+    changed = replace(PipelineConfig(), **{name: FIELD_VALUES[name]})
+    assert _mined(changed, miniweb_provider) != _mined(PipelineConfig(), miniweb_provider)
+
+
+def test_sim_lambda_reaches_grouping(miniweb_provider):
+    # At the default threshold, every sim_lambda from 0 to 1 gives the
+    # default miniweb report.
+    strict = PipelineConfig(cluster_threshold=0.9)
+    changed = replace(strict, sim_lambda=0.8)
+    assert _mined(changed, miniweb_provider) != _mined(strict, miniweb_provider)
+
+
+def test_affix_max_n_reaches_the_graph():
+    # No miniweb report depends on affix_max_n; these two terms share the
+    # suffix 学 at n <= 1 and also 大学 at n <= 2.
+    terms = ("北京大学", "斯坦福大学")
+    lists = [WebList("L1", terms, "u", Wrapper("<li>", "</li>", "ul/li/#text"), "")]
+    cluster = ConceptCluster("L1", ("L1",), frozenset(terms), True)
+    graphs = [
+        build_relation_graph(cluster, lists, terms[0], PipelineConfig(affix_max_n=n))
+        for n in (1, 2)
+    ]
+    assert graphs[0].vertices != graphs[1].vertices
+
+
+def test_every_config_field_is_checked_for_reach():
+    checked = set(FIELD_VALUES) | {"sim_lambda", "affix_max_n"}
+    assert checked == {f.name for f in fields(PipelineConfig)}
 
 
 def test_report_keeps_weblists_out_of_json(report):
@@ -174,7 +239,7 @@ def test_term_below_the_support_floor_has_no_provenance(monkeypatch):
         pipeline, "extract_initial_candidates", lambda *a: [ScoredCandidate("乙", 2, 2)]
     )
     monkeypatch.setattr(
-        pipeline, "expand", lambda *a: ExpandResult(lists, {}, [], 3, 3, [])
+        pipeline, "expand", lambda *a: ExpandResult(lists, [], [], 3, [])
     )
 
     class NoSnippets:
@@ -201,6 +266,12 @@ def test_mine_deterministic(miniweb_provider, report):
 @pytest.mark.parametrize("seed", ["", " ", "\t", " \n "])
 def test_blank_seed_rejected(seed, miniweb_provider):
     with pytest.raises(ValueError, match="seed must be non-empty"):
+        mine(seed, PipelineConfig(), miniweb_provider)
+
+
+@pytest.mark.parametrize("seed", [" 华盛顿", "华盛顿\n", "\u3000华盛顿"])
+def test_seed_with_outer_whitespace_rejected(seed, miniweb_provider):
+    with pytest.raises(ValueError, match="seed must not begin or end with whitespace"):
         mine(seed, PipelineConfig(), miniweb_provider)
 
 
@@ -264,7 +335,7 @@ def test_miniweb_experiment_script_runs():
 def test_evaluate_seed_mismatch_rejected(report):
     other = GoldAnswer(seed="别的", concepts=(GoldConcept("g", ("x",)),))
     with pytest.raises(ValueError, match="mismatch"):
-        evaluate(report, other)
+        evaluate(report, other, [5, 10])
 
 
 def test_evaluate_perfect_on_miniweb(report, gold):

@@ -238,3 +238,70 @@ def test_a_write_only_attribute_is_reported(tmp_path):
         "Index.owners",
         "Index.starts",
     ]
+
+
+# The pipeline's stages take the one validated `PipelineConfig` and read
+# their parameters from it, so a stage parameter with a default of its own
+# is a second copy of a config value that can drift from the first.
+STAGE_MODULES = ("linguistic", "expansion", "wrappers", "concepts", "ranking")
+
+
+def _defaults(func):
+    """(parameter name, default node) of each defaulted parameter of `func`."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    yield from zip(positional[len(positional) - len(args.defaults):], args.defaults)
+    yield from ((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def _is_number(node: ast.expr) -> bool:
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return False
+    return type(value) in (int, float)
+
+
+def shadow_defaults(files, stage_modules) -> list[str]:
+    """``file:function:parameter`` for each defaulted ``cfg`` parameter in
+    `files`, and for each int or float default in the modules named in
+    `stage_modules`."""
+    found = []
+    for path in sorted(files):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for arg, default in _defaults(func):
+                stage_number = path.stem in stage_modules and _is_number(default)
+                if arg.arg == "cfg" or stage_number:
+                    found.append(f"{path.name}:{getattr(func, 'name', 'lambda')}:{arg.arg}")
+    return found
+
+
+def test_no_stage_keeps_a_copy_of_a_config_default():
+    files = sorted(SRC.glob("*.py"))
+    assert {f"{name}.py" for name in STAGE_MODULES} <= {path.name for path in files}
+    assert shadow_defaults(files, STAGE_MODULES) == []
+
+
+def test_a_shadow_default_is_reported(tmp_path):
+    stage = tmp_path / "stage.py"
+    stage.write_text(
+        "def run(items, cfg=None):\n    return items\n"
+        "def group(items, threshold=0.65, *, n_max=-3, strict=True, name='x', cfg):\n"
+        "    return items\n",
+        encoding="utf-8",
+    )
+    other = tmp_path / "other.py"
+    other.write_text(
+        "def show(report, top=10):\n    return report\n"
+        "def load(path, *, cfg=None):\n    return path\n",
+        encoding="utf-8",
+    )
+    assert shadow_defaults([stage, other], ("stage",)) == [
+        "other.py:load:cfg",
+        "stage.py:run:cfg",
+        "stage.py:group:threshold",
+        "stage.py:group:n_max",
+    ]

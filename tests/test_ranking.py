@@ -52,17 +52,17 @@ def solve_exact(adjacency, seed, theta=0.2):
 
 
 def test_shared_trailing_affix():
-    affixes = extract_affixes(["北京大学", "斯坦福大学"])
+    affixes = extract_affixes(["北京大学", "斯坦福大学"], 1, 3)
     assert "大学" in affixes["北京大学"]
     assert "大学" in affixes["斯坦福大学"]
 
 
 def test_no_shared_affixes():
-    assert extract_affixes(["甲乙", "丙丁"]) == {"甲乙": (), "丙丁": ()}
+    assert extract_affixes(["甲乙", "丙丁"], 1, 3) == {"甲乙": (), "丙丁": ()}
 
 
 def test_single_char_terms_use_unigram_only():
-    affixes = extract_affixes(["仁", "仁心"])
+    affixes = extract_affixes(["仁", "仁心"], 1, 3)
     assert affixes["仁"] == ("仁",)
     assert "仁" in affixes["仁心"]
 
@@ -99,7 +99,7 @@ def test_affixes_match_scan(terms, a, b):
 
 
 def test_affix_links_all_carriers():
-    affixes = extract_affixes(["华盛顿", "波士顿", "休斯顿"])
+    affixes = extract_affixes(["华盛顿", "波士顿", "休斯顿"], 1, 3)
     for term in ("华盛顿", "波士顿", "休斯顿"):
         assert "顿" in affixes[term]
 
@@ -110,7 +110,7 @@ def test_affix_links_all_carriers():
 def test_star_graph_one_list_three_terms():
     wl = make_weblist("L1", ["种", "甲", "乙"])
     cluster = make_cluster([wl], "种")
-    g = build_relation_graph(cluster, [wl], "种")
+    g = build_relation_graph(cluster, [wl], "种", PipelineConfig())
     kinds = [k for k, _ in g.vertices]
     assert kinds.count("term") == 3 and kinds.count("list") == 1
     assert kinds.count("affix") == 0
@@ -122,14 +122,14 @@ def test_star_graph_one_list_three_terms():
 def test_term_in_two_lists_has_degree_two():
     wls = [make_weblist("L1", ["种", "甲"]), make_weblist("L2", ["种", "乙"])]
     cluster = make_cluster(wls, "种")
-    g = build_relation_graph(cluster, wls, "种")
+    g = build_relation_graph(cluster, wls, "种", PipelineConfig())
     assert len(g.adjacency[g.seed_index]) == 2
 
 
 def test_no_list_affix_or_same_kind_edges():
     wls = [make_weblist("L1", ["北京大学", "斯坦福大学", "种"])]
     cluster = make_cluster(wls, "种")
-    g = build_relation_graph(cluster, wls, "种")
+    g = build_relation_graph(cluster, wls, "种", PipelineConfig())
     for i, neighbors in enumerate(g.adjacency):
         for j in neighbors:
             kinds = {g.vertices[i][0], g.vertices[j][0]}
@@ -140,14 +140,14 @@ def test_seed_must_be_in_cluster():
     wl = make_weblist("L1", ["甲", "乙"])
     cluster = make_cluster([wl], "甲")
     with pytest.raises(ValueError):
-        build_relation_graph(cluster, [wl], "不在")
+        build_relation_graph(cluster, [wl], "不在", PipelineConfig())
 
 
 # --- the walk itself -------------------------------------------------------
 
 
 def test_single_vertex_graph_scores_one():
-    scores, converged = walk_probabilities([[]], seed=0)
+    scores, converged = walk_probabilities([[]], 0, PipelineConfig())
     assert converged
     assert scores[0] == pytest.approx(1.0)
 
@@ -155,7 +155,7 @@ def test_single_vertex_graph_scores_one():
 def test_three_vertex_path_matches_linear_solve():
     # seed - list - other, symmetric chain
     adjacency = [[1], [0, 2], [1]]
-    scores, converged = walk_probabilities(adjacency, seed=0)
+    scores, converged = walk_probabilities(adjacency, 0, PipelineConfig())
     assert converged
     exact = solve_exact(adjacency, 0)
     assert np.max(np.abs(scores - exact)) <= 0.01
@@ -164,8 +164,8 @@ def test_three_vertex_path_matches_linear_solve():
 def test_symmetric_terms_get_equal_scores():
     wls = [make_weblist("L1", ["种", "甲", "乙"])]
     cluster = make_cluster(wls, "种")
-    g = build_relation_graph(cluster, wls, "种")
-    scores, _ = rwr_scores(g)
+    g = build_relation_graph(cluster, wls, "种", PipelineConfig())
+    scores, _ = rwr_scores(g, PipelineConfig())
     assert scores[("term", "甲")] == pytest.approx(scores[("term", "乙")])
 
 
@@ -175,8 +175,8 @@ def test_scores_sum_to_one():
         make_weblist("L2", ["种", "华盛顿", "休斯顿"]),
     ]
     cluster = make_cluster(wls, "种")
-    g = build_relation_graph(cluster, wls, "种")
-    scores, converged = rwr_scores(g)
+    g = build_relation_graph(cluster, wls, "种", PipelineConfig())
+    scores, converged = rwr_scores(g, PipelineConfig())
     assert converged
     assert sum(scores.values()) == pytest.approx(1.0, abs=0.01)
 
@@ -204,7 +204,7 @@ def test_random_graphs_match_linear_solve(n, seed_val):
         if u != v and v not in adjacency[u]:
             adjacency[u].append(v)
             adjacency[v].append(u)
-    scores, converged = walk_probabilities(adjacency, 0)
+    scores, converged = walk_probabilities(adjacency, 0, PipelineConfig())
     assert converged
     exact = solve_exact(adjacency, 0)
     assert np.max(np.abs(scores - exact)) <= 0.01
@@ -217,8 +217,8 @@ def test_random_graphs_match_linear_solve(n, seed_val):
 def test_seed_excluded_from_ranking():
     wls = [make_weblist("L1", ["种", "甲", "乙"])]
     cluster = make_cluster(wls, "种")
-    g = build_relation_graph(cluster, wls, "种")
-    scores, _ = rwr_scores(g)
+    g = build_relation_graph(cluster, wls, "种", PipelineConfig())
+    scores, _ = rwr_scores(g, PipelineConfig())
     ranked = rank_terms(scores, "种")
     assert [t for t, _ in ranked] == ["乙", "甲"]  # equal scores: lexicographic
 
@@ -230,8 +230,8 @@ def test_ranking_descends_by_score():
         make_weblist("L3", ["种", "常客"]),
     ]
     cluster = make_cluster(wls, "种")
-    g = build_relation_graph(cluster, wls, "种")
-    scores, _ = rwr_scores(g)
+    g = build_relation_graph(cluster, wls, "种", PipelineConfig())
+    scores, _ = rwr_scores(g, PipelineConfig())
     ranked = rank_terms(scores, "种")
     assert ranked[0][0] == "常客"
     assert ranked[0][1] > ranked[1][1]

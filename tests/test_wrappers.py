@@ -103,7 +103,7 @@ def test_path_must_end_textually():
 
 def test_fig_fragment_learns_four_brand_wrapper():
     tree = parse_html(FIG_FRAGMENT)
-    wrappers = learn_wrappers({"宏碁", "索尼"}, tree)
+    wrappers = learn_wrappers({"宏碁", "索尼"}, tree, PipelineConfig())
     assert wrappers
     assert all("<span>" in w.left for w in wrappers)
     assert all(w.right.startswith("</span>") for w in wrappers)
@@ -114,29 +114,29 @@ def test_fig_fragment_learns_four_brand_wrapper():
 
 def test_no_shared_path_no_wrapper():
     tree = parse_html("<p>索尼</p><div><span>宏碁</span></div>")
-    assert learn_wrappers({"宏碁", "索尼"}, tree) == {}
+    assert learn_wrappers({"宏碁", "索尼"}, tree, PipelineConfig()) == {}
 
 
 def test_single_seed_twice_is_not_enough():
     tree = parse_html("<ul><li>索尼</li><li>索尼</li></ul>")
-    assert learn_wrappers({"宏碁", "索尼"}, tree) == {}
+    assert learn_wrappers({"宏碁", "索尼"}, tree, PipelineConfig()) == {}
 
 
 def test_seed_occurrences_in_script_are_ignored():
     tree = parse_html("<script>'索尼','宏碁'</script><p>plain</p>")
-    assert learn_wrappers({"宏碁", "索尼"}, tree) == {}
+    assert learn_wrappers({"宏碁", "索尼"}, tree, PipelineConfig()) == {}
 
 
 def test_learned_wrappers_recover_seeds():
     tree = parse_html(FIG_FRAGMENT)
-    wrappers = learn_wrappers({"宏碁", "索尼"}, tree)
+    wrappers = learn_wrappers({"宏碁", "索尼"}, tree, PipelineConfig())
     for w, terms in extract_terms(tree, wrappers).items():
         assert len({"宏碁", "索尼"} & set(terms)) >= 2, w
 
 
 def test_dominance_no_same_span_extensions():
     tree = parse_html(FIG_FRAGMENT)
-    wrappers = learn_wrappers({"宏碁", "索尼"}, tree)
+    wrappers = learn_wrappers({"宏碁", "索尼"}, tree, PipelineConfig())
     spans = extract_spans(tree, wrappers)
     for a in wrappers:
         for b in wrappers:
@@ -153,7 +153,7 @@ def test_dominance_no_same_span_extensions():
 def test_extraction_document_order_and_trim():
     html = '<ul><li class="i"> 甲 </li><li class="i"> 乙 </li><li class="i"> 丙 </li></ul>'
     tree = parse_html(html)
-    wrappers = learn_wrappers({"甲", "乙"}, tree)
+    wrappers = learn_wrappers({"甲", "乙"}, tree, PipelineConfig())
     assert wrappers
     best = max(extract_terms(tree, wrappers).values(), key=len)
     assert best == ["甲", "乙", "丙"]
@@ -176,7 +176,7 @@ def test_span_crossing_node_boundary_excluded():
 
 def test_extraction_matches_oracle_on_fragment():
     tree = parse_html(FIG_FRAGMENT)
-    wrappers = learn_wrappers({"宏碁", "索尼"}, tree)
+    wrappers = learn_wrappers({"宏碁", "索尼"}, tree, PipelineConfig())
     got = extract_spans(tree, wrappers)
     for w in wrappers:
         assert got[w] == oracle_spans(tree, w)
@@ -206,7 +206,7 @@ def test_extraction_matches_oracle_on_synthetic_pages():
     seeds = ["华盛顿", "林肯", "杰斐逊", "纽约"]
     for _ in range(12):
         tree = parse_html(_synthetic_page(rng, seeds))
-        wrappers = learn_wrappers(seeds, tree)
+        wrappers = learn_wrappers(seeds, tree, PipelineConfig())
         got = extract_spans(tree, wrappers)
         extracted = extract_terms(tree, wrappers)
         for w in wrappers:
@@ -223,7 +223,7 @@ def test_wrappers_over_attribute_values():
 <img src="/i/04.png" alt="戴尔" class="logo">
 </div>"""
     tree = parse_html(html)
-    wrappers = learn_wrappers({"索尼", "宏碁"}, tree)
+    wrappers = learn_wrappers({"索尼", "宏碁"}, tree, PipelineConfig())
     assert any(w.path.endswith("#attr") for w in wrappers)
     extractions = extract_terms(tree, wrappers)
     assert ["索尼", "宏碁", "东芝", "戴尔"] in list(extractions.values())
@@ -410,7 +410,7 @@ def test_learning_matches_all_pairs_reference_on_synthetic_pages():
     seeds = ["华盛顿", "林肯", "杰斐逊", "纽约"]
     for _ in range(12):
         tree = parse_html(_synthetic_page(rng, seeds))
-        assert list(learn_wrappers(seeds, tree)) == reference_learn(seeds, tree)
+        assert list(learn_wrappers(seeds, tree, PipelineConfig())) == reference_learn(seeds, tree)
 
 
 def test_learning_on_a_deep_page_builds_no_path_string_per_node():
@@ -423,7 +423,7 @@ def test_learning_on_a_deep_page_builds_no_path_string_per_node():
     html = "<div>" * 8000 + "<ul>" + "".join(f"<li>{t}</li>" for t in terms) + "</ul>"
     tracemalloc.start()
     try:
-        learned = learn_wrappers(["索尼", "宏碁"], parse_html(html))
+        learned = learn_wrappers(["索尼", "宏碁"], parse_html(html), PipelineConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -715,7 +715,7 @@ def criterion_2_trees() -> list[DomTree]:
 
 def test_learned_wrappers_on_criterion_2_pages_are_pinned():
     seeds = CRITERION_2_SEEDS
-    learned = [learn_wrappers(seeds, tree) for tree in criterion_2_trees()]
+    learned = [learn_wrappers(seeds, tree, PipelineConfig()) for tree in criterion_2_trees()]
     payload = json.dumps(
         [[[w.left, w.right, w.path] for w in wrappers] for wrappers in learned],
         ensure_ascii=False,
@@ -733,7 +733,7 @@ def test_learned_wrappers_on_criterion_2_pages_are_pinned():
 def test_learned_spans_equal_extraction_on_criterion_2_pages():
     seeds = CRITERION_2_SEEDS
     for tree in criterion_2_trees():
-        got = learn_wrappers(seeds, tree)
+        got = learn_wrappers(seeds, tree, PipelineConfig())
         assert got == extract_spans(tree, got)
         assert all(got.values())
 
