@@ -86,8 +86,6 @@ class ContextVector:
 
 
 def context_vector(weblist: WebList, background: BackgroundCorpus) -> ContextVector:
-    if background.size == 0:
-        raise ValueError("background corpus must be non-empty")
     tf = Counter(tokenize(weblist.context))
     weights = {}
     for word, count in tf.items():
@@ -164,31 +162,34 @@ def list_similarity(
 ) -> float:
     """Blend of content overlap and context cosine, in [0, 1].
 
-    `lam`, in [0, 1], weighs the content part, |a∩b| / min(|a|, |b|):
-    containment scores 1 so that a sub-concept list merges with its
-    parent.  A zero-norm context vector contributes 0 on the context side.
+    `lam`, in [0, 1], weighs the content part, |a∩b| / min(|a|, |b|), of
+    two non-empty term lists: containment scores 1 so that a sub-concept
+    list merges with its parent.  A zero-norm context vector contributes 0
+    on the context side.
     """
     a = _Features(set(a_terms), a_vec.weights, a_vec.norm)
     b = _Features(set(b_terms), b_vec.weights, b_vec.norm)
-    if not a.terms or not b.terms:
-        raise ValueError("term lists must be non-empty")
     return _similarity_matrix([a, b], lam)[0][1]
 
 
 @dataclass(frozen=True)
 class ConceptCluster:
-    """A group of web lists assumed to share one meaning of the seed."""
+    """A group of web lists assumed to share one meaning of the seed.
+
+    `member_terms` are the terms a concept ranks: every term of a grouped
+    cluster's lists, or the well-supported ones of the ungrouped
+    pseudo-concept.  A cluster may lack the seed; `filter_clusters` keeps
+    only those whose `member_terms` hold it.
+    """
 
     id: str
     lists: tuple[str, ...]  # weblist ids, sorted
     member_terms: frozenset[str]
-    contains_seed: bool
 
 
 def cluster_weblists(
     weblists: Sequence[WebList],
     vectors: Mapping[str, ContextVector],
-    seed: str,
     cfg: PipelineConfig,
 ) -> list[ConceptCluster]:
     """Greedy average-linkage agglomeration down to the similarity threshold.
@@ -198,7 +199,9 @@ def cluster_weblists(
     similarity is `list_similarity` with ``lam = cfg.sim_lambda``.  Ties
     break on the lexicographically smallest (cluster id, cluster id) pair;
     a cluster's id is the smallest member weblist id, so the procedure is
-    deterministic for a fixed input.
+    deterministic for a fixed input.  `weblists` is non-empty and each has
+    at least two terms, as `harvest_page` makes them; the clusters are
+    returned seed or not, for `filter_clusters` to judge.
 
     The `list_similarity` of every list pair is computed once, into one
     matrix indexed by position in the sorted ids, from one posting table
@@ -212,16 +215,12 @@ def cluster_weblists(
     tie-break, and hence the merge schedule, is the one that rescanning
     all cluster pairs after every merge would produce.
     """
-    if not weblists:
-        raise ValueError("weblists must be non-empty")
     by_id = {wl.id: wl for wl in weblists}
     ids = sorted(by_id)
     n = len(ids)
     features = [
         _Features(set(by_id[i].terms), vectors[i].weights, vectors[i].norm) for i in ids
     ]
-    if not all(f.terms for f in features):
-        raise ValueError("term lists must be non-empty")
 
     # sim[a][b] is list_similarity with the smaller id as first argument.
     sim = _similarity_matrix(features, cfg.sim_lambda)
@@ -284,13 +283,11 @@ def cluster_weblists(
 
     out = []
     for p, group in sorted(members.items()):
-        terms = frozenset(t for m in group for t in by_id[ids[m]].terms)
         out.append(
             ConceptCluster(
                 id=ids[p],
                 lists=tuple(ids[m] for m in group),
-                member_terms=terms,
-                contains_seed=seed in terms,
+                member_terms=frozenset(t for m in group for t in by_id[ids[m]].terms),
             )
         )
     return out
@@ -313,10 +310,13 @@ def filter_clusters(
 ) -> list[ConceptCluster]:
     """Drop clusters without the seed or with fewer than min_support·|L| lists.
 
-    Survivors are ordered by descending list count (ties on cluster id),
-    which is the presentation order of the final concepts.
+    This is where a grouped concept's seed is required: a cluster is kept
+    only when the seed is among its `member_terms`, so every concept that
+    is ranked holds it.  Survivors are ordered by descending list count
+    (ties on cluster id), which is the presentation order of the final
+    concepts.
     """
     floor = support_floor(cfg.min_support, total_lists)
-    kept = [c for c in clusters if c.contains_seed and len(c.lists) >= floor]
+    kept = [c for c in clusters if seed in c.member_terms and len(c.lists) >= floor]
     kept.sort(key=lambda c: (-len(c.lists), c.id))
     return kept

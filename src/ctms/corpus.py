@@ -26,7 +26,6 @@ from typing import Protocol
 class SearchHit:
     """One ranked result for an exact-phrase query."""
 
-    query: str
     rank: int
     title: str
     snippet: str
@@ -37,7 +36,6 @@ class SearchHit:
 class RawPage:
     """Cached page bytes decoded to text."""
 
-    url: str
     html: str
 
 
@@ -100,7 +98,7 @@ def _entries(manifest: dict, key: str) -> list:
     return entries
 
 
-def _hit(query: str, entry: dict) -> SearchHit:
+def _hit(entry: dict) -> SearchHit:
     """One manifest hit, as stored; TypeError unless each field has its type.
 
     Nothing is coerced: a null title would be mined as the text "None",
@@ -111,7 +109,7 @@ def _hit(query: str, entry: dict) -> SearchHit:
         raise TypeError
     if not all(isinstance(t, str) for t in texts):
         raise TypeError
-    return SearchHit(query, rank, *texts)
+    return SearchHit(rank, *texts)
 
 
 def load_fixture(path: str | Path) -> FixtureCorpus:
@@ -146,7 +144,7 @@ def load_fixture(path: str | Path) -> FixtureCorpus:
             html = page_path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise FixtureError(f"page file for {url!r} is not UTF-8: {exc}") from None
-        pages[url] = RawPage(url=url, html=html)
+        pages[url] = RawPage(html=html)
 
     queries: dict[str, tuple[SearchHit, ...]] = {}
     for entry in _entries(manifest, "queries"):
@@ -154,7 +152,7 @@ def load_fixture(path: str | Path) -> FixtureCorpus:
             query = entry["query"]
             if not isinstance(query, str):
                 raise TypeError
-            hits = tuple(_hit(query, h) for h in entry["hits"])
+            hits = tuple(_hit(h) for h in entry["hits"])
         except (TypeError, KeyError):
             raise FixtureError(f"bad query entry: {entry!r}") from None
         if query in queries:

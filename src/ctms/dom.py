@@ -175,10 +175,7 @@ class DomTree:
 
     def occurrence_ids(self, terms) -> list[tuple[int, str, int]]:
         """(pos, term, path id) of every exact occurrence of every term,
-        by position, longest term first on ties."""
-        terms = [t for t in terms if t]
-        if not terms:
-            raise ValueError("terms must be non-empty")
+        by position, longest term first on ties; an empty term occurs nowhere."""
         out = [
             (pos, term, self.path_id_at(pos))
             for term in sorted(set(terms))

@@ -2,9 +2,9 @@
 
 One query per initial candidate is issued — the seed plus that candidate,
 two terms only, because longer conjunctions retrieve fewer list-bearing
-pages.  Wrapper learning on every retrieved page still uses the *whole*
-extended seed set, so a page need only mention any two of the known terms
-with a shared template for its lists to be harvested.
+pages.  Wrapper learning on every retrieved page still uses every known
+term, the seed and all initial candidates, so a page need only mention
+any two of them with a shared template for its lists to be harvested.
 
 Each learned wrapper's spans on its page become one WebList, carrying a
 window of the rendered text around the list for the later concept stage:
@@ -30,29 +30,11 @@ from .wrappers import extract_spans  # noqa: F401
 
 
 @dataclass(frozen=True)
-class ExtendedSeedSet:
-    """The user seed plus the initial candidates mined from snippets."""
-
-    seed: str
-    initial: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.seed:
-            raise ValueError("seed must be non-empty")
-        if self.seed in self.initial:
-            raise ValueError("seed must not repeat inside the initial candidates")
-
-    @property
-    def terms(self) -> tuple[str, ...]:
-        return (self.seed,) + self.initial
-
-
-@dataclass(frozen=True)
 class WebList:
     """One wrapper's extraction from one page."""
 
     id: str
-    terms: tuple[str, ...]  # distinct, first-occurrence order
+    terms: tuple[str, ...]  # distinct, first-occurrence order, at least two
     source_url: str
     wrapper: Wrapper
     context: str
@@ -67,9 +49,9 @@ class ExpandResult:
     skipped: list[str]  # diagnostics for failed queries/pages
 
 
-def expansion_queries(extended: ExtendedSeedSet) -> list[str]:
-    """Two-term queries: the seed paired with each initial candidate."""
-    return [f"{extended.seed} {candidate}" for candidate in extended.initial]
+def expansion_queries(seed: str, candidates: tuple[str, ...]) -> list[str]:
+    """Two-term queries: the seed paired with each initial candidate, in order."""
+    return [f"{seed} {candidate}" for candidate in candidates]
 
 
 def weblist_id(url: str, wrapper: Wrapper) -> str:
@@ -90,10 +72,16 @@ def _context_window(tree: DomTree, first_start: int, last_end: int, window: int)
 
 
 def harvest_page(
-    url: str, tree: DomTree, extended: ExtendedSeedSet, cfg: PipelineConfig
+    url: str, tree: DomTree, terms: tuple[str, ...], cfg: PipelineConfig
 ) -> tuple[list[WebList], int]:
-    """Learn wrappers on one page and turn their spans into WebLists."""
-    spans_by_wrapper = learn_wrappers(extended.terms, tree, cfg)
+    """Learn wrappers for `terms` (the seed, then the initial candidates) on
+    one page and turn their spans into WebLists.
+
+    A wrapper whose spans strip to fewer than two distinct terms yields no
+    list, so every WebList has at least two.  Returns the lists and the
+    number of wrappers learned.
+    """
+    spans_by_wrapper = learn_wrappers(terms, tree, cfg)
     lists: list[WebList] = []
     for wrapper, spans in spans_by_wrapper.items():
         stripped = (tree.source[a:b].strip() for a, b in spans)
@@ -114,14 +102,16 @@ def harvest_page(
 
 
 def expand(
-    extended: ExtendedSeedSet, provider: SearchProvider, cfg: PipelineConfig
+    seed: str, candidates: tuple[str, ...], provider: SearchProvider, cfg: PipelineConfig
 ) -> ExpandResult:
-    """Run every expansion query and harvest all retrieved pages once."""
-    if len(extended.terms) < 2:
-        raise ValueError("expansion needs the seed plus at least one candidate")
+    """Run every expansion query and harvest all retrieved pages once.
 
+    `candidates` are the initial candidates, none of which contains the
+    seed; wrappers are learned for the seed and all of them on every page.
+    """
+    terms = (seed,) + candidates
     result = ExpandResult(
-        weblists=[], page_texts=[], queries_run=expansion_queries(extended),
+        weblists=[], page_texts=[], queries_run=expansion_queries(seed, candidates),
         wrappers_learned=0, skipped=[],
     )
     seen_urls: set[str] = set()
@@ -142,7 +132,7 @@ def expand(
                 continue
             tree = parse_html(page.html)
             result.page_texts.append(tree.visible_text())
-            lists, learned = harvest_page(hit.url, tree, extended, cfg)
+            lists, learned = harvest_page(hit.url, tree, terms, cfg)
             result.wrappers_learned += learned
             result.weblists.extend(lists)
 

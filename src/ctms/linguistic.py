@@ -38,8 +38,6 @@ class ScoredCandidate:
 
 def build_queries(seed: str, cfg: PipelineConfig) -> list[str]:
     """Exact-phrase queries: for each clue word f, `seed+f` then `f+seed`."""
-    if not seed:
-        raise ValueError("seed must be non-empty")
     queries: list[str] = []
     for clue in cfg.clue_words:
         queries.append(seed + clue)
@@ -76,11 +74,9 @@ def extract_initial_candidates(
     clue word f and m counts those containing ``seed·f·x``; each sentence
     counts once per direction no matter how many clue words hit.
     Candidates scoring strictly above tau survive, sorted by descending
-    score then lexicographically, truncated to the top_n best.
+    score then lexicographically, truncated to the top_n best.  No
+    candidate contains the seed, so the seed never repeats among them.
     """
-    if not seed:
-        raise ValueError("seed must be non-empty")
-
     # A candidate is term characters only and at most max_candidate_len
     # long, so ``x·f·seed`` occurs in a sentence exactly when
     # `_left_candidates` yields x for it (likewise on the right): counting
@@ -175,8 +171,6 @@ def extract_competitor_baseline(seed: str, sentences: list[str]) -> list[str]:
 
     Matches are returned deduplicated, in first-occurrence order.
     """
-    if not seed:
-        raise ValueError("seed must be non-empty")
     found: list[str] = []
 
     # Idempotent for pre-split input; makes raw strings carrying their

@@ -24,7 +24,7 @@ from .concepts import (
 )
 from .config import PipelineConfig
 from .corpus import SearchProvider, TransientSearchError
-from .expansion import ExpandResult, ExtendedSeedSet, WebList, expand
+from .expansion import ExpandResult, WebList, expand
 from .linguistic import extract_initial_candidates, build_queries
 from .metrics import (
     GoldAnswer,
@@ -203,8 +203,7 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
         return report
 
     # Stage 2: expansion over retrieved pages.
-    extended = ExtendedSeedSet(seed=seed, initial=tuple(c.text for c in candidates))
-    expansion: ExpandResult = expand(extended, provider, cfg)
+    expansion: ExpandResult = expand(seed, tuple(c.text for c in candidates), provider, cfg)
     weblists = expansion.weblists
     report.weblists = weblists
     report.weblist_count = len(weblists)
@@ -223,7 +222,7 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
     if cfg.disambiguation:
         background = BackgroundCorpus(expansion.page_texts)
         vectors = {wl.id: context_vector(wl, background) for wl in weblists}
-        clusters = cluster_weblists(weblists, vectors, seed, cfg)
+        clusters = cluster_weblists(weblists, vectors, cfg)
         diagnostics["clusters_total"] = len(clusters)
         kept = filter_clusters(clusters, seed, len(weblists), cfg)
         diagnostics["clusters_kept"] = len(kept)
@@ -240,9 +239,8 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
             id=all_ids[0],
             lists=all_ids,
             member_terms=frozenset(t for t, c in support.items() if c >= floor or t == seed),
-            contains_seed=seed in support,
         )
-        kept = [pseudo] if pseudo.contains_seed else []
+        kept = [pseudo] if seed in support else []
         diagnostics["clusters_total"] = 1
         diagnostics["clusters_kept"] = len(kept)
 

@@ -66,11 +66,13 @@ def build_relation_graph(
     """Tripartite relation graph for one concept.
 
     `weblists` are the cluster's member lists.  The term vertices are the
-    cluster's `member_terms`; a list's other terms get no vertex.  Affixes
-    are ``cfg.affix_min_n`` to ``cfg.affix_max_n`` characters long.
+    cluster's `member_terms`, which hold the seed (`filter_clusters`, or
+    without grouping `mine`, keeps no other concept); a list's other terms
+    get no vertex.  Affixes are
+    ``cfg.affix_min_n`` to ``cfg.affix_max_n`` characters long.  Edges are
+    undirected and simple: each vertex lists each neighbour once, never
+    itself, in ascending index order.
     """
-    if seed not in cluster.member_terms:
-        raise ValueError("cluster must contain the seed term")
     terms = sorted(cluster.member_terms)
 
     affixes = extract_affixes(terms, cfg.affix_min_n, cfg.affix_max_n)
@@ -119,9 +121,6 @@ def walk_probabilities(
     the iteration converged within the budget.
     """
     n = len(adjacency)
-    if n == 0:
-        raise ValueError("graph must be non-empty")
-
     e_seed = np.zeros(n)
     e_seed[seed] = 1.0
     # np.add.at adds every listing of a neighbour; a dangling row restarts at the seed.

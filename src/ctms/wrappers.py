@@ -182,6 +182,8 @@ def _side_levels(
     its parent's longest prefix, and each later probe those of the
     nearest shorter length it has probed.  Runs of different edges never
     share a match set, as a child part lacks some anchor of its parent.
+    Levels come in walk order: the learner treats them as sets and sorts
+    the wrappers it keeps.
     """
     windows = [text[a : a + MAX_CONTEXT_LEN] for _, a in anchors]
     found: list[tuple[list[int], str, int]] = []
@@ -221,7 +223,7 @@ def _side_levels(
                 children[windows[i][n]].append(i)
         stack.extend((n, child, base) for child in children.values())
     levels = []
-    for starts, s, occs in sorted(found, key=lambda lv: lv[0]):
+    for starts, s, occs in found:
         if mirrored:
             s, starts = s[::-1], [len(text) - q for q in reversed(starts)]
         levels.append(_Level(s, tuple(starts), occs, is_punct_text(s)))
@@ -285,7 +287,7 @@ def learn_wrappers(
     fewer than `min_distinct_seeds` different seeds occur with a shared
     tag path.
     """
-    seed_list = sorted({s for s in seeds if s})
+    seed_list = sorted(set(seeds))
     if len(seed_list) < cfg.min_distinct_seeds:
         return {}
     src, mirror = tree.source, None

@@ -193,11 +193,11 @@ def test_two_identical_lists_form_one_cluster():
         make_weblist("a2", ["x", "y"], "相同内容"),
     ]
     vectors = {wl.id: context_vector(wl, bg) for wl in lists}
-    clusters = cluster_weblists(lists, vectors, "x", PipelineConfig())
+    clusters = cluster_weblists(lists, vectors, PipelineConfig())
     assert len(clusters) == 1
     assert clusters[0].lists == ("a1", "a2")
     assert clusters[0].member_terms == frozenset({"x", "y"})
-    assert clusters[0].contains_seed
+    assert "x" in clusters[0].member_terms
 
 
 def test_dissimilar_lists_stay_apart():
@@ -207,7 +207,7 @@ def test_dissimilar_lists_stay_apart():
         make_weblist("b", ["y", "q"], "乙"),
     ]
     vectors = {wl.id: context_vector(wl, bg) for wl in lists}
-    clusters = cluster_weblists(lists, vectors, "x", PipelineConfig())
+    clusters = cluster_weblists(lists, vectors, PipelineConfig())
     assert len(clusters) == 2
 
 
@@ -220,7 +220,7 @@ def test_agglomerative_schedule_three_lists():
         make_weblist("c", ["q", "r"], "旁"),
     ]
     vectors = {wl.id: context_vector(wl, bg) for wl in lists}
-    clusters = cluster_weblists(lists, vectors, "x", PipelineConfig())
+    clusters = cluster_weblists(lists, vectors, PipelineConfig())
     got = sorted(c.lists for c in clusters)
     assert got == [("a", "b"), ("c",)]
 
@@ -233,11 +233,11 @@ def test_cluster_determinism_under_shuffle():
         for i in range(6)
     ]
     vectors = {wl.id: context_vector(wl, bg) for wl in lists}
-    baseline = cluster_weblists(lists, vectors, "x", PipelineConfig())
+    baseline = cluster_weblists(lists, vectors, PipelineConfig())
     for _ in range(5):
         shuffled = lists[:]
         rng.shuffle(shuffled)
-        assert cluster_weblists(shuffled, vectors, "x", PipelineConfig()) == baseline
+        assert cluster_weblists(shuffled, vectors, PipelineConfig()) == baseline
 
 
 def grouping(threshold: float, lam: float) -> PipelineConfig:
@@ -247,7 +247,6 @@ def grouping(threshold: float, lam: float) -> PipelineConfig:
 def rescan_reference(
     weblists,
     vectors,
-    seed,
     threshold=0.65,
     lam=0.5,
     similarity=list_similarity,
@@ -298,7 +297,7 @@ def rescan_reference(
     out = []
     for members in clusters:
         terms = frozenset(t for wid in members for t in by_id[wid].terms)
-        out.append(ConceptCluster(members[0], tuple(members), terms, seed in terms))
+        out.append(ConceptCluster(members[0], tuple(members), terms))
     return out
 
 
@@ -327,8 +326,8 @@ def test_clustering_matches_rescan_oracle(specs, rng, threshold, lam):
     lists = [make_weblist(wid, terms) for wid, (terms, _w) in zip(names, specs)]
     vectors = {wid: ContextVector(w) for wid, (_t, w) in zip(names, specs)}
     rng.shuffle(lists)
-    got = cluster_weblists(lists, vectors, "a", grouping(threshold, lam))
-    assert got == rescan_reference(lists, vectors, "a", threshold, lam)
+    got = cluster_weblists(lists, vectors, grouping(threshold, lam))
+    assert got == rescan_reference(lists, vectors, threshold, lam)
 
 
 def _left_fold_list_similarity(ta, va, tb, vb, lam):
@@ -375,9 +374,9 @@ def test_clustering_matches_rescan_oracle_uneven_weights(specs, rng, threshold, 
         )
         threshold = rng.choice(scores[-3:] or [0.5])
     rng.shuffle(lists)
-    got = cluster_weblists(lists, vectors, "a", grouping(threshold, lam))
+    got = cluster_weblists(lists, vectors, grouping(threshold, lam))
     want = rescan_reference(
-        lists, vectors, "a", threshold, lam, similarity=_left_fold_list_similarity
+        lists, vectors, threshold, lam, similarity=_left_fold_list_similarity
     )
     assert got == want
 
@@ -399,14 +398,14 @@ def test_clustering_matches_rescan_oracle_at_linkage_thresholds(specs, rng, lam)
     vectors = {wid: ContextVector(w) for wid, (_t, w) in zip(names, specs)}
     merges = []
     rescan_reference(
-        lists, vectors, "a", -1.0, lam, _left_fold_list_similarity, merge_scores=merges
+        lists, vectors, -1.0, lam, _left_fold_list_similarity, merge_scores=merges
     )
     linkages = {score for score, size in merges if size >= 2} or {s for s, _ in merges}
     for threshold in sorted(linkages):
         rng.shuffle(lists)
-        got = cluster_weblists(lists, vectors, "a", grouping(threshold, lam))
+        got = cluster_weblists(lists, vectors, grouping(threshold, lam))
         want = rescan_reference(
-            lists, vectors, "a", threshold, lam, similarity=_left_fold_list_similarity
+            lists, vectors, threshold, lam, similarity=_left_fold_list_similarity
         )
         assert got == want, threshold
 
@@ -425,8 +424,8 @@ def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider, monkeypat
     assert weblists == report.weblists and len(weblists) > 20
     for threshold in (0.3, 0.5, 0.65, 0.8):
         for lam in (0.3, 0.5, 0.8):
-            got = cluster_weblists(weblists, vectors, "华盛顿", grouping(threshold, lam))
-            want = rescan_reference(weblists, vectors, "华盛顿", threshold, lam)
+            got = cluster_weblists(weblists, vectors, grouping(threshold, lam))
+            want = rescan_reference(weblists, vectors, threshold, lam)
             assert got == want, (threshold, lam)
 
 
@@ -477,7 +476,6 @@ def make_cluster(cid, n_lists, terms):
         id=cid,
         lists=tuple(f"{cid}-{i}" for i in range(n_lists)),
         member_terms=frozenset(terms),
-        contains_seed="种" in terms,
     )
 
 
@@ -485,6 +483,15 @@ def test_filter_drops_clusters_without_seed():
     clusters = [make_cluster("a", 10, {"种", "x"}), make_cluster("b", 10, {"y"})]
     kept = filter_clusters(clusters, "种", total_lists=20, cfg=PipelineConfig(min_support=0.05))
     assert [c.id for c in kept] == ["a"]
+
+
+def test_seed_must_be_in_cluster():
+    # The one seed check on grouped clusters: a cluster that meets the
+    # support floor but whose member terms lack the seed is dropped, so
+    # ranking never sees one.
+    cluster = make_cluster("L1", 1, {"甲", "乙"})
+    assert filter_clusters([cluster], "不在", total_lists=1, cfg=PipelineConfig()) == []
+    assert filter_clusters([cluster], "甲", total_lists=1, cfg=PipelineConfig()) == [cluster]
 
 
 def test_filter_support_boundary_is_inclusive():

@@ -130,7 +130,7 @@ def test_malformed_manifest(tmp_path):
 
 
 def test_empty_page_rejected():
-    corpus = FixtureCorpus(queries={}, pages={"u": RawPage("u", "")})
+    corpus = FixtureCorpus(queries={}, pages={"u": RawPage("")})
     with pytest.raises(FixtureError, match="empty"):
         corpus.validate()
 

@@ -1,13 +1,11 @@
 import json
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctms.config import PipelineConfig
 from ctms.corpus import FixtureProvider, load_fixture
 from ctms.dom import parse_html
 from ctms.expansion import (
-    ExtendedSeedSet,
     _context_window,
     expand,
     expansion_queries,
@@ -56,23 +54,16 @@ def write_bundle(tmp_path, queries, pages):
 
 
 def test_expansion_queries_pair_seed_with_each_candidate():
-    ext = ExtendedSeedSet("宝马", ("法拉利",))
-    assert expansion_queries(ext) == ["宝马 法拉利"]
+    assert expansion_queries("宝马", ("法拉利",)) == ["宝马 法拉利"]
 
 
 def test_expansion_queries_follow_candidate_order():
-    ext = ExtendedSeedSet("s", ("a", "b", "c"))
-    assert expansion_queries(ext) == ["s a", "s b", "s c"]
+    assert expansion_queries("s", ("a", "b", "c")) == ["s a", "s b", "s c"]
 
 
 def test_empty_initial_means_no_queries():
-    with pytest.raises(ValueError):
-        expand(ExtendedSeedSet("s", ()), None, PipelineConfig())
-
-
-def test_seed_not_allowed_in_initial():
-    with pytest.raises(ValueError):
-        ExtendedSeedSet("s", ("s",))
+    # `mine` never expands without a candidate; no candidate, no query.
+    assert expansion_queries("s", ()) == []
 
 
 def test_mini_expansion_harvests_full_navigation_list(tmp_path):
@@ -81,8 +72,7 @@ def test_mini_expansion_harvests_full_navigation_list(tmp_path):
         {"宝马 法拉利": ["http://x/nav"]},
         {"http://x/nav": NAV_PAGE},
     )
-    ext = ExtendedSeedSet("宝马", ("法拉利", "奥迪"))
-    result = expand(ext, provider, PipelineConfig())
+    result = expand("宝马", ("法拉利", "奥迪"), provider, PipelineConfig())
     assert len(result.page_texts) == 1
     harvested = {wl.terms for wl in result.weblists}
     # at least one wrapper generalizes to the full six-brand list
@@ -95,7 +85,7 @@ def test_no_page_with_two_seeds_yields_nothing(tmp_path):
         {"宝马 法拉利": ["http://x/solo"]},
         {"http://x/solo": "<p>只有宝马出现。</p>"},
     )
-    result = expand(ExtendedSeedSet("宝马", ("法拉利",)), provider, PipelineConfig())
+    result = expand("宝马", ("法拉利",), provider, PipelineConfig())
     assert result.weblists == []
 
 
@@ -105,7 +95,7 @@ def test_page_shared_by_two_queries_processed_once(tmp_path):
         {"宝马 法拉利": ["http://x/nav"], "宝马 奥迪": ["http://x/nav"]},
         {"http://x/nav": NAV_PAGE},
     )
-    result = expand(ExtendedSeedSet("宝马", ("法拉利", "奥迪")), provider, PipelineConfig())
+    result = expand("宝马", ("法拉利", "奥迪"), provider, PipelineConfig())
     assert len(result.page_texts) == 1
 
 
@@ -115,9 +105,8 @@ def test_weblists_sorted_by_id_and_deterministic(tmp_path):
         {"宝马 法拉利": ["http://x/nav"], "宝马 奥迪": ["http://x/nav2"]},
         {"http://x/nav": NAV_PAGE, "http://x/nav2": NAV_PAGE.replace("品牌", "车型")},
     )
-    ext = ExtendedSeedSet("宝马", ("法拉利", "奥迪"))
-    first = expand(ext, provider, PipelineConfig())
-    second = expand(ext, provider, PipelineConfig())
+    first = expand("宝马", ("法拉利", "奥迪"), provider, PipelineConfig())
+    second = expand("宝马", ("法拉利", "奥迪"), provider, PipelineConfig())
     ids = [wl.id for wl in first.weblists]
     assert ids == sorted(ids)
     assert [(w.id, w.terms, w.context) for w in first.weblists] == [
@@ -131,7 +120,7 @@ def test_weblist_terms_are_distinct_and_min_two(tmp_path):
         {"宝马 法拉利": ["http://x/nav"]},
         {"http://x/nav": NAV_PAGE},
     )
-    result = expand(ExtendedSeedSet("宝马", ("法拉利",)), provider, PipelineConfig())
+    result = expand("宝马", ("法拉利",), provider, PipelineConfig())
     for wl in result.weblists:
         assert len(wl.terms) >= 2
         assert len(set(wl.terms)) == len(wl.terms)
@@ -143,7 +132,7 @@ def test_context_window_contains_surrounding_text(tmp_path):
         {"宝马 法拉利": ["http://x/nav"]},
         {"http://x/nav": NAV_PAGE},
     )
-    result = expand(ExtendedSeedSet("宝马", ("法拉利",)), provider, PipelineConfig())
+    result = expand("宝马", ("法拉利",), provider, PipelineConfig())
     assert result.weblists
     for wl in result.weblists:
         assert "品牌导航" in wl.context
@@ -162,11 +151,11 @@ def test_every_weblist_covers_two_extended_seeds(tmp_path):
         {"宝马 法拉利": ["http://x/nav"], "宝马 奥迪": ["http://x/nav2"]},
         {"http://x/nav": NAV_PAGE, "http://x/nav2": NAV_PAGE.replace("品牌", "车型")},
     )
-    ext = ExtendedSeedSet("宝马", ("法拉利", "奥迪"))
-    result = expand(ext, provider, PipelineConfig())
+    terms = ("宝马", "法拉利", "奥迪")
+    result = expand(terms[0], terms[1:], provider, PipelineConfig())
     assert result.weblists
     for wl in result.weblists:
-        assert len(set(ext.terms) & set(wl.terms)) >= 2
+        assert len(set(terms) & set(wl.terms)) >= 2
 
 
 # Pages of tags, comments and script/style bodies around text, the empty

@@ -64,11 +64,6 @@ def test_empty_clue_words_rejected():
         PipelineConfig(clue_words=())
 
 
-def test_empty_seed_rejected():
-    with pytest.raises(ValueError):
-        build_queries("", PipelineConfig())
-
-
 def test_bidirectional_score_example():
     sentences = [
         "街上奔驰比宝马多",
@@ -104,6 +99,17 @@ def test_candidates_containing_seed_discarded():
     sentences = ["新宝马比宝马好", "宝马比新宝马差"] * 2
     cfg = PipelineConfig(clue_words=("比",))
     got = extract_initial_candidates("宝马", sentences, cfg)
+    assert all("宝马" not in c.text for c in got)
+
+
+def test_seed_not_allowed_in_initial():
+    # "宝马比宝马" offers the seed itself on both sides of the junction, in
+    # more sentences than any real candidate; expansion takes the candidates
+    # as given, so the seed must not come back among them.
+    sentences = ["宝马比宝马好", "宝马比宝马贵", "奔驰比宝马多", "宝马比奔驰少"] * 2
+    cfg = PipelineConfig(clue_words=("比",))
+    got = extract_initial_candidates("宝马", sentences, cfg)
+    assert [c.text for c in got] == ["奔驰"]
     assert all("宝马" not in c.text for c in got)
 
 

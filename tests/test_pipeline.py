@@ -16,6 +16,7 @@ from ctms.metrics import GoldAnswer, GoldConcept, load_gold
 from ctms.pipeline import (
     MiningReport,
     PipelineConfig,
+    check_seed,
     evaluate,
     format_metric_table,
     format_report_table,
@@ -146,7 +147,7 @@ def test_affix_max_n_reaches_the_graph():
     # suffix 学 at n <= 1 and also 大学 at n <= 2.
     terms = ("北京大学", "斯坦福大学")
     lists = [WebList("L1", terms, "u", Wrapper("<li>", "</li>", "ul/li/#text"), "")]
-    cluster = ConceptCluster("L1", ("L1",), frozenset(terms), True)
+    cluster = ConceptCluster("L1", ("L1",), frozenset(terms))
     graphs = [
         build_relation_graph(cluster, lists, terms[0], PipelineConfig(affix_max_n=n))
         for n in (1, 2)
@@ -263,16 +264,33 @@ def test_mine_deterministic(miniweb_provider, report):
     assert again.to_json() == report.to_json()
 
 
-@pytest.mark.parametrize("seed", ["", " ", "\t", " \n "])
-def test_blank_seed_rejected(seed, miniweb_provider):
+class UntouchedProvider:
+    """A provider that fails the test if any stage reaches it."""
+
+    def search(self, query, max_results):
+        raise AssertionError(f"searched {query!r}")
+
+    def fetch_page(self, url):
+        raise AssertionError(f"fetched {url!r}")
+
+
+def test_empty_seed_rejected():
+    # `check_seed` is the one owner of the seed rule; no stage re-checks it.
     with pytest.raises(ValueError, match="seed must be non-empty"):
-        mine(seed, PipelineConfig(), miniweb_provider)
+        check_seed("")
+
+
+@pytest.mark.parametrize("seed", ["", " ", "\t", " \n "])
+def test_blank_seed_rejected(seed):
+    # The entry check fires before any stage can search or fetch.
+    with pytest.raises(ValueError, match="seed must be non-empty"):
+        mine(seed, PipelineConfig(), UntouchedProvider())
 
 
 @pytest.mark.parametrize("seed", [" 华盛顿", "华盛顿\n", "\u3000华盛顿"])
-def test_seed_with_outer_whitespace_rejected(seed, miniweb_provider):
+def test_seed_with_outer_whitespace_rejected(seed):
     with pytest.raises(ValueError, match="seed must not begin or end with whitespace"):
-        mine(seed, PipelineConfig(), miniweb_provider)
+        mine(seed, PipelineConfig(), UntouchedProvider())
 
 
 def test_absent_seed_gives_empty_report(miniweb_provider):

@@ -305,3 +305,36 @@ def test_a_shadow_default_is_reported(tmp_path):
         "stage.py:group:threshold",
         "stage.py:group:n_max",
     ]
+
+
+# Input from outside the program is checked where it enters: the seed by
+# `pipeline.check_seed`, the config by `PipelineConfig`, fixtures and gold
+# files by their loaders.  Each stage takes what `mine` or the stage before
+# it produced, so a `raise` in a stage module re-checks a fact that another
+# module already owns.
+def raise_statements(files) -> list[str]:
+    """``file:line`` of each ``raise`` statement in `files`."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(files)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+    ]
+
+
+def test_no_stage_re_checks_its_input():
+    files = [SRC / f"{name}.py" for name in STAGE_MODULES]
+    assert all(path.is_file() for path in files)
+    assert raise_statements(files) == []
+
+
+def test_a_raise_statement_is_reported(tmp_path):
+    stage = tmp_path / "stage.py"
+    stage.write_text(
+        "def run(items):\n"
+        "    if not items:\n        raise ValueError('empty')\n"
+        "    try:\n        return items[0]\n"
+        "    except IndexError:\n        raise\n",
+        encoding="utf-8",
+    )
+    assert raise_statements([stage]) == ["stage.py:3", "stage.py:7"]

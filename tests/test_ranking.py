@@ -23,11 +23,11 @@ def make_weblist(wid, terms):
 
 def make_cluster(weblists, seed):
     terms = frozenset(t for wl in weblists for t in wl.terms)
+    assert seed in terms  # as `filter_clusters` guarantees
     return ConceptCluster(
         id=min(wl.id for wl in weblists),
         lists=tuple(sorted(wl.id for wl in weblists)),
         member_terms=terms,
-        contains_seed=seed in terms,
     )
 
 
@@ -136,11 +136,42 @@ def test_no_list_affix_or_same_kind_edges():
             assert kinds in ({"term", "list"}, {"term", "affix"})
 
 
-def test_seed_must_be_in_cluster():
-    wl = make_weblist("L1", ["甲", "乙"])
-    cluster = make_cluster([wl], "甲")
-    with pytest.raises(ValueError):
-        build_relation_graph(cluster, [wl], "不在", PipelineConfig())
+# Concepts as ranking receives them: member lists of 2-5 distinct terms
+# over a small alphabet (so affixes are shared often), and member terms
+# that are the lists' terms or, as in the ungrouped pseudo-concept, a
+# subset of them, always holding the seed.
+@st.composite
+def ranked_concepts(draw):
+    term = st.text(alphabet="甲乙丙", min_size=1, max_size=4)
+    term_lists = draw(
+        st.lists(st.lists(term, min_size=2, max_size=5, unique=True), min_size=1, max_size=5)
+    )
+    weblists = [make_weblist(f"L{i}", terms) for i, terms in enumerate(term_lists)]
+    union = sorted({t for terms in term_lists for t in terms})
+    seed = draw(st.sampled_from(union))
+    kept = draw(st.lists(st.sampled_from(union), unique=True))
+    member_terms = frozenset(kept) | {seed}
+    cluster = ConceptCluster(
+        id="L0", lists=tuple(wl.id for wl in weblists), member_terms=member_terms
+    )
+    n_min = draw(st.integers(1, 3))
+    cfg = PipelineConfig(affix_min_n=n_min, affix_max_n=draw(st.integers(n_min, 4)))
+    return cluster, weblists, seed, cfg
+
+
+@settings(max_examples=300)
+@given(ranked_concepts())
+def test_relation_graph_is_simple_symmetric_and_names_the_seed(concept):
+    cluster, weblists, seed, cfg = concept
+    g = build_relation_graph(cluster, weblists, seed, cfg)
+    assert g.vertices[g.seed_index] == ("term", seed)
+    assert len(set(g.vertices)) == len(g.vertices)
+    assert len(g.adjacency) == len(g.vertices)
+    for i, neighbors in enumerate(g.adjacency):
+        assert i not in neighbors
+        assert len(set(neighbors)) == len(neighbors)
+        for j in neighbors:
+            assert i in g.adjacency[j]
 
 
 # --- the walk itself -------------------------------------------------------
