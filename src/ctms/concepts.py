@@ -8,6 +8,12 @@ pages is about the same topic.  Greedy average-linkage agglomeration over
 that similarity, followed by support and seed filters, yields the
 concepts.
 
+Each fetched page's rendered text is tokenized once, into a
+`TokenIndex`: the page's token set feeds the document frequencies, and
+a list's context vector reads its window's tokens off its page's index
+by rendered offset, recomputing only a token run that the window clips.
+The tokens come in the order `tokenize` of the window text gives them.
+
 Every float sum here (norms, dot products, linkage totals) is a loop that
 adds left to right, never the built-in ``sum``: from Python 3.12 on,
 ``sum`` compensates rounding error, so the same floats would add up to
@@ -37,22 +43,25 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import PipelineConfig
 from .expansion import WebList
-from .text import tokenize
+from .text import TokenIndex
 
 
 class BackgroundCorpus:
-    """Document-frequency statistics over the pages fetched in one run;
-    an idf counts documents only, so their order does not matter."""
+    """Each fetched page's tokens, and document-frequency statistics over
+    the pages; an idf counts documents only, so their order does not matter."""
 
     def __init__(self, texts: Iterable[str]):
+        # One index per page, in fetch order, as WebList.page numbers them.
+        self.pages = [TokenIndex(text) for text in texts]
+        self.size = len(self.pages)
         doc_freq: Counter[str] = Counter()
-        self.size = 0
-        for text in texts:
-            self.size += 1
-            doc_freq.update(set(tokenize(text)))
-        # A word's idf is fixed for the run, so each is computed once.
-        self._idf = {word: self._idf_of(df) for word, df in doc_freq.items()}
-        self._unseen_idf = self._idf_of(0)
+        for page in self.pages:
+            doc_freq.update(set(page.tokens))
+        # A word's idf is fixed for the run, so each is computed once.  A
+        # window that clips a token run can make a word no page has (the
+        # "北" of "北京"), of df 0.
+        self.idf = {word: self._idf_of(df) for word, df in doc_freq.items()}
+        self.unseen_idf = self._idf_of(0)
 
     def _idf_of(self, df: int) -> float:
         """log(|B| / (df + 1)), clamped at zero.
@@ -65,10 +74,6 @@ class BackgroundCorpus:
             return 0.0
         value = math.log(self.size / (df + 1))
         return value if value > 0.0 else 0.0
-
-    def idf(self, word: str) -> float:
-        """The idf of `word`; one not in any document has df 0."""
-        return self._idf.get(word, self._unseen_idf)
 
 
 @dataclass(frozen=True)
@@ -86,10 +91,16 @@ class ContextVector:
 
 
 def context_vector(weblist: WebList, background: BackgroundCorpus) -> ContextVector:
-    tf = Counter(tokenize(weblist.context))
+    """tf-idf of the tokens of `weblist`'s context window, whose two
+    halves are read off its page's index."""
+    page = background.pages[weblist.page]
+    lo, before, after, hi = weblist.window
+    tf = Counter(page.tokens_in(lo, before))
+    tf.update(page.tokens_in(after, hi))
+    idf, unseen = background.idf, background.unseen_idf
     weights = {}
     for word, count in tf.items():
-        w = count * background.idf(word)
+        w = count * idf.get(word, unseen)
         if w > 0.0:
             weights[word] = w
     return ContextVector(weights=weights)

@@ -10,7 +10,9 @@ Each learned wrapper's spans on its page become one WebList, carrying a
 window of the rendered text around the list for the later concept stage:
 the rendered offsets of the list's first and last span bound it, and
 only the window's characters on each side are sliced from the page's
-rendered text.
+rendered text.  The list also keeps the window's rendered bounds and its
+page's number in fetch order, so that the concept stage reads the
+window's tokens off the page's, tokenized once.
 Pages are processed once even when several queries return them, and the
 result is sorted by list id so downstream stages see a stable order.
 """
@@ -18,7 +20,7 @@ result is sorted by list id so downstream stages see a stable order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import PipelineConfig
 from .corpus import SearchProvider, TransientSearchError
@@ -37,7 +39,13 @@ class WebList:
     terms: tuple[str, ...]  # distinct, first-occurrence order, at least two
     source_url: str
     wrapper: Wrapper
-    context: str
+    context: str  # the window's text, the two halves joined by a space, stripped
+    # Where the window lies, for the concept stage; not compared, and not
+    # written by the dump.  `page` indexes ExpandResult.page_texts, and the
+    # window is text[lo:before] and text[after:hi] of that page's rendered
+    # text, for `window` = (lo, before, after, hi).
+    page: int = field(compare=False)
+    window: tuple[int, int, int, int] = field(compare=False)
 
 
 @dataclass
@@ -62,20 +70,24 @@ def weblist_id(url: str, wrapper: Wrapper) -> str:
     return digest.hexdigest()[:16]
 
 
-def _context_window(tree: DomTree, first_start: int, last_end: int, window: int) -> str:
+def _context_window(
+    tree: DomTree, first_start: int, last_end: int, window: int
+) -> tuple[str, tuple[int, int, int, int]]:
     """The `window` (at least 1) rendered characters before a list's first
-    span and after its last, joined by a space and stripped; only those
-    characters are sliced from the page's rendered text."""
+    span and after its last, joined by a space and stripped, and their
+    rendered bounds (lo, before, after, hi); only those characters are
+    sliced from the page's rendered text."""
     text = tree.visible_text()
     before, after = tree.rendered_offset(first_start), tree.rendered_offset(last_end)
-    return (text[max(0, before - window) : before] + " " + text[after : after + window]).strip()
+    lo, hi = max(0, before - window), min(len(text), after + window)
+    return (text[lo:before] + " " + text[after:hi]).strip(), (lo, before, after, hi)
 
 
 def harvest_page(
-    url: str, tree: DomTree, terms: tuple[str, ...], cfg: PipelineConfig
+    url: str, page: int, tree: DomTree, terms: tuple[str, ...], cfg: PipelineConfig
 ) -> tuple[list[WebList], int]:
     """Learn wrappers for `terms` (the seed, then the initial candidates) on
-    one page and turn their spans into WebLists.
+    page number `page` (in fetch order) and turn their spans into WebLists.
 
     A wrapper whose spans strip to fewer than two distinct terms yields no
     list, so every WebList has at least two.  Returns the lists and the
@@ -88,15 +100,10 @@ def harvest_page(
         terms = [term for term in dict.fromkeys(stripped) if term]
         if len(terms) < 2:
             continue
-        context = _context_window(tree, spans[0][0], spans[-1][1], cfg.context_window)
+        context, window = _context_window(tree, spans[0][0], spans[-1][1], cfg.context_window)
+        # Positional: keyword arguments cost a page of many lists measurably more.
         lists.append(
-            WebList(
-                id=weblist_id(url, wrapper),
-                terms=tuple(terms),
-                source_url=url,
-                wrapper=wrapper,
-                context=context,
-            )
+            WebList(weblist_id(url, wrapper), tuple(terms), url, wrapper, context, page, window)
         )
     return lists, len(spans_by_wrapper)
 
@@ -131,8 +138,9 @@ def expand(
                 result.skipped.append(f"page {hit.url!r}: {exc}")
                 continue
             tree = parse_html(page.html)
+            number = len(result.page_texts)
             result.page_texts.append(tree.visible_text())
-            lists, learned = harvest_page(hit.url, tree, terms, cfg)
+            lists, learned = harvest_page(hit.url, number, tree, terms, cfg)
             result.wrappers_learned += learned
             result.weblists.extend(lists)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from bisect import bisect_left, bisect_right
 from operator import add
 
 # Sentence-final punctuation plus newlines. ASCII '.' is deliberately
@@ -70,8 +71,8 @@ class _CharClasses(dict):
 
 _CHAR_CLASSES = _CharClasses()
 _TERM_CLASSES = "aco"
-# ASCII runs (group 1) and CJK runs, each maximal.
-_TOKEN_RUNS = re.compile("(a+)|c+")
+# Token runs: maximal ASCII runs and maximal CJK runs.
+_TOKEN_RUNS = re.compile("a+|c+")
 
 
 def term_run(text: str, at_end: bool = False) -> int:
@@ -112,14 +113,70 @@ def tokenize(text: str) -> list[str]:
     """
     tokens: list[str] = []
     for m in _TOKEN_RUNS.finditer(text.translate(_CHAR_CLASSES)):
-        run = text[m.start() : m.end()]
-        if m[1]:
-            tokens.append(run.lower())
-        elif len(run) == 1:
-            tokens.append(run)
-        else:
-            tokens.extend(map(add, run, run[1:]))
+        tokens += _run_tokens(text[m.start() : m.end()])
     return tokens
+
+
+def _run_tokens(run: str) -> list[str]:
+    """The tokens of one token run; only a Latin/digit run is ASCII."""
+    if run.isascii():
+        return [run.lower()]
+    if len(run) == 1:
+        return [run]
+    return list(map(add, run, run[1:]))
+
+
+class TokenIndex:
+    """The tokens of one text, kept by token run, so that the tokens of any
+    slice of it are mostly read, not recomputed.
+
+    Token runs are the maximal ASCII and CJK runs `tokenize` cuts: run i
+    spans ``text[starts[i]:ends[i]]`` and its tokens are
+    ``tokens[firsts[i]:firsts[i + 1]]``, so ``tokens`` is ``tokenize(text)``.
+    """
+
+    __slots__ = ("text", "starts", "ends", "firsts", "tokens")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        self.firsts: list[int] = []
+        self.tokens: list[str] = []
+        starts, ends, firsts, tokens = self.starts, self.ends, self.firsts, self.tokens
+        for m in _TOKEN_RUNS.finditer(text.translate(_CHAR_CLASSES)):
+            start, end = m.span()
+            starts.append(start)
+            ends.append(end)
+            firsts.append(len(tokens))
+            tokens += _run_tokens(text[start:end])
+        firsts.append(len(tokens))
+
+    def tokens_in(self, x: int, y: int) -> list[str]:
+        """``tokenize(text[x:y])``, for ``0 <= x <= y``.
+
+        No token spans two runs, so the tokens are: those of the first
+        run's part inside the slice, recomputed when the slice clips it;
+        a slice of ``tokens`` for the runs wholly inside; and those of
+        the last run's part, recomputed when clipped.
+        """
+        starts, ends = self.starts, self.ends
+        i = bisect_right(ends, x)  # the first run that ends after x
+        j = bisect_left(starts, y)  # runs i .. j-1 overlap the slice
+        if i >= j:
+            return []
+        text, firsts, tokens = self.text, self.firsts, self.tokens
+        if starts[i] < x and ends[i] > y:  # the slice lies inside one run
+            return tokenize(text[x:y])
+        head: list[str] = []
+        tail: list[str] = []
+        if starts[i] < x:
+            head = tokenize(text[x : ends[i]])
+            i += 1
+        if ends[j - 1] > y:
+            j -= 1
+            tail = tokenize(text[starts[j] : y])
+        return head + tokens[firsts[i] : firsts[j]] + tail
 
 
 def nfc_trim(s: str) -> str:

@@ -1,4 +1,5 @@
-"""`scripts/bench_pairs.py`: its summary on canned runs, and each side's bytecode cache."""
+"""`scripts/bench_pairs.py`: its summary on canned runs, the trees each side
+runs in, and each side's bytecode cache."""
 
 import importlib.util
 import json
@@ -75,8 +76,8 @@ def test_run_once_caches_bytecode_under_the_given_prefix(monkeypatch, tmp_path):
 
 
 def test_each_side_has_its_own_fresh_bytecode_cache(monkeypatch, tmp_path):
-    # The working tree may hold __pycache__ directories and the extracted
-    # base tree has none; a fresh prefix per side starts both alike.
+    # A fresh prefix per side starts both alike, whatever caches either
+    # tree was made with.
     calls = []
 
     def fake_run_once(tree, workload, seed, seconds, pycache):
@@ -85,6 +86,7 @@ def test_each_side_has_its_own_fresh_bytecode_cache(monkeypatch, tmp_path):
         return {"correct": True, "failed": 0, "attempted": 1, "metrics": {"mine_ms_p50": 1.0}}
 
     monkeypatch.setattr(bench_pairs, "extract_ref", lambda ref, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: None)
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = tmp_path / "out.json"
     assert bench_pairs.main(["--workload", "miniweb", "--pairs", "2", "--out", str(out)]) == 0
@@ -95,7 +97,7 @@ def test_each_side_has_its_own_fresh_bytecode_cache(monkeypatch, tmp_path):
         assert fresh
         assert not pycache.is_relative_to(tree)
         assert not pycache.is_relative_to(bench_pairs.ROOT)
-    assert bench_pairs.ROOT in caches and len(caches) == 2
+    assert len(caches) == 2
     (base_cache,), (change_cache,) = caches.values()
     assert base_cache != change_cache
 
@@ -114,6 +116,7 @@ def test_each_side_records_runs_only_after_a_discarded_warm_up(monkeypatch, tmp_
                 "metrics": {"peak_rss_mb": 40.0 if not warm else 36.0}}
 
     monkeypatch.setattr(bench_pairs, "extract_ref", lambda ref, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: None)
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     out = tmp_path / "out.json"
     assert bench_pairs.main(["--workload", "miniweb", "--pairs", "3", "--out", str(out)]) == 0
@@ -126,3 +129,58 @@ def test_each_side_records_runs_only_after_a_discarded_warm_up(monkeypatch, tmp_
     rss = record["summary"]["metrics"]["peak_rss_mb"]
     for side in ("base", "change"):
         assert rss[side] == {"median": 36.0, "iqr": 0.0, "runs": 3}
+
+
+def test_neither_side_runs_in_the_repository(monkeypatch, tmp_path):
+    # Run in place, the change side read slower than a fresh copy of the
+    # same files; both sides run in copies beside each other.
+    made, ran = {}, []
+
+    def fake_extract_ref(ref, dest):
+        made["base"] = dest
+        return "0" * 40
+
+    def fake_run_once(tree, workload, seed, seconds, pycache):
+        ran.append(tree)
+        return {"correct": True, "failed": 0, "attempted": 1, "metrics": {"mine_ms_p50": 1.0}}
+
+    monkeypatch.setattr(bench_pairs, "extract_ref", fake_extract_ref)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: made.update(change=dest))
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--workload", "miniweb", "--pairs", "2", "--out", str(out)]) == 0
+    assert set(ran) == set(made.values()) and len(set(ran)) == 2
+    assert made["base"].parent == made["change"].parent
+    for tree in ran:
+        assert not tree.is_relative_to(bench_pairs.ROOT)
+        assert not bench_pairs.ROOT.is_relative_to(tree)
+
+
+def _git(repo, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+        cwd=repo, check=True, capture_output=True,
+    )
+
+
+def test_change_copy_holds_uncommitted_edits_and_untracked_files(monkeypatch, tmp_path):
+    repo, dest = tmp_path / "repo", tmp_path / "copy"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "mod.py").write_text("VALUE = 1\n", encoding="utf-8")
+    (repo / "gone.py").write_text("", encoding="utf-8")
+    (repo / ".gitignore").write_text("_work/\n", encoding="utf-8")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "base")
+    (repo / "src" / "mod.py").write_text("VALUE = 2\n", encoding="utf-8")
+    (repo / "gone.py").unlink()
+    (repo / "src" / "new.py").write_text("NEW = 3\n", encoding="utf-8")
+    (repo / "_work").mkdir()
+    (repo / "_work" / "result.json").write_text("{}", encoding="utf-8")
+    dest.mkdir()
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    bench_pairs.copy_working_tree(dest)
+    assert (dest / "src" / "mod.py").read_text(encoding="utf-8") == "VALUE = 2\n"
+    assert (dest / "src" / "new.py").read_text(encoding="utf-8") == "NEW = 3\n"
+    copied = sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file())
+    assert copied == [".gitignore", "src/mod.py", "src/new.py"]

@@ -25,8 +25,21 @@ from ctms.wrappers import Wrapper
 W = Wrapper("<li>", "</li>", "ul/li/#text")
 
 
-def make_weblist(wid, terms, context=""):
-    return WebList(id=wid, terms=tuple(terms), source_url="u", wrapper=W, context=context)
+def make_weblist(wid, terms, page=0, window=(0, 0, 0, 0), context=""):
+    return WebList(
+        id=wid, terms=tuple(terms), source_url="u", wrapper=W, context=context, page=page,
+        window=window,
+    )
+
+
+def on_page(bg, wid, terms, page, window=None):
+    """A list whose context window lies on page `page` of `bg`: the given
+    rendered bounds (lo, before, after, hi), or the whole page as its
+    before-half; its context text is cut as `harvest_page` cuts it."""
+    text = bg.pages[page].text
+    lo, before, after, hi = window or (0, len(text), len(text), len(text))
+    context = (text[lo:before] + " " + text[after:hi]).strip()
+    return make_weblist(wid, terms, page, (lo, before, after, hi), context)
 
 
 def _left_fold(values):
@@ -55,9 +68,9 @@ def left_fold_similarity(ta, wa, tb, wb, lam):
 
 def test_idf_formula_direct():
     # 100 documents, word in 9 of them: idf = log(100/10)
-    docs = ["目标词汇" if i < 9 else "别的" for i in range(100)]
+    docs = ["目标词汇目标词汇" if i < 9 else "别的" for i in range(100)]
     bg = BackgroundCorpus(docs)
-    wl = make_weblist("a", ["x", "y"], context="目标词汇目标词汇")
+    wl = on_page(bg, "a", ["x", "y"], 0)
     vec = context_vector(wl, bg)
     assert vec.weights["目标"] == pytest.approx(2 * math.log(10))
 
@@ -65,15 +78,15 @@ def test_idf_formula_direct():
 def test_ubiquitous_word_clamps_to_zero():
     docs = ["常见词"] * 10
     bg = BackgroundCorpus(docs)
-    wl = make_weblist("a", ["x", "y"], context="常见词")
+    wl = on_page(bg, "a", ["x", "y"], 0)
     vec = context_vector(wl, bg)
     # in every doc: log(10/11) < 0, clamped away entirely
     assert "常见" not in vec.weights
 
 
 def test_absent_word_has_no_weight():
-    bg = BackgroundCorpus(["背景"])
-    vec = context_vector(make_weblist("a", ["x", "y"], context="上下文"), bg)
+    bg = BackgroundCorpus(["背景", "上下文"])
+    vec = context_vector(on_page(bg, "a", ["x", "y"], 1), bg)
     assert "背景" not in vec.weights
 
 
@@ -88,12 +101,12 @@ def test_idf_does_not_depend_on_document_order(texts, rng):
     corpora = [BackgroundCorpus(t) for t in (texts, texts[::-1], shuffled)]
     words = {w for text in texts for w in tokenize(text)} | {"未见"}
     for word in words:
-        assert len({bg.idf(word) for bg in corpora}) == 1, word
+        assert len({bg.idf.get(word, bg.unseen_idf) for bg in corpora}) == 1, word
 
 
 def test_identical_lists_similarity_one():
     bg = BackgroundCorpus(["甲", "乙", "丙"])
-    a = make_weblist("a", ["x", "y"], context="甲")
+    a = on_page(bg, "a", ["x", "y"], 0)
     va = context_vector(a, bg)
     assert va.norm > 0
     assert list_similarity(a.terms, va, a.terms, va, 0.5) == pytest.approx(1.0)
@@ -101,16 +114,16 @@ def test_identical_lists_similarity_one():
 
 def test_disjoint_lists_orthogonal_contexts():
     bg = BackgroundCorpus(["甲词", "乙词", "丙"])
-    a = make_weblist("a", ["x"], context="甲词")
-    b = make_weblist("b", ["y"], context="乙词")
+    a = on_page(bg, "a", ["x"], 0)
+    b = on_page(bg, "b", ["y"], 1)
     sim = list_similarity(a.terms, context_vector(a, bg), b.terms, context_vector(b, bg), 0.5)
     assert sim == pytest.approx(0.0)
 
 
 def test_containment_scores_full_content_part():
     bg = BackgroundCorpus(["同一段文字", "别", "另"])
-    a = make_weblist("a", ["x", "y"], context="同一段文字")
-    b = make_weblist("b", ["x", "y", "z", "w"], context="同一段文字")
+    a = on_page(bg, "a", ["x", "y"], 0)
+    b = on_page(bg, "b", ["x", "y", "z", "w"], 0)
     sim = list_similarity(
         a.terms, context_vector(a, bg), b.terms, context_vector(b, bg), lam=0.5
     )
@@ -119,7 +132,7 @@ def test_containment_scores_full_content_part():
 
 def test_zero_norm_context_contributes_zero():
     bg = BackgroundCorpus(["文", "字"])
-    a = make_weblist("a", ["x", "y"], context="")
+    a = make_weblist("a", ["x", "y"])
     va = context_vector(a, bg)
     assert va.norm == 0.0
     sim = list_similarity(a.terms, va, a.terms, va, lam=0.5)
@@ -189,8 +202,8 @@ def test_similarity_matrix_bits_are_the_left_fold_formula(specs, lam):
 def test_two_identical_lists_form_one_cluster():
     bg = BackgroundCorpus(["相同内容", "旁白", "其他"])
     lists = [
-        make_weblist("a1", ["x", "y"], "相同内容"),
-        make_weblist("a2", ["x", "y"], "相同内容"),
+        on_page(bg, "a1", ["x", "y"], 0),
+        on_page(bg, "a2", ["x", "y"], 0),
     ]
     vectors = {wl.id: context_vector(wl, bg) for wl in lists}
     clusters = cluster_weblists(lists, vectors, PipelineConfig())
@@ -202,9 +215,10 @@ def test_two_identical_lists_form_one_cluster():
 
 def test_dissimilar_lists_stay_apart():
     bg = BackgroundCorpus(["甲önt", "乙많"])
+    # Windows "甲" and "乙", the second clipping the run "乙많".
     lists = [
-        make_weblist("a", ["x", "p"], "甲"),
-        make_weblist("b", ["y", "q"], "乙"),
+        on_page(bg, "a", ["x", "p"], 0, (0, 1, 1, 1)),
+        on_page(bg, "b", ["y", "q"], 1, (0, 1, 1, 1)),
     ]
     vectors = {wl.id: context_vector(wl, bg) for wl in lists}
     clusters = cluster_weblists(lists, vectors, PipelineConfig())
@@ -215,9 +229,9 @@ def test_agglomerative_schedule_three_lists():
     # Sim(a,b) high via shared terms; c shares nothing: expect {a,b},{c}
     bg = BackgroundCorpus(["文一", "文二", "旁"])
     lists = [
-        make_weblist("a", ["x", "y", "z"], "文一"),
-        make_weblist("b", ["x", "y", "z", "w"], "文一"),
-        make_weblist("c", ["q", "r"], "旁"),
+        on_page(bg, "a", ["x", "y", "z"], 0),
+        on_page(bg, "b", ["x", "y", "z", "w"], 0),
+        on_page(bg, "c", ["q", "r"], 2),
     ]
     vectors = {wl.id: context_vector(wl, bg) for wl in lists}
     clusters = cluster_weblists(lists, vectors, PipelineConfig())
@@ -229,7 +243,7 @@ def test_cluster_determinism_under_shuffle():
     rng = random.Random(3)
     bg = BackgroundCorpus(["语境甲", "语境乙"])
     lists = [
-        make_weblist(f"w{i}", ["x", "y", str(i % 2)], "语境甲" if i % 2 else "语境乙")
+        on_page(bg, f"w{i}", ["x", "y", str(i % 2)], 0 if i % 2 else 1)
         for i in range(6)
     ]
     vectors = {wl.id: context_vector(wl, bg) for wl in lists}

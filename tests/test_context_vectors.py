@@ -1,0 +1,65 @@
+"""Context vectors read off each page's token index, checked on real runs.
+
+`context_vector` reads a list's window from its page's `TokenIndex` by
+rendered offset.  On miniweb and on the three generated benchmark
+workloads (grouping on), every list's vector must equal, item by item and
+in order, the vector built by tokenizing the list's context string, and
+its window's tokens must be that string's.  The report digests alone
+cannot show a wrong vector: miniweb's report does not change under any
+`sim_lambda`.
+"""
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import ctms.pipeline
+from ctms.config import PipelineConfig
+from ctms.corpus import FixtureProvider, load_fixture
+from ctms.text import tokenize
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.append(str(PERFBENCH))
+
+from workloads import WORKLOADS, materialize  # noqa: E402
+
+
+def weights_from_context(weblist, background):
+    """The tf-idf weights of ``tokenize(weblist.context)``."""
+    weights = {}
+    for word, count in Counter(tokenize(weblist.context)).items():
+        w = count * background.idf.get(word, background.unseen_idf)
+        if w > 0.0:
+            weights[word] = w
+    return weights
+
+
+@pytest.mark.parametrize("name", ["miniweb", "dense_pages", "many_lists", "deep_snippets"])
+def test_context_vectors_equal_those_of_the_context_strings(name, tmp_path, monkeypatch):
+    workload = WORKLOADS[name]
+    bundle = materialize(workload, 1, tmp_path)
+    cfg = PipelineConfig.from_dict({**workload.config, "disambiguation": True})
+    seen = []
+    original = ctms.pipeline.context_vector
+
+    def spy(weblist, background):
+        vector = original(weblist, background)
+        seen.append((weblist, background, vector))
+        return vector
+
+    monkeypatch.setattr(ctms.pipeline, "context_vector", spy)
+    report = ctms.pipeline.mine(workload.term, cfg, FixtureProvider(load_fixture(bundle)))
+    assert len(seen) == report.weblist_count > 0
+    for weblist, background, vector in seen:
+        index = background.pages[weblist.page]
+        lo, before, after, hi = weblist.window
+        assert (index.text[lo:before] + " " + index.text[after:hi]).strip() == weblist.context
+        tokens = index.tokens_in(lo, before) + index.tokens_in(after, hi)
+        assert tokens == tokenize(weblist.context), weblist.id
+        want = weights_from_context(weblist, background)
+        assert list(vector.weights.items()) == list(want.items()), weblist.id
+    # dense_pages has 3 pages, so a word in 2 or 3 of them weighs nothing.
+    assert any(vector.weights for _, _, vector in seen)

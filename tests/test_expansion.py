@@ -173,12 +173,17 @@ context_soup = st.lists(
 @given(context_soup)
 def test_context_window_slices_the_rendered_halves(html):
     # The window is `window` rendered characters from each half of the page
-    # around the list, for every list range and window.
+    # around the list, for every list range and window; its bounds slice
+    # those halves from the page's rendered text.
     tree = parse_html(html)
     n = len(tree.source)
+    text = tree.visible_text()
     for window in (1, 2, 7, 200):
         for a in range(n + 1):
             before = tree.visible_text(0, a)[-window:]
             for b in range(a, n + 1):
-                expected = (before + " " + tree.visible_text(b, n)[:window]).strip()
-                assert _context_window(tree, a, b, window) == expected, (a, b, window)
+                after = tree.visible_text(b, n)[:window]
+                context, (lo, mid_a, mid_b, hi) = _context_window(tree, a, b, window)
+                assert context == (before + " " + after).strip(), (a, b, window)
+                assert (text[lo:mid_a], text[mid_b:hi]) == (before, after), (a, b, window)
+                assert 0 <= lo <= mid_a <= mid_b <= hi <= len(text), (a, b, window)

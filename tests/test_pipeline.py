@@ -24,6 +24,7 @@ from ctms.pipeline import (
     snippet_sentences,
 )
 from ctms.ranking import build_relation_graph
+from ctms.text import TokenIndex
 from ctms.wrappers import Wrapper
 
 EXPERIMENT = Path(__file__).resolve().parent.parent / "scripts" / "run_miniweb_experiment.py"
@@ -146,7 +147,8 @@ def test_affix_max_n_reaches_the_graph():
     # No miniweb report depends on affix_max_n; these two terms share the
     # suffix 学 at n <= 1 and also 大学 at n <= 2.
     terms = ("北京大学", "斯坦福大学")
-    lists = [WebList("L1", terms, "u", Wrapper("<li>", "</li>", "ul/li/#text"), "")]
+    wrapper = Wrapper("<li>", "</li>", "ul/li/#text")
+    lists = [WebList("L1", terms, "u", wrapper, "", 0, (0, 0, 0, 0))]
     cluster = ConceptCluster("L1", ("L1",), frozenset(terms))
     graphs = [
         build_relation_graph(cluster, lists, terms[0], PipelineConfig(affix_max_n=n))
@@ -232,9 +234,9 @@ def test_term_below_the_support_floor_has_no_provenance(monkeypatch):
     # list but is no member term, so it gets neither a rank nor an entry.
     wrapper = Wrapper("<li>", "</li>", "#document/ul/li/#text")
     lists = [
-        WebList("w1", ("甲", "乙", "丙"), "u1", wrapper, ""),
-        WebList("w2", ("甲", "乙"), "u2", wrapper, ""),
-        WebList("w3", ("乙", "甲"), "u3", wrapper, ""),
+        WebList("w1", ("甲", "乙", "丙"), "u1", wrapper, "", 0, (0, 0, 0, 0)),
+        WebList("w2", ("甲", "乙"), "u2", wrapper, "", 0, (0, 0, 0, 0)),
+        WebList("w3", ("乙", "甲"), "u3", wrapper, "", 0, (0, 0, 0, 0)),
     ]
     monkeypatch.setattr(
         pipeline, "extract_initial_candidates", lambda *a: [ScoredCandidate("乙", 2, 2)]
@@ -319,6 +321,18 @@ def test_no_disambiguation_builds_no_background_corpus(miniweb_provider, monkeyp
     monkeypatch.setattr(pipeline, "BackgroundCorpus", refuse)
     nd = mine("华盛顿", PipelineConfig(disambiguation=False), miniweb_provider)
     assert len(nd.concepts) == 1
+
+
+def test_no_disambiguation_builds_no_token_index(miniweb_provider, monkeypatch):
+    # Pages are tokenized only for grouping, never in expansion.
+    def refuse(self, text):
+        raise AssertionError("token index built")
+
+    monkeypatch.setattr(TokenIndex, "__init__", refuse)
+    nd = mine("华盛顿", PipelineConfig(disambiguation=False), miniweb_provider)
+    assert len(nd.concepts) == 1
+    with pytest.raises(AssertionError, match="token index built"):
+        mine("华盛顿", PipelineConfig(), miniweb_provider)
 
 
 def test_snippet_sentences_reports_failed_queries(miniweb_provider):

@@ -18,7 +18,10 @@ W = Wrapper("<li>", "</li>", "ul/li/#text")
 
 
 def make_weblist(wid, terms):
-    return WebList(id=wid, terms=tuple(terms), source_url="u", wrapper=W, context="")
+    return WebList(
+        id=wid, terms=tuple(terms), source_url="u", wrapper=W, context="", page=0,
+        window=(0, 0, 0, 0),
+    )
 
 
 def make_cluster(weblists, seed):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ctms import text as text_module
 from ctms.text import (
     SENTENCE_BREAKS,
+    TokenIndex,
     is_punct_char,
     is_punct_text,
     nfc_trim,
@@ -90,6 +91,31 @@ def test_tokenize_latin_runs_and_cjk_bigrams():
 @given(st.text(alphabet=st.sampled_from(MIXED_ALPHABET), max_size=40))
 def test_tokenize_matches_character_loop(text):
     assert tokenize(text) == tokenize_by_loop(text)
+
+
+# ASCII words, CJK, hiragana, katakana, hangul, ASCII and CJK punctuation
+# and whitespace, plus the mixed alphabet's edge cases: runs of each kind
+# that touch, and runs of one character.
+_INDEX_ALPHABET = MIXED_ALPHABET + "abXY7中国大学かなカナ한국어。，、.!- \u3000"
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=st.sampled_from(_INDEX_ALPHABET), max_size=30))
+def test_token_index_slices_equal_tokenize_of_the_slice(text):
+    index = TokenIndex(text)
+    assert index.tokens == tokenize(text)
+    for x in range(len(text) + 1):
+        for y in range(x, len(text) + 2):
+            assert index.tokens_in(x, y) == tokenize(text[x:y]), (x, y)
+
+
+def test_token_index_recomputes_clipped_runs():
+    index = TokenIndex("北京大学 Washington")
+    assert index.tokens == ["北京", "京大", "大学", "washington"]
+    assert index.tokens_in(1, 3) == ["京大"]
+    assert index.tokens_in(3, 7) == ["学", "wa"]
+    assert index.tokens_in(0, 4) == ["北京", "京大", "大学"]
+    assert index.tokens_in(2, 2) == []
 
 
 def test_term_char_matches_category_definition():
