@@ -24,14 +24,20 @@ The context dot products of all list pairs come from one inverted index,
 word -> [(list, weight)], so a pair costs only the words the two lists
 share.  They are added in the order of the pair's smaller vector, as a
 pairwise loop over that vector adds them; the words such a loop has
-beyond the shared ones add ``w * 0.0``, which changes no bit.  The
-content part's shared-term counts come the same way from a term ->
-[list] table; they are exact integers, so ``shared / min(|a|, |b|)``
-has the bits of ``len(a & b) / min(|a|, |b|)``.  Each visited list adds
-into plain lists indexed by list number, ``[0.0] * n`` and ``[0] * n``,
-rather than dicts: a pair that shares no word keeps the dot product
-0.0, and 0.0 over a non-zero product of norms is cosine 0.0, as a
-pairwise loop gives.
+beyond the shared ones add ``w * 0.0``, which changes no bit.  Each
+visited list adds into a plain list indexed by list number,
+``[0.0] * n``, rather than a dict: a pair that shares no word keeps the
+dot product 0.0, and 0.0 over a non-zero product of norms is cosine
+0.0, as a pairwise loop gives.  The content part's shared-term count is
+the popcount of the AND of two int bitmasks over the run's distinct
+terms, an exact integer, so ``shared / min(|a|, |b|)`` has the bits of
+``len(a & b) / min(|a|, |b|)``.
+
+The merge loop sums a cluster pair's linkage only when its largest
+member-pair similarity reaches a floor set just below the threshold, by
+more than the rounding error of the sum can lift an average; a pair
+under it could never merge, and its linkage is stored as a sentinel
+below every score, so the merges are those of the full computation.
 """
 
 from __future__ import annotations
@@ -117,49 +123,56 @@ class _Features(NamedTuple):
 def _similarity_matrix(features: Sequence[_Features], lam: float) -> list[list[float]]:
     """Every pair's `list_similarity`, the earlier list as first argument.
 
-    Lists are visited by descending (vector size, index).  Each starts
-    fresh accumulators, plain lists indexed by list number.  It walks its
-    own words in dict order, adds ``w * wb`` to the dot-product slot of
+    Lists are visited by descending (vector size, index).  Each starts a
+    fresh dot-product accumulator, a plain list indexed by list number.
+    It walks its own words in dict order, adds ``w * wb`` to the slot of
     every list already posted under the word, then posts its own weight:
     a pair is summed over its shared words, in the order of its smaller
-    vector (the earlier one on equal size).  Its terms do the same with a
-    term -> lists table, counting each pair's shared terms exactly.  Term
+    vector (the earlier one on equal size).  Each list's terms are an int
+    bitmask over the distinct terms of the call, so a pair's shared-term
+    count is the exact integer ``(mask_a & mask_b).bit_count()``.  Term
     counts and norms are read from lists built once per call.  A pair
     that shares no word keeps the dot product 0.0, so its cosine is
     0.0 / (norm * norm_b) = 0.0, as a pairwise loop gives; a zero-norm
-    side gives cosine 0.0 without a division.
+    side gives cosine 0.0 without a division.  The clamp is written as
+    two tests, which give ``min(1.0, max(0.0, x))`` for every x (a NaN
+    or -0.0 becomes 0.0).
     """
     n = len(features)
+    bits: dict[str, int] = {}
+    masks = []
+    for f in features:
+        mask = 0
+        for term in f.terms:
+            mask |= bits.setdefault(term, 1 << len(bits))
+        masks.append(mask)
     sizes = [len(f.terms) for f in features]
     norms = [f.norm for f in features]
+    mu = 1.0 - lam
     sim = [[0.0] * n for _ in range(n)]
     word_postings: dict[str, list[tuple[int, float]]] = {}
-    term_postings: dict[str, list[int]] = {}
     seen: list[int] = []
     for a in sorted(range(n), key=lambda i: (len(features[i].weights), i), reverse=True):
-        terms, weights, norm = features[a]
         dots = [0.0] * n
-        for word, w in weights.items():
+        for word, w in features[a].weights.items():
             posted = word_postings.setdefault(word, [])
             for b, wb in posted:
                 dots[b] += w * wb
             posted.append((a, w))
-        shared = [0] * n
-        for term in terms:
-            posted_lists = term_postings.setdefault(term, [])
-            for b in posted_lists:
-                shared[b] += 1
-            posted_lists.append(a)
-        size = sizes[a]
+        mask, size, norm = masks[a], sizes[a], norms[a]
         row = sim[a]
         for b in seen:
             size_b = sizes[b]
-            content = shared[b] / (size if size < size_b else size_b)
+            content = (mask & masks[b]).bit_count() / (size if size < size_b else size_b)
             norm_b = norms[b]
             cosine = 0.0
             if norm != 0.0 and norm_b != 0.0:
-                cosine = min(1.0, max(0.0, dots[b] / (norm * norm_b)))
-            row[b] = sim[b][a] = lam * content + (1.0 - lam) * cosine
+                cosine = dots[b] / (norm * norm_b)
+                if not cosine > 0.0:
+                    cosine = 0.0
+                elif cosine > 1.0:
+                    cosine = 1.0
+            row[b] = sim[b][a] = lam * content + mu * cosine
         seen.append(a)
     return sim
 
@@ -198,6 +211,11 @@ class ConceptCluster:
     member_terms: frozenset[str]
 
 
+# The stored linkage of a cluster pair whose sum `cluster_weblists` skips:
+# below every similarity, which lies in [0, 1].
+_SKIPPED = -1.0
+
+
 def cluster_weblists(
     weblists: Sequence[WebList],
     vectors: Mapping[str, ContextVector],
@@ -216,15 +234,23 @@ def cluster_weblists(
 
     The `list_similarity` of every list pair is computed once, into one
     matrix indexed by position in the sorted ids, from one posting table
-    (`_similarity_matrix`, bit-identical to pairwise folds over each
-    pair's smaller vector; see the module notes).  The average linkage of
-    every live cluster pair is kept too, with each cluster's best partner
-    among the clusters with larger ids.  A merge scores only the merged
-    cluster against each survivor, summing its member pairs in the order
-    of a full rescan (the members of the cluster with the smaller id in
-    the outer loop, both sorted), so every score, threshold comparison and
-    tie-break, and hence the merge schedule, is the one that rescanning
-    all cluster pairs after every merge would produce.
+    and one bitmask per list (`_similarity_matrix`, bit-identical to
+    pairwise folds over each pair's smaller vector; see the module
+    notes).  The average linkage of every live cluster pair is kept too,
+    with each cluster's best partner among the clusters with larger ids,
+    and the largest similarity of any of the pair's member pairs.  A merge
+    scores only the merged cluster against each survivor, summing its
+    member pairs in the order of a full rescan (the members of the
+    cluster with the smaller id in the outer loop, both sorted).  It
+    skips the sum, and stores a sentinel below every score, when that
+    largest similarity is under a floor: the threshold lowered by
+    (n*n + 8) * 2**-53 of itself, more than rounding can lift an average
+    of n*n/4 terms.  Such a linkage is under the threshold for certain;
+    the sentinel can neither be the best score nor tie it, and a cluster
+    whose partners were all skipped never gains a summed one.  So every
+    score, threshold comparison and tie-break, and hence the merge
+    schedule, is the one that rescanning all cluster pairs after every
+    merge would produce.
     """
     by_id = {wl.id: wl for wl in weblists}
     ids = sorted(by_id)
@@ -237,31 +263,49 @@ def cluster_weblists(
     sim = _similarity_matrix(features, cfg.sim_lambda)
 
     # A cluster is keyed by its smallest member index; link[p][q] (p < q) is
-    # the average linkage of live clusters p and q, and best[p] is the
-    # (score, q) of p's best partner q > p: highest score, then smallest q.
-    # `members` iterates in ascending key order (a merge reassigns p's entry
-    # and pops q's), which that tie-break relies on.  A singleton pair's
-    # linkage (0.0 + s) / 1 is s itself.
+    # the average linkage of live clusters p and q, or _SKIPPED, and best[p]
+    # is the (score, q) of p's best partner q > p: highest score, then
+    # smallest q.  `members` iterates in ascending key order (a merge
+    # reassigns p's entry and pops q's), which that tie-break relies on.  A
+    # singleton pair's linkage (0.0 + s) / 1 is s itself.
     members: dict[int, list[int]] = {p: [p] for p in range(n)}
     link = [row[:] for row in sim]
     best: dict[int, tuple[float, int]] = {}
 
+    # top[p][q] == top[q][p] is the largest similarity of a member pair of
+    # live clusters p and q; merging p and q makes it the larger of the two
+    # rows' entries.  A linkage is a left-to-right sum of m <= n*n/4
+    # non-negative similarities, none above top, divided by m: the sum is
+    # at most 1 + (m-1)u / (1 - (m-1)u) times the exact one (u = 2**-53),
+    # and the division adds at most u.  `floor` lies below the threshold
+    # by (n*n + 8)u of it, more than those errors and its own two roundings
+    # add up to, so a pair whose top is under `floor` has a linkage under
+    # the threshold in every bit.  top < threshold alone would not do:
+    # ((0.1 + 0.1) + 0.1) / 3 > 0.1.  (Once n*n + 8 reaches 2**53, `floor` is
+    # at most 0 and nothing is skipped.)  A skipped linkage is stored as
+    # _SKIPPED, so it can neither be the best score nor tie it.  A cluster
+    # whose partners above it are all skipped leaves `best` for good, as
+    # one without partners does: merging two of those partners keeps the
+    # larger of two tops under `floor`, so that sum is skipped too.
+    top = [row[:] for row in sim]
+    floor = cfg.cluster_threshold * (1.0 - (n * n + 8) * 2.0**-53)
+
     def rescore_row(p: int) -> None:
-        top, arg = -1.0, -1
+        high, arg = _SKIPPED, -1
         row = link[p]
         for q in members:
-            if q > p and row[q] > top:
-                top, arg = row[q], q
+            if q > p and row[q] > high:
+                high, arg = row[q], q
         if arg < 0:
             best.pop(p, None)
         else:
-            best[p] = (top, arg)
+            best[p] = (high, arg)
 
     for p in range(n):
         rescore_row(p)
 
     while best:
-        p, score, q = -1, -1.0, -1
+        p, score, q = -1, _SKIPPED, -1
         for r, (s, partner) in best.items():
             if s > score or (s == score and r < p):
                 p, score, q = r, s, partner
@@ -270,6 +314,7 @@ def cluster_weblists(
         merged = sorted(members[p] + members.pop(q))
         members[p] = merged
         best.pop(q, None)
+        top_p, top_q = top[p], top[q]
         for c, other in members.items():
             if c == p:
                 continue
@@ -277,6 +322,12 @@ def cluster_weblists(
                 outer, inner, target, col = other, merged, link[c], p
             else:
                 outer, inner, target, col = merged, other, link[p], c
+            high = top_p[c]
+            if top_q[c] > high:
+                high = top_p[c] = top[c][p] = top_q[c]
+            if high < floor:
+                target[col] = _SKIPPED
+                continue
             total = 0.0
             for a in outer:
                 row = sim[a]

@@ -1,10 +1,13 @@
 import itertools
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ctms.concepts
 import ctms.pipeline
 from ctms.concepts import (
     BackgroundCorpus,
@@ -18,9 +21,16 @@ from ctms.concepts import (
     list_similarity,
 )
 from ctms.config import PipelineConfig
+from ctms.corpus import FixtureProvider, load_fixture
 from ctms.expansion import WebList
 from ctms.text import tokenize
 from ctms.wrappers import Wrapper
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+if str(PERFBENCH) not in sys.path:
+    sys.path.append(str(PERFBENCH))
+
+from workloads import WORKLOADS, materialize  # noqa: E402
 
 W = Wrapper("<li>", "</li>", "ul/li/#text")
 
@@ -424,7 +434,9 @@ def test_clustering_matches_rescan_oracle_at_linkage_thresholds(specs, rng, lam)
         assert got == want, threshold
 
 
-def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider, monkeypatch):
+def clustered_inputs(monkeypatch, term, cfg, provider):
+    """The weblists and context vectors a mine of `term` hands to
+    `cluster_weblists`, which it calls once."""
     calls = []
 
     def spy(weblists, vectors, *args):
@@ -432,37 +444,87 @@ def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider, monkeypat
         return cluster_weblists(weblists, vectors, *args)
 
     monkeypatch.setattr(ctms.pipeline, "cluster_weblists", spy)
-    report = ctms.pipeline.mine("华盛顿", PipelineConfig(), miniweb_provider)
+    report = ctms.pipeline.mine(term, cfg, provider)
     assert len(calls) == 1
     weblists, vectors = calls[0]
-    assert weblists == report.weblists and len(weblists) > 20
+    assert weblists == report.weblists
+    return weblists, vectors
+
+
+# The lam values the miniweb checks run at: the blend's two extremes, where
+# one side of the similarity is all there is, and three in between.
+_MINIWEB_LAMS = (0.0, 0.3, 0.5, 0.8, 1.0)
+
+
+def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider, monkeypatch):
+    weblists, vectors = clustered_inputs(
+        monkeypatch, "华盛顿", PipelineConfig(), miniweb_provider
+    )
+    assert len(weblists) > 20
     for threshold in (0.3, 0.5, 0.65, 0.8):
-        for lam in (0.3, 0.5, 0.8):
+        for lam in _MINIWEB_LAMS:
             got = cluster_weblists(weblists, vectors, grouping(threshold, lam))
             want = rescan_reference(weblists, vectors, threshold, lam)
             assert got == want, (threshold, lam)
+
+
+def test_clustering_matches_rescan_oracle_on_many_lists(tmp_path, monkeypatch):
+    # The generated workload whose merges skip the most linkage sums.
+    workload = WORKLOADS["many_lists"]
+    bundle = materialize(workload, 1, tmp_path)
+    cfg = PipelineConfig.from_dict(dict(workload.config))
+    weblists, vectors = clustered_inputs(
+        monkeypatch, workload.term, cfg, FixtureProvider(load_fixture(bundle))
+    )
+    assert len(weblists) == 63
+    for threshold in (0.3, 0.5, 0.65, 0.8):
+        got = cluster_weblists(weblists, vectors, grouping(threshold, cfg.sim_lambda))
+        want = rescan_reference(weblists, vectors, threshold, cfg.sim_lambda)
+        assert got == want, threshold
+
+
+def test_skipped_sums_keep_a_linkage_that_rounds_up_to_the_threshold(monkeypatch):
+    # a, b and c are pairwise 0.9 and each 0.1 with d.  Once a, b and c
+    # have merged, every member pair with d is 0.1, below the threshold, yet
+    # their average ((0.1 + 0.1) + 0.1) / 3 is the threshold itself, so d
+    # merges too: a skip rule that compared the largest member similarity
+    # with the threshold alone would keep d apart.
+    threshold = ((0.1 + 0.1) + 0.1) / 3
+    assert threshold > 0.1
+    pairs = {("a", "b"): 0.9, ("a", "c"): 0.9, ("b", "c"): 0.9}
+    pairs.update({(x, "d"): 0.1 for x in "abc"})
+    lists = [make_weblist(wid, [wid, wid + "2"]) for wid in "abcd"]
+    vectors = {wid: ContextVector({}) for wid in "abcd"}
+
+    def score(x, y):
+        return pairs[(x, y) if x < y else (y, x)]
+
+    def similarity(ta, _va, tb, _vb, _lam):
+        return score(ta[0], tb[0])
+
+    def matrix(features, _lam):
+        names = [min(f.terms) for f in features]
+        return [[score(x, y) if x != y else 0.0 for y in names] for x in names]
+
+    monkeypatch.setattr(ctms.concepts, "_similarity_matrix", matrix)
+    got = cluster_weblists(lists, vectors, grouping(threshold, 0.5))
+    assert [c.lists for c in got] == [("a", "b", "c", "d")]
+    assert got == rescan_reference(lists, vectors, threshold, 0.5, similarity=similarity)
 
 
 def test_similarity_matrix_is_the_left_fold_formula_on_miniweb(miniweb_provider, monkeypatch):
     # `rescan_reference` scores pairs with `list_similarity`, which is
     # `_similarity_matrix` itself; this checks the matrix of the lists a
     # real mine clusters against the independent left-fold formula.
-    calls = []
-
-    def spy(weblists, vectors, *args):
-        calls.append((weblists, vectors))
-        return cluster_weblists(weblists, vectors, *args)
-
-    monkeypatch.setattr(ctms.pipeline, "cluster_weblists", spy)
-    ctms.pipeline.mine("华盛顿", PipelineConfig(), miniweb_provider)
-    assert len(calls) == 1
-    weblists, vectors = calls[0]
+    weblists, vectors = clustered_inputs(
+        monkeypatch, "华盛顿", PipelineConfig(), miniweb_provider
+    )
     ordered = sorted(weblists, key=lambda wl: wl.id)
     assert len(ordered) == 52  # 1,326 pairs
     features = [
         _Features(set(wl.terms), vectors[wl.id].weights, vectors[wl.id].norm) for wl in ordered
     ]
-    for lam in (0.3, 0.5, 0.8):
+    for lam in _MINIWEB_LAMS:
         sim = _similarity_matrix(features, lam)
         for i, a in enumerate(ordered):
             for j, b in enumerate(ordered[i + 1 :], i + 1):
