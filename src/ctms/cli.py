@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .corpus import FixtureError, FixtureProvider, load_fixture
+from .expansion import window_text
 from .metrics import GoldFormatError, load_gold
 from .pipeline import (
     MiningReport,
@@ -93,14 +94,15 @@ def _run_mine(args: argparse.Namespace) -> int:
 
 
 def _weblists_jsonl(report: MiningReport) -> str:
-    """The run's web lists, one JSON object per line, in list-id order."""
+    """The run's web lists, one JSON object per line, in list-id order;
+    each list's context is its window rendered from its page's text."""
     return "".join(
         json.dumps(
             {
                 "id": wl.id,
                 "source_url": wl.source_url,
                 "terms": list(wl.terms),
-                "context": wl.context,
+                "context": window_text(report.pages[wl.source_url], wl.window),
                 "wrapper": {
                     "left": wl.wrapper.left,
                     "right": wl.wrapper.right,

@@ -9,10 +9,11 @@ that similarity, followed by support and seed filters, yields the
 concepts.
 
 Each fetched page's rendered text is tokenized once, into a
-`TokenIndex`: the page's token set feeds the document frequencies, and
-a list's context vector reads its window's tokens off its page's index
-by rendered offset, recomputing only a token run that the window clips.
-The tokens come in the order `tokenize` of the window text gives them.
+`TokenIndex` keyed by its URL: the page's token set feeds the document
+frequencies, and a list's context vector reads its window's tokens off
+the index of its `source_url` by the window's rendered bounds (only the
+``--dump-weblists`` output renders a window to text), recomputing only a
+token run the window clips, in the order `tokenize` of its text gives them.
 
 Every float sum here (norms, dot products, linkage totals) is a loop that
 adds left to right, never the built-in ``sum``: from Python 3.12 on,
@@ -56,12 +57,12 @@ class BackgroundCorpus:
     """Each fetched page's tokens, and document-frequency statistics over
     the pages; an idf counts documents only, so their order does not matter."""
 
-    def __init__(self, texts: Iterable[str]):
-        # One index per page, in fetch order, as WebList.page numbers them.
-        self.pages = [TokenIndex(text) for text in texts]
+    def __init__(self, pages: Mapping[str, str]):
+        # One index per page, keyed by URL, as WebList.source_url names it.
+        self.pages = {url: TokenIndex(text) for url, text in pages.items()}
         self.size = len(self.pages)
         doc_freq: Counter[str] = Counter()
-        for page in self.pages:
+        for page in self.pages.values():
             doc_freq.update(set(page.tokens))
         # A word's idf is fixed for the run, so each is computed once.  A
         # window that clips a token run can make a word no page has (the
@@ -99,7 +100,7 @@ class ContextVector:
 def context_vector(weblist: WebList, background: BackgroundCorpus) -> ContextVector:
     """tf-idf of the tokens of `weblist`'s context window, whose two
     halves are read off its page's index."""
-    page = background.pages[weblist.page]
+    page = background.pages[weblist.source_url]
     lo, before, after, hi = weblist.window
     tf = Counter(page.tokens_in(lo, before))
     tf.update(page.tokens_in(after, hi))

@@ -6,13 +6,13 @@ pages.  Wrapper learning on every retrieved page still uses every known
 term, the seed and all initial candidates, so a page need only mention
 any two of them with a shared template for its lists to be harvested.
 
-Each learned wrapper's spans on its page become one WebList, carrying a
-window of the rendered text around the list for the later concept stage:
-the rendered offsets of the list's first and last span bound it, and
-only the window's characters on each side are sliced from the page's
-rendered text.  The list also keeps the window's rendered bounds and its
-page's number in fetch order, so that the concept stage reads the
-window's tokens off the page's, tokenized once.
+Each learned wrapper's spans on its page become one WebList.  A list
+names its page by URL, and keeps the window of rendered text around it,
+for the later concept stage, as rendered bounds only: the rendered
+offsets of the list's first and last span, each widened by the window
+size.  The concept stage reads the window's tokens off its page's,
+tokenized once; the window is rendered to text only for the
+``--dump-weblists`` output (`window_text`).
 Pages are processed once even when several queries return them, and the
 result is sorted by list id so downstream stages see a stable order.
 """
@@ -20,7 +20,7 @@ result is sorted by list id so downstream stages see a stable order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import PipelineConfig
 from .corpus import SearchProvider, TransientSearchError
@@ -39,19 +39,15 @@ class WebList:
     terms: tuple[str, ...]  # distinct, first-occurrence order, at least two
     source_url: str
     wrapper: Wrapper
-    context: str  # the window's text, the two halves joined by a space, stripped
-    # Where the window lies, for the concept stage; not compared, and not
-    # written by the dump.  `page` indexes ExpandResult.page_texts, and the
-    # window is text[lo:before] and text[after:hi] of that page's rendered
-    # text, for `window` = (lo, before, after, hi).
-    page: int = field(compare=False)
-    window: tuple[int, int, int, int] = field(compare=False)
+    # (lo, before, after, hi): the window is text[lo:before] and
+    # text[after:hi] of the rendered text of the page at `source_url`.
+    window: tuple[int, int, int, int]
 
 
 @dataclass
 class ExpandResult:
     weblists: list[WebList]  # sorted by list id
-    page_texts: list[str]  # each processed page's rendered text, in fetch order
+    pages: dict[str, str]  # URL -> rendered text of each processed page, in fetch order
     queries_run: list[str]  # every expansion query, failed ones included
     wrappers_learned: int
     skipped: list[str]  # diagnostics for failed queries/pages
@@ -72,22 +68,26 @@ def weblist_id(url: str, wrapper: Wrapper) -> str:
 
 def _context_window(
     tree: DomTree, first_start: int, last_end: int, window: int
-) -> tuple[str, tuple[int, int, int, int]]:
-    """The `window` (at least 1) rendered characters before a list's first
-    span and after its last, joined by a space and stripped, and their
-    rendered bounds (lo, before, after, hi); only those characters are
-    sliced from the page's rendered text."""
-    text = tree.visible_text()
+) -> tuple[int, int, int, int]:
+    """The rendered bounds (lo, before, after, hi) of the `window` (at least
+    1) rendered characters before a list's first span and after its last."""
     before, after = tree.rendered_offset(first_start), tree.rendered_offset(last_end)
-    lo, hi = max(0, before - window), min(len(text), after + window)
-    return (text[lo:before] + " " + text[after:hi]).strip(), (lo, before, after, hi)
+    hi = min(len(tree.visible_text()), after + window)
+    return max(0, before - window), before, after, hi
+
+
+def window_text(text: str, window: tuple[int, int, int, int]) -> str:
+    """A list's context: the two halves of its `window` on its page's
+    rendered `text`, joined by a space and stripped."""
+    lo, before, after, hi = window
+    return (text[lo:before] + " " + text[after:hi]).strip()
 
 
 def harvest_page(
-    url: str, page: int, tree: DomTree, terms: tuple[str, ...], cfg: PipelineConfig
+    url: str, tree: DomTree, terms: tuple[str, ...], cfg: PipelineConfig
 ) -> tuple[list[WebList], int]:
     """Learn wrappers for `terms` (the seed, then the initial candidates) on
-    page number `page` (in fetch order) and turn their spans into WebLists.
+    the page at `url` and turn their spans into WebLists.
 
     A wrapper whose spans strip to fewer than two distinct terms yields no
     list, so every WebList has at least two.  Returns the lists and the
@@ -100,11 +100,9 @@ def harvest_page(
         terms = [term for term in dict.fromkeys(stripped) if term]
         if len(terms) < 2:
             continue
-        context, window = _context_window(tree, spans[0][0], spans[-1][1], cfg.context_window)
+        window = _context_window(tree, spans[0][0], spans[-1][1], cfg.context_window)
         # Positional: keyword arguments cost a page of many lists measurably more.
-        lists.append(
-            WebList(weblist_id(url, wrapper), tuple(terms), url, wrapper, context, page, window)
-        )
+        lists.append(WebList(weblist_id(url, wrapper), tuple(terms), url, wrapper, window))
     return lists, len(spans_by_wrapper)
 
 
@@ -118,7 +116,7 @@ def expand(
     """
     terms = (seed,) + candidates
     result = ExpandResult(
-        weblists=[], page_texts=[], queries_run=expansion_queries(seed, candidates),
+        weblists=[], pages={}, queries_run=expansion_queries(seed, candidates),
         wrappers_learned=0, skipped=[],
     )
     seen_urls: set[str] = set()
@@ -138,9 +136,8 @@ def expand(
                 result.skipped.append(f"page {hit.url!r}: {exc}")
                 continue
             tree = parse_html(page.html)
-            number = len(result.page_texts)
-            result.page_texts.append(tree.visible_text())
-            lists, learned = harvest_page(hit.url, number, tree, terms, cfg)
+            result.pages[hit.url] = tree.visible_text()
+            lists, learned = harvest_page(hit.url, tree, terms, cfg)
             result.wrappers_learned += learned
             result.weblists.extend(lists)
 

@@ -68,9 +68,10 @@ class MiningReport:
     weblist_count: int
     concepts: list[ConceptReport]
     diagnostics: dict[str, Any] = field(default_factory=dict)
-    # The run's web lists, kept in memory only: not serialized, compared
-    # or printed, so the report JSON is the same with or without them.
+    # The run's web lists and pages (URL -> rendered text), in memory only:
+    # not serialized, compared or printed, so the JSON is the same without them.
     weblists: list[WebList] = field(default_factory=list, compare=False, repr=False)
+    pages: dict[str, str] = field(default_factory=dict, compare=False, repr=False)
 
     def to_json(self) -> str:
         payload = {
@@ -205,10 +206,10 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
     # Stage 2: expansion over retrieved pages.
     expansion: ExpandResult = expand(seed, tuple(c.text for c in candidates), provider, cfg)
     weblists = expansion.weblists
-    report.weblists = weblists
+    report.weblists, report.pages = weblists, expansion.pages
     report.weblist_count = len(weblists)
     diagnostics["expansion_queries"] = expansion.queries_run
-    diagnostics["pages_processed"] = len(expansion.page_texts)
+    diagnostics["pages_processed"] = len(expansion.pages)
     diagnostics["wrappers_learned"] = expansion.wrappers_learned
     if expansion.skipped:
         diagnostics["skipped"] = expansion.skipped
@@ -220,16 +221,13 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
     weblists_by_id = {wl.id: wl for wl in weblists}
 
     if cfg.disambiguation:
-        background = BackgroundCorpus(expansion.page_texts)
+        background = BackgroundCorpus(expansion.pages)
         vectors = {wl.id: context_vector(wl, background) for wl in weblists}
         clusters = cluster_weblists(weblists, vectors, cfg)
-        diagnostics["clusters_total"] = len(clusters)
-        kept = filter_clusters(clusters, seed, len(weblists), cfg)
-        diagnostics["clusters_kept"] = len(kept)
     else:
         # One pseudo-concept of all lists.  The cluster filter's support
         # idea applies per term: its terms are those in enough lists, and
-        # the seed.
+        # the seed if any list holds it, which `filter_clusters` requires.
         support: Counter[str] = Counter()
         for wl in weblists:
             support.update(set(wl.terms))
@@ -240,9 +238,10 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
             lists=all_ids,
             member_terms=frozenset(t for t, c in support.items() if c >= floor or t == seed),
         )
-        kept = [pseudo] if seed in support else []
-        diagnostics["clusters_total"] = 1
-        diagnostics["clusters_kept"] = len(kept)
+        clusters = [pseudo]
+    diagnostics["clusters_total"] = len(clusters)
+    kept = filter_clusters(clusters, seed, len(weblists), cfg)
+    diagnostics["clusters_kept"] = len(kept)
 
     if not kept:
         notes.append("no concept found: all clusters filtered out")

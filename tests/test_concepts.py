@@ -35,21 +35,22 @@ from workloads import WORKLOADS, materialize  # noqa: E402
 W = Wrapper("<li>", "</li>", "ul/li/#text")
 
 
-def make_weblist(wid, terms, page=0, window=(0, 0, 0, 0), context=""):
-    return WebList(
-        id=wid, terms=tuple(terms), source_url="u", wrapper=W, context=context, page=page,
-        window=window,
-    )
+def background(texts):
+    """The corpus of `texts` as fetched pages, the i-th at URL ``p{i}``."""
+    return BackgroundCorpus({f"p{i}": text for i, text in enumerate(texts)})
+
+
+def make_weblist(wid, terms, url="p0", window=(0, 0, 0, 0)):
+    return WebList(id=wid, terms=tuple(terms), source_url=url, wrapper=W, window=window)
 
 
 def on_page(bg, wid, terms, page, window=None):
-    """A list whose context window lies on page `page` of `bg`: the given
-    rendered bounds (lo, before, after, hi), or the whole page as its
-    before-half; its context text is cut as `harvest_page` cuts it."""
-    text = bg.pages[page].text
-    lo, before, after, hi = window or (0, len(text), len(text), len(text))
-    context = (text[lo:before] + " " + text[after:hi]).strip()
-    return make_weblist(wid, terms, page, (lo, before, after, hi), context)
+    """A list whose context window lies on page number `page` of `bg` (see
+    `background`): the given rendered bounds (lo, before, after, hi), or
+    the whole page as its before-half."""
+    url = f"p{page}"
+    text = bg.pages[url].text
+    return make_weblist(wid, terms, url, window or (0, len(text), len(text), len(text)))
 
 
 def _left_fold(values):
@@ -79,7 +80,7 @@ def left_fold_similarity(ta, wa, tb, wb, lam):
 def test_idf_formula_direct():
     # 100 documents, word in 9 of them: idf = log(100/10)
     docs = ["目标词汇目标词汇" if i < 9 else "别的" for i in range(100)]
-    bg = BackgroundCorpus(docs)
+    bg = background(docs)
     wl = on_page(bg, "a", ["x", "y"], 0)
     vec = context_vector(wl, bg)
     assert vec.weights["目标"] == pytest.approx(2 * math.log(10))
@@ -87,7 +88,7 @@ def test_idf_formula_direct():
 
 def test_ubiquitous_word_clamps_to_zero():
     docs = ["常见词"] * 10
-    bg = BackgroundCorpus(docs)
+    bg = background(docs)
     wl = on_page(bg, "a", ["x", "y"], 0)
     vec = context_vector(wl, bg)
     # in every doc: log(10/11) < 0, clamped away entirely
@@ -95,7 +96,7 @@ def test_ubiquitous_word_clamps_to_zero():
 
 
 def test_absent_word_has_no_weight():
-    bg = BackgroundCorpus(["背景", "上下文"])
+    bg = background(["背景", "上下文"])
     vec = context_vector(on_page(bg, "a", ["x", "y"], 1), bg)
     assert "背景" not in vec.weights
 
@@ -108,14 +109,14 @@ def test_idf_does_not_depend_on_document_order(texts, rng):
     # Mining passes pages in fetch order; an idf counts documents only.
     shuffled = texts[:]
     rng.shuffle(shuffled)
-    corpora = [BackgroundCorpus(t) for t in (texts, texts[::-1], shuffled)]
+    corpora = [background(t) for t in (texts, texts[::-1], shuffled)]
     words = {w for text in texts for w in tokenize(text)} | {"未见"}
     for word in words:
         assert len({bg.idf.get(word, bg.unseen_idf) for bg in corpora}) == 1, word
 
 
 def test_identical_lists_similarity_one():
-    bg = BackgroundCorpus(["甲", "乙", "丙"])
+    bg = background(["甲", "乙", "丙"])
     a = on_page(bg, "a", ["x", "y"], 0)
     va = context_vector(a, bg)
     assert va.norm > 0
@@ -123,7 +124,7 @@ def test_identical_lists_similarity_one():
 
 
 def test_disjoint_lists_orthogonal_contexts():
-    bg = BackgroundCorpus(["甲词", "乙词", "丙"])
+    bg = background(["甲词", "乙词", "丙"])
     a = on_page(bg, "a", ["x"], 0)
     b = on_page(bg, "b", ["y"], 1)
     sim = list_similarity(a.terms, context_vector(a, bg), b.terms, context_vector(b, bg), 0.5)
@@ -131,7 +132,7 @@ def test_disjoint_lists_orthogonal_contexts():
 
 
 def test_containment_scores_full_content_part():
-    bg = BackgroundCorpus(["同一段文字", "别", "另"])
+    bg = background(["同一段文字", "别", "另"])
     a = on_page(bg, "a", ["x", "y"], 0)
     b = on_page(bg, "b", ["x", "y", "z", "w"], 0)
     sim = list_similarity(
@@ -141,7 +142,7 @@ def test_containment_scores_full_content_part():
 
 
 def test_zero_norm_context_contributes_zero():
-    bg = BackgroundCorpus(["文", "字"])
+    bg = background(["文", "字"])
     a = make_weblist("a", ["x", "y"])
     va = context_vector(a, bg)
     assert va.norm == 0.0
@@ -210,7 +211,7 @@ def test_similarity_matrix_bits_are_the_left_fold_formula(specs, lam):
 
 
 def test_two_identical_lists_form_one_cluster():
-    bg = BackgroundCorpus(["相同内容", "旁白", "其他"])
+    bg = background(["相同内容", "旁白", "其他"])
     lists = [
         on_page(bg, "a1", ["x", "y"], 0),
         on_page(bg, "a2", ["x", "y"], 0),
@@ -224,7 +225,7 @@ def test_two_identical_lists_form_one_cluster():
 
 
 def test_dissimilar_lists_stay_apart():
-    bg = BackgroundCorpus(["甲önt", "乙많"])
+    bg = background(["甲önt", "乙많"])
     # Windows "甲" and "乙", the second clipping the run "乙많".
     lists = [
         on_page(bg, "a", ["x", "p"], 0, (0, 1, 1, 1)),
@@ -237,7 +238,7 @@ def test_dissimilar_lists_stay_apart():
 
 def test_agglomerative_schedule_three_lists():
     # Sim(a,b) high via shared terms; c shares nothing: expect {a,b},{c}
-    bg = BackgroundCorpus(["文一", "文二", "旁"])
+    bg = background(["文一", "文二", "旁"])
     lists = [
         on_page(bg, "a", ["x", "y", "z"], 0),
         on_page(bg, "b", ["x", "y", "z", "w"], 0),
@@ -251,7 +252,7 @@ def test_agglomerative_schedule_three_lists():
 
 def test_cluster_determinism_under_shuffle():
     rng = random.Random(3)
-    bg = BackgroundCorpus(["语境甲", "语境乙"])
+    bg = background(["语境甲", "语境乙"])
     lists = [
         on_page(bg, f"w{i}", ["x", "y", str(i % 2)], 0 if i % 2 else 1)
         for i in range(6)

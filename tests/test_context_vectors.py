@@ -3,10 +3,9 @@
 `context_vector` reads a list's window from its page's `TokenIndex` by
 rendered offset.  On miniweb and on the three generated benchmark
 workloads (grouping on), every list's vector must equal, item by item and
-in order, the vector built by tokenizing the list's context string, and
-its window's tokens must be that string's.  The report digests alone
-cannot show a wrong vector: miniweb's report does not change under any
-`sim_lambda`.
+in order, the vector built by tokenizing the list's context (its window
+rendered to text, as the web-list dump writes it), and its window's
+tokens must be that text's.
 """
 
 import sys
@@ -18,6 +17,7 @@ import pytest
 import ctms.pipeline
 from ctms.config import PipelineConfig
 from ctms.corpus import FixtureProvider, load_fixture
+from ctms.expansion import window_text
 from ctms.text import tokenize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -27,10 +27,10 @@ if str(PERFBENCH) not in sys.path:
 from workloads import WORKLOADS, materialize  # noqa: E402
 
 
-def weights_from_context(weblist, background):
-    """The tf-idf weights of ``tokenize(weblist.context)``."""
+def weights_from_context(context, background):
+    """The tf-idf weights of ``tokenize(context)``."""
     weights = {}
-    for word, count in Counter(tokenize(weblist.context)).items():
+    for word, count in Counter(tokenize(context)).items():
         w = count * background.idf.get(word, background.unseen_idf)
         if w > 0.0:
             weights[word] = w
@@ -54,12 +54,13 @@ def test_context_vectors_equal_those_of_the_context_strings(name, tmp_path, monk
     report = ctms.pipeline.mine(workload.term, cfg, FixtureProvider(load_fixture(bundle)))
     assert len(seen) == report.weblist_count > 0
     for weblist, background, vector in seen:
-        index = background.pages[weblist.page]
+        index = background.pages[weblist.source_url]
+        assert index.text == report.pages[weblist.source_url]
+        context = window_text(index.text, weblist.window)
         lo, before, after, hi = weblist.window
-        assert (index.text[lo:before] + " " + index.text[after:hi]).strip() == weblist.context
         tokens = index.tokens_in(lo, before) + index.tokens_in(after, hi)
-        assert tokens == tokenize(weblist.context), weblist.id
-        want = weights_from_context(weblist, background)
+        assert tokens == tokenize(context), weblist.id
+        want = weights_from_context(context, background)
         assert list(vector.weights.items()) == list(want.items()), weblist.id
     # dense_pages has 3 pages, so a word in 2 or 3 of them weighs nothing.
     assert any(vector.weights for _, _, vector in seen)

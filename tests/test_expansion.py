@@ -10,6 +10,7 @@ from ctms.expansion import (
     expand,
     expansion_queries,
     weblist_id,
+    window_text,
 )
 from ctms.wrappers import Wrapper
 
@@ -73,7 +74,7 @@ def test_mini_expansion_harvests_full_navigation_list(tmp_path):
         {"http://x/nav": NAV_PAGE},
     )
     result = expand("宝马", ("法拉利", "奥迪"), provider, PipelineConfig())
-    assert len(result.page_texts) == 1
+    assert list(result.pages) == ["http://x/nav"]
     harvested = {wl.terms for wl in result.weblists}
     # at least one wrapper generalizes to the full six-brand list
     assert ("宝马", "法拉利", "保时捷", "奥迪", "捷豹", "兰博基尼") in harvested
@@ -96,7 +97,7 @@ def test_page_shared_by_two_queries_processed_once(tmp_path):
         {"http://x/nav": NAV_PAGE},
     )
     result = expand("宝马", ("法拉利", "奥迪"), provider, PipelineConfig())
-    assert len(result.page_texts) == 1
+    assert list(result.pages) == ["http://x/nav"]
 
 
 def test_weblists_sorted_by_id_and_deterministic(tmp_path):
@@ -109,9 +110,8 @@ def test_weblists_sorted_by_id_and_deterministic(tmp_path):
     second = expand("宝马", ("法拉利", "奥迪"), provider, PipelineConfig())
     ids = [wl.id for wl in first.weblists]
     assert ids == sorted(ids)
-    assert [(w.id, w.terms, w.context) for w in first.weblists] == [
-        (w.id, w.terms, w.context) for w in second.weblists
-    ]
+    assert first.weblists == second.weblists
+    assert list(first.pages.items()) == list(second.pages.items())
 
 
 def test_weblist_terms_are_distinct_and_min_two(tmp_path):
@@ -135,8 +135,9 @@ def test_context_window_contains_surrounding_text(tmp_path):
     result = expand("宝马", ("法拉利",), provider, PipelineConfig())
     assert result.weblists
     for wl in result.weblists:
-        assert "品牌导航" in wl.context
-        assert "<" not in wl.context
+        context = window_text(result.pages[wl.source_url], wl.window)
+        assert "品牌导航" in context
+        assert "<" not in context
 
 
 def test_weblist_id_stable():
@@ -173,8 +174,8 @@ context_soup = st.lists(
 @given(context_soup)
 def test_context_window_slices_the_rendered_halves(html):
     # The window is `window` rendered characters from each half of the page
-    # around the list, for every list range and window; its bounds slice
-    # those halves from the page's rendered text.
+    # around the list, for every list range and window: its bounds slice
+    # those halves from the page's rendered text, and `window_text` joins them.
     tree = parse_html(html)
     n = len(tree.source)
     text = tree.visible_text()
@@ -183,7 +184,8 @@ def test_context_window_slices_the_rendered_halves(html):
             before = tree.visible_text(0, a)[-window:]
             for b in range(a, n + 1):
                 after = tree.visible_text(b, n)[:window]
-                context, (lo, mid_a, mid_b, hi) = _context_window(tree, a, b, window)
-                assert context == (before + " " + after).strip(), (a, b, window)
+                bounds = lo, mid_a, mid_b, hi = _context_window(tree, a, b, window)
                 assert (text[lo:mid_a], text[mid_b:hi]) == (before, after), (a, b, window)
                 assert 0 <= lo <= mid_a <= mid_b <= hi <= len(text), (a, b, window)
+                context = window_text(text, bounds)
+                assert context == (before + " " + after).strip(), (a, b, window)

@@ -9,7 +9,7 @@ import pytest
 
 from ctms import pipeline
 from ctms.concepts import ConceptCluster
-from ctms.corpus import TransientSearchError
+from ctms.corpus import FixtureProvider, TransientSearchError, load_fixture
 from ctms.expansion import ExpandResult, WebList
 from ctms.linguistic import ScoredCandidate, build_queries
 from ctms.metrics import GoldAnswer, GoldConcept, load_gold
@@ -148,13 +148,55 @@ def test_affix_max_n_reaches_the_graph():
     # suffix 学 at n <= 1 and also 大学 at n <= 2.
     terms = ("北京大学", "斯坦福大学")
     wrapper = Wrapper("<li>", "</li>", "ul/li/#text")
-    lists = [WebList("L1", terms, "u", wrapper, "", 0, (0, 0, 0, 0))]
+    lists = [WebList("L1", terms, "u", wrapper, (0, 0, 0, 0))]
     cluster = ConceptCluster("L1", ("L1",), frozenset(terms))
     graphs = [
         build_relation_graph(cluster, lists, terms[0], PipelineConfig(affix_max_n=n))
         for n in (1, 2)
     ]
     assert graphs[0].vertices != graphs[1].vertices
+
+
+def test_affix_max_n_reorders_a_mined_ranking(tmp_path):
+    # Every term ends in 学; the 大学 terms also share 大学 with the seed,
+    # and the 中学 terms share 中学.  Only at n >= 2 do those two-character
+    # endings join the graph, lifting 丙大学 above 东中学.
+    seed = "甲大学"
+    pages = {
+        "http://x/0": ["甲大学", "乙大学", "东中学"],
+        "http://x/1": ["甲大学", "乙大学", "西中学", "丙大学"],
+        "http://x/2": ["甲大学", "乙大学", "西中学"],
+    }
+    (tmp_path / "pages").mkdir()
+    for i, items in enumerate(pages.values()):
+        html = "<ul>" + "".join(f"<li>{t}</li>" for t in items) + "</ul>"
+        (tmp_path / "pages" / f"p{i}.html").write_text(html, encoding="utf-8")
+
+    def hits(snippet, urls=("http://x/0",)):
+        return [{"rank": r, "title": "t", "snippet": snippet, "url": u}
+                for r, u in enumerate(urls, start=1)]
+
+    manifest = {
+        "queries": [
+            {"query": seed + "和", "hits": hits("甲大学和乙大学。" * 3)},
+            {"query": "和" + seed, "hits": hits("乙大学和甲大学。" * 3)},
+            {"query": seed + "比", "hits": []},
+            {"query": "比" + seed, "hits": []},
+            {"query": seed + " 乙大学", "hits": hits("s", list(pages))},
+        ],
+        "pages": [{"url": u, "file": f"pages/p{i}.html"} for i, u in enumerate(pages)],
+    }
+    (tmp_path / "manifest.json").write_text(
+        json.dumps(manifest, ensure_ascii=False), encoding="utf-8"
+    )
+    provider = FixtureProvider(load_fixture(tmp_path))
+    orders = {}
+    for n in (1, 3):
+        cfg = PipelineConfig(affix_max_n=n, disambiguation=False)
+        (concept,) = mine(seed, cfg, provider).concepts
+        orders[n] = [t for t, _ in concept.ranked_terms]
+    assert orders[1] == ["乙大学", "西中学", "东中学", "丙大学"]
+    assert orders[3] == ["乙大学", "西中学", "丙大学", "东中学"]
 
 
 def test_every_config_field_is_checked_for_reach():
@@ -164,7 +206,8 @@ def test_every_config_field_is_checked_for_reach():
 
 def test_report_keeps_weblists_out_of_json(report):
     assert len(report.weblists) == report.weblist_count > 0
-    assert "weblists" not in json.loads(report.to_json())
+    assert len(report.pages) == report.diagnostics["pages_processed"] > 0
+    assert {"weblists", "pages"}.isdisjoint(json.loads(report.to_json()))
     assert MiningReport.from_json(report.to_json()) == report
 
 
@@ -234,15 +277,15 @@ def test_term_below_the_support_floor_has_no_provenance(monkeypatch):
     # list but is no member term, so it gets neither a rank nor an entry.
     wrapper = Wrapper("<li>", "</li>", "#document/ul/li/#text")
     lists = [
-        WebList("w1", ("甲", "乙", "丙"), "u1", wrapper, "", 0, (0, 0, 0, 0)),
-        WebList("w2", ("甲", "乙"), "u2", wrapper, "", 0, (0, 0, 0, 0)),
-        WebList("w3", ("乙", "甲"), "u3", wrapper, "", 0, (0, 0, 0, 0)),
+        WebList("w1", ("甲", "乙", "丙"), "u1", wrapper, (0, 0, 0, 0)),
+        WebList("w2", ("甲", "乙"), "u2", wrapper, (0, 0, 0, 0)),
+        WebList("w3", ("乙", "甲"), "u3", wrapper, (0, 0, 0, 0)),
     ]
     monkeypatch.setattr(
         pipeline, "extract_initial_candidates", lambda *a: [ScoredCandidate("乙", 2, 2)]
     )
     monkeypatch.setattr(
-        pipeline, "expand", lambda *a: ExpandResult(lists, [], [], 3, [])
+        pipeline, "expand", lambda *a: ExpandResult(lists, {}, [], 3, [])
     )
 
     class NoSnippets:

@@ -10,7 +10,10 @@ call is code no command, script or criterion reaches.  An attribute that
 a class sets in ``__init__`` must be read by the package: one that is
 only ever appended to or assigned is bookkeeping nothing consumes.
 Exception classes are exempt; their fields are for the callers that
-handle the fault.
+handle the fault.  Likewise a field of a dataclass or NamedTuple must be
+read as an attribute by the package, the scripts, the benchmark harness
+or the acceptance criteria: a field that only its constructor call
+fills is a second record of a fact nothing reads.
 """
 
 import ast
@@ -108,8 +111,9 @@ def unreached_public_names(defining, reaching) -> list[str]:
     ]
 
 
-def test_every_public_name_in_the_package_is_reached():
-    package = sorted(SRC.glob("*.py"))
+def _reaching(package):
+    """The package and the code that runs it: the scripts, the benchmark
+    harness and the acceptance criteria."""
     reaching = [
         *package,
         *sorted((ROOT / "scripts").glob("*.py")),
@@ -117,7 +121,12 @@ def test_every_public_name_in_the_package_is_reached():
         ROOT / "tests" / "test_acceptance.py",
     ]
     assert package and all(path.is_file() for path in reaching)
-    assert unreached_public_names(package, reaching) == []
+    return reaching
+
+
+def test_every_public_name_in_the_package_is_reached():
+    package = sorted(SRC.glob("*.py"))
+    assert unreached_public_names(package, _reaching(package)) == []
 
 
 def test_a_public_name_only_tests_call_is_reported(tmp_path):
@@ -237,6 +246,69 @@ def test_a_write_only_attribute_is_reported(tmp_path):
         "Index.ends",
         "Index.owners",
         "Index.starts",
+    ]
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """Whether a class is a dataclass or a NamedTuple."""
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    names = [getattr(n, "id", getattr(n, "attr", "")) for n in (*decorators, *node.bases)]
+    return "dataclass" in names or "NamedTuple" in names
+
+
+def _record_fields(tree: ast.Module):
+    """(class name, field) for each field of a top-level dataclass or NamedTuple."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _is_record(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def unread_fields(defining, reaching, exempt=()) -> list[str]:
+    """``Class.field`` for each field of a dataclass or NamedTuple in
+    `defining` that no file in `reaching` reads as an attribute; classes
+    named in `exempt` are left out."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in {*defining, *reaching}}
+    read = set().union(*(_attribute_reads(trees[path]) for path in reaching))
+    return sorted(
+        f"{cls}.{name}"
+        for path in defining
+        for cls, name in _record_fields(trees[path])
+        if cls not in exempt and name not in read
+    )
+
+
+def test_every_record_field_is_read():
+    # `MiningReport.to_json` writes a ConceptReport through `asdict`, so
+    # each of its fields reaches the report JSON without an attribute read.
+    package = sorted(SRC.glob("*.py"))
+    assert unread_fields(package, _reaching(package), exempt={"ConceptReport"}) == []
+
+
+def test_an_unread_record_field_is_reported(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "from typing import NamedTuple\n"
+        "@dataclass(frozen=True)\n"
+        "class SearchHit:\n    title: str\n    query: str\n"
+        "class RawPage(NamedTuple):\n    url: str\n    html: str\n"
+        "@dataclasses.dataclass\n"
+        "class Run:\n    notes: list\n    size: int = 0\n"
+        "@dataclass\n"
+        "class Shown:\n    text: str\n"
+        "class Plain:\n    limit: int = 3\n"
+        "def fetch(hit, page, run):\n"
+        "    run.notes.append(hit.title)\n"
+        "    return run.size + len(page.html)\n",
+        encoding="utf-8",
+    )
+    assert unread_fields([module], [module], exempt={"Shown"}) == [
+        "RawPage.url",
+        "Run.notes",
+        "SearchHit.query",
     ]
 
 

@@ -18,10 +18,7 @@ W = Wrapper("<li>", "</li>", "ul/li/#text")
 
 
 def make_weblist(wid, terms):
-    return WebList(
-        id=wid, terms=tuple(terms), source_url="u", wrapper=W, context="", page=0,
-        window=(0, 0, 0, 0),
-    )
+    return WebList(id=wid, terms=tuple(terms), source_url="u", wrapper=W, window=(0, 0, 0, 0))
 
 
 def make_cluster(weblists, seed):
