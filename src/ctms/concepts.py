@@ -122,7 +122,11 @@ class _Features(NamedTuple):
 
 
 def _similarity_matrix(features: Sequence[_Features], lam: float) -> list[list[float]]:
-    """Every pair's `list_similarity`, the earlier list as first argument.
+    """Every list pair's similarity, in [0, 1]: ``lam`` times the content
+    part |a∩b| / min(|a|, |b|) of their (non-empty) term sets, plus
+    ``1 - lam`` times the cosine of their context vectors.  Containment
+    scores 1 on the content side, so a sub-concept list merges with its
+    parent; a zero-norm vector gives cosine 0.
 
     Lists are visited by descending (vector size, index).  Each starts a
     fresh dot-product accumulator, a plain list indexed by list number.
@@ -178,25 +182,6 @@ def _similarity_matrix(features: Sequence[_Features], lam: float) -> list[list[f
     return sim
 
 
-def list_similarity(
-    a_terms: Iterable[str],
-    a_vec: ContextVector,
-    b_terms: Iterable[str],
-    b_vec: ContextVector,
-    lam: float,
-) -> float:
-    """Blend of content overlap and context cosine, in [0, 1].
-
-    `lam`, in [0, 1], weighs the content part, |a∩b| / min(|a|, |b|), of
-    two non-empty term lists: containment scores 1 so that a sub-concept
-    list merges with its parent.  A zero-norm context vector contributes 0
-    on the context side.
-    """
-    a = _Features(set(a_terms), a_vec.weights, a_vec.norm)
-    b = _Features(set(b_terms), b_vec.weights, b_vec.norm)
-    return _similarity_matrix([a, b], lam)[0][1]
-
-
 @dataclass(frozen=True)
 class ConceptCluster:
     """A group of web lists assumed to share one meaning of the seed.
@@ -225,15 +210,17 @@ def cluster_weblists(
     """Greedy average-linkage agglomeration down to the similarity threshold.
 
     Clusters merge while the best average pairwise similarity between two
-    clusters is at least ``cfg.cluster_threshold``; a list pair's
-    similarity is `list_similarity` with ``lam = cfg.sim_lambda``.  Ties
+    clusters is at least ``cfg.cluster_threshold``.  A list pair's
+    similarity blends content overlap, |a∩b| / min(|a|, |b|) of their
+    terms, with the cosine of their context vectors, weighted ``lam =
+    cfg.sim_lambda`` and ``1 - lam`` (`_similarity_matrix`).  Ties
     break on the lexicographically smallest (cluster id, cluster id) pair;
     a cluster's id is the smallest member weblist id, so the procedure is
     deterministic for a fixed input.  `weblists` is non-empty and each has
     at least two terms, as `harvest_page` makes them; the clusters are
     returned seed or not, for `filter_clusters` to judge.
 
-    The `list_similarity` of every list pair is computed once, into one
+    The similarity of every list pair is computed once, into one
     matrix indexed by position in the sorted ids, from one posting table
     and one bitmask per list (`_similarity_matrix`, bit-identical to
     pairwise folds over each pair's smaller vector; see the module
@@ -260,7 +247,7 @@ def cluster_weblists(
         _Features(set(by_id[i].terms), vectors[i].weights, vectors[i].norm) for i in ids
     ]
 
-    # sim[a][b] is list_similarity with the smaller id as first argument.
+    # sim[a][b] is the pair's similarity, the smaller id as first list.
     sim = _similarity_matrix(features, cfg.sim_lambda)
 
     # A cluster is keyed by its smallest member index; link[p][q] (p < q) is

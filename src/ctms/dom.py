@@ -7,8 +7,8 @@ script/style body, and the rendered text, so one scan fills only the
 segment table (each maximal run of positions with one path id, as its
 start and path id, and the rendered text before it) and joins the
 rendered text.  Each position query is then one bisection into it:
-``path_id_at(pos)`` / ``path_at(pos)`` (markup characters resolve to
-their element), ``visible_text(lo, hi)``, and the path id of each hit of
+``path_id_at(pos)`` (markup characters resolve to their element),
+``rendered_offset(pos)``, and the path id of each hit of
 ``occurrence_ids(terms)``.
 
 Tag paths are hash-consed: ``(parent path id, tag)`` is interned to one
@@ -132,10 +132,6 @@ class DomTree:
             raise IndexError(f"position {pos} outside source of length {len(self.source)}")
         return self.seg_path[bisect_right(self.seg_start, pos) - 1]
 
-    def path_at(self, pos: int) -> str:
-        """Tag path of the deepest construct containing `pos` (slash-joined)."""
-        return self.path_string(self.path_id_at(pos))
-
     def path_string(self, path_id: int) -> str:
         """The slash-joined tag path of a path id, built on first request."""
         path = self._path_strings.get(path_id)
@@ -165,13 +161,10 @@ class DomTree:
         i = bisect_right(starts, pos) - 1
         return 0 if i < 0 else min(rendered[i] + pos - starts[i], rendered[i + 1])
 
-    def visible_text(self, lo: int = 0, hi: int | None = None) -> str:
-        """Rendered text within a source range: text runs outside script/style."""
-        if hi is None:
-            if lo <= 0:  # the whole page's text, not a copy
-                return self._text
-            hi = len(self.source)
-        return self._text[self.rendered_offset(lo) : self.rendered_offset(hi)]
+    def visible_text(self) -> str:
+        """The page's rendered text: text runs outside script/style.  A
+        source range's text is its slice between its ends' `rendered_offset`s."""
+        return self._text
 
     def occurrence_ids(self, terms) -> list[tuple[int, str, int]]:
         """(pos, term, path id) of every exact occurrence of every term,

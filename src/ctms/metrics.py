@@ -1,12 +1,13 @@
 """Gold answers and evaluation metrics.
 
-Term-based metrics (precision at n, average precision) judge a term
-correct when it appears in any gold concept; when the system returns
-several ranked lists they are first merged round-robin.  Concept-based
-metrics weight per-list average precision by list sizes — by result-list
-sizes (penalizing noisy clusters) or by gold-list sizes (rewarding
-coverage of every category).  Cluster quality uses the purity family over
-the retained terms, i.e. result terms that exist somewhere in the gold.
+A system's results are one ranked term list per concept.  Term-based
+metrics (precision at n, average precision) judge a term correct when it
+appears in any gold concept; several ranked lists are first merged
+round-robin.  Concept-based metrics weight per-list average precision by
+list sizes — by result-list sizes (penalizing noisy clusters) or by
+gold-list sizes (rewarding coverage of every category).  Cluster quality
+uses the purity family over the retained terms, i.e. result terms that
+exist somewhere in the gold.
 
 Matching is exact string equality after whitespace trim and Unicode NFC
 normalization; result terms that are equal after it count once, at their
@@ -36,15 +37,6 @@ class GoldAnswer:
 
     def union(self) -> frozenset[str]:
         return frozenset(t for c in self.concepts for t in c.terms)
-
-
-@dataclass(frozen=True)
-class ResultSet:
-    seed: str
-    lists: tuple[tuple[tuple[str, float], ...], ...]  # ranked (term, score) lists
-
-    def term_lists(self) -> list[list[str]]:
-        return [[term for term, _score in lst] for lst in self.lists]
 
 
 class GoldFormatError(ValueError):
@@ -110,9 +102,9 @@ def average_precision(ranked: Sequence[str], gold: Iterable[str]) -> float:
     return total / len(gold_set)
 
 
-def aap(results: ResultSet, gold: GoldAnswer) -> float:
+def aap(results: Sequence[Sequence[str]], gold: GoldAnswer) -> float:
     """Average of per-list best average precision, weighted by result-list size."""
-    lists = [_norm_list(lst) for lst in results.term_lists()]
+    lists = [_norm_list(lst) for lst in results]
     sizes = [len(lst) for lst in lists]
     denominator = sum(sizes)
     if denominator == 0:
@@ -127,23 +119,24 @@ def aap(results: ResultSet, gold: GoldAnswer) -> float:
     return total / denominator
 
 
-def iaap(results: ResultSet, gold: GoldAnswer) -> float:
+def iaap(results: Sequence[Sequence[str]], gold: GoldAnswer) -> float:
     """Average of per-category best average precision, weighted by gold size."""
     if not gold.concepts:
         raise ValueError("gold answer must contain at least one concept")
-    lists = results.term_lists()
     denominator = sum(len(c.terms) for c in gold.concepts)
     total = 0.0
     for concept in gold.concepts:
         best = max(
-            (average_precision(lst, concept.terms) for lst in lists),
+            (average_precision(lst, concept.terms) for lst in results),
             default=0.0,
         )
         total += len(concept.terms) * best
     return total / denominator
 
 
-def cluster_quality(results: ResultSet, gold: GoldAnswer) -> tuple[float, float, float]:
+def cluster_quality(
+    results: Sequence[Sequence[str]], gold: GoldAnswer
+) -> tuple[float, float, float]:
     """(purity, inverse purity, F) over the retained-term contingency.
 
     Terms absent from the gold union are excluded first; gold categories
@@ -152,9 +145,7 @@ def cluster_quality(results: ResultSet, gold: GoldAnswer) -> tuple[float, float,
     nothing is retained.
     """
     universe = gold.union()
-    clusters = [
-        [t for t in _norm_list(lst) if t in universe] for lst in results.term_lists()
-    ]
+    clusters = [[t for t in _norm_list(lst) if t in universe] for lst in results]
     clusters = [c for c in clusters if c]
     returned = {t for c in clusters for t in c}
     categories = [

@@ -28,7 +28,6 @@ from .expansion import ExpandResult, WebList, expand
 from .linguistic import extract_initial_candidates, build_queries
 from .metrics import (
     GoldAnswer,
-    ResultSet,
     aap,
     average_precision,
     cluster_quality,
@@ -109,11 +108,9 @@ class MiningReport:
             diagnostics=data["diagnostics"],
         )
 
-    def result_set(self) -> ResultSet:
-        return ResultSet(
-            seed=self.seed,
-            lists=tuple(tuple(c.ranked_terms) for c in self.concepts),
-        )
+    def result_set(self) -> tuple[tuple[str, ...], ...]:
+        """The ranked terms of each concept, as the metrics take them."""
+        return tuple(tuple(term for term, _ in c.ranked_terms) for c in self.concepts)
 
 
 def _concept_report(
@@ -266,7 +263,7 @@ def evaluate(report: MiningReport, gold: GoldAnswer, n_values: list[int]) -> dic
             f"seed mismatch: report has {report.seed!r}, gold has {gold.seed!r}"
         )
     results = report.result_set()
-    merged = interleave(results.term_lists())
+    merged = interleave(results)
     gold_union = gold.union()
 
     purity, inverse_purity, f_measure = cluster_quality(results, gold)
@@ -301,14 +298,16 @@ def format_metric_table(table: dict[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_report_table(report: MiningReport, top: int = 10) -> str:
-    """Side-by-side top terms per concept, one column per concept."""
+# Terms per concept column of `format_report_table`.
+TABLE_ROWS = 10
+
+
+def format_report_table(report: MiningReport) -> str:
+    """Side-by-side top `TABLE_ROWS` terms per concept, one column per concept."""
     if not report.concepts:
         return f"seed: {report.seed}\n(no concepts)\n"
     headers = [f"concept {c.id} ({c.list_count} lists)" for c in report.concepts]
-    columns = [
-        [term for term, _ in c.ranked_terms[:top]] for c in report.concepts
-    ]
+    columns = [[term for term, _ in c.ranked_terms[:TABLE_ROWS]] for c in report.concepts]
     width = max(12, *(len(h) for h in headers)) + 2
     depth = max(len(col) for col in columns)
     lines = [f"seed: {report.seed}"]

@@ -111,10 +111,7 @@ def tokenize(text: str) -> list[str]:
     token).  Kana and hangul count as CJK here, which is adequate for our
     purposes.  Everything else separates tokens.
     """
-    tokens: list[str] = []
-    for m in _TOKEN_RUNS.finditer(text.translate(_CHAR_CLASSES)):
-        tokens += _run_tokens(text[m.start() : m.end()])
-    return tokens
+    return TokenIndex(text).tokens
 
 
 def _run_tokens(run: str) -> list[str]:
@@ -130,9 +127,9 @@ class TokenIndex:
     """The tokens of one text, kept by token run, so that the tokens of any
     slice of it are mostly read, not recomputed.
 
-    Token runs are the maximal ASCII and CJK runs `tokenize` cuts: run i
+    Token runs are the maximal ASCII and CJK runs of the text: run i
     spans ``text[starts[i]:ends[i]]`` and its tokens are
-    ``tokens[firsts[i]:firsts[i + 1]]``, so ``tokens`` is ``tokenize(text)``.
+    ``tokens[firsts[i]:firsts[i + 1]]``.  ``tokens`` is ``tokenize(text)``.
     """
 
     __slots__ = ("text", "starts", "ends", "firsts", "tokens")

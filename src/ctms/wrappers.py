@@ -25,7 +25,8 @@ its spans on the page, learned per tag-path group of seed occurrences:
      match counts, in one walk of the trie, without building every
      shared context.
   3. Each (left level, right level) pair is a candidate wrapper.  It is
-     kept if it passes the validity rules, brackets at least
+     kept if it passes the validity rules (`_contexts_pass`; its path
+     ends at a #text or #attr node), brackets at least
      ``min_distinct_seeds`` different seeds, and no candidate with
      strictly longer contexts brackets exactly the same page spans (the
      longer one is more precise at no cost, so it wins).  A level holds
@@ -61,11 +62,10 @@ apply a wrapper.
 
 Extraction (`extract_spans`) is the independent check on those spans,
 not part of mining: it finds every position of its wrappers' context
-strings with one C-level scan per distinct pattern
-(`MultiMatcher.positions`, built on `text.find_all`), resolves each
-wrapper's path string to its id once, and applies the span rule per
-wrapper.  By the restriction argument above, it returns exactly the spans
-learning does for every learned wrapper.
+strings with one C-level scan (`text.find_all`) per distinct string,
+resolves each wrapper's path string to its id once, and applies the span
+rule per wrapper.  By the restriction argument above, it returns exactly
+the spans learning does for every learned wrapper.
 """
 
 from __future__ import annotations
@@ -95,44 +95,18 @@ class Wrapper:
     path: str
 
 
-class MultiMatcher:
-    """Every occurrence of every pattern in a fixed set, overlaps included.
-
-    Patterns are kept distinct, non-empty and sorted; each is found with
-    its own `find_all` scan of the text.
-    """
-
-    def __init__(self, patterns: Iterable[str]):
-        self.patterns: list[str] = sorted({p for p in patterns if p})
-
-    def positions(self, text: str) -> dict[str, list[int]]:
-        """Ascending start positions per pattern; ``[]`` for one that never occurs."""
-        return {p: find_all(text, p) for p in self.patterns}
-
-    def find(self, text: str) -> list[tuple[str, int]]:
-        """(pattern, start) pairs by ascending start, longest pattern first on ties."""
-        results = [(p, i) for p, starts in self.positions(text).items() for i in starts]
-        results.sort(key=lambda m: (m[1], -len(m[0]), m[0]))
-        return results
-
-
-def is_valid_wrapper(w: Wrapper, cfg: PipelineConfig) -> bool:
-    """Heuristic validity rules that weed out degenerate wrappers.
-
-    1. both sides are non-empty and at least one carries non-whitespace;
-    2. the sides are both punctuation or both not;
-    3. non-punctuation sides must jointly span at least `kappa` characters;
-    4. the path must end at a textual node (#text or #attr).
-    """
-    return w.path.rsplit("/", 1)[-1] in TEXTUAL_TAGS and _contexts_pass(
-        w.left, w.right, is_punct_text(w.left), is_punct_text(w.right), cfg.kappa
-    )
-
-
 def _contexts_pass(
     left: str, right: str, left_punct: bool, right_punct: bool, kappa: int
 ) -> bool:
-    """Rules 1-3 of `is_valid_wrapper`, given each side's `is_punct_text`."""
+    """Rules 1-3 of wrapper validity, given each side's `is_punct_text`.
+
+    1. both sides are non-empty and at least one carries non-whitespace;
+    2. the sides are both punctuation or both not;
+    3. non-punctuation sides must jointly span at least `kappa` characters.
+
+    Rule 4, a path ending at a #text or #attr node, holds per tag-path
+    group; `learn_wrappers` checks it there.
+    """
     if not left or not right:
         return False
     if left.isspace() and right.isspace():
@@ -297,8 +271,8 @@ def learn_wrappers(
 
     kept: dict[tuple[str, str, str], list[tuple[int, int]]] = {}  # (left, right, path)
     for path_id, group in groups.items():
-        # Rule 4 of `is_valid_wrapper`, and being in a script/style body,
-        # hold for all of a group or none of it.
+        # Rule 4 (the path ends at a #text or #attr node), and being in a
+        # script/style body, hold for all of a group or none of it.
         if tree.path_raw[path_id] or tree.path_tag[path_id] not in TEXTUAL_TAGS:
             continue
         if len({term for term, _ in group}) < cfg.min_distinct_seeds:
@@ -388,13 +362,11 @@ def extract_spans(
     independent check that they are the wrappers' spans on the page.
     """
     wrapper_list = sorted(set(wrappers))
-    if not wrapper_list:
-        return {}
-    matcher = MultiMatcher(c for w in wrapper_list for c in (w.left, w.right))
-    positions = matcher.positions(tree.source)
+    contexts = {c for w in wrapper_list for c in (w.left, w.right)}
+    positions = {c: find_all(tree.source, c) for c in contexts}
     out: dict[Wrapper, list[tuple[int, int]]] = {}
     for w in wrapper_list:
-        ends = [p + len(w.left) for p in positions.get(w.left, [])]
-        out[w] = spans_on_path(tree, ends, positions.get(w.right, []), tree.path_id(w.path))
+        ends = [p + len(w.left) for p in positions[w.left]]
+        out[w] = spans_on_path(tree, ends, positions[w.right], tree.path_id(w.path))
     return out
 

@@ -16,22 +16,16 @@ import numpy as np
 import pytest
 
 import acceptance_log as conftest
-from ctms.concepts import ContextVector, list_similarity
-from ctms.dom import parse_html
+from ctms.concepts import ContextVector, _Features, _similarity_matrix
+from ctms.dom import TEXTUAL_TAGS, parse_html
 from ctms.linguistic import extract_initial_candidates
-from ctms.metrics import average_precision, load_gold
+from ctms.metrics import GoldAnswer, GoldConcept, aap, average_precision, iaap, load_gold
 from ctms.pipeline import PipelineConfig, evaluate, mine
 from ctms.ranking import RelationGraph, rwr_scores, walk_probabilities
-from ctms.wrappers import (
-    MAX_TERM_LEN,
-    MultiMatcher,
-    Wrapper,
-    extract_spans,
-    is_valid_wrapper,
-    learn_wrappers,
-)
+from ctms.text import is_punct_text
+from ctms.wrappers import MAX_TERM_LEN, extract_spans, learn_wrappers
 
-from test_dom import FIG_FRAGMENT
+from test_dom import FIG_FRAGMENT, path_at
 
 
 def _record(name):
@@ -51,7 +45,7 @@ def _record(name):
     return wrap
 
 
-# -- 1. multi-pattern matcher vs brute force ---------------------------------
+# -- 1. seed-occurrence search vs brute force ---------------------------------
 
 
 @_record("criterion 1: matcher ≡ brute-force scan, 1000 random cases, <5s")
@@ -75,7 +69,8 @@ def test_criterion_1_matcher_oracle():
             for _ in range(rng.randint(1, 20))
         }
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 2048)))
-        assert MultiMatcher(patterns).find(text) == brute(patterns, text)
+        found = [(term, pos) for pos, term, _ in parse_html(text).occurrence_ids(patterns)]
+        assert found == brute(patterns, text)
     elapsed = time.monotonic() - started
     assert elapsed < 5.0, f"matcher oracle took {elapsed:.2f}s"
 
@@ -105,7 +100,7 @@ def _oracle_spans(tree, wrapper):
             piece = c.strip()
             if not piece or len(piece) > MAX_TERM_LEN:
                 continue
-            if tree.path_at(e) == wrapper.path and tree.path_at(s - 1) == wrapper.path:
+            if path_at(tree, e) == wrapper.path and path_at(tree, s - 1) == wrapper.path:
                 spans.append((e, s))
     return sorted(spans)
 
@@ -162,13 +157,32 @@ def test_criterion_2_wrapper_oracle():
 # -- 3. the four-brand fragment ----------------------------------------------
 
 
+def obeys_validity_rules(wrapper, kappa):
+    """The four wrapper validity rules, stated apart from the learner's code.
+
+    1. both sides are non-empty and at least one carries non-whitespace;
+    2. the sides are both punctuation or both not;
+    3. non-punctuation sides jointly span at least `kappa` characters;
+    4. the path ends at a textual node (#text or #attr).
+    """
+    left, right = wrapper.left, wrapper.right
+    if not left or not right or (left.isspace() and right.isspace()):
+        return False
+    punct = is_punct_text(left)
+    if punct != is_punct_text(right):
+        return False
+    if not punct and len(left) + len(right) < kappa:
+        return False
+    return wrapper.path.rsplit("/", 1)[-1] in TEXTUAL_TAGS
+
+
 @_record("criterion 3: four-brand fragment wrapper reproduction, <1s")
 def test_criterion_3_fragment_reproduction():
     started = time.monotonic()
     tree = parse_html(FIG_FRAGMENT)
     wrappers = learn_wrappers({"宏碁", "索尼"}, tree, PipelineConfig())
     cfg = PipelineConfig()
-    assert wrappers and all(is_valid_wrapper(w, cfg) for w in wrappers)
+    assert wrappers and all(obeys_validity_rules(w, cfg.kappa) for w in wrappers)
     extractions = extract_spans(tree, wrappers)
     exact = [
         w
@@ -347,14 +361,10 @@ def test_criterion_6_walk_exhaustive():
 
 @_record("criterion 7: metric hand-values (AP 5/9, weighted AAP/IAAP)")
 def test_criterion_7_metric_hand_values():
-    from ctms.metrics import GoldAnswer, GoldConcept, ResultSet, aap, iaap
-
     assert abs(average_precision(["g1", "x", "g2"], {"g1", "g2", "g3"}) - 5 / 9) <= 1e-9
 
     def results(*lists):
-        return ResultSet(
-            seed="s", lists=tuple(tuple((t, 1.0) for t in lst) for lst in lists)
-        )
+        return tuple(tuple(lst) for lst in lists)
 
     def gold(*lists):
         return GoldAnswer(
@@ -388,17 +398,23 @@ def test_criterion_8_similarity_bounds():
         words = rng.sample(vocabulary, k=rng.randint(0, 6))
         return ContextVector({w: rng.uniform(0.01, 5.0) for w in words})
 
+    def similarity(x, y, lam):
+        # The pair's entry of the matrix clustering reads, x the first list.
+        return _similarity_matrix([x, y], lam)[0][1]
+
     for _ in range(10_000):
         a_terms = rng.sample(terms_pool, k=rng.randint(1, 8))
         b_terms = rng.sample(terms_pool, k=rng.randint(1, 8))
         va, vb = random_vector(), random_vector()
         lam = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])
-        s_ab = list_similarity(a_terms, va, b_terms, vb, lam)
-        s_ba = list_similarity(b_terms, vb, a_terms, va, lam)
+        a = _Features(set(a_terms), va.weights, va.norm)
+        b = _Features(set(b_terms), vb.weights, vb.norm)
+        s_ab = similarity(a, b, lam)
+        s_ba = similarity(b, a, lam)
         assert 0.0 <= s_ab <= 1.0
         assert abs(s_ab - s_ba) <= 1e-12
-        if va.norm > 0.0:
-            assert abs(list_similarity(a_terms, va, a_terms, va, lam) - 1.0) <= 1e-12
+        if a.norm > 0.0:
+            assert abs(similarity(a, a, lam) - 1.0) <= 1e-12
 
 
 # -- 9. concept grouping helps (direction only) --------------------------------

@@ -18,7 +18,6 @@ from ctms.concepts import (
     cluster_weblists,
     context_vector,
     filter_clusters,
-    list_similarity,
 )
 from ctms.config import PipelineConfig
 from ctms.corpus import FixtureProvider, load_fixture
@@ -61,7 +60,9 @@ def _left_fold(values):
 
 
 def left_fold_similarity(ta, wa, tb, wb, lam):
-    """`list_similarity` of (ta, wa) and (tb, wb) with every sum a left fold.
+    """The similarity of lists (ta, wa) and (tb, wb), ta's first, with every
+    sum a left fold: lam times the content part, |a∩b| / min(|a|, |b|),
+    plus 1 - lam times the context cosine.
 
     The bits must not depend on how a Python version's `sum` rounds.
     """
@@ -75,6 +76,17 @@ def left_fold_similarity(ta, wa, tb, wb, lam):
     sa, sb = set(ta), set(tb)
     content = len(sa & sb) / min(len(sa), len(sb))
     return lam * content + (1.0 - lam) * cosine
+
+
+def _left_fold_list_similarity(ta, va, tb, vb, lam):
+    return left_fold_similarity(ta, va.weights, tb, vb.weights, lam)
+
+
+def pair_similarity(ta, va, tb, vb, lam):
+    """The entry `_similarity_matrix` gives the pair (ta, va), (tb, vb),
+    the first list first."""
+    features = [_Features(set(t), v.weights, v.norm) for t, v in ((ta, va), (tb, vb))]
+    return _similarity_matrix(features, lam)[0][1]
 
 
 def test_idf_formula_direct():
@@ -120,14 +132,14 @@ def test_identical_lists_similarity_one():
     a = on_page(bg, "a", ["x", "y"], 0)
     va = context_vector(a, bg)
     assert va.norm > 0
-    assert list_similarity(a.terms, va, a.terms, va, 0.5) == pytest.approx(1.0)
+    assert pair_similarity(a.terms, va, a.terms, va, 0.5) == pytest.approx(1.0)
 
 
 def test_disjoint_lists_orthogonal_contexts():
     bg = background(["甲词", "乙词", "丙"])
     a = on_page(bg, "a", ["x"], 0)
     b = on_page(bg, "b", ["y"], 1)
-    sim = list_similarity(a.terms, context_vector(a, bg), b.terms, context_vector(b, bg), 0.5)
+    sim = pair_similarity(a.terms, context_vector(a, bg), b.terms, context_vector(b, bg), 0.5)
     assert sim == pytest.approx(0.0)
 
 
@@ -135,7 +147,7 @@ def test_containment_scores_full_content_part():
     bg = background(["同一段文字", "别", "另"])
     a = on_page(bg, "a", ["x", "y"], 0)
     b = on_page(bg, "b", ["x", "y", "z", "w"], 0)
-    sim = list_similarity(
+    sim = pair_similarity(
         a.terms, context_vector(a, bg), b.terms, context_vector(b, bg), lam=0.5
     )
     assert sim == pytest.approx(1.0)  # 0.5·1 (contained) + 0.5·1 (same context)
@@ -146,7 +158,7 @@ def test_zero_norm_context_contributes_zero():
     a = make_weblist("a", ["x", "y"])
     va = context_vector(a, bg)
     assert va.norm == 0.0
-    sim = list_similarity(a.terms, va, a.terms, va, lam=0.5)
+    sim = pair_similarity(a.terms, va, a.terms, va, lam=0.5)
     assert sim == pytest.approx(0.5)  # content 1, context 0
 
 
@@ -158,8 +170,8 @@ def test_zero_norm_context_contributes_zero():
 )
 def test_similarity_symmetric_and_bounded(ta, tb, wa, wb):
     va, vb = ContextVector(wa), ContextVector(wb)
-    s1 = list_similarity(ta, va, tb, vb, 0.5)
-    s2 = list_similarity(tb, vb, ta, va, 0.5)
+    s1 = pair_similarity(ta, va, tb, vb, 0.5)
+    s2 = pair_similarity(tb, vb, ta, va, 0.5)
     assert abs(s1 - s2) <= 1e-12
     assert 0.0 <= s1 <= 1.0
 
@@ -173,7 +185,7 @@ def test_similarity_symmetric_and_bounded(ta, tb, wa, wb):
 )
 def test_similarity_bits_are_the_left_fold_formula(ta, tb, wa, wb, lam):
     want = left_fold_similarity(ta, wa, tb, wb, lam)
-    assert list_similarity(ta, ContextVector(wa), tb, ContextVector(wb), lam) == want
+    assert pair_similarity(ta, ContextVector(wa), tb, ContextVector(wb), lam) == want
 
 
 # Weights whose products add up to different bits in different orders: the
@@ -274,7 +286,7 @@ def rescan_reference(
     vectors,
     threshold=0.65,
     lam=0.5,
-    similarity=list_similarity,
+    similarity=_left_fold_list_similarity,
     merge_scores=None,
 ):
     """Brute-force average linkage: rescan every cluster pair on every merge.
@@ -282,7 +294,8 @@ def rescan_reference(
     The plain algorithm `cluster_weblists` must reproduce, with its sums
     written as left folds (as `cluster_weblists` sums) so the reference
     does not depend on how a Python version's `sum` rounds.  `similarity`
-    scores one list pair, the smaller id first.  When `merge_scores` is a
+    scores one list pair, the smaller id first; by default it is the
+    left-fold formula written out in this file.  When `merge_scores` is a
     list, each step's (best linkage, smaller size of its two clusters) is
     appended to it.
     """
@@ -355,10 +368,6 @@ def test_clustering_matches_rescan_oracle(specs, rng, threshold, lam):
     assert got == rescan_reference(lists, vectors, threshold, lam)
 
 
-def _left_fold_list_similarity(ta, va, tb, vb, lam):
-    return left_fold_similarity(ta, va.weights, tb, vb.weights, lam)
-
-
 # Lists whose context vectors are one of a few uneven vectors, each list's
 # copy in its own insertion order: pairs that are equal on paper but whose
 # dot products round differently in different orders are common.
@@ -383,9 +392,8 @@ _uneven_weblist_specs = st.lists(_uneven_vectors, min_size=1, max_size=3).flatma
 )
 def test_clustering_matches_rescan_oracle_uneven_weights(specs, rng, threshold, lam):
     # As above, but with weights whose dot products round differently in
-    # different orders, and list similarities from the formula written out
-    # in this file.  A threshold of None is one of the three highest of
-    # those similarities, so that a last-bit slip in a score can flip the
+    # different orders.  A threshold of None is one of the three highest
+    # list similarities, so that a last-bit slip in a score can flip the
     # first merges.
     names = rng.sample([f"{c}{k}" for c in "pqrs" for k in range(1, 12)], len(specs))
     lists = [make_weblist(wid, terms) for wid, (terms, _w) in zip(names, specs)]
@@ -400,10 +408,7 @@ def test_clustering_matches_rescan_oracle_uneven_weights(specs, rng, threshold, 
         threshold = rng.choice(scores[-3:] or [0.5])
     rng.shuffle(lists)
     got = cluster_weblists(lists, vectors, grouping(threshold, lam))
-    want = rescan_reference(
-        lists, vectors, threshold, lam, similarity=_left_fold_list_similarity
-    )
-    assert got == want
+    assert got == rescan_reference(lists, vectors, threshold, lam)
 
 
 @settings(max_examples=400)
@@ -423,16 +428,13 @@ def test_clustering_matches_rescan_oracle_at_linkage_thresholds(specs, rng, lam)
     vectors = {wid: ContextVector(w) for wid, (_t, w) in zip(names, specs)}
     merges = []
     rescan_reference(
-        lists, vectors, -1.0, lam, _left_fold_list_similarity, merge_scores=merges
+        lists, vectors, -1.0, lam, merge_scores=merges
     )
     linkages = {score for score, size in merges if size >= 2} or {s for s, _ in merges}
     for threshold in sorted(linkages):
         rng.shuffle(lists)
         got = cluster_weblists(lists, vectors, grouping(threshold, lam))
-        want = rescan_reference(
-            lists, vectors, threshold, lam, similarity=_left_fold_list_similarity
-        )
-        assert got == want, threshold
+        assert got == rescan_reference(lists, vectors, threshold, lam), threshold
 
 
 def clustered_inputs(monkeypatch, term, cfg, provider):
@@ -514,9 +516,9 @@ def test_skipped_sums_keep_a_linkage_that_rounds_up_to_the_threshold(monkeypatch
 
 
 def test_similarity_matrix_is_the_left_fold_formula_on_miniweb(miniweb_provider, monkeypatch):
-    # `rescan_reference` scores pairs with `list_similarity`, which is
-    # `_similarity_matrix` itself; this checks the matrix of the lists a
-    # real mine clusters against the independent left-fold formula.
+    # `rescan_reference` scores pairs with the left-fold formula as a
+    # whole schedule; this checks each entry of the matrix of the lists a
+    # real mine clusters against that formula.
     weblists, vectors = clustered_inputs(
         monkeypatch, "华盛顿", PipelineConfig(), miniweb_provider
     )

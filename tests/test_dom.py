@@ -60,6 +60,17 @@ def find_occurrences(tree: DomTree, terms) -> list[Occurrence]:
     ]
 
 
+def path_at(tree: DomTree, pos: int) -> str:
+    """The tag path of source position `pos`, spelled out."""
+    return tree.path_string(tree.path_id_at(pos))
+
+
+def rendered_text(tree: DomTree, lo: int, hi: int) -> str:
+    """The rendered text of the source range [lo, hi): the page's text
+    between the rendered offsets of the range's ends."""
+    return tree.visible_text()[tree.rendered_offset(lo) : tree.rendered_offset(hi)]
+
+
 # -- what mining reads of a page: each position's tag path and raw flag -----
 
 
@@ -98,18 +109,18 @@ def maximal_runs(cells: list[tuple[str, bool]]) -> list[tuple[int, str]]:
 def assert_reads_like(tree: DomTree, root: Node, label: str = "") -> None:
     """What mining reads of the parsed page is what it would read of the
     oracle tree `root`: the segment table is the painting's maximal runs,
-    and `path_at`, the raw flag and `visible_text` agree at every position."""
+    and each position's path, raw flag and rendered text agree."""
     cells = paint(root)
     positions = range(len(tree.source))
     assert index_runs(tree) == maximal_runs(cells), label
-    assert [tree.path_at(pos) for pos in positions] == [path for path, _ in cells], label
+    assert [path_at(tree, pos) for pos in positions] == [path for path, _ in cells], label
     raw_flags = [tree.path_raw[tree.path_id_at(pos)] for pos in positions]
     assert raw_flags == [raw for _, raw in cells], label
     rendered = [
         char if not raw and path.endswith("/" + TEXT_TAG) else ""
         for char, (path, raw) in zip(tree.source, cells)
     ]
-    assert [tree.visible_text(pos, pos + 1) for pos in positions] == rendered, label
+    assert [rendered_text(tree, pos, pos + 1) for pos in positions] == rendered, label
     assert tree.visible_text() == "".join(rendered), label
 
 
@@ -143,31 +154,31 @@ def naive_path(nodes: list[tuple[Node, int]], pos: int) -> tuple[str, bool]:
 
 def test_simple_nesting():
     tree = parse_html("<a><span>X</span></a>")
-    assert tree.path_at(tree.source.index("X")) == "#document/a/span/#text"
+    assert path_at(tree, tree.source.index("X")) == "#document/a/span/#text"
 
 
 def test_markup_chars_belong_to_their_element():
     tree = parse_html("<a><span>X</span></a>")
-    assert tree.path_at(0) == "#document/a"
-    assert tree.path_at(tree.source.index("</span>")) == "#document/a/span"
+    assert path_at(tree, 0) == "#document/a"
+    assert path_at(tree, tree.source.index("</span>")) == "#document/a/span"
 
 
 def test_plain_text_document():
     tree = parse_html("plain text")
-    assert tree.path_at(5) == "#document/#text"
+    assert path_at(tree, 5) == "#document/#text"
 
 
 def test_same_text_run_same_path():
     tree = parse_html("<p>hello world</p>")
-    a = tree.path_at(tree.source.index("h"))
-    b = tree.path_at(tree.source.index("d"))
+    a = path_at(tree, tree.source.index("h"))
+    b = path_at(tree, tree.source.index("d"))
     assert a == b == "#document/p/#text"
 
 
 def test_fig_fragment_brand_paths():
     tree = parse_html(FIG_FRAGMENT)
     for brand in ("宏碁", "索尼", "东芝", "戴尔"):
-        path = tree.path_at(tree.source.index(brand))
+        path = path_at(tree, tree.source.index(brand))
         assert path.endswith("div/div/div/a/span/#text"), path
 
 
@@ -193,8 +204,8 @@ def test_find_occurrences_overlapping_terms():
 
 def test_attr_values_are_attr_nodes():
     tree = parse_html('<a href="/x" title=plain>t</a>')
-    assert tree.path_at(tree.source.index("/x")) == "#document/a/#attr"
-    assert tree.path_at(tree.source.index("plain")) == "#document/a/#attr"
+    assert path_at(tree, tree.source.index("/x")) == "#document/a/#attr"
+    assert path_at(tree, tree.source.index("plain")) == "#document/a/#attr"
 
 
 def test_script_and_style_flagged_raw():
@@ -205,14 +216,14 @@ def test_script_and_style_flagged_raw():
 
 def test_unclosed_tags_close_at_parent_boundary():
     tree = parse_html("<div><b>bold<i>both</div>tail")
-    assert tree.path_at(tree.source.index("both")) == "#document/div/b/i/#text"
-    assert tree.path_at(tree.source.index("tail")) == "#document/#text"
+    assert path_at(tree, tree.source.index("both")) == "#document/div/b/i/#text"
+    assert path_at(tree, tree.source.index("tail")) == "#document/#text"
 
 
 def test_stray_close_tag_ignored():
     tree = parse_html("<p>a</div>b</p>")
-    assert tree.path_at(tree.source.index("a")) == "#document/p/#text"
-    assert tree.path_at(tree.source.index("b")) == "#document/p/#text"
+    assert path_at(tree, tree.source.index("a")) == "#document/p/#text"
+    assert path_at(tree, tree.source.index("b")) == "#document/p/#text"
 
 
 def test_close_tag_name_stops_at_whitespace_or_angle_bracket():
@@ -225,23 +236,23 @@ def test_close_tag_name_stops_at_whitespace_or_angle_bracket():
             "#document/b",
             "#document/#text",
         ], close
-        assert tree.path_at(tree.source.index("y")) == "#document/#text"
+        assert path_at(tree, tree.source.index("y")) == "#document/#text"
 
 
 def test_bare_angle_bracket_is_text():
     tree = parse_html("<p>3 < 5 and 7 > 2</p>")
-    assert tree.path_at(tree.source.index("3")) == "#document/p/#text"
+    assert path_at(tree, tree.source.index("3")) == "#document/p/#text"
 
 
 def test_void_elements_do_not_nest():
     tree = parse_html("<p>a<br>b</p>")
-    assert tree.path_at(tree.source.index(">b") + 1) == "#document/p/#text"
+    assert path_at(tree, tree.source.index(">b") + 1) == "#document/p/#text"
 
 
 def test_comment_and_doctype():
     tree = parse_html("<!doctype html><!-- c --><p>x</p>")
-    assert tree.path_at(0) == "#document/#directive"
-    assert tree.path_at(tree.source.index("c ")) == "#document/#comment"
+    assert path_at(tree, 0) == "#document/#directive"
+    assert path_at(tree, tree.source.index("c ")) == "#document/#comment"
 
 
 def test_abruptly_closed_empty_comments_hide_nothing_after_them():
@@ -252,7 +263,7 @@ def test_abruptly_closed_empty_comments_hide_nothing_after_them():
         tree = parse_html(html)
         assert index_runs(tree)[:2] == [(0, "#document/#comment"), (len(comment), "#document/ul")]
         assert tree.visible_text() == "甲乙"
-        assert tree.path_at(html.index("乙")) == "#document/ul/li/#text"
+        assert path_at(tree, html.index("乙")) == "#document/ul/li/#text"
         learned = learn_wrappers({"甲", "乙"}, tree, PipelineConfig())
         harvested = {html[a:b] for spans in learned.values() for a, b in spans}
         assert harvested == {"甲", "乙"}, comment
@@ -268,9 +279,9 @@ def test_visible_text_skips_markup_and_script():
 def test_out_of_range_position():
     tree = parse_html("<p>x</p>")
     with pytest.raises(IndexError):
-        tree.path_at(len(tree.source))
+        path_at(tree, len(tree.source))
     with pytest.raises(IndexError):
-        tree.path_at(-1)
+        path_at(tree, -1)
 
 
 def _roundtrip(tree: DomTree) -> str:
@@ -317,7 +328,7 @@ def test_stray_close_tags_after_deep_nesting():
     start, tail = table[n + 1]
     assert tail == table[n - 1][1] == tree.path_parent[text] and tree.path_tag[tail] == "div"
     assert tree.source[start:] == "</span>" * n
-    assert tree.path_at(tree.source.index("x")) == "#document" + "/div" * n + "/#text"
+    assert path_at(tree, tree.source.index("x")) == "#document" + "/div" * n + "/#text"
 
 
 tag_soup = st.text(
@@ -686,7 +697,7 @@ def test_path_at_matches_naive_walk(html, pos):
         return
     pos = pos % len(tree.source)
     path, raw = naive_path(flatten(stack_scan_parse(html)), pos)
-    assert tree.path_at(pos) == path
+    assert path_at(tree, pos) == path
     assert tree.path_raw[tree.path_id_at(pos)] == raw
 
 
@@ -712,7 +723,7 @@ def test_invariants_hold_on_real_fixture_pages(miniweb_provider):
         nodes = flatten(stack_scan_parse(tree.source))
         for pos in range(0, len(tree.source), 37):
             path, raw = naive_path(nodes, pos)
-            assert tree.path_at(pos) == path, url
+            assert path_at(tree, pos) == path, url
             assert tree.path_raw[tree.path_id_at(pos)] == raw, url
 
 
@@ -755,7 +766,7 @@ def test_megabyte_text_run_is_one_node():
     tree = parse_html(html)
     assert index_runs(tree) == [(0, "#document/#text")]
     assert tree.visible_text() == html
-    assert tree.path_at(len(html) - 1) == "#document/#text"
+    assert path_at(tree, len(html) - 1) == "#document/#text"
 
 
 # -- raw-text bodies ----------------------------------------------------------
@@ -774,7 +785,7 @@ def test_list_after_script_stays_visible_behind_wide_lowercase_chars():
     assert "林肯" in text and "纽约" in text
     assert "x" not in text and "y" not in text
     for term in ("林肯", "纽约"):
-        assert tree.path_at(tree.source.index(term)) == "#document/ul/li/#text"
+        assert path_at(tree, tree.source.index(term)) == "#document/ul/li/#text"
     occs = find_occurrences(tree, {"林肯", "纽约"})
     assert [o.in_raw for o in occs] == [False, False]
     assert _roundtrip(tree) == tree.source
@@ -783,8 +794,8 @@ def test_list_after_script_stays_visible_behind_wide_lowercase_chars():
 def test_uppercase_close_tag_ends_raw_body():
     tree = parse_html("<script>a()</SCRIPT><p>b</p><STYLE>c{}</Style>d")
     assert tree.visible_text() == "bd"
-    assert tree.path_at(tree.source.index("b")) == "#document/p/#text"
-    assert tree.path_at(tree.source.index("d")) == "#document/#text"
+    assert path_at(tree, tree.source.index("b")) == "#document/p/#text"
+    assert path_at(tree, tree.source.index("d")) == "#document/#text"
     assert _roundtrip(tree) == tree.source
 
 
@@ -795,7 +806,7 @@ def test_raw_body_ends_only_where_the_close_tag_name_ends():
     tree = parse_html(html)
     assert tree.visible_text() == "c"
     b = html.index("b</script>")
-    assert tree.path_at(b) == "#document/script/#text" and tree.path_raw[tree.path_id_at(b)]
+    assert path_at(tree, b) == "#document/script/#text" and tree.path_raw[tree.path_id_at(b)]
     tree = parse_html("<style>a</styles>b</style>c")
     assert tree.visible_text() == "c"
     for close in ("</script>", "</script >", "</script\t>", "</script/>", "</SCRIPT\n>"):
@@ -858,9 +869,9 @@ def test_visible_text_ranges_match_per_node_oracle(html, lo, hi):
     lo, hi = lo % (n + 4) - 2, hi % (n + 4) - 2
     root = stack_scan_parse(html)
     assert tree.visible_text() == oracle_visible_text(html, root)
-    assert tree.visible_text(0, n) == oracle_visible_text(html, root, 0, n)
+    assert rendered_text(tree, 0, n) == oracle_visible_text(html, root, 0, n)
     # Sweep one end over every position (inside text, raw and markup, and
     # past both ends, so lo >= hi occurs) with the other end held fixed.
     for pos in range(-1, n + 2):
-        assert tree.visible_text(pos, hi) == oracle_visible_text(html, root, pos, hi)
-        assert tree.visible_text(lo, pos) == oracle_visible_text(html, root, lo, pos)
+        assert rendered_text(tree, pos, hi) == oracle_visible_text(html, root, pos, hi)
+        assert rendered_text(tree, lo, pos) == oracle_visible_text(html, root, lo, pos)

@@ -14,6 +14,8 @@ from ctms.expansion import (
 )
 from ctms.wrappers import Wrapper
 
+from test_dom import rendered_text
+
 NAV_PAGE = """<html><body>
 <h1>品牌导航</h1>
 <ul>
@@ -181,9 +183,9 @@ def test_context_window_slices_the_rendered_halves(html):
     text = tree.visible_text()
     for window in (1, 2, 7, 200):
         for a in range(n + 1):
-            before = tree.visible_text(0, a)[-window:]
+            before = rendered_text(tree, 0, a)[-window:]
             for b in range(a, n + 1):
-                after = tree.visible_text(b, n)[:window]
+                after = rendered_text(tree, b, n)[:window]
                 bounds = lo, mid_a, mid_b, hi = _context_window(tree, a, b, window)
                 assert (text[lo:mid_a], text[mid_b:hi]) == (before, after), (a, b, window)
                 assert 0 <= lo <= mid_a <= mid_b <= hi <= len(text), (a, b, window)

@@ -1,8 +1,17 @@
+"""Seed-occurrence search: the (term, pos) pairs of `DomTree.occurrence_ids`,
+the search wrapper learning runs, against a brute-force scan."""
+
 import random
 
 from hypothesis import given, strategies as st
 
-from ctms.wrappers import MultiMatcher
+from ctms.dom import parse_html
+from ctms.text import find_all
+
+
+def find(patterns, text):
+    """(term, pos) of every occurrence of `patterns` in `text`, as mining finds them."""
+    return [(term, pos) for pos, term, _ in parse_html(text).occurrence_ids(patterns)]
 
 
 def brute_force(patterns, text):
@@ -20,31 +29,27 @@ def brute_force(patterns, text):
 
 
 def test_overlapping_matches_in_position_order():
-    m = MultiMatcher({"ab", "b"})
-    assert m.find("abab") == [("ab", 0), ("b", 1), ("ab", 2), ("b", 3)]
+    assert find({"ab", "b"}, "abab") == [("ab", 0), ("b", 1), ("ab", 2), ("b", 3)]
 
 
 def test_empty_pattern_set():
-    assert MultiMatcher(set()).find("anything") == []
+    assert find(set(), "anything") == []
 
 
 def test_pattern_longer_than_text():
-    assert MultiMatcher({"abcdef"}).find("abc") == []
+    assert find({"abcdef"}, "abc") == []
 
 
 def test_tie_at_same_pos_longest_first():
-    m = MultiMatcher({"a", "ab", "abc"})
-    assert m.find("abc") == [("abc", 0), ("ab", 0), ("a", 0)]
+    assert find({"a", "ab", "abc"}, "abc") == [("abc", 0), ("ab", 0), ("a", 0)]
 
 
 def test_suffix_pattern_reported_via_failure_links():
-    m = MultiMatcher({"sony", "ny"})
-    assert m.find("xsonyx") == [("sony", 1), ("ny", 3)]
+    assert find({"sony", "ny"}, "xsonyx") == [("sony", 1), ("ny", 3)]
 
 
 def test_cjk_patterns():
-    m = MultiMatcher({"索尼", "尼康"})
-    assert m.find("索尼康") == [("索尼", 0), ("尼康", 1)]
+    assert find({"索尼", "尼康"}, "索尼康") == [("索尼", 0), ("尼康", 1)]
 
 
 @given(
@@ -52,10 +57,10 @@ def test_cjk_patterns():
     st.text(alphabet="ab宏", max_size=200),
 )
 def test_matches_equal_brute_force(patterns, text):
-    m = MultiMatcher(patterns)
-    assert m.find(text) == brute_force(set(patterns), text)
-    expected = {p: [i for q, i in brute_force({p}, text)] for p in set(patterns) if p}
-    assert m.positions(text) == expected
+    assert find(patterns, text) == brute_force(set(patterns), text)
+    # Extraction scans each context string with `find_all`.
+    for p in set(patterns):
+        assert find_all(text, p) == [i for _, i in brute_force({p}, text)]
 
 
 def test_randomized_against_brute_force_bulk():
@@ -67,4 +72,4 @@ def test_randomized_against_brute_force_bulk():
             for _ in range(rng.randint(1, 20))
         }
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 500)))
-        assert MultiMatcher(patterns).find(text) == brute_force(patterns, text)
+        assert find(patterns, text) == brute_force(patterns, text)

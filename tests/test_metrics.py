@@ -8,7 +8,6 @@ from ctms.metrics import (
     GoldAnswer,
     GoldConcept,
     GoldFormatError,
-    ResultSet,
     aap,
     average_precision,
     cluster_quality,
@@ -29,12 +28,8 @@ def gold(*term_lists):
 
 
 def results(*term_lists):
-    return ResultSet(
-        seed="种",
-        lists=tuple(
-            tuple((t, 1.0 - r / 100) for r, t in enumerate(ts)) for ts in term_lists
-        ),
-    )
+    """A system's results: one ranked term list per concept."""
+    return tuple(tuple(ts) for ts in term_lists)
 
 
 # --- interleave -------------------------------------------------------------
@@ -277,7 +272,7 @@ def variant_term_lists(draw):
 def test_metrics_stay_in_unit_interval_with_normalised_duplicates(term_lists, n):
     g = gold([CAFE_NFC, "a"], ["b"])
     r = results(*term_lists)
-    merged = interleave(r.term_lists())
+    merged = interleave(r)
     values = [
         precision_at_n(merged, g.union(), n),
         average_precision(merged, g.union()),

@@ -4,16 +4,16 @@ A helper that a refactor leaves behind (defined, never called) fails here.
 A top-level private name counts as used when the package's source
 mentions it anywhere but its own definition: as a name, an attribute or
 an imported name.  A public function, class or method must be mentioned
-outside its own definition by the package, the scripts, the benchmark
-harness or the acceptance criteria; a public name that only unit tests
-call is code no command, script or criterion reaches.  An attribute that
+outside its own definition by the package, the scripts or the benchmark
+harness; a public name that only tests call is code that no command,
+script or benchmark runs, so its tests check code that mining never runs.  An attribute that
 a class sets in ``__init__`` must be read by the package: one that is
 only ever appended to or assigned is bookkeeping nothing consumes.
 Exception classes are exempt; their fields are for the callers that
 handle the fault.  Likewise a field of a dataclass or NamedTuple must be
-read as an attribute by the package, the scripts, the benchmark harness
-or the acceptance criteria: a field that only its constructor call
-fills is a second record of a fact nothing reads.
+read as an attribute by the package, the scripts or the benchmark
+harness: a field that only its constructor call fills is a second record
+of a fact nothing reads.
 """
 
 import ast
@@ -112,13 +112,12 @@ def unreached_public_names(defining, reaching) -> list[str]:
 
 
 def _reaching(package):
-    """The package and the code that runs it: the scripts, the benchmark
-    harness and the acceptance criteria."""
+    """The package and the code that runs it: the scripts and the benchmark
+    harness.  No test counts."""
     reaching = [
         *package,
         *sorted((ROOT / "scripts").glob("*.py")),
         *sorted((ROOT / "perfbench").glob("*.py")),
-        ROOT / "tests" / "test_acceptance.py",
     ]
     assert package and all(path.is_file() for path in reaching)
     return reaching

@@ -16,17 +16,17 @@ from ctms.text import find_all, is_punct_text
 from ctms.wrappers import (
     MAX_CONTEXT_LEN,
     MAX_TERM_LEN,
-    MultiMatcher,
     Wrapper,
+    _contexts_pass,
     _side_levels,
     extract_spans,
-    is_valid_wrapper,
     learn_wrappers,
     spans_on_path,
 )
 
 from test_acceptance import _synthetic_page as criterion_2_page
-from test_dom import FIG_FRAGMENT, find_occurrences
+from test_acceptance import obeys_validity_rules
+from test_dom import FIG_FRAGMENT, find_occurrences, path_at
 
 
 def extract_terms(tree: DomTree, wrappers: Iterable[Wrapper]) -> dict[Wrapper, list[str]]:
@@ -61,7 +61,7 @@ def oracle_spans(tree: DomTree, wrapper: Wrapper) -> list[tuple[int, int]]:
             piece = c.strip()
             if not piece or len(piece) > MAX_TERM_LEN:
                 continue
-            if tree.path_at(e) == wrapper.path and tree.path_at(s - 1) == wrapper.path:
+            if path_at(tree, e) == wrapper.path and path_at(tree, s - 1) == wrapper.path:
                 spans.append((e, s))
     return sorted(spans)
 
@@ -69,33 +69,49 @@ def oracle_spans(tree: DomTree, wrapper: Wrapper) -> list[tuple[int, int]]:
 # --- validity rules --------------------------------------------------------
 
 
+def contexts_pass(left: str, right: str, kappa: int = PipelineConfig().kappa) -> bool:
+    """Rules 1-3 as the learner applies them, to contexts on a textual path;
+    the rules' statement in criterion 3 must agree."""
+    got = _contexts_pass(left, right, is_punct_text(left), is_punct_text(right), kappa)
+    assert got == obeys_validity_rules(Wrapper(left, right, "p/#text"), kappa)
+    return got
+
+
 def test_valid_wrapper_span_contexts():
-    w = Wrapper("<span>", "</span>", "div/a/span/#text")
-    assert is_valid_wrapper(w, PipelineConfig())
+    assert contexts_pass("<span>", "</span>")
 
 
 def test_whitespace_only_contexts_rejected():
-    assert not is_valid_wrapper(Wrapper(" ", " ", "p/#text"), PipelineConfig())
-    assert not is_valid_wrapper(Wrapper("", ">", "p/#text"), PipelineConfig())
-    assert not is_valid_wrapper(Wrapper("", "abcd", "p/#text"), PipelineConfig())
-    assert not is_valid_wrapper(Wrapper("abcd", "", "p/#text"), PipelineConfig())
+    assert not contexts_pass(" ", " ")
+    assert not contexts_pass("", ">")
+    assert not contexts_pass("", "abcd")
+    assert not contexts_pass("abcd", "")
 
 
 def test_mixed_punctuation_rejected():
     # left all punctuation, right carries letters
-    assert not is_valid_wrapper(Wrapper("、", "</a>", "p/#text"), PipelineConfig())
+    assert not contexts_pass("、", "</a>")
     # both punctuation is fine
-    assert is_valid_wrapper(Wrapper("、", "。", "p/#text"), PipelineConfig())
+    assert contexts_pass("、", "。")
 
 
 def test_kappa_minimum_combined_length():
-    assert not is_valid_wrapper(Wrapper("a", "b", "p/#text"), PipelineConfig(kappa=4))
-    assert is_valid_wrapper(Wrapper("ab", "cd", "p/#text"), PipelineConfig(kappa=4))
+    assert not contexts_pass("a", "b", kappa=4)
+    assert contexts_pass("ab", "cd", kappa=4)
 
 
 def test_path_must_end_textually():
-    assert not is_valid_wrapper(Wrapper("ab", "cd", "div/a"), PipelineConfig())
-    assert is_valid_wrapper(Wrapper("ab", "cd", "div/a/#attr"), PipelineConfig())
+    # Rule 4 holds per tag-path group, so it is checked on what the learner
+    # learns.  Seeds inside comments lie on a #comment path and learn
+    # nothing, though their contexts pass rules 1-3; seeds in attribute
+    # values learn wrappers on the #attr path.
+    seeds = {"宏碁", "索尼"}
+    comments = parse_html("<div><!--<b>ab 宏碁 cd</b>--><!--<b>ab 索尼 cd</b>--></div>")
+    assert learn_wrappers(seeds, comments, PipelineConfig()) == {}
+    titles = parse_html('<div><a title="ab 宏碁 cd">x</a><a title="ab 索尼 cd">y</a></div>')
+    learned = learn_wrappers(seeds, titles, PipelineConfig())
+    assert learned and {w.path for w in learned} == {"#document/div/a/#attr"}
+    assert all(obeys_validity_rules(w, PipelineConfig().kappa) for w in learned)
 
 
 # --- learning --------------------------------------------------------------
@@ -321,7 +337,7 @@ def reference_learn(
             all_contexts.update(s[-k:] for k in range(1, len(s) + 1))
         for s in right_max:
             all_contexts.update(s[:k] for k in range(1, len(s) + 1))
-        positions = MultiMatcher(all_contexts).positions(src)
+        positions = {s: find_all(src, s) for s in all_contexts}
 
         # Left levels key on where the bracketed span would start.
         left_ends: dict[str, list[int]] = {
@@ -336,7 +352,7 @@ def reference_learn(
             end_set = set(ends)
             for right, starts in r_levels:
                 wrapper = Wrapper(left, right, path)
-                if not is_valid_wrapper(wrapper, cfg):
+                if not obeys_validity_rules(wrapper, cfg.kappa):
                     continue
                 # Cheap gate: the candidate must bracket enough distinct
                 # seeds before we bother computing its full span set.
