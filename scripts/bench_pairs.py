@@ -22,7 +22,9 @@ recorded run compiles bytecode: a cold cache raises that run's
 more than the metric's bound.  Every recorded run's metrics, ``correct``
 and ``failed`` go to the ``--out`` JSON, with each side's median and
 interquartile range per metric and the number of pairs the working tree
-won.  Exits 1 if any recorded run was not ``correct``.
+won.  A metric's ``gain_shown`` says that the working tree won at least
+9 in 10 pairs and beat the base's median by more than the base's
+interquartile range.  Exits 1 if any recorded run was not ``correct``.
 
     python3 scripts/bench_pairs.py --workload dense_pages --pairs 5 --out BENCH.json
 """
@@ -63,7 +65,10 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     "change"), ``correct`` and ``metrics`` (name -> value).  A metric
     named ``workload.name`` takes the direction of ``name``; one not in
     `better` counts lower as better.  A pair is won when the change's
-    value is strictly better than the base's.
+    value is strictly better than the base's, so a tie is won by neither
+    side.  ``gain_shown`` is true when the change won at least 9 in 10 of
+    the pairs and its median is better than the base's by more than the
+    base's IQR.
     """
     values: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
     by_pair: dict[int, dict[str, dict]] = {}
@@ -88,6 +93,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "iqr": _quartile_spread(side_values),
                 "runs": len(side_values),
             }
+        # A compared pair gives both sides a median.
+        base, change = entry["base"]["median"], entry["change"]["median"]
+        entry["gain_shown"] = compared > 0 and 10 * won >= 9 * compared and (
+            (change - base if higher else base - change) > entry["base"]["iqr"]
+        )
         metrics[name] = entry
     return {"correct": all(run["correct"] for run in runs), "metrics": metrics}
 
@@ -209,7 +219,8 @@ def main(argv: list[str] | None = None) -> int:
         sides = "  ".join(
             f"{side} {_number(m[side]['median'])} (IQR {m[side]['iqr']:.3g})" for side in SIDES
         )
-        print(f"{name:<32} {sides}  won {m['pairs_won']}/{m['pairs']} ({m['better']} is better)")
+        shown = "  gain shown" if m["gain_shown"] else ""
+        print(f"{name:<32} {sides}  won {m['pairs_won']}/{m['pairs']} ({m['better']} is better){shown}")
     return 0 if summary["correct"] else 1
 
 

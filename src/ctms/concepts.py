@@ -8,6 +8,16 @@ pages is about the same topic.  Greedy average-linkage agglomeration over
 that similarity, followed by support and seed filters, yields the
 concepts.
 
+A list contained in another on its page shares its concept.  A list is
+contained when its term set is a proper subset of another list's on the
+same page, or equal to that of a list with a smaller id
+(`maximal_lists`); character-context wrappers learned around one list
+produce such nested fragments.  The pair scores 1.0 on the content side,
+so only each page's maximal lists are clustered, and `mine` adds every
+contained list to the cluster of its smallest-id maximal container,
+whose terms already hold all of its own.  At ``sim_lambda`` 0 the
+content side has no weight, so there every list is clustered.
+
 Each fetched page's rendered text is tokenized once, into a
 `TokenIndex` keyed by its URL: the page's token set feeds the document
 frequencies, and a list's context vector reads its window's tokens off
@@ -341,6 +351,33 @@ def cluster_weblists(
             )
         )
     return out
+
+
+def maximal_lists(weblists: Sequence[WebList]) -> tuple[list[WebList], dict[str, str]]:
+    """Each page's maximal lists, in input order, and the container of
+    every other list: contained list id -> its smallest-id maximal container.
+
+    A list is contained when its term set is a proper subset of another
+    list's on the same `source_url`, or equal to that of a list with a
+    smaller id; the rest are maximal.  On a page, lists are visited by
+    descending term count, then id, so every container of a list comes
+    before it, and a list is contained exactly when a maximal list seen
+    before it holds all its terms (containment is transitive).
+    """
+    by_page: dict[str, list[WebList]] = {}
+    for wl in weblists:
+        by_page.setdefault(wl.source_url, []).append(wl)
+    containers: dict[str, str] = {}
+    for page_lists in by_page.values():
+        tops: list[tuple[frozenset[str], str]] = []
+        for wl in sorted(page_lists, key=lambda wl: (-len(wl.terms), wl.id)):
+            terms = frozenset(wl.terms)  # distinct, so as many as wl.terms
+            holders = [tid for top, tid in tops if terms <= top]
+            if holders:
+                containers[wl.id] = min(holders)
+            else:
+                tops.append((terms, wl.id))
+    return [wl for wl in weblists if wl.id not in containers], containers
 
 
 def support_floor(min_support: float, total: int) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 from .concepts import (
@@ -20,6 +20,7 @@ from .concepts import (
     cluster_weblists,
     context_vector,
     filter_clusters,
+    maximal_lists,
     support_floor,
 )
 from .config import PipelineConfig
@@ -218,9 +219,23 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
     weblists_by_id = {wl.id: wl for wl in weblists}
 
     if cfg.disambiguation:
+        # A list contained in another on its page shares its concept: the
+        # pair scores 1.0 on the content side, which weighs nothing at
+        # sim_lambda 0.  Only the maximal lists are clustered.
+        maximal, containers = weblists, {}
+        if cfg.sim_lambda > 0:
+            maximal, containers = maximal_lists(weblists)
         background = BackgroundCorpus(expansion.pages)
-        vectors = {wl.id: context_vector(wl, background) for wl in weblists}
-        clusters = cluster_weblists(weblists, vectors, cfg)
+        vectors = {wl.id: context_vector(wl, background) for wl in maximal}
+        grouped = cluster_weblists(maximal, vectors, cfg)
+        home = {wid: k for k, cluster in enumerate(grouped) for wid in cluster.lists}
+        members: list[list[str]] = [[] for _ in grouped]
+        for wl in weblists:  # in id order, so each cluster's lists come sorted
+            members[home[containers.get(wl.id, wl.id)]].append(wl.id)
+        # A fragment adds no term, so only the id and the lists change.
+        clusters = [
+            replace(cluster, id=ids[0], lists=tuple(ids)) for cluster, ids in zip(grouped, members)
+        ]
     else:
         # One pseudo-concept of all lists.  The cluster filter's support
         # idea applies per term: its terms are those in enough lists, and

@@ -42,6 +42,29 @@ def test_summary_medians_quartiles_and_pairs_won():
     assert aap["base"]["median"] == 1.0 and aap["change"]["median"] == 1.0
 
 
+def ten_pairs(change_ms):
+    """Ten pairs whose base reads 20.0-20.9 ms (IQR 0.45) and whose change
+    reads `change_ms`, in pair order."""
+    runs = []
+    for pair, ms in enumerate(change_ms):
+        runs += [run(pair, "base", 20.0 + pair / 10, 1.0), run(pair, "change", ms, 1.0)]
+    return runs
+
+
+@pytest.mark.parametrize("wins, shown", [(9, True), (8, False)])
+def test_gain_shown_needs_nine_of_ten_pairs(wins, shown):
+    # The change is 2 ms faster, beyond the base's IQR, in all but the
+    # last 10 - wins pairs; the first of those ties and the rest are slower.
+    change_ms = [20.0 + pair / 10 - 2.0 for pair in range(wins)]
+    change_ms += [20.0 + pair / 10 + (pair > wins) for pair in range(wins, 10)]
+    ms = bench_pairs.summarize(ten_pairs(change_ms), BETTER)["metrics"]["mine_ms_p50"]
+    assert (ms["pairs"], ms["pairs_won"]) == (10, wins)
+    assert ms["base"]["median"] - ms["change"]["median"] > ms["base"]["iqr"]
+    assert ms["gain_shown"] is shown
+    aap = bench_pairs.summarize(ten_pairs(change_ms), BETTER)["metrics"]["aap"]
+    assert aap["pairs_won"] == 0 and aap["gain_shown"] is False  # every pair ties
+
+
 def test_summary_prefixed_names_failed_runs_and_missing_metrics():
     runs = [
         {"pair": 0, "side": "base", "correct": True, "metrics": {"miniweb.aap": 0.5}},

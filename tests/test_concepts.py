@@ -18,10 +18,12 @@ from ctms.concepts import (
     cluster_weblists,
     context_vector,
     filter_clusters,
+    maximal_lists,
 )
 from ctms.config import PipelineConfig
 from ctms.corpus import FixtureProvider, load_fixture
-from ctms.expansion import WebList
+from ctms.dom import parse_html
+from ctms.expansion import WebList, harvest_page
 from ctms.text import tokenize
 from ctms.wrappers import Wrapper
 
@@ -437,21 +439,13 @@ def test_clustering_matches_rescan_oracle_at_linkage_thresholds(specs, rng, lam)
         assert got == rescan_reference(lists, vectors, threshold, lam), threshold
 
 
-def clustered_inputs(monkeypatch, term, cfg, provider):
-    """The weblists and context vectors a mine of `term` hands to
-    `cluster_weblists`, which it calls once."""
-    calls = []
-
-    def spy(weblists, vectors, *args):
-        calls.append((weblists, vectors))
-        return cluster_weblists(weblists, vectors, *args)
-
-    monkeypatch.setattr(ctms.pipeline, "cluster_weblists", spy)
+def clustered_inputs(term, cfg, provider):
+    """Every web list a mine of `term` finds, and each one's context vector
+    over the run's pages: the lists `cluster_weblists` would see if no
+    list were contained in another, so the oracles judge them all."""
     report = ctms.pipeline.mine(term, cfg, provider)
-    assert len(calls) == 1
-    weblists, vectors = calls[0]
-    assert weblists == report.weblists
-    return weblists, vectors
+    background = BackgroundCorpus(report.pages)
+    return report.weblists, {wl.id: context_vector(wl, background) for wl in report.weblists}
 
 
 # The lam values the miniweb checks run at: the blend's two extremes, where
@@ -459,10 +453,8 @@ def clustered_inputs(monkeypatch, term, cfg, provider):
 _MINIWEB_LAMS = (0.0, 0.3, 0.5, 0.8, 1.0)
 
 
-def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider, monkeypatch):
-    weblists, vectors = clustered_inputs(
-        monkeypatch, "华盛顿", PipelineConfig(), miniweb_provider
-    )
+def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider):
+    weblists, vectors = clustered_inputs("华盛顿", PipelineConfig(), miniweb_provider)
     assert len(weblists) > 20
     for threshold in (0.3, 0.5, 0.65, 0.8):
         for lam in _MINIWEB_LAMS:
@@ -471,13 +463,13 @@ def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider, monkeypat
             assert got == want, (threshold, lam)
 
 
-def test_clustering_matches_rescan_oracle_on_many_lists(tmp_path, monkeypatch):
+def test_clustering_matches_rescan_oracle_on_many_lists(tmp_path):
     # The generated workload whose merges skip the most linkage sums.
     workload = WORKLOADS["many_lists"]
     bundle = materialize(workload, 1, tmp_path)
     cfg = PipelineConfig.from_dict(dict(workload.config))
     weblists, vectors = clustered_inputs(
-        monkeypatch, workload.term, cfg, FixtureProvider(load_fixture(bundle))
+        workload.term, cfg, FixtureProvider(load_fixture(bundle))
     )
     assert len(weblists) == 63
     for threshold in (0.3, 0.5, 0.65, 0.8):
@@ -515,13 +507,11 @@ def test_skipped_sums_keep_a_linkage_that_rounds_up_to_the_threshold(monkeypatch
     assert got == rescan_reference(lists, vectors, threshold, 0.5, similarity=similarity)
 
 
-def test_similarity_matrix_is_the_left_fold_formula_on_miniweb(miniweb_provider, monkeypatch):
+def test_similarity_matrix_is_the_left_fold_formula_on_miniweb(miniweb_provider):
     # `rescan_reference` scores pairs with the left-fold formula as a
-    # whole schedule; this checks each entry of the matrix of the lists a
-    # real mine clusters against that formula.
-    weblists, vectors = clustered_inputs(
-        monkeypatch, "华盛顿", PipelineConfig(), miniweb_provider
-    )
+    # whole schedule; this checks each entry of the matrix of all the lists
+    # a real mine finds against that formula.
+    weblists, vectors = clustered_inputs("华盛顿", PipelineConfig(), miniweb_provider)
     ordered = sorted(weblists, key=lambda wl: wl.id)
     assert len(ordered) == 52  # 1,326 pairs
     features = [
@@ -535,6 +525,109 @@ def test_similarity_matrix_is_the_left_fold_formula_on_miniweb(miniweb_provider,
                     a.terms, vectors[a.id].weights, b.terms, vectors[b.id].weights, lam
                 )
                 assert sim[i][j] == want and sim[j][i] == want, (a.id, b.id, lam)
+
+
+def test_proper_subset_joins_its_container():
+    lists = [make_weblist("b", ["x", "y"]), make_weblist("a", ["x", "y", "z"])]
+    maximal, containers = maximal_lists(lists)
+    assert [wl.id for wl in maximal] == ["a"]
+    assert containers == {"b": "a"}
+
+
+def test_equal_term_sets_join_the_smaller_id():
+    lists = [make_weblist("e2", ["x", "y"]), make_weblist("e1", ["y", "x"])]
+    maximal, containers = maximal_lists(lists)
+    assert [wl.id for wl in maximal] == ["e1"]
+    assert containers == {"e2": "e1"}
+
+
+def test_a_chain_joins_its_maximal_end():
+    lists = [
+        make_weblist("c1", ["a", "b"]),
+        make_weblist("c2", ["a", "b", "c"]),
+        make_weblist("c3", ["a", "b", "c", "d"]),
+    ]
+    maximal, containers = maximal_lists(lists)
+    assert [wl.id for wl in maximal] == ["c3"]
+    assert containers == {"c1": "c3", "c2": "c3"}
+
+
+def test_a_list_in_two_maximal_lists_joins_the_smaller_id():
+    lists = [
+        make_weblist("m1", ["a", "b", "c", "d"]),
+        make_weblist("s", ["c", "d"]),
+        make_weblist("m0", ["c", "d", "e", "f"]),
+    ]
+    maximal, containers = maximal_lists(lists)
+    assert [wl.id for wl in maximal] == ["m1", "m0"]  # input order
+    assert containers == {"s": "m0"}
+
+
+def test_a_subset_on_another_page_is_not_contained():
+    lists = [
+        make_weblist("big", ["a", "b", "c"], url="p0"),
+        make_weblist("small", ["a", "b"], url="p1"),
+        make_weblist("same", ["a", "b", "c"], url="p1"),
+    ]
+    maximal, containers = maximal_lists(lists)
+    assert [wl.id for wl in maximal] == ["big", "same"]
+    assert containers == {"small": "same"}
+
+
+# Lists `mine` clusters at the default config, of all it finds, at workload
+# seed 1 (miniweb is the committed fixture).
+MAXIMAL_COUNTS = [("miniweb", 24, 52), ("many_lists", 12, 63), ("deep_snippets", 10, 20)]
+
+
+def _mine_counting_clustered(name, tmp_path, monkeypatch, **overrides):
+    """Mine workload `name` at seed 1; return the report and the number of
+    lists each `cluster_weblists` call received."""
+    workload = WORKLOADS[name]
+    cfg = PipelineConfig.from_dict({**workload.config, **overrides})
+    provider = FixtureProvider(load_fixture(materialize(workload, 1, tmp_path)))
+    sizes = []
+
+    def spy(weblists, *args):
+        sizes.append(len(weblists))
+        return cluster_weblists(weblists, *args)
+
+    monkeypatch.setattr(ctms.pipeline, "cluster_weblists", spy)
+    return ctms.pipeline.mine(workload.term, cfg, provider), sizes
+
+
+@pytest.mark.parametrize("name, clustered, total", MAXIMAL_COUNTS)
+def test_mine_clusters_the_maximal_lists_only(name, clustered, total, tmp_path, monkeypatch):
+    report, sizes = _mine_counting_clustered(name, tmp_path, monkeypatch)
+    assert report.weblist_count == total
+    assert sizes == [clustered]
+    _, containers = maximal_lists(report.weblists)
+    assert len(containers) == total - clustered
+    # A contained list is ranked in its container's concept, and counted.
+    for concept in report.concepts:
+        for wid in concept.list_ids:
+            assert containers.get(wid, wid) in concept.list_ids
+        assert concept.id == min(concept.list_ids)
+
+
+def test_mine_clusters_every_list_at_sim_lambda_zero(tmp_path, monkeypatch):
+    # At sim_lambda 0 the content side, where containment scores 1.0,
+    # has no weight, so no list joins another.
+    report, sizes = _mine_counting_clustered("many_lists", tmp_path, monkeypatch, sim_lambda=0.0)
+    assert sizes == [report.weblist_count] == [63]
+
+
+def test_a_long_list_page_leaves_one_maximal_list():
+    # One <ul> of 250 terms that share their first 10 characters, every
+    # third one known: each learned wrapper's right context runs into the
+    # next item's first characters, so the learner keeps many nested lists
+    # (71 here) for the one real list.
+    terms = [f"东方明珠广场大道北段{i:04d}号" for i in range(250)]
+    html = "<ul>" + "".join(f"<li><a>{t}</a></li>" for t in terms) + "</ul>"
+    lists, _ = harvest_page("http://x/long", parse_html(html), tuple(terms[::3]), PipelineConfig())
+    assert len(lists) > 1
+    maximal, containers = maximal_lists(lists)
+    assert len(maximal) == 1 and len(containers) == len(lists) - 1
+    assert sorted(maximal[0].terms) == terms
 
 
 def test_norm_is_left_fold_not_compensated_sum():

@@ -111,7 +111,7 @@ FIELD_VALUES = {
     "kappa": 30,
     "min_distinct_seeds": 3,
     "pages_per_query": 1,
-    "context_window": 5,
+    "context_window": 2,
     "cluster_threshold": 0.9,
     "min_support": 0.5,
     "restart_prob": 0.5,
