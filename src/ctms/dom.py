@@ -20,23 +20,22 @@ body is the only ``#text`` child its element can have, so being raw is a
 property of the path (``path_raw``).
 
 The scan moves from one construct to the next with one search of one
-precompiled pattern (comment, directive, close tag or open tag, with the
-tag's name and, in a fifth group, a ``>`` right after it); the gap before
-the match is a text run.  An open tag whose name is followed by ``>``
-needs nothing more.  One whose attributes are all ``name="value"`` pairs,
-each after whitespace, with ``>`` right after the last, takes one more
-match, and one ``finditer`` over its quotes gives the value spans; any
-other tag's attributes are scanned one step per match.  Comment and tag
-ends and raw-text bodies are found by further C-level searches, never
-one character at a time.  Repair strategy for malformed markup:
-unclosed elements are closed at the boundary of the enclosing close tag
-(or end of input); close tags with no matching open element are
-swallowed by the current element; a ``<`` that begins no construct is
-ordinary text.  A tag's characters are its element's, but for attribute
-values, which are ``#attr`` leaves; text runs are ``#text`` leaves.
-Script and style bodies are ``#text`` leaves with a raw path, kept out
-of the rendered text.  Entities are not decoded; offsets always index
-the raw source.
+precompiled pattern; the gap before the match is a text run.  The match
+of a close tag runs through its ``>`` (or to the end of the input), and
+so does that of an open tag whose name is followed by ``>`` or by only
+``name="value"`` pairs, each after whitespace, with ``>`` right after
+the last; one ``finditer`` over the pairs' quotes gives the value spans.
+Any other tag's attributes are scanned one step per match.  Comment and
+directive ends and raw-text bodies are found by further C-level
+searches, never one character at a time.  Repair strategy for malformed
+markup: unclosed elements are closed at the boundary of the enclosing
+close tag (or end of input); close tags with no matching open element
+are swallowed by the current element; a ``<`` that begins no construct
+is ordinary text.  A tag's characters are its element's, but for
+attribute values, which are ``#attr`` leaves; text runs are ``#text``
+leaves.  Script and style bodies are ``#text`` leaves with a raw path,
+kept out of the rendered text.  Entities are not decoded; offsets always
+index the raw source.
 """
 
 from __future__ import annotations
@@ -68,17 +67,20 @@ _RAW_TEXT_CLOSE = {
     for name in RAW_TEXT_ELEMENTS
 }
 # The constructs a ``<`` can begin, tried in this order: a comment opener
-# (group 1), a ``<!`` or ``<?`` directive (2), a close tag's name (3) and
-# an open tag's name (4), with the ``>`` right after it if there is one
-# (5).  Tag names start with an ASCII letter.  A close tag's name runs to
-# whitespace, ``<`` or ``>``; an open tag's to whitespace, ``>`` or
-# ``/``.  A ``<`` that begins none of them is text.
-_CONSTRUCT = re.compile(r"<(?:(!--)|([!?])|/([A-Za-z][^\s<>]*)|([A-Za-z][^\s>/]*)(>)?)")
-# An open tag's tail made only of double-quoted attributes, each after
-# whitespace, the last directly followed by ``>``.  A name holds no
-# whitespace, ``=``, ``>``, ``/`` or quote, so every quote in the tail
-# opens or closes a value and `_QUOTED_VALUE` finds the values.
-_QUOTED_TAIL = re.compile(r"""(?:\s+[^\s=>/"']+="[^"]*")+>""")
+# (group 1), a ``<!`` or ``<?`` directive (2), a close tag (3, its name)
+# and an open tag (4, its name).  Tag names start with an ASCII letter.  A
+# close tag's name runs to whitespace, ``<`` or ``>``, and its match on
+# through its ``>`` (or to the end of the input).  An open tag's name runs
+# to whitespace, ``>`` or ``/``; the match then takes a ``>`` right after
+# it (5), or a tail made only of double-quoted attributes, each after
+# whitespace, the last directly followed by ``>`` (6).  A name there holds
+# no whitespace, ``=``, ``>``, ``/`` or quote, so every quote in the tail
+# opens or closes a value and `_QUOTED_VALUE` finds the values.  A ``<``
+# that begins none of the four is text.
+_CONSTRUCT = re.compile(
+    r"""<(?:(!--)|([!?])|/([A-Za-z][^\s<>]*)[^>]*>?"""
+    r"""|([A-Za-z][^\s>/]*)(?:(>)|((?:\s+[^\s=>/"']+="[^"]*")+>))?)"""
+)
 _QUOTED_VALUE = re.compile(r'"([^"]*)"')
 # One step of an open tag's attribute scan, after any whitespace: the
 # tag's end (``>`` or ``/>``, group 1), a stray ``/`` or ``=``, or a name
@@ -230,7 +232,7 @@ def parse_html(raw: str) -> DomTree:
         if construct is None:
             break
         i = end
-        comment, directive, close_name, open_name, bare = construct.groups()
+        comment, directive, close_name, open_name, bare, quoted = construct.groups()
 
         if open_name is None:
             if comment:
@@ -244,16 +246,18 @@ def parse_html(raw: str) -> DomTree:
                 path = child(stack[-1], DIRECTIVE_TAG)
                 after = n if close == -1 else close + 1
             else:
-                name = close_name.lower()
-                close = raw.find(">", construct.end())
-                after = n if close == -1 else close + 1
+                name, after = close_name.lower(), construct.end()
                 # Close the matching open element; unmatched close tags are
-                # swallowed by the current element.  An unmatched name is
-                # answered from `open_count` without a scan, and a matched
-                # one scans only the elements it pops, so the parse stays
-                # linear.
+                # swallowed by the current element.  The current element
+                # (never the root, whose tag no name equals) is popped
+                # directly.  Any other name is answered from `open_count`:
+                # an unmatched one without a scan, a matched one scanning
+                # only the elements it pops, so the parse stays linear.
                 path = stack[-1]
-                if open_count.get(name):
+                if path_tag[path] == name:
+                    stack.pop()
+                    open_count[name] -= 1
+                elif open_count.get(name):
                     depth = len(stack) - 1
                     while path_tag[stack[depth]] != name:
                         depth -= 1
@@ -271,16 +275,13 @@ def parse_html(raw: str) -> DomTree:
 
         name, tag_end = open_name.lower(), construct.end()
         attr_spans, self_closing = (), False
-        if not bare:  # a bare tag's match ends at its ">"
-            tail = _QUOTED_TAIL.match(raw, tag_end)
-            if tail is None:
-                name, attr_spans, self_closing, tag_end = _scan_open_tag(raw, i)
-            else:
-                # Only name="value" pairs: the quotes are the values' own.
-                # Empty values are dropped, as `_scan_open_tag` drops them.
-                values = _QUOTED_VALUE.finditer(raw, tag_end, tail.end())
-                attr_spans = [v.span(1) for v in values if v.group(1)]
-                tag_end = tail.end()
+        if quoted:
+            # Only name="value" pairs: the quotes are the values' own.
+            # Empty values are dropped, as `_scan_open_tag` drops them.
+            values = _QUOTED_VALUE.finditer(raw, construct.start(6), tag_end)
+            attr_spans = [v.span(1) for v in values if v.group(1)]
+        elif not bare:  # a bare or quoted tag's match ends at its ">"
+            name, attr_spans, self_closing, tag_end = _scan_open_tag(raw, i)
         # Implicit close of a same-group sibling (<li> after unclosed <li> etc).
         closers = _SIBLING_CLOSERS.get(name)
         if closers and len(stack) > 1 and path_tag[stack[-1]] in closers:
@@ -296,7 +297,9 @@ def parse_html(raw: str) -> DomTree:
             last = elem
         # The tag's characters are its element's, but for attribute values.
         if attr_spans:
-            attr = child(elem, ATTR_TAG)
+            attr = path_ids.get((elem, ATTR_TAG))
+            if attr is None:
+                attr = child(elem, ATTR_TAG)
             for a, b in attr_spans:
                 add_start(a)
                 add_path(attr)

@@ -22,8 +22,8 @@ its spans on the page, learned per tag-path group of seed occurrences:
      learned from two seeds bracket list items the seeds never mentioned.
      Along one trie edge the match sets only shrink, so `_side_levels`
      finds an edge's levels by bisecting its range of prefix lengths on
-     match counts, in one walk of the trie, without building every
-     shared context.
+     match counts, in one walk of the trie over the windows sorted once,
+     without building every shared context.
   3. Each (left level, right level) pair is a candidate wrapper.  It is
      kept if it passes the validity rules (`_contexts_pass`; its path
      ends at a #text or #attr node), brackets at least
@@ -54,11 +54,12 @@ scans the page (for left contexts, the reversed page) only for the
 prefixes it probes on root edges of the trie.  A deeper edge's prefixes
 extend its parent edge's longest one, and the probes along an edge are
 chained: each probe's matches are those of the nearest shorter probed
-prefix (for the edge's first probe, the parent's longest) that extend
-to it.  Dominance compares (left, right) context pairs, and a `Wrapper`
-is built only for each candidate kept.  Each kept wrapper's span set
-comes back decoded with it, so mining never searches the page again to
-apply a wrapper.
+prefix (for the edge's first probe, the parent's longest) that extend to
+it.  One context of a side extends another exactly when its level lies
+below the other's on a trie root path, so dominance compares the levels'
+ancestry masks, never strings, and a `Wrapper` is built only for each
+candidate kept.  Each kept wrapper's span set comes back decoded with
+it, so mining never searches the page again to apply a wrapper.
 
 Extraction (`extract_spans`) is the independent check on those spans,
 not part of mining: it finds every position of its wrappers' context
@@ -74,7 +75,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
-from os.path import commonprefix
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .config import PipelineConfig
@@ -131,6 +132,7 @@ class _Level(NamedTuple):
     positions: tuple[int, ...]  # ascending; where spans start (left side) or end (right)
     occs: int  # the group's occurrences it brackets: bit i for occurrence i
     punct: bool  # is_punct_text(context), fixed per level
+    within: int  # bit j: this context extends or equals level j's
 
 
 def _side_levels(
@@ -142,33 +144,45 @@ def _side_levels(
     match start q is the page position ``len(text) - q`` and a context is
     read back to front.
 
-    The windows ``text[a : a + MAX_CONTEXT_LEN]`` are walked as a
-    compressed trie.  A part of the occurrences whose windows share a
-    common prefix of length n, split off from its parent at depth d, owns
-    the prefixes of lengths ``(d, n]``; it adds levels only when it holds
-    two different terms.  Along that edge the match sets shrink as the
-    prefix grows, so equal match counts mean equal sets, and the levels
-    are the maximal runs of lengths with one count: the edge's shortest
-    and longest prefixes are probed, and a range whose end counts differ
-    is bisected.  Each run is named by its longest prefix and brackets
-    exactly the part's occurrences.  A root edge (d = 0) probes by
-    scanning `text`.  A deeper edge's first probe filters the starts of
-    its parent's longest prefix, and each later probe those of the
-    nearest shorter length it has probed.  Runs of different edges never
-    share a match set, as a child part lacks some anchor of its parent.
-    Levels come in walk order: the learner treats them as sets and sorts
-    the wrappers it keeps.
+    The windows ``text[a : a + MAX_CONTEXT_LEN]`` are sorted once and
+    walked as a compressed trie, each of whose parts is a contiguous run
+    of the sorted windows.  A part whose windows share a common prefix of
+    length n (that of its first and last window), split off from its
+    parent at depth d, owns the prefixes of lengths ``(d, n]``; it adds
+    levels only when it holds two different terms.  Its children are its
+    runs of one character at depth n, found by bisection.  Along that
+    edge the match sets shrink as the prefix grows, so equal match counts
+    mean equal sets, and the levels are the maximal runs of lengths with
+    one count: the edge's shortest and longest prefixes are probed, and a
+    range whose end counts differ is bisected.  Each run is named by its
+    longest prefix and brackets exactly the part's occurrences.  A root
+    edge (d = 0) probes by scanning `text`.  A deeper edge's first probe
+    filters the starts of its parent's longest prefix, and each later
+    probe those of the nearest shorter length it has probed.  Runs of
+    different edges never share a match set, as a child part lacks some
+    anchor of its parent.  One level's context is a prefix of another's
+    exactly when its run is on the other's root path, at or above it, so
+    the walk hands each level's `within` mask down the trie.  Levels come
+    in walk order: the learner treats them as sets and sorts the wrappers
+    it keeps.
     """
     windows = [text[a : a + MAX_CONTEXT_LEN] for _, a in anchors]
-    found: list[tuple[list[int], str, int]] = []
-    # (depth, the part's occurrence indices, starts of its depth-long prefix)
-    stack: list[tuple[int, Sequence[int], list[int] | None]] = [(0, range(len(anchors)), None)]
+    order = sorted(range(len(anchors)), key=windows.__getitem__)
+    windows = [windows[i] for i in order]
+    terms, bits = [anchors[i][0] for i in order], [1 << i for i in order]
+    found: list[tuple[list[int], str, int, int]] = []
+    # (the part's run start:stop of the sorted windows, its depth, starts
+    # of its depth-long prefix, the `within` mask of its parent's levels)
+    stack: list[tuple[int, int, int, list[int] | None, int]] = [(0, len(order), 0, None, 0)]
     while stack:
-        depth, part, base = stack.pop()
-        if len({anchors[i][0] for i in part}) < 2:
+        start, stop, depth, base, within = stack.pop()
+        if len(set(terms[start:stop])) < 2:
             continue
-        prefix = commonprefix([windows[i] for i in part])
-        n = len(prefix)
+        first, last = windows[start], windows[stop - 1]
+        n, most = depth, min(len(first), len(last))
+        while n < most and first[n] == last[n]:
+            n += 1
+        prefix = first[:n]
         if n > depth:
             # On a deeper edge each probe filters the starts of the nearest
             # shorter probed length; on a root edge each scans `text`.
@@ -188,25 +202,25 @@ def _side_levels(
                 mid = (lo + hi) // 2
                 probed[mid] = _starts(text, prefix[:mid], probed[lo] if chained else None)
                 ranges += ((lo, mid), (mid, hi))
-            occs = sum(1 << i for i in part)
-            found.extend((probed[k], prefix[:k], occs) for k in ends)
+            occs = sum(bits[start:stop])
+            for k in sorted(ends):  # each level is within the longer ones
+                within |= 1 << len(found)
+                found.append((probed[k], prefix[:k], occs, within))
             base = probed[n]
-        children: dict[str, list[int]] = defaultdict(list)
-        for i in part:
-            if len(windows[i]) > n:
-                children[windows[i][n]].append(i)
-        stack.extend((n, child, base) for child in children.values())
+        # Windows that end at depth n sort first and have no child.
+        if len(first) == n:
+            start = bisect_right(windows, prefix, start, stop)
+        char_at = itemgetter(n)
+        while start < stop:
+            end = bisect_right(windows, windows[start][n], start, stop, key=char_at)
+            stack.append((start, end, n, base, within))
+            start = end
     levels = []
-    for starts, s, occs in found:
+    for starts, s, occs, within in found:
         if mirrored:
             s, starts = s[::-1], [len(text) - q for q in reversed(starts)]
-        levels.append(_Level(s, tuple(starts), occs, is_punct_text(s)))
+        levels.append(_Level(s, tuple(starts), occs, is_punct_text(s), within))
     return levels
-
-
-def _extends(a: tuple[str, str], b: tuple[str, str]) -> bool:
-    """True when (left, right) contexts `a` strictly extend `b`."""
-    return a != b and a[0].endswith(b[0]) and a[1].startswith(b[1])
 
 
 def spans_on_path(
@@ -331,19 +345,24 @@ def learn_wrappers(
             masks.append([sum(map(bits.get, lv.positions, repeat(0))) for lv in side])
 
         # Dominance: among candidates matching identical span sets, drop any
-        # whose (left, right) contexts another one strictly extends.
+        # whose (left, right) contexts another one strictly extends: whose
+        # levels are within the other's levels on both sides.
         path = tree.path_string(path_id)
-        by_spans: dict[int, list[tuple[str, str]]] = defaultdict(list)
+        by_spans: dict[int, list[tuple[int, int]]] = defaultdict(list)
         for li, ri in gated:
             span_set = masks[0][li] & masks[1][ri]
             if span_set:
-                by_spans[span_set].append((sides[0][li].context, sides[1][ri].context))
+                by_spans[span_set].append((li, ri))
+        left_within, right_within = ([lv.within for lv in side] for side in sides)
         for span_set, pairs in by_spans.items():
             # Bit k set <=> span k; the reversed binary string has bit k at index k.
             decoded = [spans[k] for k in find_all(bin(span_set)[:1:-1], "1")]
-            for pair in pairs:
-                if len(pairs) == 1 or not any(_extends(other, pair) for other in pairs):
-                    kept[pair + (path,)] = decoded
+            for li, ri in pairs:
+                if len(pairs) == 1 or not any(
+                    left_within[lj] >> li & 1 and right_within[rj] >> ri & 1 and (lj, rj) != (li, ri)
+                    for lj, rj in pairs
+                ):
+                    kept[sides[0][li].context, sides[1][ri].context, path] = decoded
 
     # Sorted (left, right, path) keys are `Wrapper`'s own order.
     return {Wrapper(*key): kept[key] for key in sorted(kept)}

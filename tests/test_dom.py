@@ -663,6 +663,21 @@ def test_parse_matches_char_loop_parser_on_fixture_pages(miniweb_provider):
         assert_reads_like(parse_html(html), char_loop_parse(html), url)
 
 
+# Constructs the construct pattern reads in one match: close tags cut off
+# by the end of the input and close tags whose ">" lies in a quoted value
+# (with nothing or their element open), a close tag of the current element
+# while one of its name is open deeper, a self-closing quoted tag, and a
+# tag whose quoted tail fails on its closer, so `_scan_open_tag` reads it.
+@pytest.mark.parametrize(
+    "html",
+    ["</b", "<b>x</b", '</b x="a>b">y', '<b>x</b x="a>b">y', "<b><i><b>x</b>y</i>z</b>"]
+    + ['<a href="x"/>', '<a href="x" >'],
+)
+def test_one_match_constructs_read_like_both_reference_parsers(html):
+    assert_reads_like(parse_html(html), stack_scan_parse(html), "stack scan")
+    assert_reads_like(parse_html(html), char_loop_parse(html), "char loop")
+
+
 def recursive_segments(root: Node) -> list[tuple[int, str]]:
     """Reference segment table: (start, path) of each maximal run of one
     path, from a depth-first walk of an oracle tree written recursively."""

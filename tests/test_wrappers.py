@@ -163,6 +163,33 @@ def test_dominance_no_same_span_extensions():
                 assert not extends or (a.left == b.left and a.right == b.right)
 
 
+def test_dominance_keeps_candidates_neither_of_which_extends_the_other():
+    # ("<p>", " ") and (">", " </") bracket the same two spans, and neither
+    # extends the other.  ("<p>", " </") extends both but fails rule 2, as
+    # only its right side is punctuation; the trailing " " keeps " " a level
+    # of its own, apart from " </".
+    tree = parse_html("<p>乙 </p></b><p>甲 </b>x</p> ")
+    learned = learn_wrappers({"甲", "乙"}, tree, PipelineConfig(kappa=1))
+    path = "#document/p/#text"
+    assert learned == {
+        Wrapper("<p>", " ", path): [(3, 4), (16, 17)],
+        Wrapper(">", " </", path): [(3, 4), (16, 17)],
+    }
+    assert not contexts_pass("<p>", " </", kappa=1)
+
+
+def test_dominance_keeps_only_the_longest_of_a_chain():
+    # Each wrapper of the chain extends the one before it, all pass the
+    # validity rules, and all bracket the same two spans.
+    tree = parse_html("<ul><li>甲</li><li>乙</li></ul>")
+    path = "#document/ul/li/#text"
+    chain = [(">", "<"), ("li>", "</l"), ("<li>", "</li>"), ("><li>", "</li><")]
+    wrappers = [Wrapper(left, right, path) for left, right in chain]
+    assert all(contexts_pass(w.left, w.right) for w in wrappers)
+    assert all(spans == [(8, 9), (18, 19)] for spans in extract_spans(tree, wrappers).values())
+    assert learn_wrappers({"甲", "乙"}, tree, PipelineConfig()) == {wrappers[-1]: [(8, 9), (18, 19)]}
+
+
 # --- extraction ------------------------------------------------------------
 
 
@@ -461,6 +488,16 @@ def _pairwise_truncations(windows: list[tuple[str, str]]) -> set[str]:
     return out
 
 
+def check_within_is_the_prefix_order(levels, mirrored: bool) -> None:
+    """Bit i of level j's `within` is set exactly when level i's context,
+    read outwards, is a prefix of level j's."""
+    outwards = [lv.context[::-1] if mirrored else lv.context for lv in levels]
+    for j, lv in enumerate(levels):
+        assert lv.within >> len(levels) == 0
+        for i, context in enumerate(outwards):
+            assert bool(lv.within >> i & 1) == outwards[j].startswith(context), (i, j)
+
+
 def check_levels_are_the_truncations(text: str, anchors: list[tuple[str, int]], mirrored: bool):
     """`_side_levels` against the pairwise truncations of its windows.
 
@@ -471,6 +508,7 @@ def check_levels_are_the_truncations(text: str, anchors: list[tuple[str, int]], 
     """
     n = len(text)
     levels = _side_levels(text, anchors, mirrored)
+    check_within_is_the_prefix_order(levels, mirrored)
     by_positions = {lv.positions: lv for lv in levels}
     assert len(by_positions) == len(levels)
     longest: dict[tuple[int, ...], str] = {}
@@ -642,10 +680,9 @@ def check_side_levels_on_both_sides(src: str, cuts: list[tuple[str, int]]) -> No
         (True, src[::-1], [(t, n - p) for t, p in cuts]),
         (False, src, cuts),
     ):
-        got = [
-            (lv.positions, lv.context, occurrence_indices(lv.occs), lv.punct)
-            for lv in _side_levels(text, anchors, mirrored=left)
-        ]
+        levels = _side_levels(text, anchors, mirrored=left)
+        check_within_is_the_prefix_order(levels, mirrored=left)
+        got = [(lv.positions, lv.context, occurrence_indices(lv.occs), lv.punct) for lv in levels]
         assert sorted(got) == levels_from_page(src, cuts, left)
 
 
