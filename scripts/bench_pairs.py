@@ -24,7 +24,11 @@ and ``failed`` go to the ``--out`` JSON, with each side's median and
 interquartile range per metric and the number of pairs the working tree
 won.  A metric's ``gain_shown`` says that the working tree won at least
 9 in 10 pairs and beat the base's median by more than the base's
-interquartile range.  Exits 1 if any recorded run was not ``correct``.
+interquartile range; its ``beyond_bound`` says that the working tree's
+median is worse than the base's by more than the metric's ``bound`` in
+``BENCHMARK.json`` (end-to-end metrics only) times the base's median.
+The last line printed says whether any metric is beyond its bound.
+Exits 1 if any recorded run was not ``correct``.
 
     python3 scripts/bench_pairs.py --workload dense_pages --pairs 5 --out BENCH.json
 """
@@ -51,6 +55,13 @@ def better_directions(benchmark: Path) -> dict[str, str]:
     return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
+def end_to_end_bounds(benchmark: Path) -> dict[str, float]:
+    """End-to-end metric name -> its bound, a fraction of the base's value,
+    from a BENCHMARK.json."""
+    spec = json.loads(benchmark.read_text(encoding="utf-8"))
+    return {m["name"]: m["bound"] for m in spec.get("end_to_end", [])}
+
+
 def _quartile_spread(values: list[float]) -> float:
     if len(values) < 2:
         return 0.0
@@ -58,18 +69,22 @@ def _quartile_spread(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def summarize(runs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
     """Per-side medians and IQRs, and pairs won by the change, per metric.
 
     `runs` holds one record per run: ``pair``, ``side`` ("base" or
     "change"), ``correct`` and ``metrics`` (name -> value).  A metric
-    named ``workload.name`` takes the direction of ``name``; one not in
-    `better` counts lower as better.  A pair is won when the change's
-    value is strictly better than the base's, so a tie is won by neither
-    side.  ``gain_shown`` is true when the change won at least 9 in 10 of
-    the pairs and its median is better than the base's by more than the
-    base's IQR.
+    named ``workload.name`` takes the direction and bound of ``name``;
+    one not in `better` counts lower as better.  A pair is won when the
+    change's value is strictly better than the base's, so a tie is won by
+    neither side.  ``gain_shown`` is true when the change won at least 9
+    in 10 of the pairs and its median is better than the base's by more
+    than the base's IQR.  ``beyond_bound`` is true when the metric has a
+    bound in `bounds` and the change's median is worse than the base's by
+    more than that bound times the base's median.
     """
+    bounds = bounds or {}
     values: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
@@ -79,13 +94,15 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     metrics = {}
     for name in sorted(set(values["base"]) | set(values["change"])):
         higher = better.get(name.rsplit(".", 1)[-1], "lower") == "higher"
+        bound = bounds.get(name.rsplit(".", 1)[-1])
         won = compared = 0
         for sides in by_pair.values():
             if all(name in sides.get(side, {}) for side in SIDES):
                 compared += 1
                 base, change = sides["base"][name], sides["change"][name]
                 won += change > base if higher else change < base
-        entry: dict = {"better": "higher" if higher else "lower", "pairs": compared, "pairs_won": won}
+        entry: dict = {"better": "higher" if higher else "lower", "bound": bound,
+                       "pairs": compared, "pairs_won": won}
         for side in SIDES:
             side_values = values[side].get(name, [])
             entry[side] = {
@@ -97,6 +114,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         base, change = entry["base"]["median"], entry["change"]["median"]
         entry["gain_shown"] = compared > 0 and 10 * won >= 9 * compared and (
             (change - base if higher else base - change) > entry["base"]["iqr"]
+        )
+        entry["beyond_bound"] = bound is not None and None not in (base, change) and (
+            (base - change if higher else change - base) > bound * abs(base)
         )
         metrics[name] = entry
     return {"correct": all(run["correct"] for run in runs), "metrics": metrics}
@@ -178,6 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     out = args.out.resolve()
 
     better = better_directions(ROOT / "BENCHMARK.json")
+    bounds = end_to_end_bounds(ROOT / "BENCHMARK.json")
     runs: list[dict] = []
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
@@ -201,7 +222,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    summary = summarize(runs, better)
+    summary = summarize(runs, better, bounds)
     record = {
         "command": ["python3", "perfbench/run.py", "--workload", args.workload,
                     "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
@@ -220,7 +241,11 @@ def main(argv: list[str] | None = None) -> int:
             f"{side} {_number(m[side]['median'])} (IQR {m[side]['iqr']:.3g})" for side in SIDES
         )
         shown = "  gain shown" if m["gain_shown"] else ""
+        if m["beyond_bound"]:
+            shown += f"  BEYOND BOUND ({m['bound']:.0%})"
         print(f"{name:<32} {sides}  won {m['pairs_won']}/{m['pairs']} ({m['better']} is better){shown}")
+    beyond = [name for name, m in summary["metrics"].items() if m["beyond_bound"]]
+    print("metrics worse than their bound: " + (", ".join(beyond) if beyond else "none"))
     return 0 if summary["correct"] else 1
 
 

@@ -15,8 +15,10 @@ same page, or equal to that of a list with a smaller id
 produce such nested fragments.  The pair scores 1.0 on the content side,
 so only each page's maximal lists are clustered, and `mine` adds every
 contained list to the cluster of its smallest-id maximal container,
-whose terms already hold all of its own.  At ``sim_lambda`` 0 the
-content side has no weight, so there every list is clustered.
+whose terms already hold all of its own.  The rule applies at any
+``sim_lambda`` above 0, however small; only at 0, where the content side
+has no weight, is every list clustered, so a report can change between
+``sim_lambda`` 0 and 1e-6.
 
 Each fetched page's rendered text is tokenized once, into a
 `TokenIndex` keyed by its URL: the page's token set feeds the document
@@ -40,9 +42,7 @@ visited list adds into a plain list indexed by list number,
 ``[0.0] * n``, rather than a dict: a pair that shares no word keeps the
 dot product 0.0, and 0.0 over a non-zero product of norms is cosine
 0.0, as a pairwise loop gives.  The content part's shared-term count is
-the popcount of the AND of two int bitmasks over the run's distinct
-terms, an exact integer, so ``shared / min(|a|, |b|)`` has the bits of
-``len(a & b) / min(|a|, |b|)``.
+``len(a & b)`` of the two term sets, an exact integer.
 
 The merge loop sums a cluster pair's linkage only when its largest
 member-pair similarity reaches a floor set just below the threshold, by
@@ -135,18 +135,18 @@ def _similarity_matrix(features: Sequence[_Features], lam: float) -> list[list[f
     """Every list pair's similarity, in [0, 1]: ``lam`` times the content
     part |a∩b| / min(|a|, |b|) of their (non-empty) term sets, plus
     ``1 - lam`` times the cosine of their context vectors.  Containment
-    scores 1 on the content side, so a sub-concept list merges with its
-    parent; a zero-norm vector gives cosine 0.
+    scores 1 on the content side, which is why `mine` clusters only each
+    page's maximal lists at any ``lam`` above 0, however small; a
+    zero-norm vector gives cosine 0.
 
     Lists are visited by descending (vector size, index).  Each starts a
     fresh dot-product accumulator, a plain list indexed by list number.
     It walks its own words in dict order, adds ``w * wb`` to the slot of
     every list already posted under the word, then posts its own weight:
     a pair is summed over its shared words, in the order of its smaller
-    vector (the earlier one on equal size).  Each list's terms are an int
-    bitmask over the distinct terms of the call, so a pair's shared-term
-    count is the exact integer ``(mask_a & mask_b).bit_count()``.  Term
-    counts and norms are read from lists built once per call.  A pair
+    vector (the earlier one on equal size).  A pair's shared-term count
+    is ``len(a & b)`` of its term sets.  Term sets, their sizes and the
+    norms are read from lists built once per call.  A pair
     that shares no word keeps the dot product 0.0, so its cosine is
     0.0 / (norm * norm_b) = 0.0, as a pairwise loop gives; a zero-norm
     side gives cosine 0.0 without a division.  The clamp is written as
@@ -154,13 +154,7 @@ def _similarity_matrix(features: Sequence[_Features], lam: float) -> list[list[f
     or -0.0 becomes 0.0).
     """
     n = len(features)
-    bits: dict[str, int] = {}
-    masks = []
-    for f in features:
-        mask = 0
-        for term in f.terms:
-            mask |= bits.setdefault(term, 1 << len(bits))
-        masks.append(mask)
+    terms = [f.terms for f in features]
     sizes = [len(f.terms) for f in features]
     norms = [f.norm for f in features]
     mu = 1.0 - lam
@@ -174,11 +168,11 @@ def _similarity_matrix(features: Sequence[_Features], lam: float) -> list[list[f
             for b, wb in posted:
                 dots[b] += w * wb
             posted.append((a, w))
-        mask, size, norm = masks[a], sizes[a], norms[a]
+        own, size, norm = terms[a], sizes[a], norms[a]
         row = sim[a]
         for b in seen:
             size_b = sizes[b]
-            content = (mask & masks[b]).bit_count() / (size if size < size_b else size_b)
+            content = len(own & terms[b]) / (size if size < size_b else size_b)
             norm_b = norms[b]
             cosine = 0.0
             if norm != 0.0 and norm_b != 0.0:
@@ -228,27 +222,28 @@ def cluster_weblists(
     a cluster's id is the smallest member weblist id, so the procedure is
     deterministic for a fixed input.  `weblists` is non-empty and each has
     at least two terms, as `harvest_page` makes them; the clusters are
-    returned seed or not, for `filter_clusters` to judge.
+    returned seed or not, for `filter_clusters` to judge.  At any
+    ``sim_lambda`` above 0, however small, `mine` passes only each page's
+    maximal lists (`maximal_lists`); at 0 it passes them all.
 
     The similarity of every list pair is computed once, into one
     matrix indexed by position in the sorted ids, from one posting table
-    and one bitmask per list (`_similarity_matrix`, bit-identical to
-    pairwise folds over each pair's smaller vector; see the module
-    notes).  The average linkage of every live cluster pair is kept too,
-    with each cluster's best partner among the clusters with larger ids,
-    and the largest similarity of any of the pair's member pairs.  A merge
-    scores only the merged cluster against each survivor, summing its
-    member pairs in the order of a full rescan (the members of the
-    cluster with the smaller id in the outer loop, both sorted).  It
-    skips the sum, and stores a sentinel below every score, when that
-    largest similarity is under a floor: the threshold lowered by
-    (n*n + 8) * 2**-53 of itself, more than rounding can lift an average
-    of n*n/4 terms.  Such a linkage is under the threshold for certain;
-    the sentinel can neither be the best score nor tie it, and a cluster
-    whose partners were all skipped never gains a summed one.  So every
-    score, threshold comparison and tie-break, and hence the merge
-    schedule, is the one that rescanning all cluster pairs after every
-    merge would produce.
+    (`_similarity_matrix`, bit-identical to pairwise folds over each
+    pair's smaller vector; see the module notes).  The average linkage of
+    every live cluster pair is stored too, with the largest similarity of
+    any of the pair's member pairs.  Each merge is picked by scanning the
+    stored linkages of the live pairs in ascending key order and keeping
+    the first strict maximum.  A merge scores only the merged cluster
+    against each survivor, summing its member pairs in the order of a
+    full rescan (the members of the cluster with the smaller id in the
+    outer loop, both sorted).  It skips the sum, and stores a sentinel
+    below every score, when that largest similarity is under a floor: the
+    threshold lowered by (n*n + 8) * 2**-53 of itself, more than rounding
+    can lift an average of n*n/4 terms.  Such a linkage is under the
+    threshold for certain, and the sentinel can neither be the best score
+    nor tie it.  So every score, threshold comparison and tie-break, and
+    hence the merge schedule, is the one that rescanning all cluster pairs
+    after every merge would produce.
     """
     by_id = {wl.id: wl for wl in weblists}
     ids = sorted(by_id)
@@ -261,14 +256,12 @@ def cluster_weblists(
     sim = _similarity_matrix(features, cfg.sim_lambda)
 
     # A cluster is keyed by its smallest member index; link[p][q] (p < q) is
-    # the average linkage of live clusters p and q, or _SKIPPED, and best[p]
-    # is the (score, q) of p's best partner q > p: highest score, then
-    # smallest q.  `members` iterates in ascending key order (a merge
-    # reassigns p's entry and pops q's), which that tie-break relies on.  A
-    # singleton pair's linkage (0.0 + s) / 1 is s itself.
+    # the average linkage of live clusters p and q, or _SKIPPED.  `members`
+    # iterates in ascending key order (a merge reassigns p's entry and pops
+    # q's), so the first strict maximum of the scan is the highest score's
+    # smallest (p, q).  A singleton pair's linkage (0.0 + s) / 1 is s itself.
     members: dict[int, list[int]] = {p: [p] for p in range(n)}
     link = [row[:] for row in sim]
-    best: dict[int, tuple[float, int]] = {}
 
     # top[p][q] == top[q][p] is the largest similarity of a member pair of
     # live clusters p and q; merging p and q makes it the larger of the two
@@ -281,37 +274,23 @@ def cluster_weblists(
     # the threshold in every bit.  top < threshold alone would not do:
     # ((0.1 + 0.1) + 0.1) / 3 > 0.1.  (Once n*n + 8 reaches 2**53, `floor` is
     # at most 0 and nothing is skipped.)  A skipped linkage is stored as
-    # _SKIPPED, so it can neither be the best score nor tie it.  A cluster
-    # whose partners above it are all skipped leaves `best` for good, as
-    # one without partners does: merging two of those partners keeps the
-    # larger of two tops under `floor`, so that sum is skipped too.
+    # _SKIPPED, below every score, so the scan can neither pick it nor tie
+    # it; when every live pair is skipped, the scan finds no pair at all.
     top = [row[:] for row in sim]
     floor = cfg.cluster_threshold * (1.0 - (n * n + 8) * 2.0**-53)
 
-    def rescore_row(p: int) -> None:
-        high, arg = _SKIPPED, -1
-        row = link[p]
-        for q in members:
-            if q > p and row[q] > high:
-                high, arg = row[q], q
-        if arg < 0:
-            best.pop(p, None)
-        else:
-            best[p] = (high, arg)
-
-    for p in range(n):
-        rescore_row(p)
-
-    while best:
+    while True:
+        keys = list(members)
         p, score, q = -1, _SKIPPED, -1
-        for r, (s, partner) in best.items():
-            if s > score or (s == score and r < p):
-                p, score, q = r, s, partner
+        for i, r in enumerate(keys):
+            row = link[r]
+            for c in keys[i + 1 :]:
+                if row[c] > score:
+                    p, score, q = r, row[c], c
         if score < cfg.cluster_threshold:
             break
         merged = sorted(members[p] + members.pop(q))
         members[p] = merged
-        best.pop(q, None)
         top_p, top_q = top[p], top[q]
         for c, other in members.items():
             if c == p:
@@ -332,14 +311,6 @@ def cluster_weblists(
                 for b in inner:
                     total += row[b]
             target[col] = total / (len(outer) * len(inner))
-        for r in list(best):
-            partner = best[r][1]
-            if r == p or partner == p or partner == q:
-                rescore_row(r)
-            elif r < p:
-                s = link[r][p]
-                if s > best[r][0] or (s == best[r][0] and p < partner):
-                    best[r] = (s, p)
 
     out = []
     for p, group in sorted(members.items()):

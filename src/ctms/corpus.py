@@ -17,6 +17,7 @@ every experiment replayable byte for byte.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -102,18 +103,25 @@ def _hit(entry: dict) -> SearchHit:
     """One manifest hit, as stored; TypeError unless each field has its type.
 
     Nothing is coerced: a null title would be mined as the text "None",
-    and a rank of 1.9 would pass as 1.
+    and a rank of 1.9 would pass as 1.  An empty url names no page that
+    a provider can fetch, so it is a FixtureError.
     """
     rank, texts = entry["rank"], (entry["title"], entry["snippet"], entry["url"])
     if isinstance(rank, bool) or not isinstance(rank, int):
         raise TypeError
     if not all(isinstance(t, str) for t in texts):
         raise TypeError
+    if not entry["url"]:
+        raise FixtureError(f"hit has an empty url: {entry!r}")
     return SearchHit(rank, *texts)
 
 
 def load_fixture(path: str | Path) -> FixtureCorpus:
-    """Load and validate a fixture bundle directory."""
+    """Load and validate a fixture bundle directory.
+
+    A page file must lie under the bundle, after symlinks are resolved, and
+    a page or hit url must be non-empty.
+    """
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -126,18 +134,22 @@ def load_fixture(path: str | Path) -> FixtureCorpus:
         raise FixtureError("manifest.json must be a JSON object")
 
     pages: dict[str, RawPage] = {}
+    bundle = root.resolve()
     for entry in _entries(manifest, "pages"):
         try:
             url, rel = entry["url"], entry["file"]
         except (TypeError, KeyError):
             raise FixtureError(f"bad page entry: {entry!r}") from None
-        if not isinstance(url, str) or not isinstance(rel, str):
+        if not isinstance(url, str) or not isinstance(rel, str) or not url:
             raise FixtureError(f"bad page entry: {entry!r}")
         if url in pages:
             raise FixtureError(f"page url {url!r} is listed twice")
-        if Path(rel).is_absolute() or ".." in Path(rel).parts:
-            raise FixtureError(f"page file for {url!r} lies outside the bundle: {rel!r}")
         page_path = root / rel
+        # realpath, unlike Path.resolve, leaves a symlink loop for the
+        # is_file test below to report as missing.
+        inside = Path(os.path.realpath(page_path)).is_relative_to(bundle)
+        if Path(rel).is_absolute() or ".." in Path(rel).parts or not inside:
+            raise FixtureError(f"page file for {url!r} lies outside the bundle: {rel!r}")
         if not page_path.is_file():
             raise FixtureError(f"page file missing for {url!r}: {page_path}")
         try:

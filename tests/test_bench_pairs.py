@@ -207,3 +207,56 @@ def test_change_copy_holds_uncommitted_edits_and_untracked_files(monkeypatch, tm
     assert (dest / "src" / "new.py").read_text(encoding="utf-8") == "NEW = 3\n"
     copied = sorted(p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file())
     assert copied == [".gitignore", "src/mod.py", "src/new.py"]
+
+
+@pytest.mark.parametrize("worse, beyond", [(0.20, True), (0.10, False)])
+def test_beyond_bound_flags_a_median_worse_than_the_bound(worse, beyond):
+    # Against a 15% bound: a change 20% worse is beyond it, 10% worse is not,
+    # in either direction of "better".
+    runs = []
+    for pair in range(4):
+        runs += [run(pair, "base", 20.0, 0.5),
+                 run(pair, "change", 20.0 * (1 + worse), 0.5 * (1 - worse))]
+    bounds = {"mine_ms_p50": 0.15, "aap": 0.15}
+    metrics = bench_pairs.summarize(runs, BETTER, bounds)["metrics"]
+    for name in ("mine_ms_p50", "aap"):
+        assert metrics[name]["bound"] == 0.15
+        assert metrics[name]["beyond_bound"] is beyond
+        assert metrics[name]["gain_shown"] is False
+    # A metric without a bound, as a per-layer one, is never beyond it.
+    assert bench_pairs.summarize(runs, BETTER)["metrics"]["mine_ms_p50"]["beyond_bound"] is False
+
+
+def test_bounds_are_read_for_end_to_end_metrics_only(tmp_path):
+    spec = tmp_path / "BENCHMARK.json"
+    spec.write_text(json.dumps({
+        "end_to_end": [{"name": "mine_ms_p50", "better": "lower", "bound": 0.15},
+                       {"name": "aap", "better": "higher", "bound": 0.05}],
+        "per_layer": [{"name": "concepts.cluster_ms", "better": "lower"}],
+    }), encoding="utf-8")
+    assert bench_pairs.end_to_end_bounds(spec) == {"mine_ms_p50": 0.15, "aap": 0.05}
+
+
+def test_prefixed_metric_takes_its_bound():
+    runs = [run(0, "base", 20.0, 1.0), run(0, "change", 24.0, 1.0)]
+    runs = [{**r, "metrics": {f"miniweb.{k}": v for k, v in r["metrics"].items()}} for r in runs]
+    metrics = bench_pairs.summarize(runs, BETTER, {"mine_ms_p50": 0.15})["metrics"]
+    assert metrics["miniweb.mine_ms_p50"]["beyond_bound"] is True
+    assert metrics["miniweb.aap"]["bound"] is None
+
+
+def test_last_line_names_the_metrics_beyond_their_bound(monkeypatch, tmp_path, capsys):
+    def fake_run_once(tree, workload, seed, seconds, pycache):
+        ms = 20.0 if tree.name == "base" else 24.0  # 20% slower
+        return {"correct": True, "failed": 0, "attempted": 1,
+                "metrics": {"miniweb.mine_ms_p50": ms, "miniweb.concepts.cluster_ms": ms}}
+
+    monkeypatch.setattr(bench_pairs, "extract_ref", lambda ref, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "copy_working_tree", lambda dest: None)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "out.json"
+    assert bench_pairs.main(["--workload", "all", "--pairs", "2", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "metrics worse than their bound: miniweb.mine_ms_p50"
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["summary"]["metrics"]["miniweb.concepts.cluster_ms"]["beyond_bound"] is False

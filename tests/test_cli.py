@@ -1,9 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from ctms import cli
 
 RUN = [sys.executable, "-m", "ctms"]
 
@@ -369,6 +376,10 @@ BAD_FIXTURES = {
         b'{"pages": [{"url": "u", "file": "p.html"}, {"url": "u", "file": "p.html"}]}',
         b"<p>x</p>",
     ),
+    # An empty url names no page a provider can fetch
+    # (`FixtureProvider.fetch_page` raises on one).
+    "page-url-empty": (b'{"pages": [{"url": "", "file": "p.html"}]}', b"<p>x</p>"),
+    "hit-url-empty": (_one_hit_manifest(url=""), b"<p>x</p>"),
 }
 
 
@@ -387,13 +398,15 @@ def test_malformed_fixture_exits_two(case, tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
-@pytest.mark.parametrize("where", ["relative", "absolute"])
+@pytest.mark.parametrize("where", ["relative", "absolute", "symlink"])
 def test_page_file_outside_bundle_exits_two(where, tmp_path):
     outside = tmp_path / "outside.html"
     outside.write_text("<p>x</p>", encoding="utf-8")
     bundle = tmp_path / "bundle"
     bundle.mkdir()
-    rel = "../outside.html" if where == "relative" else str(outside)
+    rel = {"relative": "../outside.html", "absolute": str(outside), "symlink": "p.html"}[where]
+    if where == "symlink":
+        (bundle / "p.html").symlink_to(outside)
     (bundle / "manifest.json").write_text(
         json.dumps({"pages": [{"url": "u", "file": rel}]}), encoding="utf-8"
     )
@@ -402,6 +415,91 @@ def test_page_file_outside_bundle_exits_two(where, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
     assert "outside the bundle" in lines[0]
+
+
+def test_page_file_symlinked_inside_bundle_loads(tmp_path):
+    (tmp_path / "pages").mkdir()
+    (tmp_path / "store.html").write_text("<p>x</p>", encoding="utf-8")
+    (tmp_path / "pages" / "p.html").symlink_to(tmp_path / "store.html")
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"pages": [{"url": "u", "file": "pages/p.html"}]}), encoding="utf-8"
+    )
+    proc = run_cli("fixture-validate", "--corpus", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert "1 pages" in proc.stdout
+
+
+def test_page_file_symlink_loop_exits_two(tmp_path):
+    (tmp_path / "p.html").symlink_to(tmp_path / "p.html")
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"pages": [{"url": "u", "file": "p.html"}]}), encoding="utf-8"
+    )
+    proc = run_cli("fixture-validate", "--corpus", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: page file missing"), proc.stderr
+
+
+# Short pools for generated bundles.  The stage-1 queries of 华盛顿 and the
+# texts score 林肯 as a candidate, whose expansion query is "华盛顿 林肯", so
+# a bundle can reach page fetching; "" and whitespace stand in everywhere.
+_QUERIES = ["华盛顿和", "和华盛顿", "华盛顿比", "华盛顿 林肯", "", " "]
+_TEXTS = ["华盛顿和林肯", "林肯和华盛顿", "", " "]
+_URLS = ["", " ", "u1", "u2"]
+_BODIES = ["<ul><li>华盛顿</li><li>林肯</li><li>纽约</li></ul>", "<p>华盛顿和林肯</p>", "", " "]
+_hits = st.lists(
+    st.fixed_dictionaries({
+        "title": st.sampled_from(_TEXTS),
+        "snippet": st.sampled_from(_TEXTS),
+        "url": st.sampled_from(_URLS),
+    }),
+    max_size=4,
+)
+_bundles = st.fixed_dictionaries({
+    "queries": st.dictionaries(st.sampled_from(_QUERIES), _hits, max_size=len(_QUERIES)),
+    "pages": st.dictionaries(st.sampled_from(_URLS), st.sampled_from(_BODIES)),
+})
+
+
+def _cli_exit(*args: str) -> int:
+    """`ctms.cli.main` run in-process, its output swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(args))
+
+
+_EMPTY_URL_BUNDLE = {
+    "queries": {
+        "华盛顿和": [{"title": "华盛顿和林肯", "snippet": "华盛顿和林肯", "url": "u1"}],
+        "和华盛顿": [{"title": "林肯和华盛顿", "snippet": "林肯和华盛顿", "url": "u1"}],
+        "华盛顿 林肯": [{"title": "t", "snippet": "s", "url": ""}],
+    },
+    "pages": {"": _BODIES[0], "u1": _BODIES[1]},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@example(bundle=_EMPTY_URL_BUNDLE)
+@given(bundle=_bundles)
+def test_fixture_validate_and_mine_agree_on_every_bundle(bundle):
+    # Exit-code contract: a bundle that validates mines to a result (0) or
+    # to none (1), and one that does not is a usage error (2) for both.
+    with tempfile.TemporaryDirectory() as name:
+        tmp = pathlib.Path(name)
+        pages = []
+        for k, (url, body) in enumerate(bundle["pages"].items()):
+            (tmp / f"{k}.html").write_text(body, encoding="utf-8")
+            pages.append({"url": url, "file": f"{k}.html"})
+        queries = [
+            {"query": query, "hits": [{"rank": r, **hit} for r, hit in enumerate(hits, 1)]}
+            for query, hits in bundle["queries"].items()
+        ]
+        (tmp / "manifest.json").write_text(
+            json.dumps({"queries": queries, "pages": pages}, ensure_ascii=False), encoding="utf-8"
+        )
+        validated = _cli_exit("fixture-validate", "--corpus", name)
+        mined = _cli_exit("mine", "华盛顿", "--corpus", name, "--out", str(tmp / "r.json"))
+    assert validated in (0, 2)
+    assert mined in ((0, 1) if validated == 0 else (2,))
 
 
 @pytest.mark.parametrize("flag", ["--out", "--dump-weblists", "eval --out"])

@@ -109,6 +109,13 @@ def test_repeated_page_url_is_rejected_by_name(tmp_path):
         load_fixture(bundle)
 
 
+def test_empty_hit_url_is_rejected_as_empty(tmp_path):
+    # Not reported as a dangling url: no page can be listed under "".
+    bundle = make_bundle(tmp_path, [{"query": "q", "hits": [hit(1, "")]}], {"u1": "<p>x</p>"})
+    with pytest.raises(FixtureError, match="hit has an empty url"):
+        load_fixture(bundle)
+
+
 def test_url_repeated_in_one_hit_list_is_allowed(tmp_path):
     bundle = make_bundle(
         tmp_path,
