@@ -20,6 +20,8 @@ whose terms already hold all of its own.  The rule applies at any
 has no weight, is every list clustered, so a report can change between
 ``sim_lambda`` 0 and 1e-6.
 
+A list's context vector is a plain word -> tf-idf weight dict, as in the
+vector-space model; a cosine needs only those weights and the two norms.
 Each fetched page's rendered text is tokenized once, into a
 `TokenIndex` keyed by its URL: the page's token set feeds the document
 frequencies, and a list's context vector reads its window's tokens off
@@ -56,7 +58,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .config import PipelineConfig
 from .expansion import WebList
@@ -70,7 +72,6 @@ class BackgroundCorpus:
     def __init__(self, pages: Mapping[str, str]):
         # One index per page, keyed by URL, as WebList.source_url names it.
         self.pages = {url: TokenIndex(text) for url, text in pages.items()}
-        self.size = len(self.pages)
         doc_freq: Counter[str] = Counter()
         for page in self.pages.values():
             doc_freq.update(set(page.tokens))
@@ -87,29 +88,24 @@ class BackgroundCorpus:
         negative weights would break the [0, 1] range of cosine scores, so
         they clamp to zero instead.
         """
-        if self.size == 0:
+        if not self.pages:
             return 0.0
-        value = math.log(self.size / (df + 1))
+        value = math.log(len(self.pages) / (df + 1))
         return value if value > 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class ContextVector:
-    """Sparse tf-idf vector over a web list's context window."""
-
-    weights: Mapping[str, float]
-
-    @property
-    def norm(self) -> float:
-        total = 0.0
-        for w in self.weights.values():
-            total += w * w
-        return math.sqrt(total)
+def _norm(weights: Mapping[str, float]) -> float:
+    """The Euclidean norm of a weight dict, its squares added left to right."""
+    total = 0.0
+    for w in weights.values():
+        total += w * w
+    return math.sqrt(total)
 
 
-def context_vector(weblist: WebList, background: BackgroundCorpus) -> ContextVector:
-    """tf-idf of the tokens of `weblist`'s context window, whose two
-    halves are read off its page's index."""
+def context_vector(weblist: WebList, background: BackgroundCorpus) -> dict[str, float]:
+    """The sparse tf-idf vector of the tokens of `weblist`'s context
+    window, whose two halves are read off its page's index: word -> weight,
+    in the order the window's words first occur, without zero weights."""
     page = background.pages[weblist.source_url]
     lo, before, after, hi = weblist.window
     tf = Counter(page.tokens_in(lo, before))
@@ -120,21 +116,16 @@ def context_vector(weblist: WebList, background: BackgroundCorpus) -> ContextVec
         w = count * idf.get(word, unseen)
         if w > 0.0:
             weights[word] = w
-    return ContextVector(weights=weights)
+    return weights
 
 
-class _Features(NamedTuple):
-    """What `_similarity_matrix` reads of one list, computed once per list."""
-
-    terms: set[str]
-    weights: Mapping[str, float]
-    norm: float
-
-
-def _similarity_matrix(features: Sequence[_Features], lam: float) -> list[list[float]]:
-    """Every list pair's similarity, in [0, 1]: ``lam`` times the content
-    part |a∩b| / min(|a|, |b|) of their (non-empty) term sets, plus
-    ``1 - lam`` times the cosine of their context vectors.  Containment
+def _similarity_matrix(
+    terms: Sequence[set[str]], vectors: Sequence[Mapping[str, float]], lam: float
+) -> list[list[float]]:
+    """Every list pair's similarity, in [0, 1], from the lists' term sets
+    and context vectors (weight dicts), two parallel sequences: ``lam``
+    times the content part |a∩b| / min(|a|, |b|) of their (non-empty) term
+    sets, plus ``1 - lam`` times the cosine of their vectors.  Containment
     scores 1 on the content side, which is why `mine` clusters only each
     page's maximal lists at any ``lam`` above 0, however small; a
     zero-norm vector gives cosine 0.
@@ -145,25 +136,24 @@ def _similarity_matrix(features: Sequence[_Features], lam: float) -> list[list[f
     every list already posted under the word, then posts its own weight:
     a pair is summed over its shared words, in the order of its smaller
     vector (the earlier one on equal size).  A pair's shared-term count
-    is ``len(a & b)`` of its term sets.  Term sets, their sizes and the
-    norms are read from lists built once per call.  A pair
+    is ``len(a & b)`` of its term sets.  Term-set sizes and norms
+    (`_norm`) are computed once per list, on entry.  A pair
     that shares no word keeps the dot product 0.0, so its cosine is
     0.0 / (norm * norm_b) = 0.0, as a pairwise loop gives; a zero-norm
     side gives cosine 0.0 without a division.  The clamp is written as
     two tests, which give ``min(1.0, max(0.0, x))`` for every x (a NaN
     or -0.0 becomes 0.0).
     """
-    n = len(features)
-    terms = [f.terms for f in features]
-    sizes = [len(f.terms) for f in features]
-    norms = [f.norm for f in features]
+    n = len(terms)
+    sizes = [len(t) for t in terms]
+    norms = [_norm(v) for v in vectors]
     mu = 1.0 - lam
     sim = [[0.0] * n for _ in range(n)]
     word_postings: dict[str, list[tuple[int, float]]] = {}
     seen: list[int] = []
-    for a in sorted(range(n), key=lambda i: (len(features[i].weights), i), reverse=True):
+    for a in sorted(range(n), key=lambda i: (len(vectors[i]), i), reverse=True):
         dots = [0.0] * n
-        for word, w in features[a].weights.items():
+        for word, w in vectors[a].items():
             posted = word_postings.setdefault(word, [])
             for b, wb in posted:
                 dots[b] += w * wb
@@ -208,7 +198,7 @@ _SKIPPED = -1.0
 
 def cluster_weblists(
     weblists: Sequence[WebList],
-    vectors: Mapping[str, ContextVector],
+    vectors: Mapping[str, Mapping[str, float]],
     cfg: PipelineConfig,
 ) -> list[ConceptCluster]:
     """Greedy average-linkage agglomeration down to the similarity threshold.
@@ -217,7 +207,9 @@ def cluster_weblists(
     clusters is at least ``cfg.cluster_threshold``.  A list pair's
     similarity blends content overlap, |a∩b| / min(|a|, |b|) of their
     terms, with the cosine of their context vectors, weighted ``lam =
-    cfg.sim_lambda`` and ``1 - lam`` (`_similarity_matrix`).  Ties
+    cfg.sim_lambda`` and ``1 - lam`` (`_similarity_matrix`); `vectors`
+    maps each list id to its vector, the word -> weight dict
+    `context_vector` returns.  Ties
     break on the lexicographically smallest (cluster id, cluster id) pair;
     a cluster's id is the smallest member weblist id, so the procedure is
     deterministic for a fixed input.  `weblists` is non-empty and each has
@@ -248,12 +240,10 @@ def cluster_weblists(
     by_id = {wl.id: wl for wl in weblists}
     ids = sorted(by_id)
     n = len(ids)
-    features = [
-        _Features(set(by_id[i].terms), vectors[i].weights, vectors[i].norm) for i in ids
-    ]
-
     # sim[a][b] is the pair's similarity, the smaller id as first list.
-    sim = _similarity_matrix(features, cfg.sim_lambda)
+    sim = _similarity_matrix(
+        [set(by_id[i].terms) for i in ids], [vectors[i] for i in ids], cfg.sim_lambda
+    )
 
     # A cluster is keyed by its smallest member index; link[p][q] (p < q) is
     # the average linkage of live clusters p and q, or _SKIPPED.  `members`

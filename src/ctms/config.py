@@ -92,7 +92,10 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError as exc:
+            raise ValueError(f"config nests too deeply: {exc}") from None
         return cls.from_dict(data)
 
     @classmethod

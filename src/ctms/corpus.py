@@ -120,7 +120,9 @@ def load_fixture(path: str | Path) -> FixtureCorpus:
     """Load and validate a fixture bundle directory.
 
     A page file must lie under the bundle, after symlinks are resolved, and
-    a page or hit url must be non-empty.
+    its name hold no NUL byte; a page or hit url must be non-empty.  A
+    manifest nested too deeply to parse is malformed, as is any other
+    manifest that is not JSON.
     """
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -128,7 +130,7 @@ def load_fixture(path: str | Path) -> FixtureCorpus:
         raise FixtureError(f"no manifest.json under {root}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FixtureError(f"manifest.json is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise FixtureError("manifest.json must be a JSON object")
@@ -140,7 +142,8 @@ def load_fixture(path: str | Path) -> FixtureCorpus:
             url, rel = entry["url"], entry["file"]
         except (TypeError, KeyError):
             raise FixtureError(f"bad page entry: {entry!r}") from None
-        if not isinstance(url, str) or not isinstance(rel, str) or not url:
+        # A NUL byte names no file; os.path.realpath would raise on it.
+        if not isinstance(url, str) or not isinstance(rel, str) or not url or "\0" in rel:
             raise FixtureError(f"bad page entry: {entry!r}")
         if url in pages:
             raise FixtureError(f"page url {url!r} is listed twice")

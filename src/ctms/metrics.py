@@ -47,7 +47,7 @@ def load_gold(path: str | Path) -> GoldAnswer:
     """Read a gold file: {"seed": ..., "concepts": [{"name", "terms"}]}."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise GoldFormatError(f"gold file is not valid UTF-8 JSON: {exc}") from exc
     try:
         seed = nfc_trim(data["seed"])

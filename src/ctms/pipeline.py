@@ -86,7 +86,10 @@ class MiningReport:
 
     @classmethod
     def from_json(cls, text: str) -> "MiningReport":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError(f"report nests too deeply: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError("report must be a JSON object")
         concepts = [

@@ -32,14 +32,16 @@ its spans on the page, learned per tag-path group of seed occurrences:
      longer one is more precise at no cost, so it wins).  A level holds
      the group's occurrences it brackets as an int bitmask, so the seed
      gate clears one seed's occurrences from the pair's AND per round.
-     The span rule runs once per group, over every left-level end and
-     right-level start; span k gets bit k, a level's mask ORs the bits
-     of its positions, and a candidate's span set is its left mask AND
-     its right mask.  This is exact because whether a span is valid does
-     not depend on the wrapper, and the rule's two early stops (at the
-     next markup character, and once the trimmed piece is too long) are
-     monotone in the right start: run on subsets of the ends and starts,
-     it returns exactly the spans of the full run between them.
+     The span rule runs once per group, over the positions of the gated
+     candidates' levels (those of the pairs past the seed gate and rules
+     1-3): the ends of their left levels and the starts of their right
+     ones.  Span k gets bit k, a level's mask ORs the bits of its
+     positions, and a candidate's span set is its left mask AND its right
+     mask.  This is exact because whether a span is valid does not depend
+     on the wrapper, and the rule's two early stops (at the next markup
+     character, and once the trimmed piece is too long) are monotone in
+     the right start: run on subsets of the ends and starts, it returns
+     exactly the spans of the full run between them.
 
 A span, by the span rule `spans_on_path`, runs from the end of a
 left-context match to the start of a right-context match, contains no
@@ -328,15 +330,18 @@ def learn_wrappers(
         if not gated:
             continue
 
-        # One span-rule pass over every level's positions.  Span k is bit
-        # k; a level's mask is the OR of the bits at its positions (a
-        # span's first item on the left side, its second on the right), so
-        # a candidate's span set is its two masks ANDed.  A level's
-        # positions are distinct, so their bits are disjoint and the OR is
-        # their sum.
-        spans = spans_on_path(
-            tree, *(sorted({p for lv in side for p in lv.positions}) for side in sides), path_id
+        # One span-rule pass over the positions of the levels some gated
+        # candidate uses (exact by the restriction argument in the module
+        # notes).  Span k is bit k; a level's mask is the OR of the bits at
+        # its positions (a span's first item on the left side, its second
+        # on the right), so a gated candidate's span set is its two masks
+        # ANDed.  A level's positions are distinct, so their bits are
+        # disjoint and the OR is their sum.
+        used = ({li for li, _ in gated}, {ri for _, ri in gated})
+        ends, starts = (
+            sorted({p for i in idx for p in side[i].positions}) for side, idx in zip(sides, used)
         )
+        spans = spans_on_path(tree, ends, starts, path_id)
         masks = []
         for item, side in enumerate(sides):
             bits: dict[int, int] = defaultdict(int)

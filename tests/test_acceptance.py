@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import acceptance_log as conftest
-from ctms.concepts import ContextVector, _Features, _similarity_matrix
+from ctms.concepts import _norm, _similarity_matrix
 from ctms.dom import TEXTUAL_TAGS, parse_html
 from ctms.linguistic import extract_initial_candidates
 from ctms.metrics import GoldAnswer, GoldConcept, aap, average_precision, iaap, load_gold
@@ -396,24 +396,25 @@ def test_criterion_8_similarity_bounds():
 
     def random_vector():
         words = rng.sample(vocabulary, k=rng.randint(0, 6))
-        return ContextVector({w: rng.uniform(0.01, 5.0) for w in words})
+        return {w: rng.uniform(0.01, 5.0) for w in words}
 
     def similarity(x, y, lam):
-        # The pair's entry of the matrix clustering reads, x the first list.
-        return _similarity_matrix([x, y], lam)[0][1]
+        # The pair's entry of the matrix clustering reads, x the first list;
+        # a list is its (term set, context vector).
+        return _similarity_matrix([x[0], y[0]], [x[1], y[1]], lam)[0][1]
 
     for _ in range(10_000):
         a_terms = rng.sample(terms_pool, k=rng.randint(1, 8))
         b_terms = rng.sample(terms_pool, k=rng.randint(1, 8))
         va, vb = random_vector(), random_vector()
         lam = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])
-        a = _Features(set(a_terms), va.weights, va.norm)
-        b = _Features(set(b_terms), vb.weights, vb.norm)
+        a = (set(a_terms), va)
+        b = (set(b_terms), vb)
         s_ab = similarity(a, b, lam)
         s_ba = similarity(b, a, lam)
         assert 0.0 <= s_ab <= 1.0
         assert abs(s_ab - s_ba) <= 1e-12
-        if a.norm > 0.0:
+        if _norm(va) > 0.0:
             assert abs(similarity(a, a, lam) - 1.0) <= 1e-12
 
 

@@ -380,6 +380,8 @@ BAD_FIXTURES = {
     # (`FixtureProvider.fetch_page` raises on one).
     "page-url-empty": (b'{"pages": [{"url": "", "file": "p.html"}]}', b"<p>x</p>"),
     "hit-url-empty": (_one_hit_manifest(url=""), b"<p>x</p>"),
+    # A NUL byte in a page file name, which no file system path can hold.
+    "page-file-nul": (b'{"pages": [{"url": "u", "file": "pages/a\\u0000.html"}]}', b"<p>x</p>"),
 }
 
 
@@ -438,6 +440,39 @@ def test_page_file_symlink_loop_exits_two(tmp_path):
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: page file missing"), proc.stderr
+
+
+# 100,000 nested arrays, far deeper than the JSON parser's recursion limit.
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("where", ["manifest", "config", "report", "gold"])
+def test_deeply_nested_json_exits_two(where, mined_report, miniweb_path, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text(_DEEP_JSON, encoding="utf-8")
+    out = str(tmp_path / "r.json")
+    gold = str(miniweb_path / "gold.json")
+    if where == "manifest":
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        deep.rename(bundle / "manifest.json")
+        runs = [
+            ("fixture-validate", "--corpus", str(bundle)),
+            ("mine", "华盛顿", "--corpus", str(bundle), "--out", out),
+        ]
+    elif where == "config":
+        corpus = str(miniweb_path)
+        runs = [("mine", "华盛顿", "--corpus", corpus, "--config", str(deep), "--out", out)]
+    elif where == "report":
+        runs = [("eval", "--report", str(deep), "--gold", gold)]
+    else:
+        deep.write_text('{"seed": "华盛顿", "concepts": ' + _DEEP_JSON + "}", encoding="utf-8")
+        runs = [("eval", "--report", str(mined_report), "--gold", str(deep))]
+    for args in runs:
+        proc = run_cli(*args)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 # Short pools for generated bundles.  The stage-1 queries of 华盛顿 and the

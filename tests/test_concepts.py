@@ -12,8 +12,7 @@ import ctms.pipeline
 from ctms.concepts import (
     BackgroundCorpus,
     ConceptCluster,
-    ContextVector,
-    _Features,
+    _norm,
     _similarity_matrix,
     cluster_weblists,
     context_vector,
@@ -80,15 +79,10 @@ def left_fold_similarity(ta, wa, tb, wb, lam):
     return lam * content + (1.0 - lam) * cosine
 
 
-def _left_fold_list_similarity(ta, va, tb, vb, lam):
-    return left_fold_similarity(ta, va.weights, tb, vb.weights, lam)
-
-
 def pair_similarity(ta, va, tb, vb, lam):
     """The entry `_similarity_matrix` gives the pair (ta, va), (tb, vb),
     the first list first."""
-    features = [_Features(set(t), v.weights, v.norm) for t, v in ((ta, va), (tb, vb))]
-    return _similarity_matrix(features, lam)[0][1]
+    return _similarity_matrix([set(ta), set(tb)], [va, vb], lam)[0][1]
 
 
 def test_idf_formula_direct():
@@ -97,7 +91,8 @@ def test_idf_formula_direct():
     bg = background(docs)
     wl = on_page(bg, "a", ["x", "y"], 0)
     vec = context_vector(wl, bg)
-    assert vec.weights["目标"] == pytest.approx(2 * math.log(10))
+    assert type(vec) is dict
+    assert vec["目标"] == pytest.approx(2 * math.log(10))
 
 
 def test_ubiquitous_word_clamps_to_zero():
@@ -106,13 +101,13 @@ def test_ubiquitous_word_clamps_to_zero():
     wl = on_page(bg, "a", ["x", "y"], 0)
     vec = context_vector(wl, bg)
     # in every doc: log(10/11) < 0, clamped away entirely
-    assert "常见" not in vec.weights
+    assert "常见" not in vec
 
 
 def test_absent_word_has_no_weight():
     bg = background(["背景", "上下文"])
     vec = context_vector(on_page(bg, "a", ["x", "y"], 1), bg)
-    assert "背景" not in vec.weights
+    assert "背景" not in vec
 
 
 @given(
@@ -133,7 +128,7 @@ def test_identical_lists_similarity_one():
     bg = background(["甲", "乙", "丙"])
     a = on_page(bg, "a", ["x", "y"], 0)
     va = context_vector(a, bg)
-    assert va.norm > 0
+    assert _norm(va) > 0
     assert pair_similarity(a.terms, va, a.terms, va, 0.5) == pytest.approx(1.0)
 
 
@@ -159,7 +154,7 @@ def test_zero_norm_context_contributes_zero():
     bg = background(["文", "字"])
     a = make_weblist("a", ["x", "y"])
     va = context_vector(a, bg)
-    assert va.norm == 0.0
+    assert _norm(va) == 0.0
     sim = pair_similarity(a.terms, va, a.terms, va, lam=0.5)
     assert sim == pytest.approx(0.5)  # content 1, context 0
 
@@ -171,9 +166,8 @@ def test_zero_norm_context_contributes_zero():
     st.dictionaries(st.sampled_from("uvwxyz"), st.floats(0.01, 5.0), max_size=4),
 )
 def test_similarity_symmetric_and_bounded(ta, tb, wa, wb):
-    va, vb = ContextVector(wa), ContextVector(wb)
-    s1 = pair_similarity(ta, va, tb, vb, 0.5)
-    s2 = pair_similarity(tb, vb, ta, va, 0.5)
+    s1 = pair_similarity(ta, wa, tb, wb, 0.5)
+    s2 = pair_similarity(tb, wb, ta, wa, 0.5)
     assert abs(s1 - s2) <= 1e-12
     assert 0.0 <= s1 <= 1.0
 
@@ -187,7 +181,7 @@ def test_similarity_symmetric_and_bounded(ta, tb, wa, wb):
 )
 def test_similarity_bits_are_the_left_fold_formula(ta, tb, wa, wb, lam):
     want = left_fold_similarity(ta, wa, tb, wb, lam)
-    assert pair_similarity(ta, ContextVector(wa), tb, ContextVector(wb), lam) == want
+    assert pair_similarity(ta, wa, tb, wb, lam) == want
 
 
 # Weights whose products add up to different bits in different orders: the
@@ -216,8 +210,7 @@ def test_similarity_matrix_bits_are_the_left_fold_formula(specs, lam):
     # Entry [i][j] is the pair's similarity with the earlier list first, so
     # its dot product folds over the smaller vector's words, the earlier
     # one's on equal size.
-    features = [_Features(set(t), w, ContextVector(w).norm) for t, w in specs]
-    sim = _similarity_matrix(features, lam)
+    sim = _similarity_matrix([set(t) for t, _w in specs], [w for _t, w in specs], lam)
     for i, (ti, wi) in enumerate(specs):
         for j, (tj, wj) in enumerate(specs[i + 1 :], i + 1):
             want = left_fold_similarity(ti, wi, tj, wj, lam)
@@ -288,7 +281,7 @@ def rescan_reference(
     vectors,
     threshold=0.65,
     lam=0.5,
-    similarity=_left_fold_list_similarity,
+    similarity=left_fold_similarity,
     merge_scores=None,
 ):
     """Brute-force average linkage: rescan every cluster pair on every merge.
@@ -364,7 +357,7 @@ _weblist_specs = st.lists(
 def test_clustering_matches_rescan_oracle(specs, rng, threshold, lam):
     names = rng.sample([f"{c}{k}" for c in "pqrs" for k in range(1, 12)], len(specs))
     lists = [make_weblist(wid, terms) for wid, (terms, _w) in zip(names, specs)]
-    vectors = {wid: ContextVector(w) for wid, (_t, w) in zip(names, specs)}
+    vectors = {wid: w for wid, (_t, w) in zip(names, specs)}
     rng.shuffle(lists)
     got = cluster_weblists(lists, vectors, grouping(threshold, lam))
     assert got == rescan_reference(lists, vectors, threshold, lam)
@@ -399,10 +392,10 @@ def test_clustering_matches_rescan_oracle_uneven_weights(specs, rng, threshold, 
     # first merges.
     names = rng.sample([f"{c}{k}" for c in "pqrs" for k in range(1, 12)], len(specs))
     lists = [make_weblist(wid, terms) for wid, (terms, _w) in zip(names, specs)]
-    vectors = {wid: ContextVector(w) for wid, (_t, w) in zip(names, specs)}
+    vectors = {wid: w for wid, (_t, w) in zip(names, specs)}
     if threshold is None:
         scores = sorted(
-            _left_fold_list_similarity(ta, vectors[a], tb, vectors[b], lam)
+            left_fold_similarity(ta, vectors[a], tb, vectors[b], lam)
             for (a, (ta, _)), (b, (tb, _)) in itertools.combinations(
                 sorted(zip(names, specs)), 2
             )
@@ -427,7 +420,7 @@ def test_clustering_matches_rescan_oracle_at_linkage_thresholds(specs, rng, lam)
     # in the outer loop) is off in its last bits and stops the merges.
     names = rng.sample([f"{c}{k}" for c in "pqrs" for k in range(1, 12)], len(specs))
     lists = [make_weblist(wid, terms) for wid, (terms, _w) in zip(names, specs)]
-    vectors = {wid: ContextVector(w) for wid, (_t, w) in zip(names, specs)}
+    vectors = {wid: w for wid, (_t, w) in zip(names, specs)}
     merges = []
     rescan_reference(
         lists, vectors, -1.0, lam, merge_scores=merges
@@ -489,7 +482,7 @@ def test_skipped_sums_keep_a_linkage_that_rounds_up_to_the_threshold(monkeypatch
     pairs = {("a", "b"): 0.9, ("a", "c"): 0.9, ("b", "c"): 0.9}
     pairs.update({(x, "d"): 0.1 for x in "abc"})
     lists = [make_weblist(wid, [wid, wid + "2"]) for wid in "abcd"]
-    vectors = {wid: ContextVector({}) for wid in "abcd"}
+    vectors = {wid: {} for wid in "abcd"}
 
     def score(x, y):
         return pairs[(x, y) if x < y else (y, x)]
@@ -497,8 +490,8 @@ def test_skipped_sums_keep_a_linkage_that_rounds_up_to_the_threshold(monkeypatch
     def similarity(ta, _va, tb, _vb, _lam):
         return score(ta[0], tb[0])
 
-    def matrix(features, _lam):
-        names = [min(f.terms) for f in features]
+    def matrix(terms, _vectors, _lam):
+        names = [min(t) for t in terms]
         return [[score(x, y) if x != y else 0.0 for y in names] for x in names]
 
     monkeypatch.setattr(ctms.concepts, "_similarity_matrix", matrix)
@@ -514,15 +507,14 @@ def test_similarity_matrix_is_the_left_fold_formula_on_miniweb(miniweb_provider)
     weblists, vectors = clustered_inputs("华盛顿", PipelineConfig(), miniweb_provider)
     ordered = sorted(weblists, key=lambda wl: wl.id)
     assert len(ordered) == 52  # 1,326 pairs
-    features = [
-        _Features(set(wl.terms), vectors[wl.id].weights, vectors[wl.id].norm) for wl in ordered
-    ]
+    terms = [set(wl.terms) for wl in ordered]
+    weights = [vectors[wl.id] for wl in ordered]
     for lam in _MINIWEB_LAMS:
-        sim = _similarity_matrix(features, lam)
+        sim = _similarity_matrix(terms, weights, lam)
         for i, a in enumerate(ordered):
             for j, b in enumerate(ordered[i + 1 :], i + 1):
                 want = left_fold_similarity(
-                    a.terms, vectors[a.id].weights, b.terms, vectors[b.id].weights, lam
+                    a.terms, vectors[a.id], b.terms, vectors[b.id], lam
                 )
                 assert sim[i][j] == want and sim[j][i] == want, (a.id, b.id, lam)
 
@@ -638,7 +630,7 @@ def test_norm_is_left_fold_not_compensated_sum():
     squares = [w * w for w in weights.values()]
     assert _left_fold(squares) != math.fsum(squares)
     assert math.sqrt(_left_fold(squares)) != math.sqrt(math.fsum(squares))
-    assert ContextVector(weights).norm == math.sqrt(_left_fold(squares))
+    assert _norm(weights) == math.sqrt(_left_fold(squares))
 
 
 def make_cluster(cid, n_lists, terms):

@@ -57,6 +57,6 @@ def test_context_vectors_equal_those_of_the_context_strings(name, tmp_path):
         tokens = index.tokens_in(lo, before) + index.tokens_in(after, hi)
         assert tokens == tokenize(context), weblist.id
         want = weights_from_context(context, background)
-        assert list(vector.weights.items()) == list(want.items()), weblist.id
+        assert list(vector.items()) == list(want.items()), weblist.id
     # dense_pages has 3 pages, so a word in 2 or 3 of them weighs nothing.
-    assert any(vector.weights for _, vector in seen)
+    assert any(vector for _, vector in seen)

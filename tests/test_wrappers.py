@@ -810,3 +810,25 @@ def test_learned_spans_equal_extraction_on_miniweb_pages(miniweb_provider, monke
         assert got == extract_spans(tree, got)
         learned += len(got)
     assert learned == 52
+
+
+def test_span_pass_covers_only_the_gated_candidates_levels(monkeypatch):
+    # The levels " " match every one of the 4,000 spaces, but no candidate
+    # built on them passes the seed gate and the rules, so the span pass
+    # gets only the positions of the one gated pair ("x ", " y").
+    import ctms.wrappers
+
+    html = "<p>x 甲 y" + " " * 4000 + "x 乙 y</p>"
+    tree = parse_html(html)
+    calls = []
+
+    def spy(tree, ends, starts, path_id):
+        calls.append((len(ends), len(starts)))
+        return spans_on_path(tree, ends, starts, path_id)
+
+    monkeypatch.setattr(ctms.wrappers, "spans_on_path", spy)
+    got = learn_wrappers(["甲", "乙"], tree, PipelineConfig())
+    assert calls == [(2, 2)]
+    wrapper = Wrapper("x ", " y", path_at(tree, html.index("甲")))
+    assert list(got) == [wrapper]
+    assert [html[a:b].strip() for a, b in got[wrapper]] == ["甲", "乙"]
