@@ -23,7 +23,12 @@ its spans on the page, learned per tag-path group of seed occurrences:
      Along one trie edge the match sets only shrink, so `_side_levels`
      finds an edge's levels by bisecting its range of prefix lengths on
      match counts, in one walk of the trie over the windows sorted once,
-     without building every shared context.
+     without building every shared context.  Probes on root edges scan
+     the page, and the groups of a page often probe the same strings
+     (their windows start alike: ``<``, ``</``, ``>``), so `learn_wrappers`
+     keeps each side's scans in a table by string for the one call: a
+     page is scanned at most once per probe string and side, whatever
+     its number of groups.
   3. Each (left level, right level) pair is a candidate wrapper.  It is
      kept if it passes the validity rules (`_contexts_pass`; its path
      ends at a #text or #attr node), brackets at least
@@ -35,13 +40,18 @@ its spans on the page, learned per tag-path group of seed occurrences:
      The span rule runs once per group, over the positions of the gated
      candidates' levels (those of the pairs past the seed gate and rules
      1-3): the ends of their left levels and the starts of their right
-     ones.  Span k gets bit k, a level's mask ORs the bits of its
-     positions, and a candidate's span set is its left mask AND its right
-     mask.  This is exact because whether a span is valid does not depend
-     on the wrapper, and the rule's two early stops (at the next markup
-     character, and once the trimmed piece is too long) are monotone in
-     the right start: run on subsets of the ends and starts, it returns
-     exactly the spans of the full run between them.
+     ones.  That union is read off the used levels' tops (those with no
+     used level above them on a trie root path) with no set built: a
+     context's matches are among those of every context it extends, and
+     two contexts neither of which extends the other never match at one
+     position, so the union is the tops' positions, sorted together when
+     there are several.  Span k gets bit k, a level's mask ORs the bits
+     of its positions, and a candidate's span set is its left mask AND
+     its right mask.  This is exact because whether a span is valid does
+     not depend on the wrapper, and the rule's two early stops (at the
+     next markup character, and once the trimmed piece is too long) are
+     monotone in the right start: run on subsets of the ends and starts,
+     it returns exactly the spans of the full run between them.
 
 A span, by the span rule `spans_on_path`, runs from the end of a
 left-context match to the start of a right-context match, contains no
@@ -53,7 +63,8 @@ The rule takes the path as the page's interned path id (equal ids are
 equal paths), so learning groups occurrences by id, passes each group's
 id, and builds a path's string only for the wrappers it keeps.  Learning
 scans the page (for left contexts, the reversed page) only for the
-prefixes it probes on root edges of the trie.  A deeper edge's prefixes
+prefixes it probes on root edges of the trie, each string once per call,
+whichever group probes it first.  A deeper edge's prefixes
 extend its parent edge's longest one, and the probes along an edge are
 chained: each probe's matches are those of the nearest shorter probed
 prefix (for the edge's first probe, the parent's longest) that extend to
@@ -76,7 +87,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -119,12 +130,20 @@ def _contexts_pass(
     return left_punct or len(left) + len(right) >= kappa
 
 
-def _starts(text: str, s: str, base: list[int] | None) -> list[int]:
-    """Ascending match starts of `s`: a page scan, or `base` (the starts
-    of a prefix of `s`) filtered to those that extend to `s`."""
-    if base is None:
-        return find_all(text, s)
-    return [q for q in base if text.startswith(s, q)]
+def _starts(
+    text: str, s: str, base: list[int] | None, scans: dict[str, list[int]]
+) -> list[int]:
+    """Ascending match starts of `s`: `base` (the starts of a prefix of
+    `s`) filtered to those that extend to `s`, or with no `base` a scan of
+    `text`.  `scans` holds the scans already made of `text`, by string, so
+    each string is scanned at most once; a caller must not change a list
+    it gets back."""
+    if base is not None:
+        return [q for q in base if text.startswith(s, q)]
+    starts = scans.get(s)
+    if starts is None:
+        starts = scans[s] = find_all(text, s)
+    return starts
 
 
 class _Level(NamedTuple):
@@ -138,7 +157,7 @@ class _Level(NamedTuple):
 
 
 def _side_levels(
-    text: str, anchors: Sequence[tuple[str, int]], mirrored: bool
+    text: str, anchors: Sequence[tuple[str, int]], mirrored: bool, scans: dict[str, list[int]]
 ) -> list[_Level]:
     """One side's levels, from each occurrence's (term, window start in `text`).
 
@@ -158,7 +177,10 @@ def _side_levels(
     one count: the edge's shortest and longest prefixes are probed, and a
     range whose end counts differ is bisected.  Each run is named by its
     longest prefix and brackets exactly the part's occurrences.  A root
-    edge (d = 0) probes by scanning `text`.  A deeper edge's first probe
+    edge (d = 0) probes by scanning `text`, or reads the probe's starts
+    from `scans` when another group of the page already scanned `text`
+    for that string; the scan table is the caller's, one per text, and a
+    new scan is added to it.  A deeper edge's first probe
     filters the starts of its parent's longest prefix, and each later
     probe those of the nearest shorter length it has probed.  Runs of
     different edges never share a match set, as a child part lacks some
@@ -189,9 +211,9 @@ def _side_levels(
             # On a deeper edge each probe filters the starts of the nearest
             # shorter probed length; on a root edge each scans `text`.
             chained = base is not None
-            probed = {depth + 1: _starts(text, prefix[: depth + 1], base)}
+            probed = {depth + 1: _starts(text, prefix[: depth + 1], base, scans)}
             if n > depth + 1:
-                probed[n] = _starts(text, prefix, probed[depth + 1] if chained else None)
+                probed[n] = _starts(text, prefix, probed[depth + 1] if chained else None, scans)
             # Run ends: n, and every length whose successor matches fewer.
             ends, ranges = [n], [(depth + 1, n)]
             while ranges:
@@ -202,7 +224,7 @@ def _side_levels(
                     ends.append(lo)
                     continue
                 mid = (lo + hi) // 2
-                probed[mid] = _starts(text, prefix[:mid], probed[lo] if chained else None)
+                probed[mid] = _starts(text, prefix[:mid], probed[lo] if chained else None, scans)
                 ranges += ((lo, mid), (mid, hi))
             occs = sum(bits[start:stop])
             for k in sorted(ends):  # each level is within the longer ones
@@ -223,6 +245,26 @@ def _side_levels(
             s, starts = s[::-1], [len(text) - q for q in reversed(starts)]
         levels.append(_Level(s, tuple(starts), occs, is_punct_text(s), within))
     return levels
+
+
+def _used_positions(levels: Sequence[_Level], used: set[int]) -> Sequence[int]:
+    """The ascending union of the positions of the levels indexed by `used`.
+
+    It is read off the tops: the used levels whose `within` mask holds no
+    other used level.  A level's positions lie inside those of every level
+    its context extends (a match of the longer context is one of the
+    shorter), so each used level's lie inside its top's; and two contexts
+    of which neither extends the other never match at one position, so
+    different tops' positions are disjoint.  The union is thus one top's
+    positions as they are, or the sorted concatenation of several tops'.
+    """
+    mask = 0
+    for i in used:
+        mask |= 1 << i
+    tops = [levels[i].positions for i in used if levels[i].within & mask == 1 << i]
+    if len(tops) == 1:
+        return tops[0]
+    return sorted(chain.from_iterable(tops))
 
 
 def spans_on_path(
@@ -281,6 +323,10 @@ def learn_wrappers(
     if len(seed_list) < cfg.min_distinct_seeds:
         return {}
     src, mirror = tree.source, None
+    # Root-edge scans of the reversed page and of the page, by probe string:
+    # shared by the page's groups, dropped when this call returns.
+    mirror_scans: dict[str, list[int]] = {}
+    src_scans: dict[str, list[int]] = {}
     groups: dict[int, list[tuple[str, int]]] = defaultdict(list)
     for pos, term, path_id in tree.occurrence_ids(seed_list):
         groups[path_id].append((term, pos))
@@ -297,8 +343,8 @@ def learn_wrappers(
         if mirror is None:  # the reversed page, built once and only when needed
             mirror = src[::-1]
         sides = (
-            _side_levels(mirror, [(t, len(src) - p) for t, p in group], mirrored=True),
-            _side_levels(src, [(t, p + len(t)) for t, p in group], mirrored=False),
+            _side_levels(mirror, [(t, len(src) - p) for t, p in group], True, mirror_scans),
+            _side_levels(src, [(t, p + len(t)) for t, p in group], False, src_scans),
         )
         if not all(sides):
             continue
@@ -337,10 +383,8 @@ def learn_wrappers(
         # on the right), so a gated candidate's span set is its two masks
         # ANDed.  A level's positions are distinct, so their bits are
         # disjoint and the OR is their sum.
-        used = ({li for li, _ in gated}, {ri for _, ri in gated})
-        ends, starts = (
-            sorted({p for i in idx for p in side[i].positions}) for side, idx in zip(sides, used)
-        )
+        ends = _used_positions(sides[0], {li for li, _ in gated})
+        starts = _used_positions(sides[1], {ri for _, ri in gated})
         spans = spans_on_path(tree, ends, starts, path_id)
         masks = []
         for item, side in enumerate(sides):

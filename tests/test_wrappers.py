@@ -19,6 +19,7 @@ from ctms.wrappers import (
     Wrapper,
     _contexts_pass,
     _side_levels,
+    _used_positions,
     extract_spans,
     learn_wrappers,
     spans_on_path,
@@ -188,6 +189,31 @@ def test_dominance_keeps_only_the_longest_of_a_chain():
     assert all(contexts_pass(w.left, w.right) for w in wrappers)
     assert all(spans == [(8, 9), (18, 19)] for spans in extract_spans(tree, wrappers).values())
     assert learn_wrappers({"甲", "乙"}, tree, PipelineConfig()) == {wrappers[-1]: [(8, 9), (18, 19)]}
+
+
+def test_each_probe_string_is_scanned_once_per_page(monkeypatch):
+    # Two tag-path groups whose windows share their first characters: both
+    # probe "<" and "</" on the page and ">" on the reversed page.
+    html = (
+        "<ul><li><a>甲</a></li><li><a>乙</a></li><li><a>丙</a></li></ul>"
+        "<table><tr><td>甲</td><td>乙</td><td>丁</td></tr></table>"
+    )
+    tree = parse_html(html)
+    pages = (html, html[::-1])
+    scanned = []
+
+    def counting_find_all(text, pattern):
+        if text in pages:
+            scanned.append((pages.index(text), pattern))
+        return find_all(text, pattern)
+
+    monkeypatch.setattr("ctms.wrappers.find_all", counting_find_all)
+    learned = learn_wrappers({"甲", "乙"}, tree, PipelineConfig())
+    monkeypatch.undo()
+    assert {(0, "<"), (0, "</"), (1, ">")} <= set(scanned)
+    assert len(scanned) == len(set(scanned)), sorted(scanned)
+    assert len({w.path for w in learned}) == 2
+    assert learned == extract_spans(tree, learned)
 
 
 # --- extraction ------------------------------------------------------------
@@ -507,7 +533,7 @@ def check_levels_are_the_truncations(text: str, anchors: list[tuple[str, int]], 
     that set; and every level is one of these sets.  Returns the levels.
     """
     n = len(text)
-    levels = _side_levels(text, anchors, mirrored)
+    levels = _side_levels(text, anchors, mirrored, {})
     check_within_is_the_prefix_order(levels, mirrored)
     by_positions = {lv.positions: lv for lv in levels}
     assert len(by_positions) == len(levels)
@@ -680,7 +706,7 @@ def check_side_levels_on_both_sides(src: str, cuts: list[tuple[str, int]]) -> No
         (True, src[::-1], [(t, n - p) for t, p in cuts]),
         (False, src, cuts),
     ):
-        levels = _side_levels(text, anchors, mirrored=left)
+        levels = _side_levels(text, anchors, mirrored=left, scans={})
         check_within_is_the_prefix_order(levels, mirrored=left)
         got = [(lv.positions, lv.context, occurrence_indices(lv.occs), lv.punct) for lv in levels]
         assert sorted(got) == levels_from_page(src, cuts, left)
@@ -729,6 +755,29 @@ def templated_cases(draw):
 @given(templated_cases())
 def test_side_levels_on_templated_pages(case):
     check_side_levels_on_both_sides(*case)
+
+
+@settings(max_examples=300)
+@given(st.one_of(templated_cases(), context_cases()), st.data())
+def test_used_positions_are_the_union_of_the_used_levels(case, data):
+    # Templated pages put several levels on one long edge; the short pages
+    # of `context_cases` give tries that branch, so a subset has several
+    # tops.
+    src, cuts = case
+    n = len(src)
+    for left, text, anchors in (
+        (True, src[::-1], [(t, n - p) for t, p in cuts]),
+        (False, src, cuts),
+    ):
+        levels = _side_levels(text, anchors, left, {})
+        if not levels:
+            continue
+        # The deepest levels, each a top of its own.
+        deepest = {i for i in range(len(levels)) if sum(lv.within >> i & 1 for lv in levels) == 1}
+        subsets = st.sets(st.integers(0, len(levels) - 1))
+        for used in (deepest, *(data.draw(subsets) for _ in range(3))):
+            union = sorted(set().union(*(levels[i].positions for i in used)))
+            assert list(_used_positions(levels, used)) == union
 
 
 @st.composite
