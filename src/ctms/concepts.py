@@ -46,11 +46,11 @@ dot product 0.0, and 0.0 over a non-zero product of norms is cosine
 0.0, as a pairwise loop gives.  The content part's shared-term count is
 ``len(a & b)`` of the two term sets, an exact integer.
 
-The merge loop sums a cluster pair's linkage only when its largest
-member-pair similarity reaches a floor set just below the threshold, by
-more than the rounding error of the sum can lift an average; a pair
-under it could never merge, and its linkage is stored as a sentinel
-below every score, so the merges are those of the full computation.
+The merge loop stores the average linkage of every live cluster pair
+and, after each merge, rescores the merged cluster against every
+survivor, summing its member pairs in the order a full rescan would;
+no pair's sum is skipped, so the merges are those of the full
+computation.
 """
 
 from __future__ import annotations
@@ -191,11 +191,6 @@ class ConceptCluster:
     member_terms: frozenset[str]
 
 
-# The stored linkage of a cluster pair whose sum `cluster_weblists` skips:
-# below every similarity, which lies in [0, 1].
-_SKIPPED = -1.0
-
-
 def cluster_weblists(
     weblists: Sequence[WebList],
     vectors: Mapping[str, Mapping[str, float]],
@@ -222,20 +217,14 @@ def cluster_weblists(
     matrix indexed by position in the sorted ids, from one posting table
     (`_similarity_matrix`, bit-identical to pairwise folds over each
     pair's smaller vector; see the module notes).  The average linkage of
-    every live cluster pair is stored too, with the largest similarity of
-    any of the pair's member pairs.  Each merge is picked by scanning the
-    stored linkages of the live pairs in ascending key order and keeping
-    the first strict maximum.  A merge scores only the merged cluster
-    against each survivor, summing its member pairs in the order of a
-    full rescan (the members of the cluster with the smaller id in the
-    outer loop, both sorted).  It skips the sum, and stores a sentinel
-    below every score, when that largest similarity is under a floor: the
-    threshold lowered by (n*n + 8) * 2**-53 of itself, more than rounding
-    can lift an average of n*n/4 terms.  Such a linkage is under the
-    threshold for certain, and the sentinel can neither be the best score
-    nor tie it.  So every score, threshold comparison and tie-break, and
-    hence the merge schedule, is the one that rescanning all cluster pairs
-    after every merge would produce.
+    every live cluster pair is stored too.  Each merge is picked by
+    scanning the stored linkages of the live pairs in ascending key order
+    and keeping the first strict maximum.  A merge rescores the merged
+    cluster against every survivor, summing its member pairs in the order
+    of a full rescan (the members of the cluster with the smaller id in
+    the outer loop, both sorted), so every score, threshold comparison
+    and tie-break, and hence the merge schedule, is the one that
+    rescanning all cluster pairs after every merge would produce.
     """
     by_id = {wl.id: wl for wl in weblists}
     ids = sorted(by_id)
@@ -246,32 +235,18 @@ def cluster_weblists(
     )
 
     # A cluster is keyed by its smallest member index; link[p][q] (p < q) is
-    # the average linkage of live clusters p and q, or _SKIPPED.  `members`
-    # iterates in ascending key order (a merge reassigns p's entry and pops
-    # q's), so the first strict maximum of the scan is the highest score's
-    # smallest (p, q).  A singleton pair's linkage (0.0 + s) / 1 is s itself.
+    # the average linkage of live clusters p and q.  `members` iterates in
+    # ascending key order (a merge reassigns p's entry and pops q's), so the
+    # first strict maximum of the scan is the highest score's smallest
+    # (p, q).  A singleton pair's linkage (0.0 + s) / 1 is s itself.  The
+    # scan starts below every similarity, which lies in [0, 1], so at a
+    # threshold of 0.0 a pair of similarity 0.0 still merges.
     members: dict[int, list[int]] = {p: [p] for p in range(n)}
     link = [row[:] for row in sim]
 
-    # top[p][q] == top[q][p] is the largest similarity of a member pair of
-    # live clusters p and q; merging p and q makes it the larger of the two
-    # rows' entries.  A linkage is a left-to-right sum of m <= n*n/4
-    # non-negative similarities, none above top, divided by m: the sum is
-    # at most 1 + (m-1)u / (1 - (m-1)u) times the exact one (u = 2**-53),
-    # and the division adds at most u.  `floor` lies below the threshold
-    # by (n*n + 8)u of it, more than those errors and its own two roundings
-    # add up to, so a pair whose top is under `floor` has a linkage under
-    # the threshold in every bit.  top < threshold alone would not do:
-    # ((0.1 + 0.1) + 0.1) / 3 > 0.1.  (Once n*n + 8 reaches 2**53, `floor` is
-    # at most 0 and nothing is skipped.)  A skipped linkage is stored as
-    # _SKIPPED, below every score, so the scan can neither pick it nor tie
-    # it; when every live pair is skipped, the scan finds no pair at all.
-    top = [row[:] for row in sim]
-    floor = cfg.cluster_threshold * (1.0 - (n * n + 8) * 2.0**-53)
-
     while True:
         keys = list(members)
-        p, score, q = -1, _SKIPPED, -1
+        p, score, q = -1, -1.0, -1
         for i, r in enumerate(keys):
             row = link[r]
             for c in keys[i + 1 :]:
@@ -281,7 +256,6 @@ def cluster_weblists(
             break
         merged = sorted(members[p] + members.pop(q))
         members[p] = merged
-        top_p, top_q = top[p], top[q]
         for c, other in members.items():
             if c == p:
                 continue
@@ -289,12 +263,6 @@ def cluster_weblists(
                 outer, inner, target, col = other, merged, link[c], p
             else:
                 outer, inner, target, col = merged, other, link[p], c
-            high = top_p[c]
-            if top_q[c] > high:
-                high = top_p[c] = top[c][p] = top_q[c]
-            if high < floor:
-                target[col] = _SKIPPED
-                continue
             total = 0.0
             for a in outer:
                 row = sim[a]

@@ -58,7 +58,10 @@ def load_gold(path: str | Path) -> GoldAnswer:
                 raise GoldFormatError(f"gold concept {name!r}: terms must be a list of strings")
             if not terms:
                 raise GoldFormatError(f"gold concept {name!r} has no terms")
-            concepts.append(GoldConcept(name, tuple(dict.fromkeys(nfc_trim(t) for t in terms))))
+            normed = tuple(dict.fromkeys(nfc_trim(t) for t in terms))
+            if "" in normed:
+                raise GoldFormatError(f"gold concept {name!r} has a blank term")
+            concepts.append(GoldConcept(name, normed))
     except (TypeError, KeyError, AttributeError) as exc:
         raise GoldFormatError(f"gold file missing field: {exc}") from exc
     return GoldAnswer(seed=seed, concepts=tuple(concepts))
@@ -170,5 +173,9 @@ def cluster_quality(
         recall = inter / len(g)
         return 2 * precision * recall / (precision + recall)
 
-    f_total = sum(len(g) * max(f1(c, g) for c in clusters) for g in categories)
+    # A left fold, as in `aap` and `iaap`: from Python 3.12 on, the built-in
+    # `sum` compensates rounding, so F would differ in its last bits.
+    f_total = 0.0
+    for g in categories:
+        f_total += len(g) * max(f1(c, g) for c in clusters)
     return purity, inverse, f_total / n_items

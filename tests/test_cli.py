@@ -293,6 +293,23 @@ def test_eval_gold_terms_string_exits_two(mined_report, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_eval_gold_blank_term_exits_two(mined_report, tmp_path):
+    gold = tmp_path / "gold.json"
+    gold.write_text(
+        json.dumps(
+            {"seed": "华盛顿", "concepts": [{"name": "g", "terms": ["林肯", "  "]}]},
+            ensure_ascii=False,
+        ),
+        encoding="utf-8",
+    )
+    proc = run_cli("eval", "--report", str(mined_report), "--gold", str(gold))
+    assert proc.returncode == 2
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+        "error: bad gold file: gold concept 'g' has a blank term"
+    ]
+    assert "Traceback" not in proc.stderr
+
+
 def test_eval_gold_not_utf8_exits_two(mined_report, tmp_path):
     gold = tmp_path / "gold.json"
     gold.write_bytes(json.dumps({"seed": "华盛顿"}, ensure_ascii=False).encode("gb18030"))

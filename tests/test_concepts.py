@@ -432,6 +432,27 @@ def test_clustering_matches_rescan_oracle_at_linkage_thresholds(specs, rng, lam)
         assert got == rescan_reference(lists, vectors, threshold, lam), threshold
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_clustering_matches_rescan_oracle_at_threshold_bounds(lam):
+    # a1 and a2 are alike in terms and context, similarity 1.0; every other
+    # pair shares no term, and b's and c's contexts are empty, so their
+    # similarity is exactly 0.0.  At threshold 1.0 only a1 and a2 merge; at
+    # 0.0 a linkage of 0.0 still reaches the threshold, so all merge.
+    lists = [
+        make_weblist("a1", ["x", "y"]),
+        make_weblist("a2", ["x", "y"]),
+        make_weblist("b", ["m", "n"]),
+        make_weblist("c", ["p", "q"]),
+    ]
+    vectors = {"a1": {"u": 1.0}, "a2": {"u": 1.0}, "b": {}, "c": {}}
+    assert pair_similarity(["x", "y"], vectors["a1"], ["m", "n"], {}, lam) == 0.0
+    expected = {1.0: [("a1", "a2"), ("b",), ("c",)], 0.0: [("a1", "a2", "b", "c")]}
+    for threshold, groups in expected.items():
+        got = cluster_weblists(lists, vectors, grouping(threshold, lam))
+        assert [c.lists for c in got] == groups, threshold
+        assert got == rescan_reference(lists, vectors, threshold, lam), threshold
+
+
 def clustered_inputs(term, cfg, provider):
     """Every web list a mine of `term` finds, and each one's context vector
     over the run's pages: the lists `cluster_weblists` would see if no
@@ -457,7 +478,7 @@ def test_clustering_matches_rescan_oracle_on_miniweb(miniweb_provider):
 
 
 def test_clustering_matches_rescan_oracle_on_many_lists(tmp_path):
-    # The generated workload whose merges skip the most linkage sums.
+    # The generated workload with the most lists: 63 at seed 1.
     workload = WORKLOADS["many_lists"]
     bundle = materialize(workload, 1, tmp_path)
     cfg = PipelineConfig.from_dict(dict(workload.config))

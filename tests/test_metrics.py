@@ -1,4 +1,5 @@
 import json
+import math
 import unicodedata
 
 import pytest
@@ -206,6 +207,27 @@ def test_nothing_retained_reports_zeros():
     assert cluster_quality(r, g) == (0.0, 0.0, 0.0)
 
 
+def test_f_is_a_left_fold_not_a_compensated_sum():
+    # Each gold category adds its size times its best F1 over the clusters.
+    # Added left to right, these four terms round to another last bit than
+    # their exact sum (`math.fsum`, and the compensated `sum` of Python 3.12+).
+    r = results(["a", "b", "c", "d", "h"], ["e", "f", "g"])
+    g = gold(["d", "h"], ["b"], ["a", "c", "e"], ["f", "g"])
+
+    def f1(precision, recall):
+        return 2 * precision * recall / (precision + recall)
+
+    terms = [
+        2 * f1(2 / 5, 2 / 2),
+        1 * f1(1 / 5, 1 / 1),
+        3 * max(f1(2 / 5, 2 / 3), f1(1 / 3, 1 / 3)),
+        2 * f1(2 / 3, 2 / 2),
+    ]
+    fold = ((terms[0] + terms[1]) + terms[2]) + terms[3]
+    assert fold / 8 != math.fsum(terms) / 8
+    assert cluster_quality(r, g)[2] == fold / 8
+
+
 @given(
     st.lists(
         st.lists(st.sampled_from("abcdefgh"), unique=True, min_size=1, max_size=6),
@@ -303,6 +325,22 @@ def test_load_gold_rejects_bad_json(tmp_path):
     path = tmp_path / "gold.json"
     path.write_text("{", encoding="utf-8")
     with pytest.raises(GoldFormatError):
+        load_gold(path)
+
+
+def test_load_gold_rejects_a_blank_term(tmp_path):
+    # A term that is empty after trimming could never be matched, yet it
+    # would count toward its concept's size: [["甲"]] would score AP, AAP
+    # and IAAP 0.5 against this gold instead of 1.0.
+    path = tmp_path / "gold.json"
+    path.write_text(
+        json.dumps(
+            {"seed": "种", "concepts": [{"name": "c", "terms": ["甲", "  "]}]},
+            ensure_ascii=False,
+        ),
+        encoding="utf-8",
+    )
+    with pytest.raises(GoldFormatError, match="blank term"):
         load_gold(path)
 
 
