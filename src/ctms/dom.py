@@ -14,10 +14,10 @@ rendered text.  Each position query is then one bisection into it:
 Tag paths are hash-consed: ``(parent path id, tag)`` is interned to one
 id per page, so two positions have equal paths exactly when they have
 equal path ids.  A path's slash-joined string is built only on request,
-by walking the parent ids, and cached per id.  A tag name never holds
-``/``, so ``path_id`` resolves a string back to its id.  A script/style
-body is the only ``#text`` child its element can have, so being raw is a
-property of the path (``path_raw``).
+by walking the parent ids.  A tag name never holds ``/``, so ``path_id``
+resolves a string back to its id.  A script/style body is the only
+``#text`` child its element can have, so being raw is a property of the
+path (``path_raw``).
 
 The scan moves from one construct to the next with one search of one
 precompiled pattern; the gap before the match is a text run.  The match
@@ -126,7 +126,6 @@ class DomTree:
         self._rendered: list[int] = []
         self._text = ""
         self._path_ids = {(-1, ROOT_TAG): 0}  # (parent path id, tag) -> path id
-        self._path_strings: dict[int, str] = {}
 
     def path_id_at(self, pos: int) -> int:
         """Path id of the deepest construct containing `pos`."""
@@ -135,16 +134,13 @@ class DomTree:
         return self.seg_path[bisect_right(self.seg_start, pos) - 1]
 
     def path_string(self, path_id: int) -> str:
-        """The slash-joined tag path of a path id, built on first request."""
-        path = self._path_strings.get(path_id)
-        if path is None:
-            tags = []
-            p = path_id
-            while p >= 0:
-                tags.append(self.path_tag[p])
-                p = self.path_parent[p]
-            path = self._path_strings[path_id] = "/".join(reversed(tags))
-        return path
+        """The slash-joined tag path of a path id."""
+        tags = []
+        p = path_id
+        while p >= 0:
+            tags.append(self.path_tag[p])
+            p = self.path_parent[p]
+        return "/".join(reversed(tags))
 
     def path_id(self, path: str) -> int:
         """Id of a slash-joined tag path; -1 when no position of the page has it."""

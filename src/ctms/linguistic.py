@@ -45,25 +45,6 @@ def build_queries(seed: str, cfg: PipelineConfig) -> list[str]:
     return queries
 
 
-def _left_candidates(sentence: str, anchor: str, max_len: int) -> set[str]:
-    """Term-character runs ending immediately before an `anchor` occurrence."""
-    out: set[str] = set()
-    for idx in find_all(sentence, anchor):
-        run = term_run(sentence[max(0, idx - max_len) : idx], at_end=True)
-        out.update(sentence[idx - k : idx] for k in range(1, run + 1))
-    return out
-
-
-def _right_candidates(sentence: str, anchor: str, max_len: int) -> set[str]:
-    """Term-character runs starting immediately after an `anchor` occurrence."""
-    out: set[str] = set()
-    for idx in find_all(sentence, anchor):
-        start = idx + len(anchor)
-        run = term_run(sentence[start : start + max_len])
-        out.update(sentence[start : start + k] for k in range(1, run + 1))
-    return out
-
-
 def extract_initial_candidates(
     seed: str, sentences: list[str], cfg: PipelineConfig
 ) -> list[ScoredCandidate]:
@@ -77,26 +58,36 @@ def extract_initial_candidates(
     score then lexicographically, truncated to the top_n best.  No
     candidate contains the seed, so the seed never repeats among them.
     """
-    # A candidate is term characters only and at most max_candidate_len
-    # long, so ``x·f·seed`` occurs in a sentence exactly when
-    # `_left_candidates` yields x for it (likewise on the right): counting
-    # the sets as they are generated is the same as rescanning for them.
+    # Each ``clue+seed`` or ``seed+clue`` occurrence is a seed occurrence
+    # with the clue word touching it, so one seed scan finds every
+    # junction.  Candidates are term characters only and at most
+    # max_candidate_len long, so counting the sets as they are built is
+    # the same as rescanning each sentence for ``x·f·seed`` and ``seed·f·x``.
+    max_len = cfg.max_candidate_len
     n_counts: Counter[str] = Counter()
     m_counts: Counter[str] = Counter()
     for sentence in sentences:
         left: set[str] = set()
         right: set[str] = set()
-        for clue in cfg.clue_words:
-            left |= _left_candidates(sentence, clue + seed, cfg.max_candidate_len)
-            right |= _right_candidates(sentence, seed + clue, cfg.max_candidate_len)
+        for at in find_all(sentence, seed):
+            after = at + len(seed)
+            for clue in cfg.clue_words:
+                if sentence.endswith(clue, 0, at):
+                    end = at - len(clue)
+                    run = term_run(sentence[max(0, end - max_len) : end], at_end=True)
+                    left.update(sentence[end - k : end] for k in range(1, run + 1))
+                if sentence.startswith(clue, after):
+                    start = after + len(clue)
+                    run = term_run(sentence[start : start + max_len])
+                    right.update(sentence[start : start + k] for k in range(1, run + 1))
         n_counts.update(left)
         m_counts.update(right)
-    candidates = {c for c in n_counts.keys() | m_counts.keys() if seed not in c}
 
+    # tau >= 1: a candidate seen in one direction only scores 0, never kept.
     scored = [
         ScoredCandidate(text=c, n=n_counts[c], m=m_counts[c])
-        for c in candidates
-        if n_counts[c] * m_counts[c] > cfg.tau
+        for c in n_counts.keys() & m_counts.keys()
+        if seed not in c and n_counts[c] * m_counts[c] > cfg.tau
     ]
     scored.sort(key=lambda s: (-s.score, s.text))
     return scored[: cfg.top_n]

@@ -44,14 +44,20 @@ class GoldFormatError(ValueError):
 
 
 def load_gold(path: str | Path) -> GoldAnswer:
-    """Read a gold file: {"seed": ..., "concepts": [{"name", "terms"}]}."""
+    """Read a gold file: {"seed": ..., "concepts": [{"name", "terms"}]}.
+
+    The seed must be non-blank and the concepts a partition of their terms.
+    """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise GoldFormatError(f"gold file is not valid UTF-8 JSON: {exc}") from exc
     try:
-        seed = nfc_trim(data["seed"])
+        seed = data["seed"]
+        if not isinstance(seed, str) or not nfc_trim(seed):
+            raise GoldFormatError(f"gold seed must be a non-blank string, got {seed!r}")
         concepts: list[GoldConcept] = []
+        owner: dict[str, str] = {}  # term -> name of the concept listing it
         for i, c in enumerate(data["concepts"]):
             name, terms = str(c.get("name", f"concept-{i}")), c["terms"]
             if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
@@ -61,10 +67,16 @@ def load_gold(path: str | Path) -> GoldAnswer:
             normed = tuple(dict.fromkeys(nfc_trim(t) for t in terms))
             if "" in normed:
                 raise GoldFormatError(f"gold concept {name!r} has a blank term")
+            for t in normed:
+                if t in owner:
+                    raise GoldFormatError(f"gold term {t!r} is in both {owner[t]!r} and {name!r}")
+                owner[t] = name
             concepts.append(GoldConcept(name, normed))
+        if not concepts:
+            raise GoldFormatError("gold file has no concepts")
     except (TypeError, KeyError, AttributeError) as exc:
         raise GoldFormatError(f"gold file missing field: {exc}") from exc
-    return GoldAnswer(seed=seed, concepts=tuple(concepts))
+    return GoldAnswer(seed=nfc_trim(seed), concepts=tuple(concepts))
 
 
 def interleave(lists: Sequence[Sequence[str]]) -> list[str]:

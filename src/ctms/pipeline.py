@@ -37,7 +37,7 @@ from .metrics import (
     precision_at_n,
 )
 from .ranking import build_relation_graph, rank_terms, rwr_scores
-from .text import split_sentences
+from .text import nfc_trim, split_sentences
 
 
 @dataclass
@@ -276,7 +276,7 @@ def _config_dict(cfg: PipelineConfig) -> dict[str, Any]:
 
 def evaluate(report: MiningReport, gold: GoldAnswer, n_values: list[int]) -> dict[str, Any]:
     """Metric table for a report against its gold answer."""
-    if report.seed != gold.seed:
+    if nfc_trim(report.seed) != gold.seed:
         raise ValueError(
             f"seed mismatch: report has {report.seed!r}, gold has {gold.seed!r}"
         )

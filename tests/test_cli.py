@@ -310,6 +310,35 @@ def test_eval_gold_blank_term_exits_two(mined_report, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (
+            {
+                "seed": "华盛顿",
+                "concepts": [{"name": "a", "terms": ["林肯"]}, {"name": "b", "terms": ["林肯"]}],
+            },
+            "gold term '林肯' is in both 'a' and 'b'",
+        ),
+        ({"seed": "华盛顿", "concepts": []}, "gold file has no concepts"),
+        (
+            {"seed": 1, "concepts": [{"name": "g", "terms": ["林肯"]}]},
+            "gold seed must be a non-blank string, got 1",
+        ),
+    ],
+    ids=["term-in-two-concepts", "no-concepts", "seed-not-a-string"],
+)
+def test_eval_gold_breaking_its_format_exits_two(payload, message, mined_report, tmp_path):
+    gold = tmp_path / "gold.json"
+    gold.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    proc = run_cli("eval", "--report", str(mined_report), "--gold", str(gold))
+    assert proc.returncode == 2
+    assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == [
+        f"error: bad gold file: {message}"
+    ]
+    assert "Traceback" not in proc.stderr
+
+
 def test_eval_gold_not_utf8_exits_two(mined_report, tmp_path):
     gold = tmp_path / "gold.json"
     gold.write_bytes(json.dumps({"seed": "华盛顿"}, ensure_ascii=False).encode("gb18030"))

@@ -1,12 +1,14 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ctms import linguistic
 from ctms.config import PipelineConfig
 from ctms.linguistic import (
     build_queries,
     extract_competitor_baseline,
     extract_initial_candidates,
 )
+from ctms.text import find_all
 from text_oracle import MIXED_ALPHABET, is_term_char_by_category
 
 
@@ -161,6 +163,54 @@ def test_matches_brute_force_oracle_random(sentences, max_len):
     )
     got = extract_initial_candidates("宝马", sentences, cfg)
     assert [(c.text, c.n, c.m) for c in got] == brute_candidates("宝马", sentences, cfg)
+
+
+# Seeds at the junction edges: a seed opening a sentence that ends with a
+# clue word (a clue test that wraps a negative start around to the
+# sentence end takes that clue for the one before the seed), a seed that
+# holds a clue character, and a seed whose occurrences overlap.  The
+# drawn sentences are made of whole seeds, clue words and seed pieces, so
+# that seeds touch each other, the clue words and both sentence edges.
+@settings(max_examples=300)
+@given(
+    st.sampled_from(["宝马", "和平", "哈哈", "比和", "和"]).flatmap(
+        lambda seed: st.tuples(
+            st.just(seed),
+            st.lists(
+                st.lists(
+                    st.sampled_from([seed, seed[0], seed[-1], "和", "比", "甲", "乙", "，"]),
+                    max_size=8,
+                ).map("".join),
+                min_size=1,
+                max_size=12,
+            ),
+        )
+    ),
+    st.integers(1, 10),
+)
+@example(("宝马", ["宝马比奔驰和", "宝马和奔驰比", "奔驰比宝马", "宝马比奥迪和"]), 10)
+@example(("和平", ["战争和和平", "和平和战争", "和和平比战争", "战争比和平和", "和平和战争和"]), 10)
+@example(("哈哈", ["嘻嘻和哈哈哈", "哈哈哈和嘻嘻", "哈哈比嘻嘻和", "嘻嘻比哈哈哈和", "哈哈哈和"]), 10)
+def test_matches_brute_force_oracle_at_seed_edges(seed_and_sentences, max_len):
+    seed, sentences = seed_and_sentences
+    cfg = PipelineConfig(clue_words=("和", "比"), tau=1, top_n=10, max_candidate_len=max_len)
+    got = extract_initial_candidates(seed, sentences, cfg)
+    assert [(c.text, c.n, c.m) for c in got] == brute_candidates(seed, sentences, cfg)
+
+
+def test_each_sentence_is_scanned_once(monkeypatch):
+    # One scan per sentence, for the seed; the clue words are checked in
+    # place at each seed occurrence.
+    calls = []
+
+    def counting_find_all(text, pattern):
+        calls.append((text, pattern))
+        return find_all(text, pattern)
+
+    sentences = ["奔驰比宝马贵", "宝马和奔驰", "今天天气好", "宝马比奔驰和宝马"]
+    monkeypatch.setattr(linguistic, "find_all", counting_find_all)
+    extract_initial_candidates("宝马", sentences, PipelineConfig(clue_words=("和", "比")))
+    assert calls == [(s, "宝马") for s in sentences]
 
 
 # One word before and after the seed across one clue, each side one to

@@ -354,6 +354,41 @@ def test_load_gold_rejects_empty_concept(tmp_path):
         load_gold(path)
 
 
+def _write_gold(tmp_path, payload):
+    path = tmp_path / "gold.json"
+    path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "first, second", [("林肯", "林肯"), ("\u00c5", " A\u030a ")], ids=["same", "nfc-variant"]
+)
+def test_load_gold_rejects_a_term_in_two_concepts(first, second, tmp_path):
+    # The purity family is defined on a partition: with 林肯 under both
+    # concepts, the miniweb report scored inverse purity and F 2.0.
+    path = _write_gold(tmp_path, {
+        "seed": "华盛顿",
+        "concepts": [{"name": "a", "terms": [first]}, {"name": "b", "terms": ["甲", second]}],
+    })
+    with pytest.raises(GoldFormatError, match=f"gold term '{first}' is in both 'a' and 'b'"):
+        load_gold(path)
+
+
+def test_load_gold_rejects_no_concepts(tmp_path):
+    path = _write_gold(tmp_path, {"seed": "华盛顿", "concepts": []})
+    with pytest.raises(GoldFormatError, match="no concepts"):
+        load_gold(path)
+
+
+@pytest.mark.parametrize(
+    "seed", [1, None, ["华盛顿"], "", " \u3000 "], ids=["int", "null", "list", "empty", "blank"]
+)
+def test_load_gold_rejects_a_seed_that_is_not_a_non_blank_string(seed, tmp_path):
+    path = _write_gold(tmp_path, {"seed": seed, "concepts": [{"name": "g", "terms": ["林肯"]}]})
+    with pytest.raises(GoldFormatError, match="gold seed must be a non-blank string"):
+        load_gold(path)
+
+
 @pytest.mark.parametrize(
     "terms", ["林肯", ["林肯", 1], {"林肯": 1}, None], ids=["string", "non-str-item", "dict", "null"]
 )

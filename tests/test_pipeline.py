@@ -413,6 +413,19 @@ def test_evaluate_seed_mismatch_rejected(report):
         evaluate(report, other, [5, 10])
 
 
+def test_evaluate_accepts_a_seed_spelled_alike_in_nfd(report, gold, tmp_path):
+    # load_gold NFC-normalizes the gold seed; the report's seed must be
+    # matched in the same form, or an NFD "Å" in both files is a mismatch.
+    nfd = "A\u030a"
+    concepts = [{"name": c.name, "terms": list(c.terms)} for c in gold.concepts]
+    path = tmp_path / "gold.json"
+    path.write_text(
+        json.dumps({"seed": nfd, "concepts": concepts}, ensure_ascii=False), encoding="utf-8"
+    )
+    table = evaluate(replace(report, seed=nfd), load_gold(path), [5, 10])
+    assert table == {**evaluate(report, gold, [5, 10]), "seed": nfd}
+
+
 def test_evaluate_perfect_on_miniweb(report, gold):
     table = evaluate(report, gold, [5, 10])
     assert table["p_at"]["5"] == 1.0
