@@ -1,12 +1,14 @@
 """Command-line entry points: mine, eval, fixture-validate.
 
-Exit codes: 0 success, 1 empty mining result, 2 usage/configuration error.
+Exit codes: 0 success, 1 empty mining result, 2 usage/configuration error
+or output that cannot be written (a file or stdout).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -87,7 +89,8 @@ def _run_mine(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(format_report_table(report), end="")
+    if not _write_stdout(format_report_table(report)):
+        return EXIT_USAGE
     if not any(c.ranked_terms for c in report.concepts):
         return EXIT_EMPTY
     return EXIT_OK
@@ -149,7 +152,8 @@ def _run_eval(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    print(format_metric_table(table), end="")
+    if not _write_stdout(format_metric_table(table)):
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -159,11 +163,29 @@ def _run_validate(args: argparse.Namespace) -> int:
     except (FixtureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(
-        f"ok: {len(corpus.queries)} queries, {len(corpus.pages)} pages, "
-        "all hit urls resolve"
-    )
-    return EXIT_OK
+    ok = f"ok: {len(corpus.queries)} queries, {len(corpus.pages)} pages, all hit urls resolve\n"
+    return EXIT_OK if _write_stdout(ok) else EXIT_USAGE
+
+
+def _write_stdout(text: str) -> bool:
+    """Write `text` to stdout and flush it; False, after one error line,
+    when stdout cannot take it or is closed.  An open stdout is then
+    pointed at the null device, so the interpreter's final flush of what
+    is left in its buffer fails no second time."""
+    out = sys.stdout  # None when the process started with stdout closed
+    try:
+        if out is None:
+            raise OSError("stdout is closed")
+        out.write(text)
+        out.flush()
+    except OSError as exc:
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        if out is not None:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, out.fileno())
+            os.close(null)
+        return False
+    return True
 
 
 def main(argv: list[str] | None = None) -> int:

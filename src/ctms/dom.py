@@ -22,20 +22,18 @@ path (``path_raw``).
 The scan moves from one construct to the next with one search of one
 precompiled pattern; the gap before the match is a text run.  The match
 of a close tag runs through its ``>`` (or to the end of the input), and
-so does that of an open tag whose name is followed by ``>`` or by only
-``name="value"`` pairs, each after whitespace, with ``>`` right after
-the last; one ``finditer`` over the pairs' quotes gives the value spans.
-Any other tag's attributes are scanned one step per match.  Comment and
-directive ends and raw-text bodies are found by further C-level
-searches, never one character at a time.  Repair strategy for malformed
-markup: unclosed elements are closed at the boundary of the enclosing
-close tag (or end of input); close tags with no matching open element
-are swallowed by the current element; a ``<`` that begins no construct
-is ordinary text.  A tag's characters are its element's, but for
-attribute values, which are ``#attr`` leaves; text runs are ``#text``
-leaves.  Script and style bodies are ``#text`` leaves with a raw path,
-kept out of the rendered text.  Entities are not decoded; offsets always
-index the raw source.
+so does that of an open tag whose name is followed by ``>``.  Any other
+open tag's attributes are read by one scanner, one step per match from
+the end of the name.  Comment and directive ends and raw-text bodies are
+found by further C-level searches, never one character at a time.
+Repair strategy for malformed markup: unclosed elements are closed at
+the boundary of the enclosing close tag (or end of input); close tags
+with no matching open element are swallowed by the current element; a
+``<`` that begins no construct is ordinary text.  A tag's characters are
+its element's, but for attribute values, which are ``#attr`` leaves;
+text runs are ``#text`` leaves.  Script and style bodies are ``#text``
+leaves with a raw path, kept out of the rendered text.  Entities are not
+decoded; offsets always index the raw source.
 """
 
 from __future__ import annotations
@@ -71,17 +69,13 @@ _RAW_TEXT_CLOSE = {
 # and an open tag (4, its name).  Tag names start with an ASCII letter.  A
 # close tag's name runs to whitespace, ``<`` or ``>``, and its match on
 # through its ``>`` (or to the end of the input).  An open tag's name runs
-# to whitespace, ``>`` or ``/``; the match then takes a ``>`` right after
-# it (5), or a tail made only of double-quoted attributes, each after
-# whitespace, the last directly followed by ``>`` (6).  A name there holds
-# no whitespace, ``=``, ``>``, ``/`` or quote, so every quote in the tail
-# opens or closes a value and `_QUOTED_VALUE` finds the values.  A ``<``
-# that begins none of the four is text.
+# to whitespace, ``>`` or ``/``, and its match takes a ``>`` right after
+# it (5); any other open tag's match ends with its name, where
+# `_scan_attributes` takes over.  A ``<`` that begins none of the four is
+# text.
 _CONSTRUCT = re.compile(
-    r"""<(?:(!--)|([!?])|/([A-Za-z][^\s<>]*)[^>]*>?"""
-    r"""|([A-Za-z][^\s>/]*)(?:(>)|((?:\s+[^\s=>/"']+="[^"]*")+>))?)"""
+    r"""<(?:(!--)|([!?])|/([A-Za-z][^\s<>]*)[^>]*>?|([A-Za-z][^\s>/]*)(>)?)"""
 )
-_QUOTED_VALUE = re.compile(r'"([^"]*)"')
 # One step of an open tag's attribute scan, after any whitespace: the
 # tag's end (``>`` or ``/>``, group 1), a stray ``/`` or ``=``, or a name
 # with an optional value, double-quoted (group 2), single-quoted (3) or
@@ -228,7 +222,7 @@ def parse_html(raw: str) -> DomTree:
         if construct is None:
             break
         i = end
-        comment, directive, close_name, open_name, bare, quoted = construct.groups()
+        comment, directive, close_name, open_name, bare = construct.groups()
 
         if open_name is None:
             if comment:
@@ -269,15 +263,11 @@ def parse_html(raw: str) -> DomTree:
             i = after
             continue
 
+        # A bare tag's match ends at its ">", any other's at its name.
         name, tag_end = open_name.lower(), construct.end()
         attr_spans, self_closing = (), False
-        if quoted:
-            # Only name="value" pairs: the quotes are the values' own.
-            # Empty values are dropped, as `_scan_open_tag` drops them.
-            values = _QUOTED_VALUE.finditer(raw, construct.start(6), tag_end)
-            attr_spans = [v.span(1) for v in values if v.group(1)]
-        elif not bare:  # a bare or quoted tag's match ends at its ">"
-            name, attr_spans, self_closing, tag_end = _scan_open_tag(raw, i)
+        if not bare:
+            attr_spans, self_closing, tag_end = _scan_attributes(raw, tag_end)
         # Implicit close of a same-group sibling (<li> after unclosed <li> etc).
         closers = _SIBLING_CLOSERS.get(name)
         if closers and len(stack) > 1 and path_tag[stack[-1]] in closers:
@@ -335,26 +325,18 @@ def parse_html(raw: str) -> DomTree:
     return tree
 
 
-def _scan_open_tag(raw: str, start: int) -> tuple[str, list[tuple[int, int]], bool, int]:
-    """The open tag at `start`: its lowercased name, its attribute value
-    spans, whether it ends with ``/>``, and the scan position after it."""
-    tag = _CONSTRUCT.match(raw, start)
-    name = tag.group(4).lower()
-
-    # Attribute scan, one step per match; non-empty values are kept.
+def _scan_attributes(raw: str, pos: int) -> tuple[list[tuple[int, int]], bool, int]:
+    """The attributes of the open tag whose name ends at `pos`: their
+    non-empty value spans, whether the tag ends with ``/>``, and the scan
+    position after the tag."""
     attr_spans: list[tuple[int, int]] = []
-    self_closing = False
-    pos = tag.end(4)
     while True:
         step = _ATTR_STEP.match(raw, pos)
         if step is None:  # nothing but whitespace is left
-            pos = len(raw)
-            break
+            return attr_spans, False, len(raw)
         pos = step.end()
         group = step.lastindex
         if group == 1:
-            self_closing = step.group(1) == "/>"
-            break
+            return attr_spans, step.group(1) == "/>", pos
         if group is not None and step.end(group) > step.start(group):
             attr_spans.append(step.span(group))
-    return name, attr_spans, self_closing, pos

@@ -10,6 +10,7 @@ JSON: two runs over the same fixture produce byte-identical files.
 from __future__ import annotations
 
 import json
+import unicodedata
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
@@ -326,11 +327,14 @@ def format_report_table(report: MiningReport) -> str:
         return f"seed: {report.seed}\n(no concepts)\n"
     headers = [f"concept {c.id} ({c.list_count} lists)" for c in report.concepts]
     columns = [[term for term, _ in c.ranked_terms[:TABLE_ROWS]] for c in report.concepts]
-    width = max(12, *(len(h) for h in headers)) + 2
+    width = max(12, *map(_display_width, headers + [t for col in columns for t in col])) + 2
     depth = max(len(col) for col in columns)
+    rows = [headers] + [[col[i] if i < len(col) else "" for col in columns] for i in range(depth)]
     lines = [f"seed: {report.seed}"]
-    lines.append("".join(h.ljust(width) for h in headers))
-    for i in range(depth):
-        row = [col[i] if i < len(col) else "" for col in columns]
-        lines.append("".join(cell.ljust(width) for cell in row))
+    lines += ["".join(cell + " " * (width - _display_width(cell)) for cell in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _display_width(s: str) -> int:
+    """Terminal columns of `s`: two for a wide or fullwidth character, one for any other."""
+    return sum(2 if unicodedata.east_asian_width(ch) in ("W", "F") else 1 for ch in s)

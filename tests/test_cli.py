@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -593,6 +594,33 @@ def test_unwritable_output_exits_two(flag, mined_report, miniweb_path, tmp_path)
         args = ["mine", "华盛顿", "--corpus", str(miniweb_path),
                 "--out", str(tmp_path / "r.json"), flag, missing]
     proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.mark.skipif(not pathlib.Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("stdout", ["full-unbuffered", "full-buffered", "closed"])
+@pytest.mark.parametrize("command", ["mine", "eval", "fixture-validate"])
+def test_unwritable_stdout_exits_two(command, stdout, mined_report, miniweb_path, tmp_path):
+    # Unbuffered, the table's write to /dev/full fails; buffered, the flush
+    # after it.  A process started with stdout closed has no sys.stdout.
+    args = {
+        "mine": ["mine", "华盛顿", "--corpus", str(miniweb_path), "--out", str(tmp_path / "r.json")],
+        "eval": ["eval", "--report", str(mined_report), "--gold", str(miniweb_path / "gold.json")],
+        "fixture-validate": ["fixture-validate", "--corpus", str(miniweb_path)],
+    }[command]
+    env = {**os.environ, "PYTHONUNBUFFERED": "1" if stdout == "full-unbuffered" else ""}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            RUN + args,
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+            preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None,
+        )
     assert proc.returncode == 2, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

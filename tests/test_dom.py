@@ -402,7 +402,7 @@ def reference_parse(html: str, scan_open_tag) -> Node:
 
     Every close tag is matched by a scan of the whole stack of open
     elements, and every open tag is read by `scan_open_tag`, which has
-    `dom._scan_open_tag`'s contract.  Close-tag names and the ends of
+    `package_scan_open_tag`'s contract.  Close-tag names and the ends of
     raw-text bodies are found by the character loops above, not by the
     parser's patterns.
     """
@@ -494,9 +494,18 @@ def reference_parse(html: str, scan_open_tag) -> Node:
     return root
 
 
+def package_scan_open_tag(raw: str, start: int) -> tuple[str, list[tuple[int, int]], bool, int]:
+    """The open tag at `start` as the package reads it: its lowercased name
+    (from `dom._CONSTRUCT`), its non-empty attribute value spans, whether it
+    ends with ``/>``, and the scan position after it (from
+    `dom._scan_attributes`, stepped from the end of the name)."""
+    name_end = dom._CONSTRUCT.match(raw, start).end(4)
+    return (raw[start + 1 : name_end].lower(), *dom._scan_attributes(raw, name_end))
+
+
 def stack_scan_parse(html: str) -> Node:
-    """Reference parser: `dom._scan_open_tag` for open tags, a stack scan for close tags."""
-    return reference_parse(html, dom._scan_open_tag)
+    """Reference parser: the package's open-tag scan, a stack scan for close tags."""
+    return reference_parse(html, package_scan_open_tag)
 
 
 # Open and close tags of nesting, sibling-closing and void elements, with
@@ -623,11 +632,11 @@ attr_soup = st.lists(
     max_size=12,
 ).map("".join)
 
-# Open tags of 0-4 name="value" attributes, the shape the parser reads in
-# one match, and near misses: empty or exotic separators, names with a
+# Open tags of 0-4 name="value" attributes, the commonest attributed tag
+# on real pages, and near misses: empty or exotic separators, names with a
 # quote, values holding a quote, `<>` or `=`, and every closer.  Half the
-# names and half the closers are ones that shape allows, and half the
-# values are empty.
+# names are plain attribute names, half the closers a `>` right after the
+# last value, and half the values are empty.
 quoted_attribute = st.builds(
     "".join,
     st.tuples(
@@ -663,11 +672,11 @@ def test_parse_matches_char_loop_parser_on_fixture_pages(miniweb_provider):
         assert_reads_like(parse_html(html), char_loop_parse(html), url)
 
 
-# Constructs the construct pattern reads in one match: close tags cut off
-# by the end of the input and close tags whose ">" lies in a quoted value
-# (with nothing or their element open), a close tag of the current element
-# while one of its name is open deeper, a self-closing quoted tag, and a
-# tag whose quoted tail fails on its closer, so `_scan_open_tag` reads it.
+# Close tags, which the construct pattern reads in one match: cut off by
+# the end of the input, with their ">" in a quoted value (with nothing or
+# their element open), and of the current element while one of its name
+# is open deeper; and name="value" tags that the attribute scan reads to a
+# "/>" or to a ">" after whitespace.
 @pytest.mark.parametrize(
     "html",
     ["</b", "<b>x</b", '</b x="a>b">y', '<b>x</b x="a>b">y', "<b><i><b>x</b>y</i>z</b>"]

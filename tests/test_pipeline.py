@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import unicodedata
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -451,6 +452,32 @@ def test_format_tables_render(report, gold):
     table = evaluate(report, gold, [5])
     text = format_metric_table(table)
     assert "P@5" in text and "IAAP" in text
+
+
+def display_cells(line: str, starts: list[int]) -> list[str]:
+    """The pieces of `line` between the display columns `starts`, with
+    trailing spaces stripped, where a wide or fullwidth character takes two
+    columns.  A cell that starts after its column keeps its leading spaces."""
+    slots: list[str] = []
+    for ch in line:
+        slots += [ch] + [""] * (unicodedata.east_asian_width(ch) in ("W", "F"))
+    ends = starts[1:] + [len(slots)]
+    return ["".join(slots[a:b]).rstrip() for a, b in zip(starts, ends)]
+
+
+def test_report_table_cells_start_at_the_header_columns(report):
+    # The miniweb report's 2- and 3-character terms, and a column with a
+    # term wider than its header and rows left blank under it.
+    terms = [("中华人民共和国国务院办公厅秘书局综合处第一科", 1.0), ("ab", 0.5)]
+    wide = replace(report.concepts[0], ranked_terms=terms)
+    for shown in (report, replace(report, concepts=[wide, *report.concepts[1:]])):
+        header, *rows = format_report_table(shown).splitlines()[1:]
+        starts = [m.start() for m in re.finditer("concept ", header)]
+        assert len(starts) == len(shown.concepts) == 2 and starts[0] == 0
+        columns = [[t for t, _ in c.ranked_terms[: pipeline.TABLE_ROWS]] for c in shown.concepts]
+        assert len(rows) == max(map(len, columns))
+        for i, row in enumerate(rows):
+            assert display_cells(row, starts) == [col[i] if i < len(col) else "" for col in columns]
 
 
 def test_candidates_but_no_weblists_reports_stage_failure(tmp_path):
