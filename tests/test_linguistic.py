@@ -280,3 +280,42 @@ def test_dedup_keeps_first_occurrence_order():
         "索尼", ["尼康比索尼更专业", "索尼比佳能更贵", "索尼比尼康更小"]
     )
     assert got == ["尼康", "佳能"]
+
+
+@pytest.mark.parametrize(
+    "seed, sentence, expected",
+    [
+        # enumeration: a conjunct at once, edge-bounded
+        ("索尼", "例如索尼和佳能", ["佳能"]),
+        ("索尼", "例如索尼或松下电器公司", []),
+        # enumeration running to the sentence edge: the last item is edge-bounded
+        ("索尼", "包括索尼、尼康、佳能", ["尼康", "佳能"]),
+        ("索尼", "包括索尼、尼康、佳能数码相机", ["尼康"]),
+        # an empty item between two 、 is skipped
+        ("索尼", "例如索尼、、尼康和佳能", ["尼康", "佳能"]),
+        # an anchor and seed followed by no pattern element
+        ("索尼", "例如索尼的相机", []),
+        # only the first 比EN更 is read; at the sentence start it yields nothing
+        ("索尼", "比索尼更好的是尼康比索尼更好", []),
+        # overlapping seed occurrences: EN或 at the second 哈哈
+        ("哈哈", "哈哈哈或佳能", ["佳能"]),
+        # the seed is literal text, not a pattern
+        ("a.b", "axb或佳能", []),
+        # the seed itself is never returned
+        ("索尼", "索尼或索尼", []),
+        # EN比CN更 strips the bounded term; an empty one is dropped
+        ("索尼", "索尼比 尼康 更贵", ["尼康"]),
+        ("索尼", "索尼比更贵", []),
+    ],
+)
+def test_baseline_pattern_branches(seed, sentence, expected):
+    assert extract_competitor_baseline(seed, [sentence]) == expected
+
+
+def test_baseline_on_miniweb_stage_1_sentences(miniweb_provider):
+    from ctms.pipeline import snippet_sentences
+
+    cfg = PipelineConfig()
+    sentences, _ = snippet_sentences(build_queries("华盛顿", cfg), cfg, miniweb_provider)
+    assert len(sentences) == 60
+    assert extract_competitor_baseline("华盛顿", sentences) == ["林肯", "杰斐逊"]
