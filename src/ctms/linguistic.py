@@ -12,12 +12,21 @@ There is no reliable word segmentation for web text, so candidate
 boundaries come purely from adjacency: a candidate is a maximal-or-shorter
 run of term characters touching the clue-word junction, capped in length.
 
-The module also carries a pattern-matching baseline extractor used for
-comparison runs; see ``extract_competitor_baseline``.
+The module also carries the comparison baseline,
+``extract_competitor_baseline``: manually defined surface patterns in the
+manner of Hearst's lexico-syntactic patterns.  One regex reads the
+enumeration after each anchor word and the seed; a table of four
+``(pattern, bounded)`` pairs reads the comparisons and alternatives.
+Every match goes through one rule: a term that pattern elements bound on
+both sides is kept at any length, one the sentence edge ends only if it
+is short.  Anchors and patterns are tried one after the other, never as
+one alternation, because the first-occurrence order of the result
+depends on it.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 
@@ -94,115 +103,65 @@ def extract_initial_candidates(
 
 
 # --- competitor-pattern baseline ------------------------------------------
-#
-# Hand-written surface patterns adapted for Chinese.  EN is the seed term,
-# CN a coordinate term.  A CN bounded on both sides by pattern elements is
-# extracted verbatim; a CN bounded by the sentence edge has no reliable
-# boundary (e.g. 佳能单反相机 fuses the brand with a head noun), so edge-
-# bounded candidates are accepted only up to a short length.
 
+# An edge-bounded term is one the sentence edge ends rather than a pattern
+# element; it has no reliable boundary (佳能单反相机 fuses the brand with a
+# head noun), so it is kept only up to this length.
 _EDGE_TERM_MAX = 3
 
 _LIST_ANCHORS = ("例如", "特别是", "包括")
-_LIST_SEPARATORS = ("、", "和", "或")
-
-
-def _edge_ok(candidate: str) -> bool:
-    return 0 < len(candidate) <= _EDGE_TERM_MAX
-
-
-def _list_pattern_terms(sentence: str, seed: str, anchor: str) -> list[str]:
-    """`anchor EN (、 CN)* 和|或 CN` — enumeration after an anchor word."""
-    found: list[str] = []
-    for idx in find_all(sentence, anchor + seed):
-        rest = sentence[idx + len(anchor) + len(seed) :]
-        if rest[:1] in ("和", "或"):
-            # zero enumerated items: straight to the final conjunct
-            tail = rest[1:].strip()
-            if _edge_ok(tail):
-                found.append(tail)
-            continue
-        while rest.startswith("、"):
-            rest = rest[1:]
-            cut = len(rest)
-            sep_at = None
-            for sep in _LIST_SEPARATORS:
-                j = rest.find(sep)
-                if j != -1 and j < cut:
-                    cut, sep_at = j, sep
-            candidate = rest[:cut].strip()
-            if sep_at is None:
-                # enumeration ran to the sentence edge
-                if _edge_ok(candidate):
-                    found.append(candidate)
-                rest = ""
-                break
-            if candidate:
-                found.append(candidate)
-            if sep_at == "、":
-                rest = rest[cut:]
-                continue
-            # final conjunct: bounded only by the sentence edge
-            tail = rest[cut + len(sep_at) :].strip()
-            if _edge_ok(tail):
-                found.append(tail)
-            rest = ""
-            break
-    return found
+# What follows ``anchor EN``: ``(、CN)* 和|或 CN``, the conjunct optional.
+_ENUMERATION = re.compile(r"((?:、[^、和或]*)*)(?:[和或](.*))?", re.S)
 
 
 def extract_competitor_baseline(seed: str, sentences: list[str]) -> list[str]:
     """Baseline extractor driven by fixed comparison/coordination patterns.
 
-    Patterns (EN = seed, CN = extracted term):
-      enumerations  ``例如|特别是|包括 EN (、CN)* 和|或 CN``
-      comparisons   ``CN 比 EN 更`` (CN sentence-initial), ``EN 比 CN 更``
-      alternatives  ``EN 或 CN`` (CN at the sentence edge), ``CN 或 EN``
-                    (CN sentence-initial)
+    Patterns (EN = seed, CN = extracted term), tried on each sentence in
+    this order:
+      enumerations  ``例如|特别是|包括 EN (、CN)* 和|或 CN``, one anchor
+                    after the other, at every ``anchor EN``
+      comparisons   ``CN 比 EN 更`` (CN sentence-initial, first match only),
+                    ``EN 比 CN 更`` (every match)
+      alternatives  ``EN 或 CN`` (CN at the sentence edge, every match),
+                    ``CN 或 EN`` (CN sentence-initial, first match only)
 
-    Matches are returned deduplicated, in first-occurrence order.
+    Each CN is stripped and dropped if empty.  A CN that pattern elements
+    bound on both sides (every term of an enumeration but its last, and
+    ``EN 比 CN 更``) is kept at any length; one the sentence edge ends (an
+    enumeration's last term, a sentence-initial CN, ``EN 或 CN``) only up
+    to `_EDGE_TERM_MAX` characters.  Matches are returned deduplicated, in first-occurrence
+    order, without the seed; that order is why the patterns are tried one
+    by one rather than as a single alternation.
     """
+    en = re.escape(seed)
+    patterns = (
+        (re.compile(f"^(.*?)比{en}更", re.S), False),
+        (re.compile(f"(?={en}比([^更]+)更)", re.S), True),
+        (re.compile(f"(?={en}或(.*))", re.S), False),
+        (re.compile(f"^(.*?)或{en}", re.S), False),
+    )
     found: list[str] = []
 
-    # Idempotent for pre-split input; makes raw strings carrying their
-    # sentence-final punctuation behave identically.
-    split: list[str] = []
-    for raw in sentences:
-        split.extend(split_sentences(raw))
+    def keep(cn: str, bounded: bool) -> None:
+        cn = cn.strip()
+        if cn and (bounded or len(cn) <= _EDGE_TERM_MAX):
+            found.append(cn)
 
-    for sentence in split:
+    # Splitting is idempotent for pre-split input; raw strings carrying
+    # their sentence-final punctuation behave identically.
+    for sentence in (s for raw in sentences for s in split_sentences(raw)):
         for anchor in _LIST_ANCHORS:
-            found.extend(_list_pattern_terms(sentence, seed, anchor))
+            for idx in find_all(sentence, anchor + seed):
+                items, conjunct = _ENUMERATION.match(sentence, idx + len(anchor + seed)).groups()
+                terms = items.split("、")[1:]
+                if conjunct is not None:
+                    terms.append(conjunct)
+                # the next 、, 和 or 或 bounds every term but the last
+                for i, cn in enumerate(terms, 1):
+                    keep(cn, bounded=i < len(terms))
+        for pattern, bounded in patterns:
+            for m in pattern.finditer(sentence):
+                keep(m[1], bounded)
 
-        # CN 比 EN 更 : CN runs from the sentence start
-        marker = "比" + seed + "更"
-        idx = sentence.find(marker)
-        if idx > 0:
-            prefix = sentence[:idx].strip()
-            if _edge_ok(prefix):
-                found.append(prefix)
-
-        # EN 比 CN 更 : CN bounded by 比 and 更
-        for idx in find_all(sentence, seed + "比"):
-            rest = sentence[idx + len(seed) + 1 :]
-            j = rest.find("更")
-            if j > 0:
-                candidate = rest[:j].strip()
-                if candidate:
-                    found.append(candidate)
-
-        # EN 或 CN : CN must reach the sentence edge
-        for idx in find_all(sentence, seed + "或"):
-            tail = sentence[idx + len(seed) + 1 :].strip()
-            if _edge_ok(tail):
-                found.append(tail)
-
-        # CN 或 EN : CN runs from the sentence start
-        marker = "或" + seed
-        idx = sentence.find(marker)
-        if idx > 0:
-            prefix = sentence[:idx].strip()
-            if _edge_ok(prefix):
-                found.append(prefix)
-
-    return [term for term in dict.fromkeys(found) if term and term != seed]
+    return [term for term in dict.fromkeys(found) if term != seed]

@@ -331,7 +331,11 @@ def format_report_table(report: MiningReport) -> str:
     depth = max(len(col) for col in columns)
     rows = [headers] + [[col[i] if i < len(col) else "" for col in columns] for i in range(depth)]
     lines = [f"seed: {report.seed}"]
-    lines += ["".join(cell + " " * (width - _display_width(cell)) for cell in row) for row in rows]
+    # padding that a row ends in, after its last term, is left off
+    lines += [
+        "".join(cell + " " * (width - _display_width(cell)) for cell in row).rstrip(" ")
+        for row in rows
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +156,23 @@ def test_search_determinism(miniweb_provider):
     a = miniweb_provider.search("华盛顿和", 200)
     b = miniweb_provider.search("华盛顿和", 200)
     assert a == b
+
+
+def test_fixture_builder_regenerates_the_committed_miniweb_bundle(
+    tmp_path, monkeypatch, miniweb_path
+):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "build_miniweb_fixture.py"
+    spec = importlib.util.spec_from_file_location("build_miniweb_fixture", script)
+    builder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(builder)
+    monkeypatch.setattr(builder, "OUT", tmp_path)
+    builder.build_bundle()
+
+    def files(root):
+        return {
+            p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()
+        }
+
+    committed = files(miniweb_path)
+    assert len(committed) == 26
+    assert files(tmp_path) == committed

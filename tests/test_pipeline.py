@@ -480,6 +480,17 @@ def test_report_table_cells_start_at_the_header_columns(report):
             assert display_cells(row, starts) == [col[i] if i < len(col) else "" for col in columns]
 
 
+def test_report_table_lines_end_in_no_whitespace(report):
+    # The miniweb report, and one whose last column holds a 22-character
+    # term and leaves the rows below its two terms blank.
+    terms = [("中华人民共和国国务院办公厅秘书局综合处第一科", 1.0), ("ab", 0.5)]
+    wide = replace(report.concepts[0], ranked_terms=terms)
+    for shown in (report, replace(report, concepts=[*report.concepts[1:], wide])):
+        lines = format_report_table(shown).splitlines()
+        assert len(lines) > 2
+        assert [line for line in lines if line != line.rstrip()] == []
+
+
 def test_candidates_but_no_weblists_reports_stage_failure(tmp_path):
     import json as _json
 
