@@ -65,7 +65,7 @@ def main() -> None:
 
     gold_terms = {t for concept in gold.concepts for t in concept.terms}
     cfg = PipelineConfig()
-    sentences, _ = snippet_sentences(build_queries(SEED, cfg), cfg, provider)
+    sentences = snippet_sentences(build_queries(SEED, cfg), cfg, provider)
     baseline = extract_competitor_baseline(SEED, sentences)
     print("\n=== initial candidates (gold / found) ===")
     for label, terms in (("stage 1", initial), ("baseline", baseline)):

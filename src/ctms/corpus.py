@@ -11,7 +11,9 @@ and page URLs to files::
     }
 
 Fixture lookups are deterministic and never touch the network, which makes
-every experiment replayable byte for byte.
+every experiment replayable byte for byte.  Mining does not catch what a
+provider raises: an error from `search` or `fetch_page` (such as
+`MissingPageError`) propagates out of `mine`.
 """
 
 from __future__ import annotations
@@ -50,14 +52,6 @@ class MissingPageError(LookupError):
     def __init__(self, url: str):
         super().__init__(f"no cached page for url: {url}")
         self.url = url
-
-
-class TransientSearchError(RuntimeError):
-    """Retryable transport failure; carries the query that failed."""
-
-    def __init__(self, query: str, cause: str):
-        super().__init__(f"search failed for query {query!r}: {cause}")
-        self.query = query
 
 
 class SearchProvider(Protocol):

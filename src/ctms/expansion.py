@@ -23,7 +23,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .config import PipelineConfig
-from .corpus import SearchProvider, TransientSearchError
+from .corpus import SearchProvider
 from .dom import DomTree, parse_html
 from .wrappers import Wrapper, learn_wrappers
 
@@ -48,9 +48,8 @@ class WebList:
 class ExpandResult:
     weblists: list[WebList]  # sorted by list id
     pages: dict[str, str]  # URL -> rendered text of each processed page, in fetch order
-    queries_run: list[str]  # every expansion query, failed ones included
+    queries_run: list[str]  # every expansion query, in the order run
     wrappers_learned: int
-    skipped: list[str]  # diagnostics for failed queries/pages
 
 
 def expansion_queries(seed: str, candidates: tuple[str, ...]) -> list[str]:
@@ -117,25 +116,15 @@ def expand(
     terms = (seed,) + candidates
     result = ExpandResult(
         weblists=[], pages={}, queries_run=expansion_queries(seed, candidates),
-        wrappers_learned=0, skipped=[],
+        wrappers_learned=0,
     )
     seen_urls: set[str] = set()
     for query in result.queries_run:
-        try:
-            hits = provider.search(query, cfg.pages_per_query)
-        except TransientSearchError as exc:
-            result.skipped.append(f"query {query!r}: {exc}")
-            continue
-        for hit in hits:
+        for hit in provider.search(query, cfg.pages_per_query):
             if hit.url in seen_urls:
                 continue
             seen_urls.add(hit.url)
-            try:
-                page = provider.fetch_page(hit.url)
-            except LookupError as exc:
-                result.skipped.append(f"page {hit.url!r}: {exc}")
-                continue
-            tree = parse_html(page.html)
+            tree = parse_html(provider.fetch_page(hit.url).html)
             result.pages[hit.url] = tree.visible_text()
             lists, learned = harvest_page(hit.url, tree, terms, cfg)
             result.wrappers_learned += learned

@@ -25,7 +25,7 @@ from .concepts import (
     support_floor,
 )
 from .config import PipelineConfig
-from .corpus import SearchProvider, TransientSearchError
+from .corpus import SearchProvider
 from .expansion import ExpandResult, WebList, expand
 from .linguistic import extract_initial_candidates, build_queries
 from .metrics import (
@@ -147,24 +147,15 @@ def _concept_report(
 
 def snippet_sentences(
     queries: list[str], cfg: PipelineConfig, provider: SearchProvider
-) -> tuple[list[str], list[str]]:
-    """Stage 1's sentences: titles and snippets of every query's results.
-
-    Also returns one ``"query: error"`` message per query whose search
-    failed with a transient error; such a query contributes no sentences.
-    """
+) -> list[str]:
+    """Stage 1's sentences: titles and snippets of every query's results,
+    in query and rank order.  An error the provider raises propagates."""
     sentences: list[str] = []
-    failed: list[str] = []
     for query in queries:
-        try:
-            hits = provider.search(query, cfg.snippet_results)
-        except TransientSearchError as exc:
-            failed.append(f"{query}: {exc}")
-            continue
-        for hit in hits:
+        for hit in provider.search(query, cfg.snippet_results):
             sentences.extend(split_sentences(hit.title))
             sentences.extend(split_sentences(hit.snippet))
-    return sentences, failed
+    return sentences
 
 
 def check_seed(seed: str) -> None:
@@ -183,11 +174,9 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
 
     # Stage 1: mine initial candidates from titles and snippets.
     queries = build_queries(seed, cfg)
-    sentences, failed_queries = snippet_sentences(queries, cfg, provider)
+    sentences = snippet_sentences(queries, cfg, provider)
     diagnostics["snippet_queries"] = queries
     diagnostics["snippet_sentences"] = len(sentences)
-    if failed_queries:
-        diagnostics["failed_queries"] = failed_queries
 
     candidates = extract_initial_candidates(seed, sentences, cfg)
     initial = [
@@ -213,8 +202,6 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
     diagnostics["expansion_queries"] = expansion.queries_run
     diagnostics["pages_processed"] = len(expansion.pages)
     diagnostics["wrappers_learned"] = expansion.wrappers_learned
-    if expansion.skipped:
-        diagnostics["skipped"] = expansion.skipped
     if not weblists:
         notes.append("stage failure: expansion produced no web lists")
         return report

@@ -319,16 +319,13 @@ def learn_wrappers(
     fewer than `min_distinct_seeds` different seeds occur with a shared
     tag path.
     """
-    seed_list = sorted(set(seeds))
-    if len(seed_list) < cfg.min_distinct_seeds:
-        return {}
     src, mirror = tree.source, None
     # Root-edge scans of the reversed page and of the page, by probe string:
     # shared by the page's groups, dropped when this call returns.
     mirror_scans: dict[str, list[int]] = {}
     src_scans: dict[str, list[int]] = {}
     groups: dict[int, list[tuple[str, int]]] = defaultdict(list)
-    for pos, term, path_id in tree.occurrence_ids(seed_list):
+    for pos, term, path_id in tree.occurrence_ids(seeds):
         groups[path_id].append((term, pos))
 
     kept: dict[tuple[str, str, str], list[tuple[int, int]]] = {}  # (left, right, path)

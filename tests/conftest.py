@@ -12,11 +12,17 @@ hypothesis.settings.load_profile("default")
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 MINIWEB = FIXTURES / "miniweb"
+HOSTILE = FIXTURES / "hostile"
 
 
 @pytest.fixture(scope="session")
 def miniweb_path() -> pathlib.Path:
     return MINIWEB
+
+
+@pytest.fixture(scope="session")
+def hostile_path() -> pathlib.Path:
+    return HOSTILE
 
 
 @pytest.fixture(scope="session")

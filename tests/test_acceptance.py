@@ -78,8 +78,27 @@ def test_criterion_1_matcher_oracle():
 # -- 2. extraction vs the naive all-pairs oracle -----------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _oracle_tables(tree):
+    """Per page, built once: the position of the next ``<`` or ``>`` at or
+    after each position (the source length when there is none), and a
+    memo of `path_at` by position."""
+    src = tree.source
+    nxt = [len(src)] * (len(src) + 1)
+    for i in range(len(src) - 1, -1, -1):
+        nxt[i] = i if src[i] in "<>" else nxt[i + 1]
+    return nxt, {}
+
+
 def _oracle_spans(tree, wrapper):
     src = tree.source
+    nxt, paths = _oracle_tables(tree)
+
+    def path(pos):
+        if pos not in paths:
+            paths[pos] = path_at(tree, pos)
+        return paths[pos]
+
     lefts, rights = [], []
     i = src.find(wrapper.left)
     while i != -1:
@@ -94,13 +113,12 @@ def _oracle_spans(tree, wrapper):
         for s in rights:
             if s < e:
                 continue
-            c = src[e:s]
-            if "<" in c or ">" in c:
+            if nxt[e] < s:  # src[e:s] holds a "<" or ">"
                 continue
-            piece = c.strip()
+            piece = src[e:s].strip()
             if not piece or len(piece) > MAX_TERM_LEN:
                 continue
-            if path_at(tree, e) == wrapper.path and path_at(tree, s - 1) == wrapper.path:
+            if path(e) == wrapper.path and path(s - 1) == wrapper.path:
                 spans.append((e, s))
     return sorted(spans)
 

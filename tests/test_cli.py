@@ -208,6 +208,21 @@ def test_miniweb_outputs_keep_their_digests(case, miniweb_path, tmp_path, monkey
     assert hashlib.sha256((tmp_path / hashed).read_bytes()).hexdigest() == digest
 
 
+# sha256 of `ctms mine 苹果` on the hostile bundle: unclean pages (see
+# scripts/build_hostile_fixture.py), mined end to end through the CLI.  It
+# assumes the numpy/OpenBLAS build the miniweb digests above assume.
+HOSTILE_REPORT_DIGEST = "e686c7920c824b8fb48e1d000c23352a0bc221c9e8e3682f0584cad21eb9dd6e"
+
+
+def test_hostile_report_keeps_its_digest(hostile_path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for out in ("first.json", "second.json"):
+        assert cli.main(["mine", "苹果", "--corpus", str(hostile_path), "--out", out]) == 0
+    first = (tmp_path / "first.json").read_bytes()
+    assert (tmp_path / "second.json").read_bytes() == first
+    assert hashlib.sha256(first).hexdigest() == HOSTILE_REPORT_DIGEST
+
+
 def test_mining_never_runs_extraction(miniweb_path, tmp_path, monkeypatch):
     # Learning hands over each wrapper's spans; extraction is only the
     # tests' independent check on them.
@@ -368,6 +383,12 @@ def test_fixture_validate_ok(miniweb_path):
     proc = run_cli("fixture-validate", "--corpus", str(miniweb_path))
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_fixture_validate_ok_on_the_hostile_bundle(hostile_path):
+    proc = run_cli("fixture-validate", "--corpus", str(hostile_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok: 9 queries, 6 pages")
 
 
 def test_fixture_validate_detects_dangling(tmp_path):

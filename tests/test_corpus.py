@@ -158,11 +158,10 @@ def test_search_determinism(miniweb_provider):
     assert a == b
 
 
-def test_fixture_builder_regenerates_the_committed_miniweb_bundle(
-    tmp_path, monkeypatch, miniweb_path
-):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "build_miniweb_fixture.py"
-    spec = importlib.util.spec_from_file_location("build_miniweb_fixture", script)
+def _built_and_committed(script_name, committed_path, tmp_path, monkeypatch):
+    """The files a fixture builder writes into `tmp_path`, and those committed."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / script_name
+    spec = importlib.util.spec_from_file_location(script.stem, script)
     builder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(builder)
     monkeypatch.setattr(builder, "OUT", tmp_path)
@@ -173,6 +172,24 @@ def test_fixture_builder_regenerates_the_committed_miniweb_bundle(
             p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()
         }
 
-    committed = files(miniweb_path)
+    return files(tmp_path), files(committed_path)
+
+
+def test_fixture_builder_regenerates_the_committed_miniweb_bundle(
+    tmp_path, monkeypatch, miniweb_path
+):
+    built, committed = _built_and_committed(
+        "build_miniweb_fixture.py", miniweb_path, tmp_path, monkeypatch
+    )
     assert len(committed) == 26
-    assert files(tmp_path) == committed
+    assert built == committed
+
+
+def test_fixture_builder_regenerates_the_committed_hostile_bundle(
+    tmp_path, monkeypatch, hostile_path
+):
+    built, committed = _built_and_committed(
+        "build_hostile_fixture.py", hostile_path, tmp_path, monkeypatch
+    )
+    assert len(committed) == 8
+    assert built == committed

@@ -316,6 +316,6 @@ def test_baseline_on_miniweb_stage_1_sentences(miniweb_provider):
     from ctms.pipeline import snippet_sentences
 
     cfg = PipelineConfig()
-    sentences, _ = snippet_sentences(build_queries("华盛顿", cfg), cfg, miniweb_provider)
+    sentences = snippet_sentences(build_queries("华盛顿", cfg), cfg, miniweb_provider)
     assert len(sentences) == 60
     assert extract_competitor_baseline("华盛顿", sentences) == ["林肯", "杰斐逊"]

@@ -10,9 +10,9 @@ import pytest
 
 from ctms import pipeline
 from ctms.concepts import ConceptCluster
-from ctms.corpus import FixtureProvider, TransientSearchError, load_fixture
+from ctms.corpus import FixtureCorpus, FixtureProvider, MissingPageError, load_fixture
 from ctms.expansion import ExpandResult, WebList
-from ctms.linguistic import ScoredCandidate, build_queries
+from ctms.linguistic import ScoredCandidate
 from ctms.metrics import GoldAnswer, GoldConcept, load_gold
 from ctms.pipeline import (
     MiningReport,
@@ -22,7 +22,6 @@ from ctms.pipeline import (
     format_metric_table,
     format_report_table,
     mine,
-    snippet_sentences,
 )
 from ctms.ranking import build_relation_graph
 from ctms.text import TokenIndex
@@ -286,7 +285,7 @@ def test_term_below_the_support_floor_has_no_provenance(monkeypatch):
         pipeline, "extract_initial_candidates", lambda *a: [ScoredCandidate("乙", 2, 2)]
     )
     monkeypatch.setattr(
-        pipeline, "expand", lambda *a: ExpandResult(lists, {}, [], 3, [])
+        pipeline, "expand", lambda *a: ExpandResult(lists, {}, [], 3)
     )
 
     class NoSnippets:
@@ -379,23 +378,16 @@ def test_no_disambiguation_builds_no_token_index(miniweb_provider, monkeypatch):
         mine("华盛顿", PipelineConfig(), miniweb_provider)
 
 
-def test_snippet_sentences_reports_failed_queries(miniweb_provider):
-    cfg = PipelineConfig()
-    queries = build_queries("华盛顿", cfg)
-
-    class FlakyProvider:
-        def search(self, query, max_results=200):
-            if query == queries[0]:
-                raise TransientSearchError(query, "timed out")
-            return miniweb_provider.search(query, max_results)
-
-    sentences, failed = snippet_sentences(queries, cfg, miniweb_provider)
-    flaky_sentences, flaky_failed = snippet_sentences(queries, cfg, FlakyProvider())
-    assert failed == [] and sentences
-    (message,) = flaky_failed
-    assert message.startswith(f"{queries[0]}: ") and message.endswith("timed out")
-    rest, _ = snippet_sentences(queries[1:], cfg, miniweb_provider)
-    assert flaky_sentences == rest
+def test_a_provider_error_propagates_out_of_mine(miniweb_path):
+    # A hit whose page the provider cannot fetch fails the run; no page is
+    # skipped in silence.
+    corpus = load_fixture(miniweb_path)
+    missing = "https://miniweb.test/presidents/p01.html"
+    pages = {url: page for url, page in corpus.pages.items() if url != missing}
+    provider = FixtureProvider(FixtureCorpus(queries=corpus.queries, pages=pages))
+    with pytest.raises(MissingPageError) as err:
+        mine("华盛顿", PipelineConfig(), provider)
+    assert err.value.url == missing
 
 
 def test_miniweb_experiment_script_runs():
