@@ -36,13 +36,14 @@ then mines the bundle to assert the properties the test suite relies on.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "scripts"))
+
+from build_miniweb_fixture import write_bundle  # noqa: E402
 
 OUT = ROOT / "tests" / "fixtures" / "hostile"
 
@@ -283,32 +284,6 @@ def expansion_hits() -> dict[str, list[str]]:
 
 
 def build_bundle() -> None:
-    pages = build_pages()
-    pages_dir = OUT / "pages"
-    pages_dir.mkdir(parents=True, exist_ok=True)
-    for stale in pages_dir.glob("*.html"):
-        stale.unlink()
-
-    page_entries = []
-    for pid in sorted(pages):
-        html = pages[pid]
-        name = hashlib.sha1(html.encode("utf-8")).hexdigest()[:16] + ".html"
-        (pages_dir / name).write_text(html, encoding="utf-8")
-        page_entries.append({"url": page_url(pid), "file": f"pages/{name}"})
-
-    query_entries = [{"query": q, "hits": hits} for q, hits in snippet_hits().items()]
-    for query, pids in expansion_hits().items():
-        hits = [
-            {"rank": rank, "title": f"列表页面{pid}", "snippet": "页面内含条目列表", "url": page_url(pid)}
-            for rank, pid in enumerate(pids, start=1)
-        ]
-        query_entries.append({"query": query, "hits": hits})
-
-    manifest = {"queries": query_entries, "pages": page_entries}
-    (OUT / "manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
     gold = {
         "seed": SEED,
         "concepts": [
@@ -316,10 +291,7 @@ def build_bundle() -> None:
             {"name": "companies", "terms": COMPANIES},
         ],
     }
-    (OUT / "gold.json").write_text(
-        json.dumps(gold, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_bundle(OUT, build_pages(), page_url, snippet_hits(), expansion_hits(), gold)
 
 
 def self_check() -> None:

@@ -24,6 +24,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -216,9 +217,14 @@ def expansion_hits() -> dict[str, list[str]]:
     }
 
 
-def build_bundle() -> None:
-    pages = build_pages()
-    pages_dir = OUT / "pages"
+def write_bundle(out: Path, pages: dict[str, str], page_url: Callable[[str], str],
+                 snippet_hits: dict[str, list[dict]], expansion_hits: dict[str, list[str]],
+                 gold: dict) -> None:
+    """Write a fixture bundle under `out`: each page as pages/<sha1 prefix>.html
+    (stale pages removed), manifest.json with the snippet queries' hits and
+    each expansion query's page ids as hits in rank order, and gold.json.
+    The hostile fixture builder writes its bundle with it too."""
+    pages_dir = out / "pages"
     pages_dir.mkdir(parents=True, exist_ok=True)
     for stale in pages_dir.glob("*.html"):
         stale.unlink()
@@ -230,27 +236,23 @@ def build_bundle() -> None:
         (pages_dir / name).write_text(html, encoding="utf-8")
         page_entries.append({"url": page_url(pid), "file": f"pages/{name}"})
 
-    query_entries = []
-    for query, hits in snippet_hits().items():
-        query_entries.append({"query": query, "hits": hits})
-    for query, pids in expansion_hits().items():
+    query_entries = [{"query": q, "hits": hits} for q, hits in snippet_hits.items()]
+    for query, pids in expansion_hits.items():
         hits = [
-            {
-                "rank": rank,
-                "title": f"列表页面{pid}",
-                "snippet": "页面内含条目列表",
-                "url": page_url(pid),
-            }
+            {"rank": rank, "title": f"列表页面{pid}", "snippet": "页面内含条目列表", "url": page_url(pid)}
             for rank, pid in enumerate(pids, start=1)
         ]
         query_entries.append({"query": query, "hits": hits})
 
     manifest = {"queries": query_entries, "pages": page_entries}
-    (OUT / "manifest.json").write_text(
-        json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    for name, doc in (("manifest.json", manifest), ("gold.json", gold)):
+        (out / name).write_text(
+            json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
+            encoding="utf-8",
+        )
 
+
+def build_bundle() -> None:
     gold = {
         "seed": SEED,
         "concepts": [
@@ -258,10 +260,7 @@ def build_bundle() -> None:
             {"name": "cities", "terms": CITIES},
         ],
     }
-    (OUT / "gold.json").write_text(
-        json.dumps(gold, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_bundle(OUT, build_pages(), page_url, snippet_hits(), expansion_hits(), gold)
 
 
 def self_check() -> None:

@@ -1,7 +1,11 @@
 """Command-line entry points: mine, eval, fixture-validate.
 
 Exit codes: 0 success, 1 empty mining result, 2 usage/configuration error
-or output that cannot be written (a file or stdout).
+or output that cannot be written (a file or stdout).  Every failure exits
+2 by one path: each command step names the exceptions it maps and the
+message prefix they take (`_fails_as`), and `main` alone catches the
+`_UsageError` that results, prints ``error: <message>`` and returns
+`EXIT_USAGE`.
 """
 
 from __future__ import annotations
@@ -10,8 +14,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 from .corpus import FixtureError, FixtureProvider, load_fixture
 from .expansion import window_text
@@ -29,6 +35,20 @@ from .pipeline import (
 EXIT_OK = 0
 EXIT_EMPTY = 1
 EXIT_USAGE = 2
+
+
+class _UsageError(Exception):
+    """A failure that ends the command with `EXIT_USAGE`; `main` prints it."""
+
+
+@contextmanager
+def _fails_as(prefix: str, *errors: type[Exception]) -> Iterator[None]:
+    """Raise any of `errors` from the block as a `_UsageError` reading
+    `prefix` and then the error."""
+    try:
+        yield
+    except errors as exc:
+        raise _UsageError(f"{prefix}{exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,37 +83,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_mine(args: argparse.Namespace) -> int:
-    try:
+    with _fails_as("", ValueError):
         check_seed(args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+    with _fails_as("", FixtureError, OSError):
         corpus = load_fixture(args.corpus)
-    except (FixtureError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+    with _fails_as("bad config: ", ValueError, OSError):
         cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    except (ValueError, OSError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     if args.no_disambiguation:
         cfg = replace(cfg, disambiguation=False)
 
     report = mine(args.seed, cfg, FixtureProvider(corpus))
-    try:
+    with _fails_as("cannot write output: ", OSError):
         if args.dump_weblists:
             Path(args.dump_weblists).write_text(_weblists_jsonl(report), encoding="utf-8")
         Path(args.out).write_text(report.to_json(), encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not _write_stdout(format_report_table(report)):
-        return EXIT_USAGE
-    if not any(c.ranked_terms for c in report.concepts):
-        return EXIT_EMPTY
-    return EXIT_OK
+    _write_stdout(format_report_table(report))
+    return EXIT_OK if any(c.ranked_terms for c in report.concepts) else EXIT_EMPTY
 
 
 def _weblists_jsonl(report: MiningReport) -> str:
@@ -121,57 +126,42 @@ def _weblists_jsonl(report: MiningReport) -> str:
 
 
 def _run_eval(args: argparse.Namespace) -> int:
-    try:
+    with _fails_as("bad report file: ", OSError, ValueError, KeyError, TypeError, AttributeError):
         report = MiningReport.from_json(Path(args.report).read_text(encoding="utf-8"))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        print(f"error: bad report file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+    with _fails_as("bad gold file: ", GoldFormatError, OSError):
         gold = load_gold(args.gold)
-    except (GoldFormatError, OSError) as exc:
-        print(f"error: bad gold file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         cutoffs = [int(x) for x in args.at.split(",") if x.strip()]
-        if not cutoffs or any(n < 1 for n in cutoffs):
-            raise ValueError(args.at)
     except ValueError:
-        print(f"error: bad --at value: {args.at!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        cutoffs = []
+    if not cutoffs or any(n < 1 for n in cutoffs):
+        raise _UsageError(f"bad --at value: {args.at!r}")
+    with _fails_as("", ValueError):
         table = evaluate(report, gold, cutoffs)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     if args.out:
-        try:
+        with _fails_as("cannot write output: ", OSError):
             Path(args.out).write_text(
                 json.dumps(table, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
                 encoding="utf-8",
             )
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    if not _write_stdout(format_metric_table(table)):
-        return EXIT_USAGE
+    _write_stdout(format_metric_table(table))
     return EXIT_OK
 
 
 def _run_validate(args: argparse.Namespace) -> int:
-    try:
+    with _fails_as("", FixtureError, OSError):
         corpus = load_fixture(args.corpus)
-    except (FixtureError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    ok = f"ok: {len(corpus.queries)} queries, {len(corpus.pages)} pages, all hit urls resolve\n"
-    return EXIT_OK if _write_stdout(ok) else EXIT_USAGE
+    _write_stdout(
+        f"ok: {len(corpus.queries)} queries, {len(corpus.pages)} pages, all hit urls resolve\n"
+    )
+    return EXIT_OK
 
 
-def _write_stdout(text: str) -> bool:
-    """Write `text` to stdout and flush it; False, after one error line,
-    when stdout cannot take it or is closed.  An open stdout is then
-    pointed at the null device, so the interpreter's final flush of what
-    is left in its buffer fails no second time."""
+def _write_stdout(text: str) -> None:
+    """Write `text` to stdout and flush it; a `_UsageError` when stdout
+    cannot take it or is closed.  An open stdout is then pointed at the
+    null device, so the interpreter's final flush of what is left in its
+    buffer fails no second time."""
     out = sys.stdout  # None when the process started with stdout closed
     try:
         if out is None:
@@ -179,26 +169,23 @@ def _write_stdout(text: str) -> bool:
         out.write(text)
         out.flush()
     except OSError as exc:
-        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         if out is not None:
             null = os.open(os.devnull, os.O_WRONLY)
             os.dup2(null, out.fileno())
             os.close(null)
-        return False
-    return True
+        raise _UsageError(f"cannot write to stdout: {exc}") from exc
+
+
+_RUNNERS = {"mine": _run_mine, "eval": _run_eval, "fixture-validate": _run_validate}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "mine":
-        return _run_mine(args)
-    if args.command == "eval":
-        return _run_eval(args)
-    if args.command == "fixture-validate":
-        return _run_validate(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE  # pragma: no cover
+    args = _build_parser().parse_args(argv)
+    try:
+        return _RUNNERS[args.command](args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

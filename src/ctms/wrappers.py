@@ -49,16 +49,21 @@ its spans on the page, learned per tag-path group of seed occurrences:
      of its positions, and a candidate's span set is its left mask AND
      its right mask.  This is exact because whether a span is valid does
      not depend on the wrapper, and the rule's two early stops (at the
-     next markup character, and once the trimmed piece is too long) are
-     monotone in the right start: run on subsets of the ends and starts,
-     it returns exactly the spans of the full run between them.
+     end of the segment or the next markup character, and once the
+     trimmed piece is too long) are monotone in the right start: run on
+     subsets of the ends and starts, it returns exactly the spans of the
+     full run between them.
 
 A span, by the span rule `spans_on_path`, runs from the end of a
-left-context match to the start of a right-context match, contains no
-markup, trims to a non-empty string of at most ``MAX_TERM_LEN``
-characters, and starts and ends on the wrapper's path.  An end's markup
-stop is the nearer of the next ``<`` and the next ``>``, each found by
-`str.find` and searched for again only once the ascending ends pass it.
+left-context match to the start of a right-context match, lies within
+one segment of the page (a maximal run of positions with one path id)
+whose path is the wrapper's, contains no markup, and trims to a
+non-empty string of at most ``MAX_TERM_LEN`` characters.  So a span
+never runs from one attribute value of a tag into the next, though no
+markup character stands between them.  An end's stop is the nearest of
+its segment's end, the next ``<`` and the next ``>``; the last two are
+each found by `str.find` and searched for again only once the ascending
+ends pass it.
 The rule takes the path as the page's interned path id (equal ids are
 equal paths), so learning groups occurrences by id, passes each group's
 id, and builds a path's string only for the wrappers it keeps.  Learning
@@ -272,20 +277,23 @@ def spans_on_path(
 ) -> list[tuple[int, int]]:
     """The span rule: valid spans (e, s) from a left end e to a right start s.
 
-    `ends` and `starts` must be ascending.  A span is valid when it
-    contains no markup characters, trims to a non-empty string of at most
-    `MAX_TERM_LEN` characters, and both its first and last characters
-    resolve to the page's path id `path_id` (equal ids are equal paths; an
-    id of -1, a path the page lacks, admits no span).  Spans are returned
-    in document order.
+    `ends` and `starts` must be ascending.  A span is valid when it lies
+    within one segment of the page (a maximal run of positions with one
+    path id), that segment's path id is `path_id` (equal ids are equal
+    paths; an id of -1, a path the page lacks, admits no span), it
+    contains no markup characters, and it trims to a non-empty string of
+    at most `MAX_TERM_LEN` characters.  So a span never runs from one
+    attribute value of a tag into the next.  Spans are returned in
+    document order.
     """
     src, seg_start, seg_path = tree.source, tree.seg_start, tree.seg_path
     n = len(src)
     next_lt = next_gt = -1
     spans: list[tuple[int, int]] = []
     for e in ends:
-        # A span's first character is at e, so e must lie on the path.
-        if e >= n or seg_path[bisect_right(seg_start, e) - 1] != path_id:
+        # A span starts at e and ends within e's segment, which must be on the path.
+        k = bisect_right(seg_start, e)
+        if e >= n or seg_path[k - 1] != path_id:
             continue
         # The next "<" and ">" at or after e (a miss, -1, wraps to n),
         # found again only once the ascending ends pass them: linear.
@@ -293,7 +301,7 @@ def spans_on_path(
             next_lt = src.find("<", e) % (n + 1)
         if e > next_gt:
             next_gt = src.find(">", e) % (n + 1)
-        limit = min(next_lt, next_gt)
+        limit = min(next_lt, next_gt, seg_start[k] if k < len(seg_start) else n)
         i = bisect_left(starts, e)
         while i < len(starts):
             s = starts[i]
@@ -303,7 +311,7 @@ def spans_on_path(
             piece = src[e:s].strip()
             if len(piece) > MAX_TERM_LEN:
                 break
-            if piece and seg_path[bisect_right(seg_start, s - 1) - 1] == path_id:
+            if piece:
                 spans.append((e, s))
     return spans
 

@@ -211,7 +211,7 @@ def test_miniweb_outputs_keep_their_digests(case, miniweb_path, tmp_path, monkey
 # sha256 of `ctms mine 苹果` on the hostile bundle: unclean pages (see
 # scripts/build_hostile_fixture.py), mined end to end through the CLI.  It
 # assumes the numpy/OpenBLAS build the miniweb digests above assume.
-HOSTILE_REPORT_DIGEST = "e686c7920c824b8fb48e1d000c23352a0bc221c9e8e3682f0584cad21eb9dd6e"
+HOSTILE_REPORT_DIGEST = "9c74a7975197507b1899b56b92c472b1e3ec5bd3d0602f4a25bed474f25c1f94"
 
 
 def test_hostile_report_keeps_its_digest(hostile_path, tmp_path, monkeypatch):

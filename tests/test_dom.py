@@ -1,3 +1,4 @@
+import math
 import string
 from typing import NamedTuple
 
@@ -8,6 +9,7 @@ from ctms import dom
 from ctms.config import PipelineConfig
 from ctms.dom import ATTR_TAG, COMMENT_TAG, DIRECTIVE_TAG, ROOT_TAG, TEXT_TAG, DomTree, parse_html
 from ctms.wrappers import learn_wrappers
+from line_events import lines_run
 
 FIG_FRAGMENT = """<div class="cur_dh brand">
   <div class="dh border menu_div" id="menu_1">
@@ -783,6 +785,29 @@ def test_many_attribute_tags_parse_in_one_pass():
     assert len(runs) == 4 * n + 1
     assert {path for path, _ in runs} == {"#document/p", "#document/p/#attr"}
     assert [text for path, text in runs if path == "#document/p/#attr"] == ["1", "2"] * n
+
+
+def counted_page(n: int) -> str:
+    """n open <div>s; n <li> items, each with attributes, a comment and a
+    script; then n close tags that match no open element."""
+    item = '<li class="item" data-k=\'{i}\' hidden>项{i}<!-- 注{i} --><script>a<b</script>'
+    items = "".join(item.format(i=i) for i in range(n))
+    return "<div>" * n + "<ul>" + items + "</ul>" + "</span>" * n + "</div>" * n
+
+
+def test_parse_work_grows_linearly_with_the_page():
+    # The lines run in the parser's own code, counted at four sizes: the
+    # fitted exponent of work against n stays near 1.  A scan of the open
+    # elements for each unmatched close tag would make it near 2.
+    sizes = [250, 500, 1000, 2000]
+    work = []
+    for n in sizes:
+        _, ran = lines_run([parse_html, dom._scan_attributes], lambda: parse_html(counted_page(n)))
+        work.append(sum(sum(counts.values()) for counts in ran.values()))
+    xs, ys = [math.log(n) for n in sizes], [math.log(w) for w in work]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+    assert slope <= 1.15, (slope, work)
 
 
 def test_megabyte_text_run_is_one_node():

@@ -396,8 +396,8 @@ def test_miniweb_experiment_script_runs():
     )
     assert proc.returncode == 0, proc.stderr
     stage_1, baseline = proc.stdout.splitlines()[-2:]
-    assert re.match(r"stage 1\s+5/5\s", stage_1), stage_1
-    assert re.match(r"baseline\s+2/2\s", baseline), baseline
+    assert re.fullmatch(r"stage 1\s+5/5\s+林肯, 纽约, 杰斐逊, 芝加哥, 罗斯福", stage_1), stage_1
+    assert re.fullmatch(r"baseline\s+2/2\s+林肯, 杰斐逊", baseline), baseline
 
 
 def test_evaluate_seed_mismatch_rejected(report):

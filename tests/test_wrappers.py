@@ -298,6 +298,27 @@ def test_wrappers_over_attribute_values():
     assert ["索尼", "宏碁", "东芝", "戴尔"] in list(extractions.values())
 
 
+def test_a_span_never_runs_across_attribute_values():
+    # Each tag holds two values on one #attr path with no markup character
+    # between them; a span lies within one of them.
+    names = ["微软", "三星", "谷歌", "华为"]
+    html = (
+        '<p class="logos">'
+        + "".join(f'<img src="/logo/{i}.png" alt="{name}">' for i, name in enumerate(names, 1))
+        + "</p>"
+    )
+    tree = parse_html(html)
+    learned = learn_wrappers({"微软", "三星"}, tree, PipelineConfig())
+    terms = {html[e:s] for spans in learned.values() for e, s in spans}
+    assert set(names) <= terms
+    assert not any('"' in term for term in terms), terms
+    src_value = html.index("/logo/1.png")
+    src_end, alt_end = html.index('"', src_value), html.index('">', src_value)
+    path_id = tree.path_id_at(src_value)
+    assert path_id == tree.path_id_at(alt_end - 1)
+    assert spans_on_path(tree, [src_value], [src_end, alt_end], path_id) == [(src_value, src_end)]
+
+
 # --- learning vs the all-pairs reference -----------------------------------
 #
 # `reference_learn` learns the direct way, as the oracle for
