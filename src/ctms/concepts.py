@@ -22,8 +22,10 @@ has no weight, is every list clustered, so a report can change between
 
 A list's context vector is a plain word -> tf-idf weight dict, as in the
 vector-space model; a cosine needs only those weights and the two norms.
-Each fetched page's rendered text is tokenized once, into a
-`TokenIndex` keyed by its URL: the page's token set feeds the document
+Each fetched page's rendered text is tokenized once per page object,
+into the `TokenIndex` its `ParsedPage` builds on first use and keeps for
+every later mine over the same page (see `ctms.expansion`).  A mine
+keys the indexes by URL: each page's token set feeds the document
 frequencies, and a list's context vector reads its window's tokens off
 the index of its `source_url` by the window's rendered bounds (only the
 ``--dump-weblists`` output renders a window to text), recomputing only a
@@ -61,17 +63,16 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .config import PipelineConfig
-from .expansion import WebList
-from .text import TokenIndex
+from .expansion import ParsedPage, WebList
 
 
 class BackgroundCorpus:
     """Each fetched page's tokens, and document-frequency statistics over
     the pages; an idf counts documents only, so their order does not matter."""
 
-    def __init__(self, pages: Mapping[str, str]):
+    def __init__(self, pages: Mapping[str, ParsedPage]):
         # One index per page, keyed by URL, as WebList.source_url names it.
-        self.pages = {url: TokenIndex(text) for url, text in pages.items()}
+        self.pages = {url: page.token_index() for url, page in pages.items()}
         doc_freq: Counter[str] = Counter()
         for page in self.pages.values():
             doc_freq.update(set(page.tokens))

@@ -35,9 +35,14 @@ class SearchHit:
     url: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RawPage:
-    """Cached page bytes decoded to text."""
+    """Cached page bytes decoded to text.
+
+    Compared and hashed by identity: mining keeps what it derives from a
+    page for as long as the page object lives (`ctms.expansion.parsed_page`),
+    so a page loaded afresh is parsed afresh, even with the same HTML.
+    """
 
     html: str
 
@@ -177,7 +182,10 @@ class FixtureProvider:
     """Deterministic provider over a loaded fixture corpus.
 
     Read-only after construction, so instances are safe to share between
-    concurrent workers.
+    concurrent workers.  `fetch_page` returns the corpus's own `RawPage`
+    for a URL on every call, so every mine over one provider shares each
+    page's parse, made once, by the first mine that fetches the page, and
+    dropped with the corpus.
     """
 
     def __init__(self, corpus: FixtureCorpus):

@@ -10,21 +10,34 @@ Each learned wrapper's spans on its page become one WebList.  A list
 names its page by URL, and keeps the window of rendered text around it,
 for the later concept stage, as rendered bounds only: the rendered
 offsets of the list's first and last span, each widened by the window
-size.  The concept stage reads the window's tokens off its page's,
-tokenized once; the window is rendered to text only for the
-``--dump-weblists`` output (`window_text`).
-Pages are processed once even when several queries return them, and the
-result is sorted by list id so downstream stages see a stable order.
+size.  The concept stage reads the window's tokens off its page's token
+index; the window is rendered to text only for the ``--dump-weblists``
+output (`window_text`).
+Pages are processed once per mine even when several queries return them,
+and the result is sorted by list id so downstream stages see a stable
+order.
+
+What a page yields whatever the seed is derived once per page object,
+not once per mine: `parsed_page` keeps each fetched `RawPage`'s tree
+and (built on first use, by the concept stage) token index for as long
+as that object lives, in a table that holds the page weakly.  So a
+provider that returns the same object for a URL on every fetch, as
+`FixtureProvider` does, has each page parsed by `parse_html` once, on
+the first mine that fetches it, and tokenized at most once.  The table
+keys pages by identity, never by URL, and holds nothing that depends on
+the seed, the candidates or the config.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from weakref import WeakKeyDictionary
 
 from .config import PipelineConfig
-from .corpus import SearchProvider
+from .corpus import RawPage, SearchProvider
 from .dom import DomTree, parse_html
+from .text import TokenIndex
 from .wrappers import Wrapper, learn_wrappers
 
 # Mining never extracts; perfbench's tracer still reads and rebinds this name here.
@@ -44,10 +57,47 @@ class WebList:
     window: tuple[int, int, int, int]
 
 
+class ParsedPage:
+    """What mining derives from one fetched page whatever the seed: its
+    tree and, built on first use, the token index of its rendered text,
+    which only the concept stage reads."""
+
+    __slots__ = ("tree", "_tokens")
+
+    def __init__(self, tree: DomTree):
+        self.tree = tree
+        self._tokens: TokenIndex | None = None
+
+    def token_index(self) -> TokenIndex:
+        """The token index of the page's rendered text, built on the first call."""
+        if self._tokens is None:
+            self._tokens = TokenIndex(self.tree.visible_text())
+        return self._tokens
+
+
+# RawPage (by identity) -> its ParsedPage; an entry goes when its page does.
+_PARSED: WeakKeyDictionary[RawPage, ParsedPage] = WeakKeyDictionary()
+
+
+def parsed_page(page: RawPage) -> ParsedPage:
+    """`page`'s ParsedPage, its tree from `parse_html` on the first call
+    for this page object.
+
+    Workers that fetch one page at once may each parse it, and the last
+    to finish keeps its ParsedPage in the table: each is a function of
+    the page alone, so every caller gets an equal one and no lock is
+    needed.
+    """
+    parsed = _PARSED.get(page)
+    if parsed is None:
+        parsed = _PARSED[page] = ParsedPage(parse_html(page.html))
+    return parsed
+
+
 @dataclass
 class ExpandResult:
     weblists: list[WebList]  # sorted by list id
-    pages: dict[str, str]  # URL -> rendered text of each processed page, in fetch order
+    pages: dict[str, ParsedPage]  # URL -> each processed page, in fetch order
     queries_run: list[str]  # every expansion query, in the order run
     wrappers_learned: int
 
@@ -118,15 +168,12 @@ def expand(
         weblists=[], pages={}, queries_run=expansion_queries(seed, candidates),
         wrappers_learned=0,
     )
-    seen_urls: set[str] = set()
     for query in result.queries_run:
         for hit in provider.search(query, cfg.pages_per_query):
-            if hit.url in seen_urls:
+            if hit.url in result.pages:
                 continue
-            seen_urls.add(hit.url)
-            tree = parse_html(provider.fetch_page(hit.url).html)
-            result.pages[hit.url] = tree.visible_text()
-            lists, learned = harvest_page(hit.url, tree, terms, cfg)
+            page = result.pages[hit.url] = parsed_page(provider.fetch_page(hit.url))
+            lists, learned = harvest_page(hit.url, page.tree, terms, cfg)
             result.wrappers_learned += learned
             result.weblists.extend(lists)
 

@@ -197,7 +197,8 @@ def mine(seed: str, cfg: PipelineConfig, provider: SearchProvider) -> MiningRepo
     # Stage 2: expansion over retrieved pages.
     expansion: ExpandResult = expand(seed, tuple(c.text for c in candidates), provider, cfg)
     weblists = expansion.weblists
-    report.weblists, report.pages = weblists, expansion.pages
+    report.weblists = weblists
+    report.pages = {url: page.tree.visible_text() for url, page in expansion.pages.items()}
     report.weblist_count = len(weblists)
     diagnostics["expansion_queries"] = expansion.queries_run
     diagnostics["pages_processed"] = len(expansion.pages)

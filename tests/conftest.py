@@ -32,6 +32,16 @@ def miniweb_provider():
     return FixtureProvider(load_fixture(MINIWEB))
 
 
+@pytest.fixture
+def fresh_miniweb_provider():
+    """A miniweb provider of its own, loaded for one test: no mine has
+    fetched its pages yet, so the first mine parses every page it fetches
+    (mining keeps each page object's parse for every later mine)."""
+    from ctms.corpus import FixtureProvider, load_fixture
+
+    return FixtureProvider(load_fixture(MINIWEB))
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _ACCEPTANCE_RESULTS:
         return

@@ -10,11 +10,15 @@ and the counts summed are the work done in the function's own code.
 instead of its number: the line on which `marker`, which must occur
 exactly once in the function's source, ends.  So a test says "this
 statement ran" without pinning line numbers that any edit above moves.
+`fitted_exponent(sizes, work)` is the slope k of the least-squares fit
+work ~ size^k on log-log axes, for a test that bounds how counted work
+grows.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 import sys
 from collections import Counter
 from typing import Any, Callable, Iterable
@@ -54,3 +58,10 @@ def lines_run(
     finally:
         sys.settrace(previous)
     return result, ran
+
+
+def fitted_exponent(sizes: Iterable[float], work: Iterable[float]) -> float:
+    """The slope of log `work` on log `sizes`, by least squares."""
+    xs, ys = [math.log(x) for x in sizes], [math.log(y) for y in work]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)

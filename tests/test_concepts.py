@@ -22,7 +22,7 @@ from ctms.concepts import (
 from ctms.config import PipelineConfig
 from ctms.corpus import FixtureProvider, load_fixture
 from ctms.dom import parse_html
-from ctms.expansion import WebList, harvest_page
+from ctms.expansion import ParsedPage, WebList, harvest_page, parsed_page
 from ctms.text import tokenize
 from ctms.wrappers import Wrapper
 
@@ -36,8 +36,9 @@ W = Wrapper("<li>", "</li>", "ul/li/#text")
 
 
 def background(texts):
-    """The corpus of `texts` as fetched pages, the i-th at URL ``p{i}``."""
-    return BackgroundCorpus({f"p{i}": text for i, text in enumerate(texts)})
+    """The corpus of `texts` as fetched pages, the i-th at URL ``p{i}``;
+    a text with no markup is its page's rendered text."""
+    return BackgroundCorpus({f"p{i}": ParsedPage(parse_html(t)) for i, t in enumerate(texts)})
 
 
 def make_weblist(wid, terms, url="p0", window=(0, 0, 0, 0)):
@@ -458,7 +459,8 @@ def clustered_inputs(term, cfg, provider):
     over the run's pages: the lists `cluster_weblists` would see if no
     list were contained in another, so the oracles judge them all."""
     report = ctms.pipeline.mine(term, cfg, provider)
-    background = BackgroundCorpus(report.pages)
+    pages = {url: parsed_page(provider.fetch_page(url)) for url in report.pages}
+    background = BackgroundCorpus(pages)
     return report.weblists, {wl.id: context_vector(wl, background) for wl in report.weblists}
 
 

@@ -18,7 +18,7 @@ import ctms.pipeline
 from ctms.concepts import BackgroundCorpus, context_vector
 from ctms.config import PipelineConfig
 from ctms.corpus import FixtureProvider, load_fixture
-from ctms.expansion import window_text
+from ctms.expansion import parsed_page, window_text
 from ctms.text import tokenize
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -43,11 +43,13 @@ def test_context_vectors_equal_those_of_the_context_strings(name, tmp_path):
     workload = WORKLOADS[name]
     bundle = materialize(workload, 1, tmp_path)
     cfg = PipelineConfig.from_dict({**workload.config, "disambiguation": True})
-    report = ctms.pipeline.mine(workload.term, cfg, FixtureProvider(load_fixture(bundle)))
+    provider = FixtureProvider(load_fixture(bundle))
+    report = ctms.pipeline.mine(workload.term, cfg, provider)
     assert report.weblist_count > 0
     # Every list, contained ones too: mining builds vectors for the
     # maximal lists only, so their vectors are a subset of these.
-    background = BackgroundCorpus(report.pages)
+    pages = {url: parsed_page(provider.fetch_page(url)) for url in report.pages}
+    background = BackgroundCorpus(pages)
     seen = [(wl, context_vector(wl, background)) for wl in report.weblists]
     for weblist, vector in seen:
         index = background.pages[weblist.source_url]

@@ -1,4 +1,3 @@
-import math
 import string
 from typing import NamedTuple
 
@@ -9,7 +8,7 @@ from ctms import dom
 from ctms.config import PipelineConfig
 from ctms.dom import ATTR_TAG, COMMENT_TAG, DIRECTIVE_TAG, ROOT_TAG, TEXT_TAG, DomTree, parse_html
 from ctms.wrappers import learn_wrappers
-from line_events import lines_run
+from line_events import fitted_exponent, lines_run
 
 FIG_FRAGMENT = """<div class="cur_dh brand">
   <div class="dh border menu_div" id="menu_1">
@@ -804,9 +803,7 @@ def test_parse_work_grows_linearly_with_the_page():
     for n in sizes:
         _, ran = lines_run([parse_html, dom._scan_attributes], lambda: parse_html(counted_page(n)))
         work.append(sum(sum(counts.values()) for counts in ran.values()))
-    xs, ys = [math.log(n) for n in sizes], [math.log(w) for w in work]
-    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+    slope = fitted_exponent(sizes, work)
     assert slope <= 1.15, (slope, work)
 
 

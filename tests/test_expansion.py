@@ -113,7 +113,9 @@ def test_weblists_sorted_by_id_and_deterministic(tmp_path):
     ids = [wl.id for wl in first.weblists]
     assert ids == sorted(ids)
     assert first.weblists == second.weblists
-    assert list(first.pages.items()) == list(second.pages.items())
+    assert [(u, p.tree.visible_text()) for u, p in first.pages.items()] == [
+        (u, p.tree.visible_text()) for u, p in second.pages.items()
+    ]
 
 
 def test_weblist_terms_are_distinct_and_min_two(tmp_path):
@@ -137,7 +139,7 @@ def test_context_window_contains_surrounding_text(tmp_path):
     result = expand("宝马", ("法拉利",), provider, PipelineConfig())
     assert result.weblists
     for wl in result.weblists:
-        context = window_text(result.pages[wl.source_url], wl.window)
+        context = window_text(result.pages[wl.source_url].tree.visible_text(), wl.window)
         assert "品牌导航" in context
         assert "<" not in context
 

@@ -1,16 +1,22 @@
+import gc
 import json
 import re
 import subprocess
 import sys
+import threading
 import unicodedata
+import weakref
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from ctms import pipeline
+from ctms import expansion, pipeline
+from ctms.cli import _weblists_jsonl
 from ctms.concepts import ConceptCluster
-from ctms.corpus import FixtureCorpus, FixtureProvider, MissingPageError, load_fixture
+from ctms.corpus import FixtureCorpus, FixtureProvider, MissingPageError, RawPage, load_fixture
+from ctms.dom import parse_html
 from ctms.expansion import ExpandResult, WebList
 from ctms.linguistic import ScoredCandidate
 from ctms.metrics import GoldAnswer, GoldConcept, load_gold
@@ -366,16 +372,142 @@ def test_no_disambiguation_builds_no_background_corpus(miniweb_provider, monkeyp
     assert len(nd.concepts) == 1
 
 
-def test_no_disambiguation_builds_no_token_index(miniweb_provider, monkeypatch):
-    # Pages are tokenized only for grouping, never in expansion.
+def test_no_disambiguation_builds_no_token_index(fresh_miniweb_provider, monkeypatch):
+    # Pages are tokenized only for grouping, never in expansion.  A fresh
+    # provider, because a page tokenized by an earlier mine stays so.
     def refuse(self, text):
         raise AssertionError("token index built")
 
     monkeypatch.setattr(TokenIndex, "__init__", refuse)
-    nd = mine("华盛顿", PipelineConfig(disambiguation=False), miniweb_provider)
+    nd = mine("华盛顿", PipelineConfig(disambiguation=False), fresh_miniweb_provider)
     assert len(nd.concepts) == 1
     with pytest.raises(AssertionError, match="token index built"):
-        mine("华盛顿", PipelineConfig(), miniweb_provider)
+        mine("华盛顿", PipelineConfig(), fresh_miniweb_provider)
+
+
+# -- each fetched page parsed once per page object ----------------------------
+
+
+def outputs(report):
+    """What a mine writes: its report JSON and its --dump-weblists lines."""
+    return report.to_json(), _weblists_jsonl(report)
+
+
+def counting_parses(monkeypatch):
+    """The HTML of every `parse_html` call mining makes, from now on."""
+    parsed = []
+
+    def counting_parse(html):
+        parsed.append(html)
+        return parse_html(html)
+
+    monkeypatch.setattr(expansion, "parse_html", counting_parse)
+    return parsed
+
+
+@pytest.mark.parametrize("disambiguation", [True, False])
+def test_a_warm_mine_writes_what_a_cold_one_does(disambiguation, fresh_miniweb_provider):
+    cfg = PipelineConfig(disambiguation=disambiguation)
+    cold = outputs(mine("华盛顿", cfg, fresh_miniweb_provider))
+    assert outputs(mine("华盛顿", cfg, fresh_miniweb_provider)) == cold
+
+
+def test_two_mines_parse_each_fetched_page_once(fresh_miniweb_provider, monkeypatch):
+    parsed = counting_parses(monkeypatch)
+    first = mine("华盛顿", PipelineConfig(), fresh_miniweb_provider)
+    # A cold mine parses each page it processes once, as every mine did
+    # before pages kept their parse.
+    assert len(parsed) == len(set(parsed)) == first.diagnostics["pages_processed"] == 24
+    second = mine("华盛顿", PipelineConfig(disambiguation=False), fresh_miniweb_provider)
+    assert second.diagnostics["pages_processed"] == 24
+    assert len(parsed) == 24
+
+
+def test_each_page_is_tokenized_at_most_once(fresh_miniweb_provider, monkeypatch):
+    built = Counter()
+
+    class CountingIndex(TokenIndex):
+        __slots__ = ()
+
+        def __init__(self, text):
+            built[text] += 1
+            super().__init__(text)
+
+    monkeypatch.setattr(expansion, "TokenIndex", CountingIndex)
+    for _ in range(2):
+        report = mine("华盛顿", PipelineConfig(), fresh_miniweb_provider)
+    assert sorted(built) == sorted(report.pages.values())
+    assert set(built.values()) == {1}
+
+
+def test_the_parse_table_lets_go_of_a_dropped_corpus(miniweb_path):
+    gc.collect()
+    before = len(expansion._PARSED)
+    corpus = load_fixture(miniweb_path)
+    mine("华盛顿", PipelineConfig(), FixtureProvider(corpus))
+    assert len(expansion._PARSED) == before + 24
+    pages = [weakref.ref(page) for page in corpus.pages.values()]
+    del corpus
+    gc.collect()
+    assert [page() for page in pages] == [None] * len(pages)
+    assert len(expansion._PARSED) == before
+
+
+def test_a_new_page_object_is_parsed_afresh(miniweb_path, monkeypatch):
+    # Nothing is kept by URL: a provider that hands back a new RawPage for
+    # a URL, with new HTML or the same, gets that page parsed again.
+    corpus = load_fixture(miniweb_path)
+    url = "https://miniweb.test/presidents/p01.html"
+    old = corpus.pages[url].html
+    new = old.replace("亚当斯", "格兰特")
+    assert new != old
+
+    def mine_over(pages):
+        provider = FixtureProvider(replace(corpus, pages=pages))
+        return outputs(mine("华盛顿", PipelineConfig(), provider))
+
+    first = mine_over(corpus.pages)
+    parsed = counting_parses(monkeypatch)
+    for html in (old, new):
+        pages = {**corpus.pages, url: RawPage(html)}
+        warm = mine_over(pages)
+        assert parsed == [html]
+        cold = mine_over({u: RawPage(page.html) for u, page in pages.items()})
+        assert len(parsed) == 1 + 24
+        assert warm == cold
+        assert (warm == first) is (html == old)
+        parsed.clear()
+
+
+def test_threads_mining_one_cold_provider_write_what_one_mine_does(
+    miniweb_path, fresh_miniweb_provider
+):
+    # Four threads switching every 10 us, so that several of them parse and
+    # tokenize one page at once: a page's parse or token index that one
+    # thread could read half built would change another thread's report.
+    serial = outputs(mine("华盛顿", PipelineConfig(), fresh_miniweb_provider))
+    workers = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(10):
+            provider = FixtureProvider(load_fixture(miniweb_path))
+            start = threading.Barrier(workers)
+            results = [None] * workers
+
+            def work(i):
+                start.wait(timeout=60)
+                results[i] = outputs(mine("华盛顿", PipelineConfig(), provider))
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [serial] * workers
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_a_provider_error_propagates_out_of_mine(miniweb_path):

@@ -19,12 +19,14 @@ from ctms.wrappers import (
     Wrapper,
     _contexts_pass,
     _side_levels,
+    _starts,
     _used_positions,
     extract_spans,
     learn_wrappers,
     spans_on_path,
 )
 
+from line_events import fitted_exponent, lines_run
 from test_acceptance import _synthetic_page as criterion_2_page
 from test_acceptance import obeys_validity_rules
 from test_dom import FIG_FRAGMENT, find_occurrences, path_at
@@ -519,6 +521,40 @@ def test_learning_on_a_deep_page_builds_no_path_string_per_node():
         tracemalloc.stop()
     assert sorted(len(spans) for spans in learned.values()) == [399, 400]
     assert peak < 8_000_000, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+
+BRANDS = ["宝马", "法拉利", "奥迪"]
+
+
+def brand_page(n: int) -> str:
+    """One fixed list of five brands, the three `BRANDS` among them,
+    between two runs of n filler blocks of markup and text: 6,473
+    characters at n = 80."""
+    filler = "".join(f'<div class="note"><p>第{i}条说明文字</p></div>\n' for i in range(n))
+    items = "".join(f"<li>{t}</li>" for t in BRANDS + ["保时捷", "捷豹"])
+    return "<html><body>" + filler + "<ul>" + items + "</ul>\n" + filler + "</body></html>"
+
+
+def test_learning_work_grows_linearly_with_the_page():
+    # The lines run in the learner's own code and in the scans it makes,
+    # counted on pages of 6 k to 52 k characters that hold the same seed
+    # occurrences: the fitted exponent of work against n stays near 1
+    # (0.93 when written).  The gated contexts ">" and "<" match every
+    # tag, so the span pass and the root-edge scans see positions in
+    # proportion to the page; a walk over all earlier segments or
+    # positions for each one, such as `spans_on_path` finding an end's
+    # segment by a loop from the first instead of by bisection, makes
+    # it near 2 (1.98).
+    sizes = [80, 160, 320, 640]
+    counted = [learn_wrappers, _side_levels, _starts, spans_on_path, _used_positions, find_all]
+    work = []
+    for n in sizes:
+        tree = parse_html(brand_page(n))
+        learned, ran = lines_run(counted, lambda: learn_wrappers(BRANDS, tree, PipelineConfig()))
+        assert Wrapper("><li>", "</li><", "#document/html/body/ul/li/#text") in learned
+        work.append(sum(sum(counts.values()) for counts in ran.values()))
+    slope = fitted_exponent(sizes, work)
+    assert slope <= 1.15, (slope, work)
 
 
 def _pairwise_truncations(windows: list[tuple[str, str]]) -> set[str]:
